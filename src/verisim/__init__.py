@@ -25,7 +25,7 @@ from verisim.forest import ForestModel, fit_forest, fit_rfr, predict_cpu_time
 from verisim.gmm import DegenerateDataError, GmmModel, fit_gmm, sample_gmm
 from verisim.kernels import BACKEND as KERNEL_BACKEND
 from verisim.scenario import SweepReport, run_sweep, validate_sweep
-from verisim.sim import ChainView, SimResult, fork_choice, run_simulation
+from verisim.sim import SimResult, fork_choice, run_simulation
 from verisim.stats import distribution_distance, pearson, regression_metrics, spearman
 from verisim.workload import (
     FittedWorkload,

@@ -1,6 +1,8 @@
 """Scenario configuration: miner lineup and run parameters, with strict JSON I/O."""
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 MODES = ("sequential", "parallel")
@@ -23,6 +25,17 @@ class MinerConfig:
             raise ValueError(f"miner {self.id}: the invalid-block producer must verify")
 
 
+def _require_positive_finite(name: str, value):
+    # NaN fails every comparison and inf never ends a run: test both explicitly
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _require_count(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     block_limit: int
@@ -43,20 +56,16 @@ class ScenarioConfig:
     def validate(self):
         if self.block_limit < 21_000:
             raise ValueError("block limit below the minimum transaction gas")
-        if self.t_b <= 0:
-            raise ValueError("block interval must be positive")
+        _require_positive_finite("t_b", self.t_b)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 <= self.c <= 1.0:
             raise ValueError("conflict rate must lie in [0, 1]")
-        if self.p < 1:
-            raise ValueError("processor count must be >= 1")
+        _require_count("p", self.p)
         if not 0.0 <= self.invalid_rate < 0.5:
             raise ValueError("invalid-block rate must lie in [0, 0.5)")
-        if self.sim_duration <= 0:
-            raise ValueError("simulated duration must be positive")
-        if self.runs < 1:
-            raise ValueError("need at least one run")
+        _require_positive_finite("sim_duration", self.sim_duration)
+        _require_count("runs", self.runs)
         if not self.miners:
             raise ValueError("need at least one miner")
         total = sum(m.alpha for m in self.miners)

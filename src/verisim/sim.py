@@ -1,55 +1,53 @@
 """Discrete-event simulation of proof-of-work mining with block verification.
 
 Each miner finds blocks after exponential waits with rate alpha / t_b.  Found
-blocks are delivered to every other node immediately (propagation delay is out
-of scope).  A verifying node re-executes every received block whose parent
-state it holds, once, and cannot mine meanwhile: its pending find is pushed
-back by the verification duration.  Blocks extending known-invalid ancestry
-cannot be executed and are rejected for free.  Non-verifiers adopt longer
-chains instantly and pay nothing.  At the end the canonical chain is the
-longest chain of entirely valid ancestry; only its blocks earn rewards.
+blocks reach every node at the instant they are found (propagation delay is
+out of scope).  A verifying node re-executes every block it receives, once,
+and cannot mine meanwhile: its pending find is pushed back by the
+verification duration.  Blocks extending invalid ancestry cannot be executed
+and are rejected for free.  Non-verifiers adopt longer chains instantly and
+pay nothing.  At the end the canonical chain is the longest chain of entirely
+valid ancestry; only its blocks earn rewards.
+
+Because delivery is instantaneous, every node receives the same blocks in the
+same order, so the network holds just two heads: every verifier holds
+``v_head``, the longest chain of entirely valid ancestry, and every
+non-verifier holds ``s_head``, the longest chain.  A finder extends the head
+of its own kind.  ``s_head`` is never shorter than ``v_head``, and it has
+valid ancestry only when it is ``v_head`` itself, since a longer valid chain
+would have been adopted by the verifiers too.  So every block of valid
+ancestry extends ``v_head`` by one and becomes the new ``v_head``: the valid
+blocks form a single chain, the canonical one, and ``stale_blocks`` is always
+0.  It stays in ``SimResult`` as the accounting check of that argument.
+
+The pending finds live in one array and the next event is its minimum, ties
+going to the lowest miner index.  A verification pause adds its cost to the
+pending finds of the verifiers in place (the next-reaction method of Gibson
+and Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so a
+deferred find is still exactly exponential.
 """
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from verisim.blocks import Block, TxStream, _block_from_stream, make_genesis, summary_stats
-from verisim.config import MinerConfig, ScenarioConfig
+from verisim.config import ScenarioConfig
 from verisim.workload import FittedWorkload
 
 BLOCK_REWARD_ETHER = 2.0
 
 
-@dataclass
-class ChainView:
-    """One node's view: every known block plus its current head."""
+def fork_choice(head: Block, candidate: Block, verifies: bool) -> Block:
+    """The head a node holds after receiving a candidate block.
 
-    head: Block
-    known: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.head.id not in self.known:
-            self.known[self.head.id] = self.head
-
-
-def fork_choice(view: ChainView, node: MinerConfig, candidate: Block) -> bool:
-    """Apply a candidate block to a node's view; returns True when adopted.
-
-    Verifying nodes reject any candidate with an invalid block in its
+    Verifying nodes refuse any candidate with an invalid block in its
     ancestry; non-verifying nodes ignore validity.  A candidate replaces the
     head only when strictly longer: ties keep the incumbent.
     """
-    if candidate.parent is not None and candidate.parent.id not in view.known:
-        raise ValueError(f"candidate {candidate.id} extends an unknown parent")
-    view.known[candidate.id] = candidate
-    if node.verifies and not candidate.valid_ancestry:
-        return False
-    if candidate.height > view.head.height:
-        view.head = candidate
-        return True
-    return False
+    if verifies and not candidate.valid_ancestry:
+        return head
+    return candidate if candidate.height > head.height else head
 
 
 @dataclass(frozen=True)
@@ -92,20 +90,6 @@ class SimResult:
         raise KeyError(miner_id)
 
 
-class _NodeState:
-    __slots__ = ("cfg", "index", "view", "busy_until", "busy_in_window", "next_find", "token", "rate")
-
-    def __init__(self, cfg: MinerConfig, index: int, genesis: Block, known: dict, t_b: float):
-        self.cfg = cfg
-        self.index = index
-        self.view = ChainView(head=genesis, known=known)
-        self.busy_until = 0.0
-        self.busy_in_window = 0.0
-        self.next_find = 0.0
-        self.token = 0
-        self.rate = cfg.alpha / t_b
-
-
 def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = None) -> SimResult:
     """One deterministic simulation run at config.base_seed."""
     config.validate()
@@ -119,65 +103,58 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     rng_mine = np.random.default_rng(mine_ss)
     stream = TxStream(workload, config.c, np.random.default_rng(tx_ss), config.block_limit)
 
-    genesis = make_genesis()
-    known = {genesis.id: genesis}
-    nodes = [_NodeState(m, i, genesis, known, config.t_b) for i, m in enumerate(config.miners)]
+    miners = config.miners
+    duration = config.sim_duration
+    parallel = config.mode == "parallel"
     # every parallel cost needed later must be cached before txs are dropped
-    verifier_ps = sorted({config.processors_for(n.cfg) for n in nodes if n.cfg.verifies} | {config.p})
+    verifier_ps = sorted({config.processors_for(m) for m in miners if m.verifies} | {config.p})
+    slot = {p: k for k, p in enumerate(verifier_ps)}
+    verifiers = [j for j, m in enumerate(miners) if m.verifies]
+    # for each finder: the verifiers that re-execute its blocks, and where
+    # each one's processor count sits in verifier_ps
+    others = [np.asarray([j for j in verifiers if j != i], dtype=np.intp) for i in range(len(miners))]
+    other_slots = [np.asarray([slot[config.processors_for(miners[j])] for j in o], dtype=np.intp) for o in others]
 
-    heap = []
-    for node in nodes:
-        node.next_find = rng_mine.exponential(1.0 / node.rate)
-        heapq.heappush(heap, (node.next_find, node.index, node.token))
+    scales = [1.0 / (m.alpha / config.t_b) for m in miners]
+    next_find = np.asarray([rng_mine.exponential(scale) for scale in scales])
+    busy_until = np.zeros(len(miners))
+    busy_in_window = np.zeros(len(miners))
 
+    v_head = s_head = make_genesis()
     blocks = []
-    next_id = 1
-    while heap:
-        t, idx, token = heapq.heappop(heap)
-        if t > config.sim_duration:
+    while True:
+        i = int(np.argmin(next_find))
+        t = float(next_find[i])
+        if t > duration:
             break
-        node = nodes[idx]
-        if token != node.token:
-            continue  # stale event: the find was deferred
-
-        block = _block_from_stream(stream, next_id, node.view.head, node.cfg, t)
-        next_id += 1
+        miner = miners[i]
+        block = _block_from_stream(stream, len(blocks) + 1, v_head if miner.verifies else s_head, miner, t)
         blocks.append(block)
-        if config.mode == "parallel":
-            for p in verifier_ps:
-                block.parallel_verification_time(p)
+        if parallel:
+            costs = np.asarray([block.parallel_verification_time(p) for p in verifier_ps])
         block.drop_txs()
 
-        # the producer adopts its own block without re-executing it
-        fork_choice(node.view, node.cfg, block)
-        node.next_find = t + rng_mine.exponential(1.0 / node.rate)
-        heapq.heappush(heap, (node.next_find, node.index, node.token))
+        # every node applies the block under its own rule; the producer
+        # adopts its own block without re-executing it
+        v_head = fork_choice(v_head, block, True)
+        s_head = fork_choice(s_head, block, False)
+        next_find[i] = t + rng_mine.exponential(scales[i])
 
         # re-execution requires the parent's post-state: blocks extending
-        # known-invalid ancestry are rejected without cost, while invalid
-        # blocks on valid parents cost full verification before rejection
-        executable = block.parent.valid_ancestry
+        # invalid ancestry are rejected without cost, while invalid blocks on
+        # valid parents cost full verification before rejection
+        if block.parent.valid_ancestry:
+            idx = others[i]
+            cost = costs[other_slots[i]] if parallel else block.seq_verification_time
+            start = np.maximum(t, busy_until[idx])
+            end = start + cost
+            busy_until[idx] = end
+            # only the part of the pause inside the window counts
+            busy_in_window[idx] += np.minimum(end, duration) - np.minimum(start, duration)
+            # mining is suspended while verifying: push the pending find back
+            next_find[idx] += cost
 
-        for other in nodes:
-            if other.index == idx:
-                continue
-            if other.cfg.verifies and executable:
-                if config.mode == "parallel":
-                    cost = block.parallel_verification_time(config.processors_for(other.cfg))
-                else:
-                    cost = block.seq_verification_time
-                start = max(t, other.busy_until)
-                other.busy_until = start + cost
-                if start < config.sim_duration:
-                    other.busy_in_window += min(start + cost, config.sim_duration) - start
-                if cost > 0.0:
-                    # mining is suspended while verifying: push the pending find back
-                    other.token += 1
-                    other.next_find += cost
-                    heapq.heappush(heap, (other.next_find, other.index, other.token))
-            fork_choice(other.view, other.cfg, block)
-
-    uptime = {n.cfg.id: config.sim_duration - n.busy_in_window for n in nodes}
+    uptime = {m.id: float(duration - busy) for m, busy in zip(miners, busy_in_window)}
     return _finalize(config, blocks, uptime)
 
 

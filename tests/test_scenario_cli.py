@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from verisim.blocks import measure_verification_times
 from verisim.cli import main as cli_main
 from verisim.config import ScenarioConfig, standard_miners
 from verisim.scenario import (
@@ -84,6 +85,16 @@ class TestSweep:
         cfg_tb12 = replace(cfg, t_b=12.0)
         assert closed_form_gain(cfg_tb12, t_v=3.18) == pytest.approx(23.2, abs=0.5)
         assert gain == pytest.approx(22.5, abs=0.5)
+
+    def test_parallel_closed_form_takes_the_sequential_time(self, toy_wl):
+        cfg = small_config(mode="parallel", c=0.4, p=16, runs=2)
+        cell = run_sweep([cfg], toy_wl, tv_blocks=60, tv_seed=3).cells[0]
+        seq = measure_verification_times(toy_wl, cfg.block_limit, 60, seed=3, conflict_rate=cfg.c)
+        par = measure_verification_times(toy_wl, cfg.block_limit, 60, seed=3, mode="parallel", p=16, conflict_rate=cfg.c)
+        # the parallel formula discounts the sequential time once
+        assert cell.closed_gain_pct == closed_form_gain(cfg, float(seq.mean()))
+        # while the summary keeps reporting the parallel times
+        assert cell.tv_stats["mean"] == float(par.mean()) < float(seq.mean())
 
     def test_ci_halfwidth_basics(self):
         assert ci_halfwidth(np.asarray([1.0])) == 0.0

@@ -1,12 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from verisim.blocks import Block, make_genesis
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
-from verisim.sim import BLOCK_REWARD_ETHER, ChainView, fork_choice, run_simulation
-
-VERIFIER = MinerConfig(id="v", alpha=0.5)
-SKIPPER = MinerConfig(id="s", alpha=0.5, verifies=False)
+from verisim.sim import BLOCK_REWARD_ETHER, fork_choice, run_simulation
 
 
 def chain_block(block_id, parent, valid=True, miner="x", ts=1.0):
@@ -24,54 +24,38 @@ def chain_block(block_id, parent, valid=True, miner="x", ts=1.0):
 class TestForkChoice:
     def test_verifier_rejects_invalid_extension(self):
         genesis = make_genesis()
-        view = ChainView(head=genesis)
         bad = chain_block(1, genesis, valid=False)
-        assert not fork_choice(view, VERIFIER, bad)
-        assert view.head is genesis
+        assert fork_choice(genesis, bad, verifies=True) is genesis
 
     def test_nonverifier_adopts_invalid_extension(self):
         genesis = make_genesis()
-        view = ChainView(head=genesis)
         bad = chain_block(1, genesis, valid=False)
-        assert fork_choice(view, SKIPPER, bad)
-        assert view.head is bad
+        assert fork_choice(genesis, bad, verifies=False) is bad
 
     def test_verifier_rejects_valid_block_on_invalid_ancestor(self):
         genesis = make_genesis()
-        view = ChainView(head=genesis)
         bad = chain_block(1, genesis, valid=False)
-        fork_choice(view, VERIFIER, bad)
+        head = fork_choice(genesis, bad, verifies=True)
         junk = chain_block(2, bad, valid=True)
-        assert not fork_choice(view, VERIFIER, junk)
-        assert view.head is genesis
+        assert fork_choice(head, junk, verifies=True) is genesis
 
     def test_tie_keeps_incumbent(self):
         genesis = make_genesis()
-        view = ChainView(head=genesis)
         first = chain_block(1, genesis, ts=1.0)
         second = chain_block(2, genesis, ts=2.0)
-        assert fork_choice(view, VERIFIER, first)
-        assert not fork_choice(view, VERIFIER, second)
-        assert view.head is first
+        head = fork_choice(genesis, first, verifies=True)
+        assert head is first
+        assert fork_choice(head, second, verifies=True) is first
 
     def test_longer_chain_wins(self):
         genesis = make_genesis()
-        view = ChainView(head=genesis)
         a1 = chain_block(1, genesis)
-        fork_choice(view, VERIFIER, a1)
+        head = fork_choice(genesis, a1, verifies=True)
         b1 = chain_block(2, genesis)
-        fork_choice(view, VERIFIER, b1)
+        head = fork_choice(head, b1, verifies=True)
+        assert head is a1
         b2 = chain_block(3, b1)
-        assert fork_choice(view, VERIFIER, b2)
-        assert view.head is b2
-
-    def test_unknown_parent_errors(self):
-        genesis = make_genesis()
-        view = ChainView(head=genesis)
-        orphan_parent = chain_block(77, genesis)
-        orphan = chain_block(78, orphan_parent)
-        with pytest.raises(ValueError):
-            fork_choice(view, VERIFIER, orphan)
+        assert fork_choice(head, b2, verifies=True) is b2
 
 
 def day_config(block_limit=8_000_000, duration=7200.0, seed=42, **kw):
@@ -216,3 +200,22 @@ class TestScenarioValidation:
                 block_limit=8_000_000,
                 miners=(MinerConfig(id="a", alpha=0.5), MinerConfig(id="a", alpha=0.5)),
             )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in ("t_b", "sim_duration", "p", "runs")
+            for value in (math.nan, math.inf, -math.inf)
+        ]
+        + [("p", 2.5), ("runs", 2.5), ("p", 16.0), ("runs", True)],
+    )
+    def test_non_finite_or_non_integral_rejected(self, name, value, tmp_path):
+        scenario = {"block_limit": 8_000_000, "miners": [{"id": "solo", "alpha": 1.0}], name: value}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ScenarioConfig.from_dict(scenario)
+        # json writes and reads NaN and Infinity literals, so a scenario file can carry them
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ScenarioConfig.from_json(path)
