@@ -17,10 +17,16 @@ class MinerConfig:
     produces_invalid: bool = False
 
     def __post_init__(self):
+        # a JSON "false" string is truthy: flags must be real bools
+        for name in ("verifies", "produces_invalid"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r} (miner {self.id})")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real) or not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r} (miner {self.id})")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"miner {self.id}: alpha must lie in (0, 1]")
-        if self.processors is not None and self.processors < 1:
-            raise ValueError(f"miner {self.id}: processors must be >= 1")
+        if self.processors is not None:
+            _require_count(f"processors (miner {self.id})", self.processors)
         if self.produces_invalid and not self.verifies:
             raise ValueError(f"miner {self.id}: the invalid-block producer must verify")
 

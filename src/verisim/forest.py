@@ -18,6 +18,9 @@ from verisim import kernels
 DEFAULT_D_GRID = (10, 50, 100, 200, 500)
 DEFAULT_S_GRID = (1, 10, 50, 150, 300)
 
+# integer used gas below this bound maps to its prediction step by table lookup
+TABLE_SIZE = 1 << 20
+
 
 def _fold_r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     # R^2 with the constant-target convention 0, extended to single-sample
@@ -77,23 +80,55 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(
-            thresholds=np.asarray(d["thresholds"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            values=np.asarray(d["values"], dtype=np.float64),
-        )
+        """Load a tree, rejecting any that could crash, loop or mispredict on use."""
+        arrays = {}
+        columns = (("thresholds", np.float64), ("left", np.int64), ("right", np.int64), ("values", np.float64))
+        for name, dtype in columns:
+            raw = np.asarray(d[name])
+            if raw.ndim != 1 or raw.size == 0:
+                raise ValueError(f"{name} must be a non-empty list, got shape {raw.shape}")
+            if dtype is np.int64 and raw.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integer node indices, got dtype {raw.dtype}")
+            arrays[name] = raw.astype(dtype)
+            if not np.all(np.isfinite(arrays[name])):
+                raise ValueError(f"{name} must be finite")
+        n = arrays["thresholds"].size
+        if any(a.size != n for a in arrays.values()):
+            sizes = [a.size for a in arrays.values()]
+            raise ValueError(f"thresholds, left, right and values must have equal lengths, got {sizes}")
+        # children after their parent make every walk finite: no cycles
+        left, right, node = arrays["left"], arrays["right"], np.arange(n)
+        leaf = (left == -1) & (right == -1)
+        internal = (left > node) & (right > node) & (left < n) & (right < n)
+        bad = np.flatnonzero(~(leaf | internal))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"left/right: node {i} has children ({left[i]}, {right[i]}); "
+                f"an internal node's children must both lie in ({i}, {n}); a leaf's are both -1"
+            )
+        return cls(**arrays)
 
 
 @dataclass
 class ForestModel:
-    """Ensemble of regression trees; prediction is the mean of the tree outputs."""
+    """Ensemble of regression trees; prediction is the mean of the tree outputs.
+
+    The trees are merged once into one step function (``_bounds``,
+    ``_values``) and a prediction is a binary search over its bounds.  Integer
+    used gas in [0, TABLE_SIZE) instead reads its step from ``_table``, a
+    dense index over those integers built on first use: ``_table[g]`` is the
+    number of bounds below ``g``, exactly what the search returns.  It holds
+    2**20 entries of the narrowest unsigned type that counts the bounds, 2 MB
+    while the forest has fewer than 65,536 of them.
+    """
 
     tree_count: int
     split_budget: int
     trees: list
     _bounds: np.ndarray = field(default=None, repr=False, compare=False)
     _values: np.ndarray = field(default=None, repr=False, compare=False)
+    _table: np.ndarray = field(default=None, repr=False, compare=False)
 
     def _ensure_merged(self):
         # the mean of step functions of one variable is itself a step function;
@@ -112,10 +147,28 @@ class ForestModel:
         self._bounds = merged
         self._values = acc / max(len(self.trees), 1)
 
+    def _ensure_table(self):
+        # run lengths of each step over the integers, not a float grid: the
+        # table is the only large array built
+        if self._table is not None:
+            return
+        m = self._bounds.size
+        starts = np.clip(np.floor(self._bounds) + 1, 0, TABLE_SIZE).astype(np.int64)
+        counts = np.diff(starts, prepend=0, append=TABLE_SIZE)
+        self._table = np.repeat(np.arange(m + 1, dtype=np.min_scalar_type(m)), counts)
+
     def predict(self, used_gas) -> np.ndarray:
         self._ensure_merged()
-        x = np.asarray(used_gas, dtype=np.float64)
-        return self._values[np.searchsorted(self._bounds, x, side="left")]
+        x = np.asarray(used_gas)
+        if x.ndim == 0 or x.dtype.kind not in "iu":
+            x = np.asarray(x, dtype=np.float64)
+            return self._values[np.searchsorted(self._bounds, x, side="left")]
+        self._ensure_table()
+        steps = self._table.take(x, mode="clip")
+        outside = (x < 0) | (x >= TABLE_SIZE)
+        if outside.any():
+            steps[outside] = np.searchsorted(self._bounds, x[outside].astype(np.float64), side="left")
+        return self._values.take(steps)
 
     def predict_per_tree(self, x: float) -> np.ndarray:
         return np.asarray([t.predict_one(x) for t in self.trees])

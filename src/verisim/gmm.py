@@ -6,6 +6,7 @@ information criterion over a candidate range.  Sampling returns
 exp(normal draw), i.e. values on the original positive scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ class GmmModel:
     n: int
 
     def __post_init__(self):
+        # NaN passes every comparison below: check finiteness first
+        for name in ("weights", "means", "variances"):
+            values = getattr(self, name)
+            if len(values) != self.k:
+                raise ValueError(f"{name} must have k={self.k} entries, got {len(values)}")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {values!r}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("component weights must sum to 1")
         if any(w < 0 for w in self.weights):
@@ -225,10 +233,15 @@ def sample_gmm(model: GmmModel, n: int, seed: int = 0) -> np.ndarray:
 
 
 def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Like :func:`sample_gmm` but drawing from a caller-supplied generator."""
-    weights = np.asarray(model.weights)
+    """Like :func:`sample_gmm` but drawing from a caller-supplied generator.
+
+    The draws, and the generator's state after them, are those of
+    ``rng.choice(k, size=n, p=weights)`` then ``rng.normal(means[c], sds[c])``,
+    made without those calls' per-call overhead.
+    """
+    cdf = np.cumsum(model.weights)
+    cdf /= cdf[-1]
+    comps = np.searchsorted(cdf, rng.random(n), side="right")
     means = np.asarray(model.means)
     sds = np.sqrt(np.asarray(model.variances))
-    comps = rng.choice(model.k, size=n, p=weights)
-    draws = rng.normal(means[comps], sds[comps])
-    return np.exp(draws)
+    return np.exp(means[comps] + sds[comps] * rng.standard_normal(n))

@@ -115,7 +115,7 @@ def ci_halfwidth(values: np.ndarray, level: float = 0.95) -> float:
         return 0.0
     sd = float(values.std(ddof=1))
     q = float(sps.t.ppf(0.5 + level / 2.0, values.size - 1))
-    return q * sd / np.sqrt(values.size)
+    return float(q * sd / np.sqrt(values.size))
 
 
 def run_sweep(

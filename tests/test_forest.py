@@ -1,8 +1,14 @@
+import functools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from verisim.forest import ForestModel, RegressionTree, fit_forest, fit_rfr, predict_cpu_time
+from verisim.forest import TABLE_SIZE, ForestModel, RegressionTree, fit_forest, fit_rfr, predict_cpu_time
 from verisim.stats import regression_metrics
+from verisim.workload import FittedWorkload
 
 KNOTS = np.asarray([1e4, 1e6, 3e6, 8e6])
 LEVELS = np.asarray([0.01, 0.2, 0.25, 0.9])
@@ -120,3 +126,131 @@ class TestTreeStructure:
         tree = model.trees[0]
         for x in np.linspace(1e4, 8e6, 101):
             assert model.predict(x) == pytest.approx(tree.predict_one(x), rel=1e-12)
+
+
+def search_reference(model, x):
+    """The prediction by binary search alone, which the integer table must reproduce."""
+    model._ensure_merged()
+    return model._values[np.searchsorted(model._bounds, np.asarray(x, dtype=np.float64), side="left")]
+
+
+@functools.cache
+def integer_gas_forest():
+    # integer inputs put bounds on integers and half-integers; some lie past TABLE_SIZE
+    rng = np.random.default_rng(20)
+    xs = np.rint(rng.uniform(1e4, 1.5 * TABLE_SIZE, 600))
+    ys = xs * 1e-9 + rng.normal(0, 1e-4, xs.size)
+    return fit_forest(xs, ys, tree_count=4, split_budget=40, seed=21)
+
+
+def near_bounds(model):
+    model._ensure_merged()
+    return [int(np.floor(b)) + d for b in model._bounds for d in (-1, 0, 1)]
+
+
+def chain_tree(thresholds):
+    # node 2j splits at thresholds[j]; its left child is a leaf, its right child the next split
+    m = thresholds.size
+    n = 2 * m + 1
+    split = np.arange(0, 2 * m, 2)
+    left = np.full(n, -1)
+    right = np.full(n, -1)
+    left[split] = split + 1
+    right[split] = split + 2
+    th = np.zeros(n)
+    th[split] = thresholds
+    values = np.arange(n, dtype=np.float64)
+    return RegressionTree.from_dict(
+        {"thresholds": th.tolist(), "left": left.tolist(), "right": right.tolist(), "values": values.tolist()}
+    )
+
+
+INTEGERS = st.one_of(
+    st.integers(-5, 2 * TABLE_SIZE),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([0, TABLE_SIZE - 1, TABLE_SIZE, TABLE_SIZE + 1]),
+)
+NON_INTEGERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-5, 2 * TABLE_SIZE).map(lambda k: k + 0.5),
+    st.floats(-10.0, 2.0 * TABLE_SIZE),
+)
+
+
+class TestIntegerTable:
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(INTEGERS, min_size=1, max_size=30),
+        dtype=st.sampled_from(["int64", "int32", "int16", "uint64", "uint32", "uint8"]),
+        data=st.data(),
+    )
+    def test_integers_match_search(self, values, dtype, data):
+        model = integer_gas_forest()
+        values += data.draw(st.lists(st.sampled_from(near_bounds(model)), max_size=30))
+        info = np.iinfo(dtype)
+        x = np.asarray([min(max(v, info.min), info.max) for v in values], dtype=dtype)
+        assert np.array_equal(model.predict(x), search_reference(model, x))
+        assert np.array_equal(model.predict(x.reshape(1, -1)), search_reference(model, x.reshape(1, -1)))
+
+    @settings(max_examples=200)
+    @given(values=st.lists(NON_INTEGERS, min_size=1, max_size=30))
+    def test_non_integers_match_search(self, values):
+        model = integer_gas_forest()
+        assert np.array_equal(model.predict(values), search_reference(model, values))
+
+    @given(value=st.one_of(INTEGERS, NON_INTEGERS))
+    def test_zero_dimensional_matches_search(self, value):
+        model = integer_gas_forest()
+        expected = search_reference(model, float(value))
+        assert np.ndim(model.predict(value)) == 0
+        assert model.predict(value) == expected
+        if isinstance(value, int):
+            assert model.predict(np.int64(value)) == expected
+
+    def test_python_int_list_uses_table(self):
+        model = integer_gas_forest()
+        gas = list(range(0, 2 * TABLE_SIZE, 997))
+        assert np.array_equal(model.predict(gas), search_reference(model, gas))
+        assert model._table is not None and model._table.size == TABLE_SIZE
+
+    def test_wide_table_past_65535_bounds(self):
+        m = 70_000
+        thresholds = np.arange(m) * 16.0 + np.where(np.arange(m) % 2, 0.5, 0.0)
+        model = ForestModel(1, m, [chain_tree(thresholds)])
+        x = np.concatenate([np.arange(-3, TABLE_SIZE + 40_000, 7), np.floor(thresholds).astype(np.int64) + 1])
+        assert np.array_equal(model.predict(x), search_reference(model, x))
+        assert model._bounds.size == m
+        assert model._table.dtype == np.uint32
+
+
+class TestModelFiles:
+    SPLIT = {"thresholds": [5e4, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1], "values": [0.0, 0.1, 0.3]}
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"left": [1, 0, -1], "right": [2, 2, -1]}, "left/right"),  # node 1 points back at node 0
+            ({"left": [1, 1, -1], "right": [2, 1, -1]}, "left/right"),  # node 1 is its own child
+            ({"right": [3, -1, -1]}, "left/right"),  # past the last node
+            ({"left": [-2, -1, -1], "right": [-2, -1, -1]}, "left/right"),
+            ({"left": [-1, -1, -1], "right": [2, -1, -1]}, "left/right"),  # half a leaf
+            ({"left": [1.5, -1, -1]}, "left"),
+            ({"thresholds": [float("nan"), 0.0, 0.0]}, "thresholds"),
+            ({"values": [0.0, float("inf"), 0.3]}, "values"),
+            ({"values": [0.0, 0.1]}, "equal lengths"),
+            ({"thresholds": [], "left": [], "right": [], "values": []}, "thresholds"),
+        ],
+    )
+    def test_malformed_tree_rejected(self, change, field):
+        with pytest.raises(ValueError, match=field):
+            ForestModel.from_dict({"tree_count": 1, "split_budget": 1, "trees": [dict(self.SPLIT, **change)]})
+
+    def test_cyclic_tree_in_a_model_file_rejected(self, toy_wl, tmp_path):
+        path = tmp_path / "workload.json"
+        toy_wl.save(path)
+        payload = json.loads(path.read_text())
+        tree = payload["cpu_time_model"]["trees"][0]
+        tree["left"][0] = 0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="left/right: node 0"):
+            FittedWorkload.load(path)

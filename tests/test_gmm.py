@@ -7,6 +7,7 @@ from verisim.gmm import (
     _em_once,
     fit_gmm,
     sample_gmm,
+    sample_gmm_with,
 )
 
 
@@ -112,6 +113,31 @@ class TestSampleGmm:
             sample_gmm(m, 0, seed=0)
 
 
+def mixture(weights, means, variances):
+    return GmmModel(k=len(weights), weights=weights, means=means, variances=variances,
+                    log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+
+
+K1 = mixture((1.0,), (10.8,), (0.9,))
+# the fitted used-gas shape: two near-point components at the clip bounds
+K6 = mixture((0.068, 0.21, 0.33, 0.25, 0.138, 0.004), (9.95, 10.6, 11.3, 12.1, 13.2, 15.9),
+             (1e-8, 0.2, 0.35, 0.5, 0.8, 1e-8))
+
+
+class TestSampleStream:
+    """The simulator's golden results rest on this exact stream contract."""
+
+    @pytest.mark.parametrize("model", [K1, K6], ids=["k1", "k6"])
+    @pytest.mark.parametrize("n", [1, 7, 65_536])
+    def test_matches_choice_then_normal(self, model, n):
+        rng, ref = np.random.default_rng(123), np.random.default_rng(123)
+        out = sample_gmm_with(model, n, rng)
+        comps = ref.choice(model.k, size=n, p=np.asarray(model.weights))
+        expected = np.exp(ref.normal(np.asarray(model.means)[comps], np.sqrt(np.asarray(model.variances))[comps]))
+        assert np.array_equal(out, expected)
+        assert rng.random() == ref.random()
+
+
 class TestModelValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -122,3 +148,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             GmmModel(k=1, weights=(1.0,), means=(0.0,), variances=(0.0,),
                      log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("weights", {"weights": (float("nan"), 1.0)}),
+            ("weights", {"weights": (0.5, 0.5, 0.0)}),
+            ("means", {"means": (0.0, float("inf"))}),
+            ("means", {"means": (0.0,)}),
+            ("variances", {"variances": (float("nan"), 1.0)}),
+        ],
+    )
+    def test_non_finite_or_misshapen_rejected(self, field, change):
+        d = mixture((0.5, 0.5), (0.0, 1.0), (1.0, 1.0)).to_dict()
+        d.update({key: list(value) for key, value in change.items()})
+        with pytest.raises(ValueError, match=f"^{field}"):
+            GmmModel.from_dict(d)

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import replace
 
@@ -95,6 +96,13 @@ class TestSweep:
         assert cell.closed_gain_pct == closed_form_gain(cfg, float(seq.mean()))
         # while the summary keeps reporting the parallel times
         assert cell.tv_stats["mean"] == float(par.mean()) < float(seq.mean())
+
+    def test_summary_ci_columns_are_numbers(self, toy_wl, tmp_path):
+        out = run_sweep([small_config(runs=3)], toy_wl, tv_blocks=40).write(tmp_path / "out")
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        for column in ("sim_gain_ci95_pct", "sim_expected_ci95_pct"):
+            assert float(row[column]) > 0
 
     def test_ci_halfwidth_basics(self):
         assert ci_halfwidth(np.asarray([1.0])) == 0.0

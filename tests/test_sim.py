@@ -219,3 +219,31 @@ class TestScenarioValidation:
         path.write_text(json.dumps(scenario))
         with pytest.raises(ValueError, match=f"^{name} must"):
             ScenarioConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("verifies", "false"),
+            ("verifies", 0),
+            ("verifies", None),
+            ("produces_invalid", "true"),
+            ("produces_invalid", 1),
+            ("alpha", True),
+            ("alpha", "1.0"),
+            ("alpha", math.nan),
+            ("alpha", math.inf),
+            ("processors", 2.5),
+            ("processors", 4.0),
+            ("processors", True),
+            ("processors", "4"),
+            ("processors", 0),
+        ],
+    )
+    def test_miner_field_types_rejected(self, name, value, tmp_path):
+        scenario = {"block_limit": 8_000_000, "miners": [{"id": "solo", "alpha": 1.0, name: value}]}
+        with pytest.raises(ValueError, match=f"^{name}"):
+            ScenarioConfig.from_dict(scenario)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        with pytest.raises(ValueError, match=f"^{name}"):
+            ScenarioConfig.from_json(path)
