@@ -21,17 +21,12 @@ from verisim.analytics import (
 from verisim.blocks import Block, build_block, measure_verification_times, verification_time
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
 from verisim.dataio import Dataset, generate_synthetic_dataset, load_dataset, write_dataset
-from verisim.forest import ForestModel, fit_forest, fit_rfr, predict_cpu_time
-from verisim.gmm import DegenerateDataError, GmmModel, fit_gmm, sample_gmm
+from verisim.forest import ForestModel, fit_forest, fit_rfr
+from verisim.gmm import DegenerateDataError, GmmModel, fit_gmm, sample_gmm_with
 from verisim.kernels import BACKEND as KERNEL_BACKEND
 from verisim.scenario import SweepReport, run_sweep, validate_sweep
 from verisim.sim import SimResult, fork_choice, run_simulation
 from verisim.stats import distribution_distance, pearson, regression_metrics, spearman
-from verisim.workload import (
-    FittedWorkload,
-    TransactionRecord,
-    fit_workload,
-    sample_transactions,
-)
+from verisim.workload import FittedWorkload, fit_workload, sample_transaction_arrays
 
 __version__ = "0.1.0"

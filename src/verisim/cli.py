@@ -25,10 +25,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_fit(args) -> int:
     from verisim.dataio import load_dataset
-    from verisim.forest import fit_forest
-    from verisim.gmm import fit_gmm
     from verisim.stats import regression_metrics
-    from verisim.workload import FittedWorkload, fit_workload
+    from verisim.workload import fit_workload
 
     ds = load_dataset(args.data, args.partition)
     n = len(ds)
@@ -37,47 +35,34 @@ def cmd_fit(args) -> int:
     mask = np.zeros(n, dtype=bool)
     mask[test_idx] = True
 
-    fitted = fit_workload(
-        ds.used_gas[~mask],
-        ds.gas_price[~mask],
-        ds.cpu_time[~mask],
-        k_min=args.k_min,
-        k_max=args.k_max,
-        criterion=args.criterion,
-        d_grid=_grid(args.d_grid),
-        s_grid=_grid(args.s_grid),
-        folds=args.folds,
-        seed=args.seed,
-        cv_subsample=args.cv_subsample,
-        gmm_subsample=args.gmm_subsample,
-    )
-    model = fitted.cpu_time_model
+    def fit(rows, d_grid, s_grid):
+        return fit_workload(
+            ds.used_gas[rows],
+            ds.gas_price[rows],
+            ds.cpu_time[rows],
+            k_min=args.k_min,
+            k_max=args.k_max,
+            criterion=args.criterion,
+            d_grid=d_grid,
+            s_grid=s_grid,
+            folds=args.folds,
+            seed=args.seed,
+            cv_subsample=args.cv_subsample,
+            gmm_subsample=args.gmm_subsample,
+            block_limit=args.block_limit,
+        )
+
+    # the training split picks (d, s) and is scored on the held-out rows;
+    # the saved models are then fitted on all rows at that (d, s)
+    model = fit(~mask, _grid(args.d_grid), _grid(args.s_grid)).cpu_time_model
     train = regression_metrics(ds.cpu_time[~mask], model.predict(ds.used_gas[~mask]))
     test = regression_metrics(ds.cpu_time[mask], model.predict(ds.used_gas[mask]))
-
-    def mixture_on_all(values, fit_seed):
-        if args.gmm_subsample and args.gmm_subsample < values.size:
-            pick = np.random.default_rng(fit_seed).choice(values.size, size=args.gmm_subsample, replace=False)
-            k = fit_gmm(values[pick], args.k_min, args.k_max, args.criterion, seed=fit_seed).k
-            return fit_gmm(values, k, k, args.criterion, seed=fit_seed)
-        return fit_gmm(values, args.k_min, args.k_max, args.criterion, seed=fit_seed)
-
-    # refit every model on all rows with the selected hyperparameters
-    price_model = mixture_on_all(ds.gas_price, args.seed)
-    gas_model = mixture_on_all(ds.used_gas, args.seed + 1)
-    cpu_model = fit_forest(ds.used_gas, ds.cpu_time, model.tree_count, model.split_budget, seed=args.seed + 2)
-    final = FittedWorkload(
-        gas_price_model=price_model,
-        used_gas_model=gas_model,
-        cpu_time_model=cpu_model,
-        block_limit=args.block_limit,
-        seed=args.seed,
-    )
+    final = fit(slice(None), [model.tree_count], [model.split_budget])
     final.save(args.out)
 
-    print(f"gas price mixture: K = {price_model.k} (criterion {args.criterion})")
-    print(f"used gas mixture:  K = {gas_model.k} (criterion {args.criterion})")
-    print(f"cpu-time forest:   d = {cpu_model.tree_count}, s = {cpu_model.split_budget}")
+    print(f"gas price mixture: K = {final.gas_price_model.k} (criterion {args.criterion})")
+    print(f"used gas mixture:  K = {final.used_gas_model.k} (criterion {args.criterion})")
+    print(f"cpu-time forest:   d = {model.tree_count}, s = {model.split_budget}")
     print(f"train: MAE {train['mae']:.6g}  RMSE {train['rmse']:.6g}  R2 {train['r2']:.4f}")
     print(f"test:  MAE {test['mae']:.6g}  RMSE {test['rmse']:.6g}  R2 {test['r2']:.4f}")
     print(f"wrote fitted models to {args.out}")

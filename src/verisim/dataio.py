@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS, TransactionRecord
+from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS
 
 CSV_HEADER = ["used_gas", "gas_limit", "gas_price", "cpu_time_s"]
 PARTITIONS = ("creation", "execution")
@@ -85,18 +85,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.used_gas.size)
-
-    @property
-    def records(self) -> list:
-        return [
-            TransactionRecord(
-                used_gas=int(self.used_gas[i]),
-                gas_limit=int(self.gas_limit[i]),
-                gas_price=float(self.gas_price[i]),
-                cpu_time=float(self.cpu_time[i]),
-            )
-            for i in range(len(self))
-        ]
 
 
 def _validate_row(line_no: int, used_gas: int, gas_limit: int, gas_price: float, cpu_time: float, block_limit: int):

@@ -170,9 +170,6 @@ class ForestModel:
             steps[outside] = np.searchsorted(self._bounds, x[outside].astype(np.float64), side="left")
         return self._values.take(steps)
 
-    def predict_per_tree(self, x: float) -> np.ndarray:
-        return np.asarray([t.predict_one(x) for t in self.trees])
-
     def to_dict(self) -> dict:
         return {
             "tree_count": self.tree_count,
@@ -187,14 +184,6 @@ class ForestModel:
             split_budget=int(d["split_budget"]),
             trees=[RegressionTree.from_dict(t) for t in d["trees"]],
         )
-
-
-def predict_cpu_time(model: ForestModel, used_gas) -> float:
-    """Mean of the tree predictions for one positive used-gas value."""
-    if np.any(np.asarray(used_gas) <= 0):
-        raise ValueError("used gas must be positive")
-    out = model.predict(used_gas)
-    return float(out) if np.ndim(used_gas) == 0 else out
 
 
 def _weighted_mean(y, w, lo, hi):
@@ -268,13 +257,16 @@ def _fit_forest_sorted(x_sorted, y_sorted, tree_count, split_budget, seed_seq) -
     return ForestModel(tree_count=tree_count, split_budget=split_budget, trees=trees)
 
 
-def fit_rfr(xs, ys, d_grid=DEFAULT_D_GRID, s_grid=DEFAULT_S_GRID, folds: int = 10, seed: int = 0) -> ForestModel:
-    """Grid search over (tree count, split budget) with K-fold CV, refit on all data.
+def fit_rfr(xs, ys, d_grid=DEFAULT_D_GRID, s_grid=DEFAULT_S_GRID, folds: int = 10, seed: int = 0) -> tuple:
+    """Grid search over (tree count, split budget) with K-fold CV.
 
-    Every (d, s) cell is scored by its mean cross-validated R^2; the best cell
-    (ties: earliest in grid order) is refit on the full sample.  Deterministic
-    for a given seed; fold and tree seeds are pre-spawned per cell so cells
-    could be evaluated concurrently without changing the result.
+    Returns the winning ``(tree_count, split_budget)``; grow the forest with
+    :func:`fit_forest`.  Every (d, s) cell is scored by its mean
+    cross-validated R^2, and the best cell wins (ties: earliest in grid
+    order).  A one-cell grid is returned as is, once the inputs have passed
+    the checks.  Deterministic for a given seed; fold and tree seeds are
+    pre-spawned per cell so cells could be evaluated concurrently without
+    changing the result.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -288,10 +280,13 @@ def fit_rfr(xs, ys, d_grid=DEFAULT_D_GRID, s_grid=DEFAULT_S_GRID, folds: int = 1
     s_grid = [int(s) for s in s_grid]
     if not d_grid or not s_grid or min(d_grid) < 1 or min(s_grid) < 1:
         raise ValueError("grids must be non-empty with positive entries")
-
-    root = np.random.SeedSequence(seed)
     cells = list(product(d_grid, s_grid))
-    perm_ss, refit_ss, *cell_ss = root.spawn(2 + len(cells) * folds)
+    if len(cells) == 1:
+        return cells[0]
+
+    # child 1 is left unused: skipping it keeps every cell's fold seeds, so a
+    # seed still picks the cell it picked when the search also grew the forest
+    perm_ss, _, *cell_ss = np.random.SeedSequence(seed).spawn(2 + len(cells) * folds)
     perm = np.random.default_rng(perm_ss).permutation(x.size)
     fold_idx = np.array_split(perm, folds)
 
@@ -314,7 +309,4 @@ def fit_rfr(xs, ys, d_grid=DEFAULT_D_GRID, s_grid=DEFAULT_S_GRID, folds: int = 1
         if mean_r2 > best_score:
             best_score = mean_r2
             best_cell = (d, s)
-
-    d, s = best_cell
-    order = np.argsort(x, kind="stable")
-    return _fit_forest_sorted(x[order], y[order], d, s, refit_ss)
+    return best_cell

@@ -224,16 +224,8 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
     return best_model
 
 
-def sample_gmm(model: GmmModel, n: int, seed: int = 0) -> np.ndarray:
-    """Draw n positive values: pick a component by weight, draw the normal, exponentiate."""
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    rng = np.random.default_rng(seed)
-    return sample_gmm_with(model, n, rng)
-
-
 def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Like :func:`sample_gmm` but drawing from a caller-supplied generator.
+    """Draw n positive values: pick a component by weight, draw the normal, exponentiate.
 
     The draws, and the generator's state after them, are those of
     ``rng.choice(k, size=n, p=weights)`` then ``rng.normal(means[c], sds[c])``,

@@ -180,12 +180,22 @@ def validate_sweep(report: SweepReport, tolerance: float) -> list:
     """Per-cell pass/fail: relative deviation of the simulated gain from the closed form.
 
     The deviation is signed (closed-form minus simulated) so a systematic
-    closed-form overestimate is visible in the output.
+    closed-form overestimate is visible in the output.  The parallel closed
+    form knows one processor count, ``p``: a parallel cell in which a
+    verifier has another is rejected.
     """
     verdicts = []
     for cell in report.cells:
         if cell.closed_gain_pct is None:
             continue
+        config = report.configs[cell.config_id]
+        if config.mode == "parallel":
+            others = [m.id for m in config.miners if m.verifies and config.processors_for(m) != config.p]
+            if others:
+                raise ValueError(
+                    f"processors: config {cell.config_id} gives verifiers {others} a count other than p={config.p}, "
+                    "which the closed form cannot compare against"
+                )
         rel = abs(cell.deviation_pct) / abs(cell.closed_gain_pct) if cell.closed_gain_pct else np.inf
         verdicts.append(
             {

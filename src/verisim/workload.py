@@ -21,29 +21,6 @@ DEFAULT_BLOCK_LIMIT = 8_000_000
 
 
 @dataclass(frozen=True)
-class TransactionRecord:
-    used_gas: int
-    gas_limit: int
-    gas_price: float
-    cpu_time: float
-    conflicting: bool = False
-
-    def __post_init__(self):
-        if self.used_gas < 1:
-            raise ValueError("used_gas must be >= 1")
-        if self.gas_limit < self.used_gas:
-            raise ValueError("gas_limit must be >= used_gas")
-        if self.gas_price <= 0:
-            raise ValueError("gas_price must be positive")
-        if self.cpu_time < 0:
-            raise ValueError("cpu_time must be non-negative")
-
-    @property
-    def fee(self) -> float:
-        return self.used_gas * self.gas_price
-
-
-@dataclass(frozen=True)
 class FittedWorkload:
     gas_price_model: GmmModel
     used_gas_model: GmmModel
@@ -107,9 +84,9 @@ def fit_workload(
     """Fit both mixtures and the CPU-time forest on one dataset partition.
 
     ``cv_subsample`` caps the number of rows used for the grid-search CV (the
-    winning hyperparameters are refit on all rows); ``gmm_subsample`` does the
-    same for the mixture component-count search (the winning K is refit on all
-    rows).  None uses every row.
+    forest is grown on all rows at the winning hyperparameters);
+    ``gmm_subsample`` does the same for the mixture component-count search
+    (the winning K is refit on all rows).  None uses every row.
     """
     used_gas = np.asarray(used_gas, dtype=np.float64)
     gas_price = np.asarray(gas_price, dtype=np.float64)
@@ -132,13 +109,12 @@ def fit_workload(
     price_model = _fit_mixture(gas_price, price_seed)
     gas_model = _fit_mixture(used_gas, gas_seed)
 
-    xs, ys = used_gas, cpu_time
-    if cv_subsample is not None and cv_subsample < xs.size:
-        pick = np.random.default_rng(cv_pick_seed).choice(xs.size, size=cv_subsample, replace=False)
-        cv_model = fit_rfr(xs[pick], ys[pick], d_grid, s_grid, folds, seed=forest_seed)
-        cpu_model = fit_forest(xs, ys, cv_model.tree_count, cv_model.split_budget, seed=forest_seed)
-    else:
-        cpu_model = fit_rfr(xs, ys, d_grid, s_grid, folds, seed=forest_seed)
+    cv_gas, cv_cpu = used_gas, cpu_time
+    if cv_subsample is not None and cv_subsample < used_gas.size:
+        pick = np.random.default_rng(cv_pick_seed).choice(used_gas.size, size=cv_subsample, replace=False)
+        cv_gas, cv_cpu = used_gas[pick], cpu_time[pick]
+    d, s = fit_rfr(cv_gas, cv_cpu, d_grid, s_grid, folds, seed=forest_seed)
+    cpu_model = fit_forest(used_gas, cpu_time, d, s, seed=forest_seed)
 
     return FittedWorkload(
         gas_price_model=price_model,
@@ -156,7 +132,8 @@ def sample_transaction_arrays(
     rng: np.random.Generator,
     block_limit: int | None = None,
 ) -> dict:
-    """Columnar sampling core shared by the record API and the simulator."""
+    """Draw n synthetic transactions as columns: ``used_gas``, ``gas_limit``,
+    ``gas_price``, ``cpu_time`` and ``conflicting``, one array each."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if not 0.0 <= conflict_rate <= 1.0:
@@ -175,24 +152,3 @@ def sample_transaction_arrays(
         "cpu_time": cpu,
         "conflicting": conflicting,
     }
-
-
-def sample_transactions(
-    workload: FittedWorkload,
-    n: int,
-    conflict_rate: float,
-    seed: int = 0,
-    block_limit: int | None = None,
-) -> list:
-    """Draw n synthetic transactions; deterministic for a given seed."""
-    cols = sample_transaction_arrays(workload, n, conflict_rate, np.random.default_rng(seed), block_limit)
-    return [
-        TransactionRecord(
-            used_gas=int(cols["used_gas"][i]),
-            gas_limit=int(cols["gas_limit"][i]),
-            gas_price=float(cols["gas_price"][i]),
-            cpu_time=float(cols["cpu_time"][i]),
-            conflicting=bool(cols["conflicting"][i]),
-        )
-        for i in range(n)
-    ]

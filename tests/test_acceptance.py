@@ -21,12 +21,12 @@ from verisim.analytics import (
 )
 from verisim.blocks import build_block, measure_verification_times, verification_time
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
-from verisim.forest import fit_rfr
-from verisim.gmm import _em_once, fit_gmm, sample_gmm
+from verisim.forest import fit_forest, fit_rfr
+from verisim.gmm import _em_once, fit_gmm, sample_gmm_with
 from verisim.scenario import closed_form_gain, nonverifier_gain, run_many
 from verisim.sim import run_simulation
 from verisim.stats import distribution_distance, regression_metrics
-from verisim.workload import sample_transactions
+from verisim.workload import sample_transaction_arrays
 
 TEN_MINERS_ONE_SKIP = uniform_profile(10, nonverifier_alpha=0.1)
 
@@ -248,7 +248,7 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
 
     # sample -> fit round trip recovers well-separated log-means within 0.1
     truth = fit_gmm(mix, 2, 2, "bic", seed=5)
-    big = sample_gmm(truth, 100_000, seed=6)
+    big = sample_gmm_with(truth, 100_000, np.random.default_rng(6))
     refit = fit_gmm(big, 1, 4, "bic", seed=7)
     assert refit.k == 2
     assert refit.means[0] == pytest.approx(truth.means[0], abs=0.1)
@@ -260,7 +260,8 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
     xs = fit_rng.uniform(1e4, 8e6, 2000)
     knots, levels = np.asarray([1e4, 1e6, 3e6, 8e6]), np.asarray([0.01, 0.2, 0.25, 0.9])
     ys = np.interp(xs, knots, levels) + fit_rng.normal(0, 0.0445, 2000)
-    model = fit_rfr(xs, ys, d_grid=[20, 50], s_grid=[8, 32], folds=10, seed=9)
+    d, s = fit_rfr(xs, ys, d_grid=[20, 50], s_grid=[8, 32], folds=10, seed=9)
+    model = fit_forest(xs, ys, d, s, seed=9)
     x_test = fit_rng.uniform(1e4, 8e6, 1000)
     y_test = np.interp(x_test, knots, levels) + fit_rng.normal(0, 0.0445, 1000)
     r2 = regression_metrics(y_test, model.predict(x_test))["r2"]
@@ -268,8 +269,8 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
     checks.append(f"RFR R2={r2:.3f}")
 
     # fitted-model samples are indistinguishable from fresh samples (KS < 0.05)
-    a = [t.used_gas for t in sample_transactions(fitted_workload, 10_000, 0.0, seed=10)]
-    b = [t.used_gas for t in sample_transactions(fitted_workload, 10_000, 0.0, seed=11)]
+    a = sample_transaction_arrays(fitted_workload, 10_000, 0.0, np.random.default_rng(10))["used_gas"]
+    b = sample_transaction_arrays(fitted_workload, 10_000, 0.0, np.random.default_rng(11))["used_gas"]
     ks = distribution_distance(a, b)["ks_stat"]
     assert ks < 0.05
     checks.append(f"KS={ks:.4f}")

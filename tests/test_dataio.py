@@ -114,10 +114,3 @@ class TestSyntheticGenerator:
         ex = generate_synthetic_dataset(2000, "execution", seed=6)
         cr = generate_synthetic_dataset(2000, "creation", seed=6)
         assert cr.used_gas.mean() > ex.used_gas.mean()
-
-    def test_records_view(self):
-        ds = generate_synthetic_dataset(120, "execution", seed=7)
-        records = ds.records
-        assert len(records) == 120
-        assert records[0].used_gas == int(ds.used_gas[0])
-        assert not records[0].conflicting

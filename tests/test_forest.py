@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verisim.forest import TABLE_SIZE, ForestModel, RegressionTree, fit_forest, fit_rfr, predict_cpu_time
+from verisim import forest
+from verisim.forest import TABLE_SIZE, ForestModel, RegressionTree, fit_forest, fit_rfr
 from verisim.stats import regression_metrics
 from verisim.workload import FittedWorkload
 
@@ -26,20 +27,23 @@ def monotone_sample(n, seed, noise=True):
 class TestFitRfr:
     def test_monotone_synthetic_r2(self):
         xs, ys = monotone_sample(2000, seed=1)
-        model = fit_rfr(xs, ys, d_grid=[20, 50], s_grid=[8, 32], folds=10, seed=2)
+        d, s = fit_rfr(xs, ys, d_grid=[20, 50], s_grid=[8, 32], folds=10, seed=2)
+        model = fit_forest(xs, ys, d, s, seed=2)
         xt, yt = monotone_sample(1000, seed=3)
         assert regression_metrics(yt, model.predict(xt))["r2"] >= 0.8
 
     def test_constant_target(self):
+        # every cell scores R^2 = 0, so the earliest cell wins the tie
         xs = np.linspace(1, 100, 50)
-        model = fit_rfr(xs, np.full(50, 0.5), d_grid=[5], s_grid=[3], folds=5, seed=0)
-        assert predict_cpu_time(model, 17.0) == pytest.approx(0.5)
+        ys = np.full(50, 0.5)
+        assert fit_rfr(xs, ys, d_grid=[5, 6], s_grid=[3], folds=5, seed=0) == (5, 3)
+        assert fit_forest(xs, ys, 5, 3, seed=0).predict(17.0) == pytest.approx(0.5)
 
     def test_leave_one_out_boundary(self):
+        # single-sample folds score 0 by convention: the earliest cell wins
         xs = np.linspace(1, 10, 10)
         ys = xs * 2.0
-        model = fit_rfr(xs, ys, d_grid=[4], s_grid=[2], folds=10, seed=1)
-        assert model.tree_count == 4
+        assert fit_rfr(xs, ys, d_grid=[4, 8], s_grid=[2], folds=10, seed=1) == (4, 2)
 
     def test_fewer_samples_than_folds(self):
         with pytest.raises(ValueError):
@@ -49,16 +53,27 @@ class TestFitRfr:
         with pytest.raises(ValueError):
             fit_rfr([1.0] * 20, [1.0] * 20, d_grid=[], s_grid=[1], folds=2, seed=0)
 
+    def test_one_cell_grid_grows_no_tree(self, monkeypatch):
+        def grow(*args):
+            raise AssertionError("a one-cell grid needs no cross-validation")
+
+        monkeypatch.setattr(forest, "_fit_forest_sorted", grow)
+        xs, ys = monotone_sample(50, seed=22)
+        assert fit_rfr(xs, ys, d_grid=[100], s_grid=[64], folds=5, seed=0) == (100, 64)
+        with pytest.raises(ValueError, match="folds"):
+            fit_rfr(xs[:3], ys[:3], d_grid=[100], s_grid=[64], folds=5, seed=0)
+
     def test_deterministic(self):
         xs, ys = monotone_sample(300, seed=4)
         a = fit_rfr(xs, ys, d_grid=[5, 10], s_grid=[4], folds=5, seed=5)
         b = fit_rfr(xs, ys, d_grid=[5, 10], s_grid=[4], folds=5, seed=5)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
+        assert fit_forest(xs, ys, *a, seed=5).to_dict() == fit_forest(xs, ys, *b, seed=5).to_dict()
 
     def test_monotone_ordering_preserved(self):
         xs, ys = monotone_sample(2000, seed=6)
-        model = fit_rfr(xs, ys, d_grid=[30], s_grid=[32], folds=5, seed=7)
-        low, high = model.predict([1e5, 7e6])
+        d, s = fit_rfr(xs, ys, d_grid=[30], s_grid=[16, 32], folds=5, seed=7)
+        low, high = fit_forest(xs, ys, d, s, seed=7).predict([1e5, 7e6])
         assert low < high
 
 
@@ -66,8 +81,8 @@ class TestPredict:
     def test_single_leaf(self):
         tree = RegressionTree(np.asarray([0.0]), np.asarray([-1]), np.asarray([-1]), np.asarray([0.2]))
         model = ForestModel(1, 1, [tree])
-        assert predict_cpu_time(model, 123.0) == pytest.approx(0.2)
-        assert predict_cpu_time(model, 1e9) == pytest.approx(0.2)
+        assert model.predict(123.0) == pytest.approx(0.2)
+        assert model.predict(1e9) == pytest.approx(0.2)
 
     def test_three_tree_mean(self):
         trees = [
@@ -75,13 +90,13 @@ class TestPredict:
             for v in (0.1, 0.2, 0.3)
         ]
         model = ForestModel(3, 1, trees)
-        assert predict_cpu_time(model, 1e6) == pytest.approx(0.2)
+        assert model.predict(1e6) == pytest.approx(0.2)
 
     def test_prediction_is_mean_of_trees(self):
         xs, ys = monotone_sample(500, seed=8)
         model = fit_forest(xs, ys, tree_count=7, split_budget=10, seed=9)
         for x in (2e4, 5e5, 2e6, 7.9e6):
-            assert predict_cpu_time(model, x) == pytest.approx(model.predict_per_tree(x).mean(), rel=1e-12)
+            assert model.predict(x) == pytest.approx(np.mean([t.predict_one(x) for t in model.trees]), rel=1e-12)
 
     def test_tree_order_permutation_invariant(self):
         xs, ys = monotone_sample(400, seed=10)
@@ -98,11 +113,6 @@ class TestPredict:
         preds = model.predict(grid)
         assert np.all(preds >= leaves.min() - 1e-12)
         assert np.all(preds <= leaves.max() + 1e-12)
-
-    def test_nonpositive_input_rejected(self):
-        tree = RegressionTree(np.asarray([0.0]), np.asarray([-1]), np.asarray([-1]), np.asarray([0.2]))
-        with pytest.raises(ValueError):
-            predict_cpu_time(ForestModel(1, 1, [tree]), 0.0)
 
 
 class TestTreeStructure:

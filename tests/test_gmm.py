@@ -6,7 +6,6 @@ from verisim.gmm import (
     GmmModel,
     _em_once,
     fit_gmm,
-    sample_gmm,
     sample_gmm_with,
 )
 
@@ -86,31 +85,29 @@ class TestSampleGmm:
     def test_near_zero_variance_gives_unit_values(self):
         m = GmmModel(k=1, weights=(1.0,), means=(0.0,), variances=(1e-12,),
                      log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
-        out = sample_gmm(m, 3, seed=0)
+        out = sample_gmm_with(m, 3, np.random.default_rng(0))
         assert np.all(np.abs(out - 1.0) < 1e-4)
 
     def test_mixture_mean_law_of_large_numbers(self):
         m = GmmModel(k=2, weights=(0.5, 0.5), means=(2.0, 6.0), variances=(0.25, 0.25),
                      log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
-        out = sample_gmm(m, 100_000, seed=1)
+        out = sample_gmm_with(m, 100_000, np.random.default_rng(1))
         assert np.log(out).mean() == pytest.approx(0.5 * 2.0 + 0.5 * 6.0, abs=0.05)
 
     def test_deterministic(self):
         m = GmmModel(k=2, weights=(0.3, 0.7), means=(1.0, 4.0), variances=(0.5, 0.2),
                      log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
-        assert sample_gmm(m, 1, seed=42) == sample_gmm(m, 1, seed=42)
-        assert np.array_equal(sample_gmm(m, 50, seed=9), sample_gmm(m, 50, seed=9))
+
+        def draw(n, seed):
+            return sample_gmm_with(m, n, np.random.default_rng(seed))
+
+        assert draw(1, 42) == draw(1, 42)
+        assert np.array_equal(draw(50, 9), draw(50, 9))
 
     def test_positive_outputs(self):
         m = GmmModel(k=1, weights=(1.0,), means=(-3.0,), variances=(4.0,),
                      log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
-        assert np.all(sample_gmm(m, 1000, seed=3) > 0)
-
-    def test_invalid_n(self):
-        m = GmmModel(k=1, weights=(1.0,), means=(0.0,), variances=(1.0,),
-                     log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
-        with pytest.raises(ValueError):
-            sample_gmm(m, 0, seed=0)
+        assert np.all(sample_gmm_with(m, 1000, np.random.default_rng(3)) > 0)
 
 
 def mixture(weights, means, variances):

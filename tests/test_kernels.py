@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 import verisim._fallback as fallback
 from verisim import kernels
 
-native = pytest.importorskip("verisim._native", reason="compiled extension not built")
+try:
+    from verisim import _native as native
+except ImportError:
+    native = None
 
 
+@pytest.mark.skipif(native is None, reason="compiled extension not built")
 class TestBackendAgreement:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(1e-9, 100.0), min_size=0, max_size=200), st.integers(1, 32))

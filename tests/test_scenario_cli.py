@@ -75,6 +75,16 @@ class TestSweep:
         strict = validate_sweep(report, tolerance=0.0)
         assert not strict[0]["passed"]
 
+    def test_validate_rejects_other_processor_counts(self, toy_wl):
+        miners = standard_miners(10, nonverifier_alpha=0.1)
+        odd = tuple(replace(m, processors=4) if m.id == "v0" else m for m in miners)
+        parallel = small_config(miners=odd, mode="parallel", c=0.4, p=16, runs=1, sim_duration=600.0)
+        with pytest.raises(ValueError, match=r"^processors: config 0 gives verifiers \['v0'\]"):
+            validate_sweep(run_sweep([parallel], toy_wl, tv_blocks=20), tolerance=5.0)
+        # a sequential cell never reads the processor counts
+        sequential = replace(parallel, mode="sequential")
+        assert len(validate_sweep(run_sweep([sequential], toy_wl, tv_blocks=20), tolerance=5.0)) == 1
+
     def test_all_verifiers_has_no_gain_cell(self, toy_wl):
         report = run_sweep([small_config(miners=standard_miners(10))], toy_wl, tv_blocks=40)
         assert report.cells[0].closed_gain_pct is None
@@ -243,6 +253,30 @@ class TestCli:
         code = cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50", "--tolerance", "5.0"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_validate_parallel(self, cli_artifacts, tmp_path, capsys):
+        _, _, model = cli_artifacts
+        cfg = {
+            "block_limit": 32_000_000,
+            "mode": "parallel",
+            "c": 0.4,
+            "p": 4,
+            "sim_duration": 900.0,
+            "runs": 3,
+            "base_seed": 3,
+            "workload": str(model),
+            "miners": [{"id": "skip", "alpha": 0.1, "verifies": False}]
+            + [{"id": f"v{i}", "alpha": 0.1} for i in range(9)],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        # the default tolerance, 25 %, catches a parallel discount applied twice
+        assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50"]) == 0
+        assert "PASS config 0 (limit 32000000)" in capsys.readouterr().out
+        cfg["miners"][1]["processors"] = 8
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50", "--tolerance", "5.0"]) == 2
+        assert "error: processors" in capsys.readouterr().err
 
     def test_validate_failure_exit_code(self, cli_artifacts, tmp_path):
         _, _, model = cli_artifacts

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tests.helpers import toy_workload
 from verisim.blocks import Block, make_genesis
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
 from verisim.sim import BLOCK_REWARD_ETHER, fork_choice, run_simulation
@@ -171,6 +174,39 @@ class TestRunSimulation:
         assert stats["sd"] >= 0
 
 
+# values of the wrong type, and the non-finite floats, for any field
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+# boundary and out-of-range values of the right type; any value here that a
+# config accepts keeps the run short
+SCENARIO_EDGES = {
+    "block_limit": st.one_of(st.integers(-1, 128_000_000), st.floats(-1.0, 128e6)),
+    "t_b": st.one_of(st.floats(-1.0, 0.0), st.floats(1.0, 60.0), st.integers(-1, 60)),
+    "mode": st.sampled_from(["sequential", "parallel", "Parallel", ""]),
+    "c": st.floats(-0.5, 1.5),
+    "p": st.one_of(st.integers(-1, 64), st.floats(0.0, 64.0)),
+    "invalid_rate": st.floats(-0.5, 0.6),
+    "sim_duration": st.one_of(st.floats(-1.0, 600.0), st.integers(-1, 600)),
+    "runs": st.one_of(st.integers(-1, 50), st.floats(0.0, 50.0)),
+    "base_seed": st.one_of(st.integers(-5, 2**64), st.floats(-1.0, 10.0)),
+    "workload": st.text(max_size=5),
+    "miners": st.lists(st.dictionaries(st.sampled_from(["id", "alpha"]), st.just(1.0)), max_size=2),
+}
+MINER_EDGES = {
+    "id": st.text(max_size=3),
+    "alpha": st.floats(-0.5, 1.5),
+    "verifies": st.booleans(),
+    "processors": st.one_of(st.none(), st.integers(-1, 32), st.floats(0.0, 32.0)),
+    "produces_invalid": st.booleans(),
+}
+
+
 class TestScenarioValidation:
     def test_alphas_must_sum(self, toy_wl):
         with pytest.raises(ValueError):
@@ -208,7 +244,11 @@ class TestScenarioValidation:
             for name in ("t_b", "sim_duration", "p", "runs")
             for value in (math.nan, math.inf, -math.inf)
         ]
-        + [("p", 2.5), ("runs", 2.5), ("p", 16.0), ("runs", True)],
+        + [("p", 2.5), ("runs", 2.5), ("p", 16.0), ("runs", True)]
+        + [("block_limit", 8e6), ("block_limit", math.nan), ("block_limit", True), ("block_limit", 20_999)]
+        + [("base_seed", 1.5), ("base_seed", "x"), ("base_seed", -1), ("base_seed", False)]
+        + [("c", "0.4"), ("invalid_rate", None), ("workload", 5), ("miners", {"id": "solo"})]
+        + [("miners", [{"id": "solo"}])],
     )
     def test_non_finite_or_non_integral_rejected(self, name, value, tmp_path):
         scenario = {"block_limit": 8_000_000, "miners": [{"id": "solo", "alpha": 1.0}], name: value}
@@ -237,6 +277,7 @@ class TestScenarioValidation:
             ("processors", True),
             ("processors", "4"),
             ("processors", 0),
+            ("id", 5),
         ],
     )
     def test_miner_field_types_rejected(self, name, value, tmp_path):
@@ -247,3 +288,48 @@ class TestScenarioValidation:
         path.write_text(json.dumps(scenario))
         with pytest.raises(ValueError, match=f"^{name}"):
             ScenarioConfig.from_json(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_from_dict_rejects_or_simulates(self, data):
+        """A scenario either fails with ValueError or runs to completion.
+
+        Inputs stay small so that every accepted one runs quickly: block
+        limits up to 128M, at most 600 s simulated, 1 to 12 miners, and a
+        valid t_b of at least 1 s.
+        """
+        n = data.draw(st.integers(1, 12), label="miners")
+        miners = [{"id": f"m{i}", "alpha": 1.0 / n} for i in range(n)]
+        if n >= 2 and data.draw(st.booleans(), label="skip"):
+            miners[0]["verifies"] = False
+        invalid = n >= 3 and data.draw(st.booleans(), label="invalid producer")
+        if invalid:
+            miners[-1]["produces_invalid"] = True
+        scenario = {
+            "block_limit": data.draw(st.integers(21_000, 128_000_000)),
+            "t_b": data.draw(st.floats(1.0, 60.0)),
+            "mode": data.draw(st.sampled_from(["sequential", "parallel"])),
+            "c": data.draw(st.floats(0.0, 1.0)),
+            "p": data.draw(st.integers(1, 32)),
+            "invalid_rate": 1.0 / n if invalid else 0.0,
+            "sim_duration": data.draw(st.floats(1.0, 600.0)),
+            "runs": 1,
+            "base_seed": data.draw(st.integers(0, 2**64)),
+            "miners": miners,
+        }
+        for _ in range(data.draw(st.integers(0, 2), label="edits")):
+            target = data.draw(st.sampled_from([scenario] + miners), label="target")
+            edges = SCENARIO_EDGES if target is scenario else MINER_EDGES
+            key = data.draw(st.sampled_from(sorted(edges) + ["extra"]), label="key")
+            if key in target and data.draw(st.booleans(), label="delete"):
+                del target[key]
+            else:
+                target[key] = data.draw(st.one_of(edges.get(key, st.nothing()), WRONG_TYPES), label=key)
+        try:
+            config = ScenarioConfig.from_dict(scenario)
+        except ValueError:
+            return
+        result = run_simulation(config, toy_workload())
+        assert result.seed == config.base_seed
+        assert [m.id for m in result.miners] == [m.id for m in config.miners]
+        assert result.canonical_length + result.rejected_blocks == result.total_blocks

@@ -1,72 +1,57 @@
 import numpy as np
 import pytest
 
-from verisim.workload import (
-    MIN_TX_GAS,
-    FittedWorkload,
-    TransactionRecord,
-    sample_transactions,
-)
+from verisim.workload import MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
+
+
+def sample(workload, n, conflict_rate, seed, block_limit=None):
+    return sample_transaction_arrays(workload, n, conflict_rate, np.random.default_rng(seed), block_limit)
 
 
 class TestSampleTransactions:
     def test_zero_conflict_rate(self, toy_wl):
-        txs = sample_transactions(toy_wl, 200, conflict_rate=0.0, seed=1)
-        assert not any(t.conflicting for t in txs)
+        assert not sample(toy_wl, 200, conflict_rate=0.0, seed=1)["conflicting"].any()
 
     def test_full_conflict_rate(self, toy_wl):
-        txs = sample_transactions(toy_wl, 200, conflict_rate=1.0, seed=2)
-        assert all(t.conflicting for t in txs)
+        assert sample(toy_wl, 200, conflict_rate=1.0, seed=2)["conflicting"].all()
 
     def test_conflict_fraction_concentrates(self, toy_wl):
-        txs = sample_transactions(toy_wl, 10_000, conflict_rate=0.4, seed=3)
-        frac = sum(t.conflicting for t in txs) / len(txs)
+        frac = sample(toy_wl, 10_000, conflict_rate=0.4, seed=3)["conflicting"].mean()
         assert 0.38 <= frac <= 0.42
 
     def test_gas_limit_bounds(self, toy_wl):
-        txs = sample_transactions(toy_wl, 10_000, conflict_rate=0.4, seed=3)
-        for t in txs:
-            assert t.used_gas <= t.gas_limit <= 8_000_000
-            assert t.used_gas >= MIN_TX_GAS
+        cols = sample(toy_wl, 10_000, conflict_rate=0.4, seed=3)
+        assert np.all(cols["used_gas"] <= cols["gas_limit"])
+        assert np.all(cols["gas_limit"] <= 8_000_000)
+        assert np.all(cols["used_gas"] >= MIN_TX_GAS)
+
+    def test_record_invariants(self, toy_wl):
+        # with test_gas_limit_bounds: every row would pass dataio.load_dataset's checks
+        cols = sample(toy_wl, 10_000, conflict_rate=0.4, seed=4)
+        assert np.all(cols["gas_price"] > 0)
+        assert np.all(cols["cpu_time"] >= 0)
 
     def test_deterministic(self, toy_wl):
-        a = sample_transactions(toy_wl, 50, conflict_rate=0.5, seed=7)
-        b = sample_transactions(toy_wl, 50, conflict_rate=0.5, seed=7)
-        assert a == b
+        a = sample(toy_wl, 50, conflict_rate=0.5, seed=7)
+        b = sample(toy_wl, 50, conflict_rate=0.5, seed=7)
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_block_limit_override(self, toy_wl):
-        txs = sample_transactions(toy_wl, 5000, conflict_rate=0.0, seed=5, block_limit=64_000_000)
-        assert all(t.gas_limit <= 64_000_000 for t in txs)
-        assert any(t.gas_limit > 8_000_000 for t in txs)
+        gas_limit = sample(toy_wl, 5000, conflict_rate=0.0, seed=5, block_limit=64_000_000)["gas_limit"]
+        assert np.all(gas_limit <= 64_000_000)
+        assert np.any(gas_limit > 8_000_000)
 
     def test_invalid_args(self, toy_wl):
         with pytest.raises(ValueError):
-            sample_transactions(toy_wl, 0, 0.0, seed=0)
+            sample(toy_wl, 0, 0.0, seed=0)
         with pytest.raises(ValueError):
-            sample_transactions(toy_wl, 10, 1.5, seed=0)
+            sample(toy_wl, 10, 1.5, seed=0)
 
     def test_cpu_times_follow_model(self, toy_wl):
-        txs = sample_transactions(toy_wl, 500, conflict_rate=0.0, seed=9)
-        for t in txs[:50]:
-            assert t.cpu_time == pytest.approx(
-                float(toy_wl.cpu_time_model.predict(t.used_gas)), rel=1e-12
-            )
-
-
-class TestTransactionRecord:
-    def test_fee(self):
-        t = TransactionRecord(used_gas=100_000, gas_limit=200_000, gas_price=2e-8, cpu_time=0.01)
-        assert t.fee == pytest.approx(2e-3)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            TransactionRecord(used_gas=0, gas_limit=100, gas_price=1e-8, cpu_time=0.0)
-        with pytest.raises(ValueError):
-            TransactionRecord(used_gas=200, gas_limit=100, gas_price=1e-8, cpu_time=0.0)
-        with pytest.raises(ValueError):
-            TransactionRecord(used_gas=200, gas_limit=300, gas_price=0.0, cpu_time=0.0)
-        with pytest.raises(ValueError):
-            TransactionRecord(used_gas=200, gas_limit=300, gas_price=1e-8, cpu_time=-1.0)
+        cols = sample(toy_wl, 500, conflict_rate=0.0, seed=9)
+        for used_gas, cpu_time in zip(cols["used_gas"][:50], cols["cpu_time"][:50]):
+            assert cpu_time == pytest.approx(float(toy_wl.cpu_time_model.predict(int(used_gas))), rel=1e-12)
 
 
 class TestPersistence:
@@ -84,7 +69,8 @@ class TestPersistence:
         path = tmp_path / "workload.json"
         toy_wl.save(path)
         restored = FittedWorkload.load(path)
-        assert sample_transactions(restored, 20, 0.3, seed=11) == sample_transactions(toy_wl, 20, 0.3, seed=11)
+        again, fresh = sample(restored, 20, 0.3, seed=11), sample(toy_wl, 20, 0.3, seed=11)
+        assert all(np.array_equal(again[k], fresh[k]) for k in fresh)
 
     def test_byte_identical_save(self, toy_wl, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
