@@ -4,6 +4,20 @@ A mixture of K univariate normals is fitted to ln(values) with
 expectation-maximisation; the component count is chosen by minimising an
 information criterion over a candidate range.  Sampling returns
 exp(normal draw), i.e. values on the original positive scale.
+
+EM works component-major.  The E-step's log densities come from one
+(n, 3) x (3, k) product, which is copied once into a (k, n) array; the max,
+the shift, the exponential, the normalising sum and the division then run as
+k elementwise passes over contiguous n-long rows instead of n reductions over
+k-long rows.  Every likelihood and parameter keeps the bits of the point-major
+(n, k) code: the max, shift, exponential and division are elementwise; the
+normalising sum adds the rows in the order of numpy's pairwise summation of a
+contiguous k-long row (``_sum_rows``; a plain ``sum(axis=0)`` differs from
+k = 8 up); and the M-step product is taken as ``(basis.T @ resp.T).T``, which
+hands BLAS the same operands as ``resp.T @ basis`` on the (n, k) array, where
+``resp @ basis`` on the (k, n) array would not.  The k-means++ seeding keeps
+a running minimum distance, and its nearest-centre loop breaks ties to the
+lowest index as ``argmin`` does.
 """
 
 import math
@@ -81,25 +95,38 @@ class GmmModel:
         )
 
 
+def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the centre nearest to each x; ties go to the lowest index, as argmin's."""
+    best = np.abs(x - centers[0])
+    assign = np.zeros(x.size, dtype=np.intp)
+    for j in range(1, centers.size):
+        d = np.abs(x - centers[j])
+        closer = d < best
+        assign[closer] = j
+        np.minimum(best, d, out=best)
+    return assign
+
+
 def _kmeans_seed(x: np.ndarray, k: int, rng: np.random.Generator):
     """k-means++ centre selection followed by a few Lloyd iterations."""
     n = x.size
     centers = np.empty(k)
     centers[0] = x[rng.integers(n)]
+    d2 = (x - centers[0]) ** 2  # squared distance to the nearest chosen centre
     for j in range(1, k):
-        d2 = np.min((x[:, None] - centers[None, :j]) ** 2, axis=1)
         total = d2.sum()
         if total <= 0.0:
             centers[j:] = x[rng.integers(n, size=k - j)]
             break
         centers[j] = x[np.searchsorted(np.cumsum(d2), rng.random() * total)]
+        np.minimum(d2, (x - centers[j]) ** 2, out=d2)
     for _ in range(8):
-        assign = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
+        assign = _nearest(x, centers)
         for j in range(k):
             sel = assign == j
             if np.any(sel):
                 centers[j] = x[sel].mean()
-    assign = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
+    assign = _nearest(x, centers)
     weights = np.empty(k)
     means = np.empty(k)
     variances = np.empty(k)
@@ -114,11 +141,40 @@ def _kmeans_seed(x: np.ndarray, k: int, rng: np.random.Generator):
     return weights, means, variances
 
 
+def _sum_rows(z: np.ndarray) -> np.ndarray:
+    """Sum the rows of a (k, n) array, adding them in numpy's pairwise order.
+
+    ``z.T.sum(axis=1)`` on a row-major (n, k) array reduces each contiguous
+    k-long row with numpy's pairwise summation: one after another below 8
+    terms, eight interleaved accumulators up to 128, halves beyond.  Adding
+    whole rows in that order gives the same bits.
+    """
+    k = z.shape[0]
+    if k < 8:
+        total = z[0].copy()
+        for row in z[1:]:
+            total += row
+        return total
+    if k <= 128:
+        acc = z[:8].copy()
+        rest = k - k % 8
+        for i in range(8, rest, 8):
+            acc += z[i : i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in z[rest:]:
+            total += row
+        return total
+    half = k // 2
+    half -= half % 8
+    return _sum_rows(z[:half]) + _sum_rows(z[half:])
+
+
 def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None = None):
     """One EM run to convergence; returns (logL, weights, means, variances) or None.
 
     The per-component log density is linear in (1, x, x^2), so the E-step is a
-    single (n, 3) x (3, k) matrix product.
+    single (n, 3) x (3, k) matrix product; the rest of the iteration runs on
+    a reused component-major (k, n) buffer (see the module docstring).
     """
     n = x.size
     weights, means, variances = _kmeans_seed(x, k, rng)
@@ -126,6 +182,9 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None
     basis[:, 0] = 1.0
     basis[:, 1] = x
     basis[:, 2] = x * x
+    lp = np.empty((n, k))
+    z = np.empty((k, n))
+    m = np.empty(n)
     prev = -np.inf
     for _ in range(EM_MAX_ITER):
         inv2 = -0.5 / variances
@@ -133,10 +192,12 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None
         coeff[0] = np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)) + inv2 * means * means
         coeff[1] = -2.0 * inv2 * means
         coeff[2] = inv2
-        lp = basis @ coeff
-        m = lp.max(axis=1)
-        z = np.exp(lp - m[:, None])
-        z_norm = z.sum(axis=1)
+        np.matmul(basis, coeff, out=lp)
+        np.copyto(z, lp.T)  # (k, n) log densities
+        z.max(axis=0, out=m)
+        z -= m
+        np.exp(z, out=z)
+        z_norm = _sum_rows(z)
         log_l = float(np.sum(np.log(z_norm)) + m.sum())
         if not np.isfinite(log_l):
             return None
@@ -149,8 +210,8 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None
             prev = log_l
             break
         prev = log_l
-        resp = z / z_norm[:, None]
-        moments = resp.T @ basis  # rows: [sum resp, sum resp*x, sum resp*x^2]
+        z /= z_norm  # responsibilities
+        moments = (basis.T @ z.T).T  # rows: [sum resp, sum resp*x, sum resp*x^2]
         nk = moments[:, 0]
         if np.any(nk <= 0) or not np.all(np.isfinite(nk)):
             return None

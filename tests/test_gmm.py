@@ -5,6 +5,8 @@ from verisim.gmm import (
     DegenerateDataError,
     GmmModel,
     _em_once,
+    _nearest,
+    _sum_rows,
     fit_gmm,
     sample_gmm_with,
 )
@@ -79,6 +81,22 @@ class TestFitGmm:
     def test_serialization_round_trip(self):
         m = fit_gmm(two_component_sample(600, seed=13), 1, 3, "bic", seed=14)
         assert GmmModel.from_dict(m.to_dict()) == m
+
+
+class TestComponentMajor:
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 200, 300])
+    def test_sum_rows_matches_row_major_sum(self, k):
+        # EM sums the components of each point; the (k, n) layout must give
+        # the bits of numpy's pairwise sum over a contiguous (n, k) row
+        rng = np.random.default_rng(k)
+        z = rng.random((33, k)) * np.exp(rng.normal(0.0, 5.0, (33, k)))
+        assert np.array_equal(_sum_rows(np.ascontiguousarray(z.T)), z.sum(axis=1))
+
+    def test_nearest_matches_argmin_with_ties(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0, 1.5, -4.0, 9.0])
+        centers = np.array([1.0, 2.0, 1.0, 2.0, 0.0])  # duplicates and a midpoint tie
+        expected = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
+        assert np.array_equal(_nearest(x, centers), expected)
 
 
 class TestSampleGmm:
