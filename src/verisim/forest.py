@@ -191,7 +191,9 @@ def _weighted_mean(y, w, lo, hi):
     total = ws.sum()
     if total <= 0:
         return float(y[lo:hi].mean())
-    return float(np.dot(y[lo:hi], ws) / total)
+    # np.sum, not np.dot: BLAS splits a long dot across threads, which would
+    # make the leaf bits depend on the thread count
+    return float(np.sum(y[lo:hi] * ws) / total)
 
 
 def _grow_tree(x_sorted, y_sorted, weights, split_budget) -> RegressionTree:

@@ -1,5 +1,9 @@
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +79,30 @@ class TestFitRfr:
         d, s = fit_rfr(xs, ys, d_grid=[30], s_grid=[16, 32], folds=5, seed=7)
         low, high = fit_forest(xs, ys, d, s, seed=7).predict([1e5, 7e6])
         assert low < high
+
+
+FIT_IN_SUBPROCESS = """
+import json, sys
+from tests.test_forest import monotone_sample
+from verisim.forest import fit_forest
+xs, ys = monotone_sample(24_000, seed=40)
+json.dump(fit_forest(xs, ys, 3, 8, seed=41).to_dict(), sys.stdout)
+"""
+
+
+def test_forest_independent_of_blas_threads():
+    # a long BLAS dot is split across threads, which moves the last bits of
+    # a leaf mean; the fit must not depend on the thread count
+    root = pathlib.Path(__file__).resolve().parent.parent
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root), env.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", FIT_IN_SUBPROCESS], env=env, cwd=root, capture_output=True, text=True, check=True
+        )
+        fits.append(json.loads(run.stdout))
+    assert fits[0] == fits[1]
 
 
 class TestPredict:
