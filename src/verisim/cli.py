@@ -145,7 +145,10 @@ def _load_scenarios(path, seed=None, runs=None):
         extra = set(raw) - {"scenarios"}
         if extra:
             raise ValueError(f"unknown top-level keys: {sorted(extra)}")
-        configs = [ScenarioConfig.from_dict(d) for d in raw["scenarios"]]
+        scenarios = raw["scenarios"]
+        if not isinstance(scenarios, list) or not scenarios or not all(isinstance(d, dict) for d in scenarios):
+            raise ValueError(f"scenarios: must be a non-empty list of objects, got {scenarios!r}")
+        configs = [ScenarioConfig.from_dict(d) for d in scenarios]
     else:
         configs = [ScenarioConfig.from_dict(raw)]
     if seed is not None:

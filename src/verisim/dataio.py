@@ -7,6 +7,7 @@ below so recalibration is a one-file change.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,11 @@ def _validate_row(line_no: int, used_gas: int, gas_limit: int, gas_price: float,
         raise ValueError(f"line {line_no}: gas_limit ({gas_limit}) < used_gas ({used_gas})")
     if gas_limit > block_limit:
         raise ValueError(f"line {line_no}: gas_limit ({gas_limit}) exceeds block limit ({block_limit})")
-    if gas_price <= 0:
-        raise ValueError(f"line {line_no}: gas_price must be positive, got {gas_price}")
-    if cpu_time < 0:
-        raise ValueError(f"line {line_no}: cpu_time_s must be non-negative, got {cpu_time}")
+    # NaN passes every comparison below: check finiteness first
+    if not math.isfinite(gas_price) or gas_price <= 0:
+        raise ValueError(f"line {line_no}: gas_price must be positive and finite, got {gas_price}")
+    if not math.isfinite(cpu_time) or cpu_time < 0:
+        raise ValueError(f"line {line_no}: cpu_time_s must be non-negative and finite, got {cpu_time}")
 
 
 def load_dataset(path, partition: str = "execution", block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:

@@ -20,6 +20,7 @@ a running minimum distance, and its nearest-centre loop breaks ties to the
 lowest index as ``argmin`` does.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ EM_MAX_ITER = 200
 EM_RESTARTS = 5
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+_log = logging.getLogger(__name__)
 
 
 class DegenerateDataError(ValueError):
@@ -169,6 +172,10 @@ def _sum_rows(z: np.ndarray) -> np.ndarray:
     return _sum_rows(z[:half]) + _sum_rows(z[half:])
 
 
+def _converged(prev: float, log_l: float) -> bool:
+    return prev > -np.inf and log_l - prev < EM_TOL * (1.0 + abs(log_l))
+
+
 def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None = None):
     """One EM run to convergence; returns (logL, weights, means, variances) or None.
 
@@ -206,7 +213,7 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None
         assert log_l >= prev - 1e-6 * (1.0 + abs(prev)), "EM likelihood decreased"
         if trace is not None:
             trace.append(log_l)
-        if prev > -np.inf and log_l - prev < EM_TOL * (1.0 + abs(log_l)):
+        if _converged(prev, log_l):
             prev = log_l
             break
         prev = log_l
@@ -222,12 +229,16 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None
 
 
 def _fit_k(x: np.ndarray, k: int, seed_seq: np.random.SeedSequence):
+    """Best of EM_RESTARTS runs, and how many runs stopped at EM_MAX_ITER unconverged."""
     best = None
+    capped = 0
     for child in seed_seq.spawn(EM_RESTARTS):
-        result = _em_once(x, k, np.random.default_rng(child))
+        trace = []
+        result = _em_once(x, k, np.random.default_rng(child), trace)
+        capped += len(trace) == EM_MAX_ITER and not _converged(trace[-2], trace[-1])
         if result is not None and (best is None or result[0] > best[0]):
             best = result
-    return best
+    return best, capped
 
 
 def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed: int = 0) -> GmmModel:
@@ -236,7 +247,9 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
     The information criteria use 3K-1 free parameters per mixture:
     AIC = 2(3K-1) - 2 logL, BIC = (3K-1) ln n - 2 logL.  Deterministic for a
     given seed.  Raises on empty/non-positive input, on constant data, and
-    when every candidate collapses.
+    when every candidate collapses.  Logs a warning for each K with EM
+    restarts that stopped at the EM_MAX_ITER cap unconverged, and one when a
+    search (k_min < k_max) selects k_max.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -259,7 +272,12 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
     best_model = None
     best_score = np.inf
     for k, child in zip(candidates, root.spawn(len(candidates))):
-        fit = _fit_k(x, k, child)
+        fit, capped = _fit_k(x, k, child)
+        if capped:
+            _log.warning(
+                "K=%d: %d of %d EM restarts stopped at the %d-iteration cap unconverged",
+                k, capped, EM_RESTARTS, EM_MAX_ITER,
+            )
         if fit is None:
             continue
         log_l, weights, means, variances = fit
@@ -282,6 +300,8 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
             )
     if best_model is None:
         raise DegenerateDataError("every candidate mixture collapsed; data cannot be fitted")
+    if k_min < k_max and best_model.k == k_max:
+        _log.warning("selected K=%d is the top of the search range [%d, %d]", k_max, k_min, k_max)
     return best_model
 
 

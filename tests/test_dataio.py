@@ -51,6 +51,21 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="gas_price"):
             load_dataset(p)
 
+    @pytest.mark.parametrize(
+        ("row", "field"),
+        [
+            ("21000,100000,2e-08,nan", "cpu_time_s"),
+            ("21000,100000,2e-08,inf", "cpu_time_s"),
+            ("21000,100000,inf,0.001", "gas_price"),
+            ("21000,100000,nan,0.001", "gas_price"),
+        ],
+    )
+    def test_non_finite_rejected(self, tmp_path, row, field):
+        p = tmp_path / "ds.csv"
+        write_rows(p, ["21000,100000,2e-08,0.001", row])
+        with pytest.raises(ValueError, match=f"line 3: {field}"):
+            load_dataset(p)
+
     def test_exceeds_block_limit(self, tmp_path):
         p = tmp_path / "ds.csv"
         write_rows(p, ["21000,9000000,1e-08,0.001"])

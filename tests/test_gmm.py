@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
+from verisim.dataio import generate_synthetic_dataset
 from verisim.gmm import (
+    EM_MAX_ITER,
     DegenerateDataError,
     GmmModel,
     _em_once,
@@ -81,6 +85,25 @@ class TestFitGmm:
     def test_serialization_round_trip(self):
         m = fit_gmm(two_component_sample(600, seed=13), 1, 3, "bic", seed=14)
         assert GmmModel.from_dict(m.to_dict()) == m
+
+
+class TestFitDiagnostics:
+    def test_clip_spike_warns_cap_and_boundary(self, caplog):
+        # the 21000 clip spike pulls a component to the variance floor, EM
+        # crawls, and the search runs into its upper end
+        used_gas = generate_synthetic_dataset(2000, seed=11).used_gas
+        with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
+            model = fit_gmm(used_gas, 1, 6, "bic", seed=400)
+        messages = [r.getMessage() for r in caplog.records]
+        assert model.k == 6
+        assert "selected K=6 is the top of the search range [1, 6]" in messages
+        capped = [m for m in messages if f"at the {EM_MAX_ITER}-iteration cap" in m]
+        assert capped and all(m.startswith("K=") and " of 5 EM restarts" in m for m in capped)
+
+    def test_converged_fit_is_quiet(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
+            fit_gmm(two_component_sample(2000, seed=15), 2, 2, "bic", seed=16)
+        assert caplog.records == []
 
 
 class TestComponentMajor:

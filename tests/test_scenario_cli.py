@@ -304,6 +304,24 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_fit_non_finite_cpu_time(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        rows = ["used_gas,gas_limit,gas_price,cpu_time_s"] + [
+            f"{21000 + i},{50000 + i},2e-08,{'nan' if i == 7 else '0.001'}" for i in range(300)
+        ]
+        data.write_text("\n".join(rows) + "\n")
+        code = cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                         "--d-grid", "5", "--s-grid", "2", "--folds", "5"])
+        assert code == 2
+        assert "line 9: cpu_time_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenarios", [5, "a", {"block_limit": 8_000_000}, [], [5]])
+    def test_scenarios_not_a_list_of_objects(self, tmp_path, capsys, scenarios):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"scenarios": scenarios}))
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "error: scenarios:" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert cli_main(["fit", "--data", "/nonexistent.csv", "--out", "/tmp/x.json"]) == 2
         assert "error:" in capsys.readouterr().err
