@@ -6,18 +6,18 @@ information criterion over a candidate range.  Sampling returns
 exp(normal draw), i.e. values on the original positive scale.
 
 EM works component-major.  The E-step's log densities come from one
-(n, 3) x (3, k) product, which is copied once into a (k, n) array; the max,
-the shift, the exponential, the normalising sum and the division then run as
-k elementwise passes over contiguous n-long rows instead of n reductions over
-k-long rows.  Every likelihood and parameter keeps the bits of the point-major
-(n, k) code: the max, shift, exponential and division are elementwise; the
-normalising sum adds the rows in the order of numpy's pairwise summation of a
-contiguous k-long row (``_sum_rows``; a plain ``sum(axis=0)`` differs from
-k = 8 up); and the M-step product is taken as ``(basis.T @ resp.T).T``, which
-hands BLAS the same operands as ``resp.T @ basis`` on the (n, k) array, where
-``resp @ basis`` on the (k, n) array would not.  The k-means++ seeding keeps
-a running minimum distance, and its nearest-centre loop breaks ties to the
-lowest index as ``argmin`` does.
+(n, 3) x (3, k) product, copied once into a (k, n) buffer; the max, the
+shift, the exponential, the normalising sum and the division then run as k
+elementwise passes over contiguous n-long rows instead of n reductions over
+k-long rows.  Every likelihood and parameter has the bits of the point-major
+(n, k) formulation: the max, shift, exponential and division are
+elementwise; the normalising sum adds the rows in the order of numpy's
+pairwise summation of a contiguous k-long row (``_sum_rows``; a plain
+``sum(axis=0)`` differs from k = 8 up); and the M-step product is taken as
+``(basis.T @ resp.T).T``, which hands BLAS the operands of ``resp.T @ basis``
+on the (n, k) array (``resp @ basis`` changes bits at some shapes).  The
+k-means++ seeding keeps a running minimum distance, and its nearest-centre
+loop breaks ties to the lowest index as ``argmin`` does.
 """
 
 import logging
