@@ -147,29 +147,27 @@ def _kmeans_seed(x: np.ndarray, k: int, rng: np.random.Generator):
 def _sum_rows(z: np.ndarray) -> np.ndarray:
     """Sum the rows of a (k, n) array, adding them in numpy's pairwise order.
 
-    ``z.T.sum(axis=1)`` on a row-major (n, k) array reduces each contiguous
-    k-long row with numpy's pairwise summation: one after another below 8
+    Summing axis 1 of the row-major (n, k) array ``z.T.copy()`` reduces each
+    contiguous k-long row with numpy's pairwise summation: one after another below 8
     terms, eight interleaved accumulators up to 128, halves beyond.  Adding
     whole rows in that order gives the same bits.
     """
     k = z.shape[0]
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _sum_rows(z[:half]) + _sum_rows(z[half:])
     if k < 8:
-        total = z[0].copy()
-        for row in z[1:]:
-            total += row
-        return total
-    if k <= 128:
+        total, rest = z[0].copy(), z[1:]
+    else:
         acc = z[:8].copy()
-        rest = k - k % 8
-        for i in range(8, rest, 8):
+        end = k - k % 8
+        for i in range(8, end, 8):
             acc += z[i : i + 8]
         total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for row in z[rest:]:
-            total += row
-        return total
-    half = k // 2
-    half -= half % 8
-    return _sum_rows(z[:half]) + _sum_rows(z[half:])
+        rest = z[end:]
+    for row in rest:
+        total += row
+    return total
 
 
 def _converged(prev: float, log_l: float) -> bool:
