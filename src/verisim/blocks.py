@@ -1,4 +1,4 @@
-"""Block construction under a gas limit and verification-time accounting.
+"""Block packing under a gas limit and verification-time accounting.
 
 Blocks are filled greedily from a stream of sampled transactions: packing
 stops at the first transaction that would exceed the remaining gas (that
@@ -8,47 +8,11 @@ transactions across p processors (longest first, earliest-free processor)
 and runs conflicting ones sequentially afterwards.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from verisim import kernels
-from verisim.config import MinerConfig
-from verisim.workload import MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
-
-
-@dataclass
-class Block:
-    id: int
-    height: int
-    parent: "Block | None"
-    miner_id: str | None
-    timestamp: float
-    valid: bool
-    valid_ancestry: bool
-    tx_count: int = 0
-    gas_used_total: int = 0
-    total_fee: float = 0.0
-    seq_verification_time: float = 0.0
-    # full per-transaction columns; kept by the public builder, dropped by the
-    # simulator once the scalar costs are known
-    txs: dict | None = field(default=None, repr=False)
-    _par_cache: dict = field(default_factory=dict, repr=False)
-
-    def parallel_verification_time(self, p: int) -> float:
-        if p == 1:
-            return self.seq_verification_time
-        if p not in self._par_cache:
-            if self.txs is None:
-                raise ValueError("transaction columns were dropped; cache the cost at build time")
-            cpu = self.txs["cpu_time"]
-            conflicting = self.txs["conflicting"]
-            self._par_cache[p] = _parallel_time(cpu, conflicting, p)
-        return self._par_cache[p]
-
-    def drop_txs(self):
-        """Release the per-transaction columns once scalar costs are cached."""
-        self.txs = None
+from verisim.config import MODES
+from verisim.workload import MAX_BLOCK_LIMIT, MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
 
 
 def _parallel_time(cpu: np.ndarray, conflicting: np.ndarray, p: int) -> float:
@@ -56,19 +20,16 @@ def _parallel_time(cpu: np.ndarray, conflicting: np.ndarray, p: int) -> float:
     return float(makespan + cpu[conflicting].sum())
 
 
-def verification_time(block: Block, mode: str = "sequential", p: int = 1) -> float:
-    """CPU seconds a verifier spends re-executing the block's transactions."""
-    if p < 1:
-        raise ValueError("processor count must be >= 1")
-    if mode == "sequential":
-        return block.seq_verification_time
-    if mode == "parallel":
-        return block.parallel_verification_time(p)
-    raise ValueError(f"unknown mode {mode!r}")
+def verification_seconds(packed: dict, p: int) -> float:
+    """CPU seconds a verifier with p processors spends re-executing a packed block.
 
-
-def make_genesis() -> Block:
-    return Block(id=0, height=0, parent=None, miner_id=None, timestamp=0.0, valid=True, valid_ancestry=True)
+    ``packed`` is a block from ``TxStream.next_block_txs``.  One processor
+    runs the transactions back to back, so p = 1 is exactly the sequential
+    time.
+    """
+    if p == 1:
+        return packed["seq_time"]
+    return _parallel_time(packed["slice"]["cpu_time"], packed["slice"]["conflicting"], p)
 
 
 class TxStream:
@@ -91,8 +52,8 @@ class TxStream:
         self._c = conflict_rate
         self._rng = rng
         self._limit = workload.block_limit if block_limit is None else int(block_limit)
-        if self._limit < MIN_TX_GAS:
-            raise ValueError("block limit below the minimum transaction gas")
+        if not MIN_TX_GAS <= self._limit <= MAX_BLOCK_LIMIT:
+            raise ValueError(f"block_limit must lie in [{MIN_TX_GAS}, {MAX_BLOCK_LIMIT}], got {self._limit}")
         # packing can never consume more transactions than this per block
         self._max_block_txs = self._limit // MIN_TX_GAS + 2
         self._chunk = max(chunk, 4 * self._max_block_txs)
@@ -136,39 +97,6 @@ class TxStream:
         }
 
 
-def _block_from_stream(
-    stream: TxStream,
-    block_id: int,
-    parent: Block,
-    miner: MinerConfig,
-    timestamp: float,
-) -> Block:
-    packed = stream.next_block_txs()
-    valid = not miner.produces_invalid
-    return Block(
-        id=block_id,
-        height=parent.height + 1,
-        parent=parent,
-        miner_id=miner.id,
-        timestamp=timestamp,
-        valid=valid,
-        valid_ancestry=valid and parent.valid_ancestry,
-        tx_count=packed["tx_count"],
-        gas_used_total=packed["gas_used_total"],
-        total_fee=packed["total_fee"],
-        seq_verification_time=packed["seq_time"],
-        txs=packed["slice"],
-    )
-
-
-def build_block(miner: MinerConfig, workload: FittedWorkload, block_limit: int, rng_seed: int) -> Block:
-    """Build one block for a miner: sample transactions, pack to the gas limit."""
-    if block_limit < MIN_TX_GAS:
-        raise ValueError("block limit below the minimum transaction gas")
-    stream = TxStream(workload, 0.0, np.random.default_rng(rng_seed), block_limit)
-    return _block_from_stream(stream, 1, make_genesis(), miner, 0.0)
-
-
 def measure_verification_times(
     workload: FittedWorkload,
     block_limit: int,
@@ -179,15 +107,12 @@ def measure_verification_times(
     conflict_rate: float = 0.0,
 ) -> np.ndarray:
     """Verification times of n freshly built blocks (the per-limit statistics source)."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if mode == "sequential":
+        p = 1
     stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit)
-    times = np.empty(n_blocks)
-    for i in range(n_blocks):
-        packed = stream.next_block_txs()
-        if mode == "sequential":
-            times[i] = packed["seq_time"]
-        else:
-            times[i] = _parallel_time(packed["slice"]["cpu_time"], packed["slice"]["conflicting"], p)
-    return times
+    return np.asarray([verification_seconds(stream.next_block_txs(), p) for _ in range(n_blocks)], dtype=np.float64)
 
 
 def summary_stats(values: np.ndarray) -> dict:

@@ -5,6 +5,8 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
+from verisim.workload import MAX_BLOCK_LIMIT, MIN_TX_GAS
+
 MODES = ("sequential", "parallel")
 
 
@@ -67,7 +69,9 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        _require_integer("block_limit", self.block_limit, 21_000)
+        _require_integer("block_limit", self.block_limit, MIN_TX_GAS)
+        if self.block_limit > MAX_BLOCK_LIMIT:
+            raise ValueError(f"block_limit must be <= {MAX_BLOCK_LIMIT}, got {self.block_limit!r}")
         _require_positive_finite("t_b", self.t_b)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")

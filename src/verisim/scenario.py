@@ -182,13 +182,20 @@ def validate_sweep(report: SweepReport, tolerance: float) -> list:
     The deviation is signed (closed-form minus simulated) so a systematic
     closed-form overestimate is visible in the output.  The parallel closed
     form knows one processor count, ``p``: a parallel cell in which a
-    verifier has another is rejected.
+    verifier has another is rejected.  So is a cell with invalid blocks:
+    neither the closed form nor the expected-share estimator sees the
+    non-verifier's blocks lost to them.
     """
     verdicts = []
     for cell in report.cells:
+        config = report.configs[cell.config_id]
+        if config.invalid_rate > 0:
+            raise ValueError(
+                f"invalid_rate: config {cell.config_id} has invalid_rate={config.invalid_rate}, "
+                "whose punishment neither the closed form nor the expected-share estimator sees"
+            )
         if cell.closed_gain_pct is None:
             continue
-        config = report.configs[cell.config_id]
         if config.mode == "parallel":
             others = [m.id for m in config.miners if m.verifies and config.processors_for(m) != config.p]
             if others:

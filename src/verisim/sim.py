@@ -15,10 +15,16 @@ same order, so the network holds just two heads: every verifier holds
 non-verifier holds ``s_head``, the longest chain.  A finder extends the head
 of its own kind.  ``s_head`` is never shorter than ``v_head``, and it has
 valid ancestry only when it is ``v_head`` itself, since a longer valid chain
-would have been adopted by the verifiers too.  So every block of valid
-ancestry extends ``v_head`` by one and becomes the new ``v_head``: the valid
-blocks form a single chain, the canonical one, and ``stale_blocks`` is always
-0.  It stays in ``SimResult`` as the accounting check of that argument.
+would have been adopted by the verifiers too.  So a head needs only its
+height and whether its ancestry is valid (``Head``), and no block needs a
+parent: a new block has valid ancestry exactly when the head it extends does
+and its finder does not produce invalid blocks.  Every block of valid
+ancestry extends ``v_head`` by one and becomes the new ``v_head``, so the
+valid-ancestry blocks are the canonical chain and ``canonical_length`` is the
+height of ``v_head``.  Each block is recorded as its finder, that validity
+flag, its fee and its verification time, nothing more.  ``stale_blocks``
+counts valid-ancestry blocks off the canonical chain; by the argument it is
+always 0, and the run asserts so.
 
 The pending finds live in one array and the next event is its minimum, ties
 going to the lowest miner index.  A verification pause adds its cost to the
@@ -28,17 +34,28 @@ deferred find is still exactly exponential.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from verisim.blocks import Block, TxStream, _block_from_stream, make_genesis, summary_stats
+from verisim.blocks import TxStream, summary_stats, verification_seconds
 from verisim.config import ScenarioConfig
 from verisim.workload import FittedWorkload
 
 BLOCK_REWARD_ETHER = 2.0
 
 
-def fork_choice(head: Block, candidate: Block, verifies: bool) -> Block:
+class Head(NamedTuple):
+    """A chain tip: its height and whether every block below it is valid."""
+
+    height: int
+    valid_ancestry: bool
+
+
+GENESIS = Head(0, True)
+
+
+def fork_choice(head: Head, candidate: Head, verifies: bool) -> Head:
     """The head a node holds after receiving a candidate block.
 
     Verifying nodes refuse any candidate with an invalid block in its
@@ -106,33 +123,43 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     miners = config.miners
     duration = config.sim_duration
     parallel = config.mode == "parallel"
-    # every parallel cost needed later must be cached before txs are dropped
+    # every processor count a verifier uses, and config.p for the t_v statistics
     verifier_ps = sorted({config.processors_for(m) for m in miners if m.verifies} | {config.p})
-    slot = {p: k for k, p in enumerate(verifier_ps)}
-    verifiers = [j for j, m in enumerate(miners) if m.verifies]
+    tv_slot = verifier_ps.index(config.p)
+    verifiers = np.flatnonzero([m.verifies for m in miners])
+    # a non-verifier's slot is never read
+    slots = np.searchsorted(verifier_ps, [config.processors_for(m) for m in miners])
     # for each finder: the verifiers that re-execute its blocks, and where
     # each one's processor count sits in verifier_ps
-    others = [np.asarray([j for j in verifiers if j != i], dtype=np.intp) for i in range(len(miners))]
-    other_slots = [np.asarray([slot[config.processors_for(miners[j])] for j in o], dtype=np.intp) for o in others]
+    others = [verifiers[verifiers != i] for i in range(len(miners))]
+    other_slots = [slots[o] for o in others]
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
     next_find = np.asarray([rng_mine.exponential(scale) for scale in scales])
     busy_until = np.zeros(len(miners))
     busy_in_window = np.zeros(len(miners))
 
-    v_head = s_head = make_genesis()
-    blocks = []
+    # per block: its finder, whether its ancestry is valid, its fee and its t_v at config.p
+    finders, valid, fees, tvs = [], [], [], []
+    v_head = s_head = GENESIS
     while True:
         i = int(np.argmin(next_find))
         t = float(next_find[i])
         if t > duration:
             break
         miner = miners[i]
-        block = _block_from_stream(stream, len(blocks) + 1, v_head if miner.verifies else s_head, miner, t)
-        blocks.append(block)
+        parent = v_head if miner.verifies else s_head
+        # the new block, as the head of the chain it ends
+        block = Head(parent.height + 1, parent.valid_ancestry and not miner.produces_invalid)
+        packed = stream.next_block_txs()
         if parallel:
-            costs = np.asarray([block.parallel_verification_time(p) for p in verifier_ps])
-        block.drop_txs()
+            costs = np.asarray([verification_seconds(packed, p) for p in verifier_ps])
+            tvs.append(costs[tv_slot])
+        else:
+            tvs.append(packed["seq_time"])
+        finders.append(i)
+        valid.append(block.valid_ancestry)
+        fees.append(packed["total_fee"])
 
         # every node applies the block under its own rule; the producer
         # adopts its own block without re-executing it
@@ -143,9 +170,9 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # re-execution requires the parent's post-state: blocks extending
         # invalid ancestry are rejected without cost, while invalid blocks on
         # valid parents cost full verification before rejection
-        if block.parent.valid_ancestry:
+        if parent.valid_ancestry:
             idx = others[i]
-            cost = costs[other_slots[i]] if parallel else block.seq_verification_time
+            cost = costs[other_slots[i]] if parallel else packed["seq_time"]
             start = np.maximum(t, busy_until[idx])
             end = start + cost
             busy_until[idx] = end
@@ -154,58 +181,44 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
             # mining is suspended while verifying: push the pending find back
             next_find[idx] += cost
 
-    uptime = {m.id: float(duration - busy) for m, busy in zip(miners, busy_in_window)}
-    return _finalize(config, blocks, uptime)
+    uptime = [float(duration - busy) for busy in busy_in_window]
+    return _finalize(config, finders, valid, fees, tvs, v_head, uptime)
 
 
-def _finalize(config: ScenarioConfig, blocks: list, uptime: dict) -> SimResult:
-    best = None
-    for b in blocks:
-        if b.valid_ancestry and (best is None or b.height > best.height):
-            best = b  # ties keep the earlier block: strict inequality
+def _finalize(config, finders, valid, block_fees, tvs, v_head: Head, uptime) -> SimResult:
+    n = len(config.miners)
+    found, canon, fees = [0] * n, [0] * n, [0.0] * n
+    for i, ok, fee in zip(finders, valid, block_fees):
+        found[i] += 1
+        if ok:
+            canon[i] += 1
+            fees[i] += fee
 
-    canonical_ids = set()
-    cursor = best
-    while cursor is not None and cursor.height > 0:
-        canonical_ids.add(cursor.id)
-        cursor = cursor.parent
-
-    found = {m.id: 0 for m in config.miners}
-    canon = {m.id: 0 for m in config.miners}
-    fees = {m.id: 0.0 for m in config.miners}
-    stale = rejected = 0
-    for b in blocks:
-        found[b.miner_id] += 1
-        if b.id in canonical_ids:
-            canon[b.miner_id] += 1
-            fees[b.miner_id] += b.total_fee
-        elif b.valid_ancestry:
-            stale += 1
-        else:
-            rejected += 1
-
-    total_fees = sum(fees.values())
-    canonical_length = len(canonical_ids)
+    # the valid-ancestry blocks form one chain, ending at v_head (module docstring)
+    canonical_length = v_head.height
+    stale = sum(canon) - canonical_length
+    rejected = len(finders) - sum(canon)
+    total_fees = sum(fees)
     total_reward = total_fees + BLOCK_REWARD_ETHER * canonical_length
 
-    exposure = {m.id: m.alpha * uptime[m.id] for m in config.miners}
-    total_exposure = sum(exposure.values())
+    exposure = [m.alpha * up for m, up in zip(config.miners, uptime)]
+    total_exposure = sum(exposure)
 
     miners = []
-    for m in config.miners:
-        fee_fraction = fees[m.id] / total_fees if total_fees > 0 else 0.0
-        reward = fees[m.id] + BLOCK_REWARD_ETHER * canon[m.id]
+    for k, m in enumerate(config.miners):
+        fee_fraction = fees[k] / total_fees if total_fees > 0 else 0.0
+        reward = fees[k] + BLOCK_REWARD_ETHER * canon[k]
         reward_fraction = reward / total_reward if total_reward > 0 else 0.0
-        expected = exposure[m.id] / total_exposure if total_exposure > 0 else 0.0
+        expected = exposure[k] / total_exposure if total_exposure > 0 else 0.0
         miners.append(
             MinerOutcome(
                 id=m.id,
                 alpha=m.alpha,
                 verifies=m.verifies,
                 produces_invalid=m.produces_invalid,
-                found_blocks=found[m.id],
-                canonical_blocks=canon[m.id],
-                fee_sum=fees[m.id],
+                found_blocks=found[k],
+                canonical_blocks=canon[k],
+                fee_sum=fees[k],
                 fee_fraction=fee_fraction,
                 reward_fraction=reward_fraction,
                 relative_gain_pct=100.0 * (fee_fraction - m.alpha) / m.alpha,
@@ -214,22 +227,17 @@ def _finalize(config: ScenarioConfig, blocks: list, uptime: dict) -> SimResult:
             )
         )
 
-    if config.mode == "parallel":
-        tv = [b.parallel_verification_time(config.p) for b in blocks]
-    else:
-        tv = [b.seq_verification_time for b in blocks]
-
-    assert stale + rejected + canonical_length == len(blocks)
+    assert stale == 0, f"{stale} blocks of valid ancestry are off the canonical chain"
     return SimResult(
         seed=config.base_seed,
         block_limit=config.block_limit,
         mode=config.mode,
         duration=config.sim_duration,
         miners=tuple(miners),
-        total_blocks=len(blocks),
+        total_blocks=len(finders),
         canonical_length=canonical_length,
         stale_blocks=stale,
         rejected_blocks=rejected,
         total_fees=total_fees,
-        verification_time_stats=summary_stats(np.asarray(tv)),
+        verification_time_stats=summary_stats(np.asarray(tvs)),
     )

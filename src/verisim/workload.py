@@ -17,6 +17,9 @@ from verisim.forest import DEFAULT_D_GRID, DEFAULT_S_GRID, ForestModel, fit_fore
 from verisim.gmm import GmmModel, fit_gmm, sample_gmm_with
 
 MIN_TX_GAS = 21_000
+# the largest accepted block limit; a TxStream refill holds about
+# 4 * limit / MIN_TX_GAS transactions, some 205,000 at this cap
+MAX_BLOCK_LIMIT = 2**30
 DEFAULT_BLOCK_LIMIT = 8_000_000
 
 

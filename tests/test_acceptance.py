@@ -19,8 +19,8 @@ from verisim.analytics import (
     uniform_profile,
     verifier_reward,
 )
-from verisim.blocks import build_block, measure_verification_times, verification_time
-from verisim.config import MinerConfig, ScenarioConfig, standard_miners
+from verisim.blocks import TxStream, measure_verification_times, verification_seconds
+from verisim.config import ScenarioConfig, standard_miners
 from verisim.forest import fit_forest, fit_rfr
 from verisim.gmm import _em_once, fit_gmm, sample_gmm_with
 from verisim.scenario import closed_form_gain, nonverifier_gain, run_many
@@ -199,10 +199,9 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
     checks.append("conservation")
 
     # parallel time at p=1 equals sequential time exactly
-    miner = MinerConfig(id="m", alpha=1.0)
     for seed in range(3):
-        block = build_block(miner, fitted_workload, 8_000_000, rng_seed=seed)
-        assert verification_time(block, "parallel", p=1) == verification_time(block, "sequential")
+        packed = TxStream(fitted_workload, 0.4, np.random.default_rng(seed), 8_000_000).next_block_txs()
+        assert verification_seconds(packed, 1) == packed["seq_time"]
     checks.append("p=1 exact")
 
     # LPT makespan bounds on sampled blocks

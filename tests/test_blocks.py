@@ -4,73 +4,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verisim import kernels
-from verisim.blocks import (
-    Block,
-    TxStream,
-    build_block,
-    make_genesis,
-    measure_verification_times,
-    verification_time,
-)
-from verisim.config import MinerConfig
-
-MINER = MinerConfig(id="m0", alpha=1.0)
-INVALID_MINER = MinerConfig(id="bad", alpha=1.0, verifies=True, produces_invalid=True)
+from verisim.blocks import TxStream, measure_verification_times, verification_seconds
+from verisim.workload import MAX_BLOCK_LIMIT
 
 
-def block_with(cpu_times, conflicting=None):
+def packed_with(cpu_times, conflicting=None):
+    """A packed block as ``TxStream.next_block_txs`` returns it, with the columns verification reads."""
     cpu = np.asarray(cpu_times, dtype=np.float64)
     conf = np.zeros(cpu.size, dtype=bool) if conflicting is None else np.asarray(conflicting, dtype=bool)
-    return Block(
-        id=1,
-        height=1,
-        parent=make_genesis(),
-        miner_id="m0",
-        timestamp=0.0,
-        valid=True,
-        valid_ancestry=True,
-        tx_count=cpu.size,
-        gas_used_total=0,
-        total_fee=0.0,
-        seq_verification_time=float(cpu.sum()),
-        txs={"cpu_time": cpu, "conflicting": conf},
-    )
+    return {"slice": {"cpu_time": cpu, "conflicting": conf}, "seq_time": float(cpu.sum())}
+
+
+def first_block(workload, block_limit, seed):
+    return TxStream(workload, 0.0, np.random.default_rng(seed), block_limit).next_block_txs()
 
 
 class TestBuildBlock:
     def test_respects_gas_limit(self, toy_wl):
         for seed in range(5):
-            block = build_block(MINER, toy_wl, 8_000_000, rng_seed=seed)
-            assert block.gas_used_total <= 8_000_000
-            assert block.tx_count > 0
-            assert block.valid and block.valid_ancestry
+            packed = first_block(toy_wl, 8_000_000, seed)
+            assert packed["gas_used_total"] <= 8_000_000
+            assert packed["tx_count"] > 0
 
     def test_tiny_limit_packs_at_most_one(self, toy_wl):
         for seed in range(10):
-            block = build_block(MINER, toy_wl, 21_000, rng_seed=seed)
-            assert block.tx_count in (0, 1)
-            assert block.gas_used_total <= 21_000
+            packed = first_block(toy_wl, 21_000, seed)
+            assert packed["tx_count"] in (0, 1)
+            assert packed["gas_used_total"] <= 21_000
 
     def test_deterministic(self, toy_wl):
-        a = build_block(MINER, toy_wl, 8_000_000, rng_seed=7)
-        b = build_block(MINER, toy_wl, 8_000_000, rng_seed=7)
-        assert a.tx_count == b.tx_count
-        assert a.total_fee == b.total_fee
-        assert np.array_equal(a.txs["used_gas"], b.txs["used_gas"])
-
-    def test_invalid_producer_flag(self, toy_wl):
-        block = build_block(INVALID_MINER, toy_wl, 8_000_000, rng_seed=1)
-        assert not block.valid
-        assert not block.valid_ancestry
+        a = first_block(toy_wl, 8_000_000, 7)
+        b = first_block(toy_wl, 8_000_000, 7)
+        assert a["tx_count"] == b["tx_count"]
+        assert a["total_fee"] == b["total_fee"]
+        assert np.array_equal(a["slice"]["used_gas"], b["slice"]["used_gas"])
 
     def test_fee_is_gas_times_price(self, toy_wl):
-        block = build_block(MINER, toy_wl, 8_000_000, rng_seed=3)
-        expected = float(np.sum(block.txs["used_gas"] * block.txs["gas_price"]))
-        assert block.total_fee == pytest.approx(expected, rel=1e-12)
+        packed = first_block(toy_wl, 8_000_000, 3)
+        expected = float(np.sum(packed["slice"]["used_gas"] * packed["slice"]["gas_price"]))
+        assert packed["total_fee"] == pytest.approx(expected, rel=1e-12)
 
     def test_limit_below_min_tx_gas(self, toy_wl):
-        with pytest.raises(ValueError):
-            build_block(MINER, toy_wl, 20_000, rng_seed=0)
+        with pytest.raises(ValueError, match="^block_limit"):
+            first_block(toy_wl, 20_000, 0)
 
 
 class TestTxStreamPacking:
@@ -94,36 +70,52 @@ class TestTxStreamPacking:
         assert packed["gas_used_total"] <= 8_000_000
         assert nxt["gas_used_total"] <= 8_000_000
 
+    def test_limit_above_max_rejected(self, toy_wl):
+        # a larger limit would size refills past MAX_BLOCK_LIMIT / 21000 * 4 transactions
+        TxStream(toy_wl, 0.0, np.random.default_rng(0), MAX_BLOCK_LIMIT)
+        with pytest.raises(ValueError, match="^block_limit"):
+            TxStream(toy_wl, 0.0, np.random.default_rng(0), MAX_BLOCK_LIMIT + 1)
+        with pytest.raises(ValueError, match="^block_limit"):
+            TxStream(toy_wl, 0.0, np.random.default_rng(0), 10**12)
+
 
 class TestVerificationTime:
     def test_empty_block_is_free(self):
-        block = block_with([])
-        assert verification_time(block, "sequential") == 0.0
-        assert verification_time(block, "parallel", p=4) == 0.0
+        packed = packed_with([])
+        assert verification_seconds(packed, 1) == 0.0
+        assert verification_seconds(packed, 4) == 0.0
 
     def test_sequential_is_sum(self):
-        block = block_with([0.5, 0.25, 0.25])
-        assert verification_time(block, "sequential") == pytest.approx(1.0)
+        assert verification_seconds(packed_with([0.5, 0.25, 0.25]), 1) == pytest.approx(1.0)
 
     def test_perfect_parallelism(self):
-        block = block_with([1.0, 1.0, 1.0, 1.0])
-        assert verification_time(block, "sequential") == pytest.approx(4.0)
-        assert verification_time(block, "parallel", p=4) == pytest.approx(1.0)
+        packed = packed_with([1.0, 1.0, 1.0, 1.0])
+        assert verification_seconds(packed, 1) == pytest.approx(4.0)
+        assert verification_seconds(packed, 4) == pytest.approx(1.0)
 
     def test_p1_parallel_equals_sequential_exactly(self, toy_wl):
-        for seed in range(5):
-            block = build_block(MINER, toy_wl, 2_000_000, rng_seed=seed)
-            assert verification_time(block, "parallel", p=1) == verification_time(block, "sequential")
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(0), 2_000_000)
+        for _ in range(5):
+            packed = stream.next_block_txs()
+            assert verification_seconds(packed, 1) == packed["seq_time"]
+
+    @pytest.mark.parametrize("limit", [8_000_000, 128_000_000])
+    def test_measured_p1_parallel_equals_sequential(self, toy_wl, limit):
+        # the simulator charges a one-processor verifier the sequential time;
+        # the per-limit statistics must agree with it bit for bit
+        seq = measure_verification_times(toy_wl, limit, 50, seed=3)
+        par = measure_verification_times(toy_wl, limit, 50, seed=3, mode="parallel", p=1)
+        assert np.array_equal(par, seq)
 
     def test_conflicting_run_sequentially(self):
-        block = block_with([1.0, 1.0, 2.0, 2.0], conflicting=[True, True, False, False])
+        packed = packed_with([1.0, 1.0, 2.0, 2.0], conflicting=[True, True, False, False])
         # two conflicting seconds-long jobs serialize; the others split over p=2
-        assert verification_time(block, "parallel", p=2) == pytest.approx(2.0 + 2.0)
+        assert verification_seconds(packed, 2) == pytest.approx(2.0 + 2.0)
 
     def test_parallel_time_nonincreasing_in_p(self):
         rng = np.random.default_rng(4)
-        block = block_with(rng.lognormal(-5, 1, 200), conflicting=rng.random(200) < 0.4)
-        times = [verification_time(block, "parallel", p=p) for p in (1, 2, 4, 8, 16)]
+        packed = packed_with(rng.lognormal(-5, 1, 200), conflicting=rng.random(200) < 0.4)
+        times = [verification_seconds(packed, p) for p in (1, 2, 4, 8, 16)]
         assert all(a >= b - 1e-12 for a, b in zip(times, times[1:]))
 
     def test_list_scheduling_bounds(self):
@@ -131,9 +123,8 @@ class TestVerificationTime:
         for trial in range(20):
             cpu = rng.lognormal(-5, 0.8, 120)
             conf = rng.random(120) < 0.4
-            block = block_with(cpu, conf)
             p = int(rng.integers(2, 16))
-            total = verification_time(block, "parallel", p=p)
+            total = verification_seconds(packed_with(cpu, conf), p)
             free = cpu[~conf]
             seq_part = cpu[conf].sum()
             lower = max(free.sum() / p, free.max() if free.size else 0.0) + seq_part
@@ -152,9 +143,9 @@ class TestVerificationTime:
         factor = 0.4 + 0.6 / 4
         assert par.mean() == pytest.approx(seq.mean() * factor, rel=0.15)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            verification_time(block_with([1.0]), "psychic")
+    def test_unknown_mode(self, toy_wl):
+        with pytest.raises(ValueError, match="^mode"):
+            measure_verification_times(toy_wl, 8_000_000, 1, mode="psychic")
 
 
 class TestKernelProperties:

@@ -85,6 +85,14 @@ class TestSweep:
         sequential = replace(parallel, mode="sequential")
         assert len(validate_sweep(run_sweep([sequential], toy_wl, tv_blocks=20), tolerance=5.0)) == 1
 
+    def test_validate_rejects_invalid_rate(self, toy_wl):
+        honest = small_config(runs=1, sim_duration=600.0)
+        miners = standard_miners(10, nonverifier_alpha=0.1, invalid_rate=0.04)
+        punished = replace(honest, miners=miners, invalid_rate=0.04)
+        report = run_sweep([honest, punished], toy_wl, tv_blocks=20)
+        with pytest.raises(ValueError, match=r"^invalid_rate: config 1 has invalid_rate=0.04"):
+            validate_sweep(report, tolerance=5.0)
+
     def test_all_verifiers_has_no_gain_cell(self, toy_wl):
         report = run_sweep([small_config(miners=standard_miners(10))], toy_wl, tv_blocks=40)
         assert report.cells[0].closed_gain_pct is None

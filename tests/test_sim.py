@@ -7,58 +7,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import toy_workload
-from verisim.blocks import Block, make_genesis
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
-from verisim.sim import BLOCK_REWARD_ETHER, fork_choice, run_simulation
+from verisim.sim import BLOCK_REWARD_ETHER, GENESIS, Head, fork_choice, run_simulation
+from verisim.workload import MAX_BLOCK_LIMIT
 
 
-def chain_block(block_id, parent, valid=True, miner="x", ts=1.0):
-    return Block(
-        id=block_id,
-        height=parent.height + 1,
-        parent=parent,
-        miner_id=miner,
-        timestamp=ts,
-        valid=valid,
-        valid_ancestry=valid and parent.valid_ancestry,
-    )
+def on_top(parent, valid=True):
+    """The head of a block mined on ``parent``."""
+    return Head(parent.height + 1, valid and parent.valid_ancestry)
 
 
 class TestForkChoice:
     def test_verifier_rejects_invalid_extension(self):
-        genesis = make_genesis()
-        bad = chain_block(1, genesis, valid=False)
-        assert fork_choice(genesis, bad, verifies=True) is genesis
+        bad = on_top(GENESIS, valid=False)
+        assert fork_choice(GENESIS, bad, verifies=True) == GENESIS
 
     def test_nonverifier_adopts_invalid_extension(self):
-        genesis = make_genesis()
-        bad = chain_block(1, genesis, valid=False)
-        assert fork_choice(genesis, bad, verifies=False) is bad
+        bad = on_top(GENESIS, valid=False)
+        assert fork_choice(GENESIS, bad, verifies=False) == bad
 
     def test_verifier_rejects_valid_block_on_invalid_ancestor(self):
-        genesis = make_genesis()
-        bad = chain_block(1, genesis, valid=False)
-        head = fork_choice(genesis, bad, verifies=True)
-        junk = chain_block(2, bad, valid=True)
-        assert fork_choice(head, junk, verifies=True) is genesis
+        bad = on_top(GENESIS, valid=False)
+        head = fork_choice(GENESIS, bad, verifies=True)
+        junk = on_top(bad, valid=True)
+        assert not junk.valid_ancestry
+        assert fork_choice(head, junk, verifies=True) == GENESIS
 
     def test_tie_keeps_incumbent(self):
-        genesis = make_genesis()
-        first = chain_block(1, genesis, ts=1.0)
-        second = chain_block(2, genesis, ts=2.0)
-        head = fork_choice(genesis, first, verifies=True)
-        assert head is first
-        assert fork_choice(head, second, verifies=True) is first
+        first = on_top(GENESIS)
+        head = fork_choice(GENESIS, first, verifies=False)
+        assert head == first
+        # an equally long chain does not displace the incumbent, whatever its validity
+        assert fork_choice(head, on_top(GENESIS, valid=False), verifies=False) == first
+        assert fork_choice(on_top(GENESIS, valid=False), first, verifies=False) == Head(1, False)
 
     def test_longer_chain_wins(self):
-        genesis = make_genesis()
-        a1 = chain_block(1, genesis)
-        head = fork_choice(genesis, a1, verifies=True)
-        b1 = chain_block(2, genesis)
+        a1 = on_top(GENESIS)
+        head = fork_choice(GENESIS, a1, verifies=True)
+        b1 = on_top(GENESIS)
         head = fork_choice(head, b1, verifies=True)
-        assert head is a1
-        b2 = chain_block(3, b1)
-        assert fork_choice(head, b2, verifies=True) is b2
+        assert head == a1
+        b2 = on_top(b1)
+        assert fork_choice(head, b2, verifies=True) == b2
 
 
 def day_config(block_limit=8_000_000, duration=7200.0, seed=42, **kw):
@@ -248,7 +238,8 @@ class TestScenarioValidation:
         + [("block_limit", 8e6), ("block_limit", math.nan), ("block_limit", True), ("block_limit", 20_999)]
         + [("base_seed", 1.5), ("base_seed", "x"), ("base_seed", -1), ("base_seed", False)]
         + [("c", "0.4"), ("invalid_rate", None), ("workload", 5), ("miners", {"id": "solo"})]
-        + [("miners", [{"id": "solo"}])],
+        + [("miners", [{"id": "solo"}])]
+        + [("block_limit", MAX_BLOCK_LIMIT + 1)],
     )
     def test_non_finite_or_non_integral_rejected(self, name, value, tmp_path):
         scenario = {"block_limit": 8_000_000, "miners": [{"id": "solo", "alpha": 1.0}], name: value}
