@@ -154,9 +154,10 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         packed = stream.next_block_txs()
         if parallel:
             costs = np.asarray([verification_seconds(packed, p) for p in verifier_ps])
-            tvs.append(costs[tv_slot])
+            tv = costs[tv_slot]
         else:
-            tvs.append(packed["seq_time"])
+            tv = packed["seq_time"]
+        tvs.append(tv)
         finders.append(i)
         valid.append(block.valid_ancestry)
         fees.append(packed["total_fee"])
@@ -172,7 +173,7 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # valid parents cost full verification before rejection
         if parent.valid_ancestry:
             idx = others[i]
-            cost = costs[other_slots[i]] if parallel else packed["seq_time"]
+            cost = costs[other_slots[i]] if parallel else tv
             start = np.maximum(t, busy_until[idx])
             end = start + cost
             busy_until[idx] = end
