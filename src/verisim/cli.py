@@ -6,11 +6,7 @@ import sys
 import numpy as np
 
 
-def _limits(text: str):
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _grid(text: str):
+def _ints(text: str):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
@@ -54,7 +50,7 @@ def cmd_fit(args) -> int:
 
     # the training split picks (d, s) and is scored on the held-out rows;
     # the saved models are then fitted on all rows at that (d, s)
-    model = fit(~mask, _grid(args.d_grid), _grid(args.s_grid)).cpu_time_model
+    model = fit(~mask, _ints(args.d_grid), _ints(args.s_grid)).cpu_time_model
     train = regression_metrics(ds.cpu_time[~mask], model.predict(ds.used_gas[~mask]))
     test = regression_metrics(ds.cpu_time[mask], model.predict(ds.used_gas[mask]))
     final = fit(slice(None), [model.tree_count], [model.split_budget])
@@ -95,7 +91,7 @@ def cmd_analytic(args) -> int:
     from verisim.blocks import measure_verification_times
     from verisim.workload import FittedWorkload
 
-    limits = _limits(args.limits)
+    limits = _ints(args.limits)
     if args.t_v:
         tvs = [float(x) for x in args.t_v.split(",")]
         if len(tvs) != len(limits):
@@ -177,10 +173,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from verisim.scenario import run_sweep, validate_sweep
+    from verisim.scenario import check_comparable, run_sweep, validate_sweep
     from verisim.workload import FittedWorkload
 
     configs = _load_scenarios(args.config, args.seed, args.runs)
+    check_comparable(configs)  # before any simulation runs
     workload = FittedWorkload.load(args.workload) if args.workload else None
     report = run_sweep(configs, workload, tv_blocks=args.tv_blocks)
     verdicts = validate_sweep(report, args.tolerance)

@@ -6,18 +6,12 @@ information criterion over a candidate range.  Sampling returns
 exp(normal draw), i.e. values on the original positive scale.
 
 EM works component-major.  The E-step's log densities come from one
-(n, 3) x (3, k) product, copied once into a (k, n) buffer; the max, the
-shift, the exponential, the normalising sum and the division then run as k
-elementwise passes over contiguous n-long rows instead of n reductions over
-k-long rows.  Every likelihood and parameter has the bits of the point-major
-(n, k) formulation: the max, shift, exponential and division are
-elementwise; the normalising sum adds the rows in the order of numpy's
-pairwise summation of a contiguous k-long row (``_sum_rows``; a plain
-``sum(axis=0)`` differs from k = 8 up); and the M-step product is taken as
-``(basis.T @ resp.T).T``, which hands BLAS the operands of ``resp.T @ basis``
-on the (n, k) array (``resp @ basis`` changes bits at some shapes).  The
-k-means++ seeding keeps a running minimum distance, and its nearest-centre
-loop breaks ties to the lowest index as ``argmin`` does.
+(k, 3) x (3, n) product into a reused (k, n) buffer; the max, the shift, the
+exponential, the normalising sum and the division then run as k elementwise
+passes over contiguous n-long rows instead of n reductions over k-long rows,
+and the M-step's moments are one (k, n) x (n, 3) product.  The k-means++
+seeding keeps a running minimum distance, and its nearest-centre loop breaks
+ties to the lowest index as ``argmin`` does.
 """
 
 import logging
@@ -144,32 +138,6 @@ def _kmeans_seed(x: np.ndarray, k: int, rng: np.random.Generator):
     return weights, means, variances
 
 
-def _sum_rows(z: np.ndarray) -> np.ndarray:
-    """Sum the rows of a (k, n) array, adding them in numpy's pairwise order.
-
-    Summing axis 1 of the row-major (n, k) array ``z.T.copy()`` reduces each
-    contiguous k-long row with numpy's pairwise summation: one after another below 8
-    terms, eight interleaved accumulators up to 128, halves beyond.  Adding
-    whole rows in that order gives the same bits.
-    """
-    k = z.shape[0]
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _sum_rows(z[:half]) + _sum_rows(z[half:])
-    if k < 8:
-        total, rest = z[0].copy(), z[1:]
-    else:
-        acc = z[:8].copy()
-        end = k - k % 8
-        for i in range(8, end, 8):
-            acc += z[i : i + 8]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        rest = z[end:]
-    for row in rest:
-        total += row
-    return total
-
-
 def _converged(prev: float, log_l: float) -> bool:
     return prev > -np.inf and log_l - prev < EM_TOL * (1.0 + abs(log_l))
 
@@ -178,31 +146,28 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None
     """One EM run to convergence; returns (logL, weights, means, variances) or None.
 
     The per-component log density is linear in (1, x, x^2), so the E-step is a
-    single (n, 3) x (3, k) matrix product; the rest of the iteration runs on
-    a reused component-major (k, n) buffer (see the module docstring).
+    single (k, 3) x (3, n) matrix product.  A run that reaches EM_MAX_ITER
+    stops after its E-step: the returned logL is that of the returned
+    parameters.
     """
     n = x.size
     weights, means, variances = _kmeans_seed(x, k, rng)
-    basis = np.empty((n, 3))
-    basis[:, 0] = 1.0
-    basis[:, 1] = x
-    basis[:, 2] = x * x
-    lp = np.empty((n, k))
+    basis = np.stack([np.ones(n), x, x * x])
     z = np.empty((k, n))
     m = np.empty(n)
     prev = -np.inf
-    for _ in range(EM_MAX_ITER):
+    for it in range(1, EM_MAX_ITER + 1):
         inv2 = -0.5 / variances
-        coeff = np.empty((3, k))
-        coeff[0] = np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)) + inv2 * means * means
-        coeff[1] = -2.0 * inv2 * means
-        coeff[2] = inv2
-        np.matmul(basis, coeff, out=lp)
-        np.copyto(z, lp.T)  # (k, n) log densities
+        coeff = np.stack([
+            np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)) + inv2 * means * means,
+            -2.0 * inv2 * means,
+            inv2,
+        ], axis=1)
+        np.matmul(coeff, basis, out=z)  # (k, n) log densities
         z.max(axis=0, out=m)
         z -= m
         np.exp(z, out=z)
-        z_norm = _sum_rows(z)
+        z_norm = z.sum(axis=0)
         log_l = float(np.sum(np.log(z_norm)) + m.sum())
         if not np.isfinite(log_l):
             return None
@@ -211,12 +176,12 @@ def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None
         assert log_l >= prev - 1e-6 * (1.0 + abs(prev)), "EM likelihood decreased"
         if trace is not None:
             trace.append(log_l)
-        if _converged(prev, log_l):
-            prev = log_l
-            break
+        converged = _converged(prev, log_l)
         prev = log_l
+        if converged or it == EM_MAX_ITER:
+            break
         z /= z_norm  # responsibilities
-        moments = (basis.T @ z.T).T  # rows: [sum resp, sum resp*x, sum resp*x^2]
+        moments = z @ basis.T  # columns: [sum resp, sum resp*x, sum resp*x^2]
         nk = moments[:, 0]
         if np.any(nk <= 0) or not np.all(np.isfinite(nk)):
             return None

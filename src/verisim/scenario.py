@@ -176,33 +176,42 @@ def run_sweep(
     return SweepReport(configs=configs, results=all_results, cells=cells)
 
 
+def check_comparable(configs) -> None:
+    """Reject a configuration whose simulation the closed form cannot be compared against.
+
+    The parallel closed form knows one processor count, ``p``: a parallel cell
+    with a non-verifier in which a verifier has another is rejected.  So is a
+    cell with invalid blocks: neither the closed form nor the expected-share
+    estimator sees the non-verifier's blocks lost to them.  The check reads
+    the configurations only, so callers run it before any simulation.
+    """
+    for config_id, config in enumerate(configs):
+        if config.invalid_rate > 0:
+            raise ValueError(
+                f"invalid_rate: config {config_id} has invalid_rate={config.invalid_rate}, "
+                "whose punishment neither the closed form nor the expected-share estimator sees"
+            )
+        if config.mode == "parallel" and not all(m.verifies for m in config.miners):
+            others = [m.id for m in config.miners if m.verifies and config.processors_for(m) != config.p]
+            if others:
+                raise ValueError(
+                    f"processors: config {config_id} gives verifiers {others} a count other than p={config.p}, "
+                    "which the closed form cannot compare against"
+                )
+
+
 def validate_sweep(report: SweepReport, tolerance: float) -> list:
     """Per-cell pass/fail: relative deviation of the simulated gain from the closed form.
 
     The deviation is signed (closed-form minus simulated) so a systematic
-    closed-form overestimate is visible in the output.  The parallel closed
-    form knows one processor count, ``p``: a parallel cell in which a
-    verifier has another is rejected.  So is a cell with invalid blocks:
-    neither the closed form nor the expected-share estimator sees the
-    non-verifier's blocks lost to them.
+    closed-form overestimate is visible in the output.  Configurations that
+    ``check_comparable`` rejects raise its error.
     """
+    check_comparable(report.configs)
     verdicts = []
     for cell in report.cells:
-        config = report.configs[cell.config_id]
-        if config.invalid_rate > 0:
-            raise ValueError(
-                f"invalid_rate: config {cell.config_id} has invalid_rate={config.invalid_rate}, "
-                "whose punishment neither the closed form nor the expected-share estimator sees"
-            )
         if cell.closed_gain_pct is None:
             continue
-        if config.mode == "parallel":
-            others = [m.id for m in config.miners if m.verifies and config.processors_for(m) != config.p]
-            if others:
-                raise ValueError(
-                    f"processors: config {cell.config_id} gives verifiers {others} a count other than p={config.p}, "
-                    "which the closed form cannot compare against"
-                )
         rel = abs(cell.deviation_pct) / abs(cell.closed_gain_pct) if cell.closed_gain_pct else np.inf
         verdicts.append(
             {

@@ -89,20 +89,30 @@ xs, ys = monotone_sample(24_000, seed=40)
 json.dump(fit_forest(xs, ys, 3, 8, seed=41).to_dict(), sys.stdout)
 """
 
+# the mixture M-step is a BLAS product whose reduction runs over all rows
+GMM_IN_SUBPROCESS = """
+import json, sys
+from verisim.dataio import generate_synthetic_dataset
+from verisim.gmm import fit_gmm
+used_gas = generate_synthetic_dataset(24_000, seed=42).used_gas
+json.dump(fit_gmm(used_gas, 1, 6, seed=43).to_dict(), sys.stdout)
+"""
+
 
 def test_forest_independent_of_blas_threads():
     # a long BLAS dot is split across threads, which moves the last bits of
-    # a leaf mean; the fit must not depend on the thread count
+    # a leaf mean; neither fit may depend on the thread count
     root = pathlib.Path(__file__).resolve().parent.parent
-    fits = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root), env.get("PYTHONPATH", "")])
-        run = subprocess.run(
-            [sys.executable, "-c", FIT_IN_SUBPROCESS], env=env, cwd=root, capture_output=True, text=True, check=True
-        )
-        fits.append(json.loads(run.stdout))
-    assert fits[0] == fits[1]
+    for snippet in (FIT_IN_SUBPROCESS, GMM_IN_SUBPROCESS):
+        fits = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root), env.get("PYTHONPATH", "")])
+            run = subprocess.run(
+                [sys.executable, "-c", snippet], env=env, cwd=root, capture_output=True, text=True, check=True
+            )
+            fits.append(json.loads(run.stdout))
+        assert fits[0] == fits[1]
 
 
 class TestPredict:

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import norm
 
 from verisim.dataio import generate_synthetic_dataset
 from verisim.gmm import (
@@ -10,7 +12,6 @@ from verisim.gmm import (
     GmmModel,
     _em_once,
     _nearest,
-    _sum_rows,
     fit_gmm,
     sample_gmm_with,
 )
@@ -100,6 +101,17 @@ class TestFitDiagnostics:
         capped = [m for m in messages if f"at the {EM_MAX_ITER}-iteration cap" in m]
         assert capped and all(m.startswith("K=") and " of 5 EM restarts" in m for m in capped)
 
+    @pytest.mark.parametrize("k", [6, 7, 8, 9])
+    def test_capped_run_returns_its_own_likelihood(self, k):
+        # a run stopped at the cap must not pair one step's likelihood with
+        # the next step's parameters
+        x = np.log(generate_synthetic_dataset(2000, seed=11).used_gas.astype(np.float64))
+        trace = []
+        log_l, weights, means, variances = _em_once(x, k, np.random.default_rng(200 + k), trace)
+        assert len(trace) == EM_MAX_ITER
+        own = logsumexp(norm.logpdf(x[:, None], means, np.sqrt(variances)), b=weights, axis=1).sum()
+        assert log_l == pytest.approx(own, rel=1e-6)
+
     def test_converged_fit_is_quiet(self, caplog):
         with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
             fit_gmm(two_component_sample(2000, seed=15), 2, 2, "bic", seed=16)
@@ -107,14 +119,6 @@ class TestFitDiagnostics:
 
 
 class TestComponentMajor:
-    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 200, 300])
-    def test_sum_rows_matches_row_major_sum(self, k):
-        # EM sums the components of each point; the (k, n) layout must give
-        # the bits of numpy's pairwise sum over a contiguous (n, k) row
-        rng = np.random.default_rng(k)
-        z = rng.random((33, k)) * np.exp(rng.normal(0.0, 5.0, (33, k)))
-        assert np.array_equal(_sum_rows(np.ascontiguousarray(z.T)), z.sum(axis=1))
-
     def test_nearest_matches_argmin_with_ties(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 1.5, -4.0, 9.0])
         centers = np.array([1.0, 2.0, 1.0, 2.0, 0.0])  # duplicates and a midpoint tie

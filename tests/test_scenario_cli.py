@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from verisim import scenario
 from verisim.blocks import measure_verification_times
 from verisim.cli import main as cli_main
 from verisim.config import ScenarioConfig, standard_miners
@@ -285,6 +286,18 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50", "--tolerance", "5.0"]) == 2
         assert "error: processors" in capsys.readouterr().err
+
+    def test_validate_rejects_invalid_rate_before_simulating(self, cli_artifacts, tmp_path, capsys, monkeypatch):
+        def simulate(*args):
+            raise AssertionError("the cell was simulated before it was rejected")
+
+        monkeypatch.setattr(scenario, "run_simulation", simulate)
+        _, _, model = cli_artifacts
+        miners = standard_miners(10, nonverifier_alpha=0.1, invalid_rate=0.04)
+        cfg_path = tmp_path / "cfg.json"
+        small_config(miners=miners, invalid_rate=0.04, workload=str(model)).to_json(cfg_path)
+        assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid_rate:")
 
     def test_validate_failure_exit_code(self, cli_artifacts, tmp_path):
         _, _, model = cli_artifacts
