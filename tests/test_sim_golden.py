@@ -42,6 +42,24 @@ RUNS = {
     "nonverifier_03_invalid_02": _config(standard_miners(10, 0.3, invalid_rate=0.2), seed=24, invalid_rate=0.2),
     "miners_100": _config(standard_miners(100, 0.1), duration=3600.0, seed=25),
     "single_miner": _config((MinerConfig(id="solo", alpha=1.0),), seed=26),
+    "miners_1000": _config(standard_miners(1000, 0.1), duration=3600.0, seed=27),
+    # a second non-verifier with its own processor count, which it never uses
+    "parallel_two_nonverifiers": _config(
+        _override_processors(
+            tuple(
+                dataclasses.replace(m, verifies=False, processors=8) if m.id == "v1" else m
+                for m in standard_miners(10, 0.1)
+            ),
+            "v0",
+            4,
+        ),
+        seed=28,
+        mode="parallel",
+        c=0.4,
+        p=16,
+    ),
+    # sequential verification runs on one processor: p and the override are ignored
+    "seq_p4_override": _config(_override_processors(standard_miners(10, 0.1), "v0", 2), seed=29, p=4),
 }
 
 
