@@ -6,6 +6,7 @@ to non-verifiers while the total stays 1.  Parallel verification shrinks the
 slowdown by the factor c + (1 - c) / p.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,7 +23,7 @@ class PowerProfile:
 
     def __post_init__(self):
         alphas = [m.alpha for m in self.miners]
-        if any(a <= 0 or a > 1 for a in alphas):
+        if any(not 0 < a <= 1 for a in alphas):
             raise ValueError("every hash-power fraction must lie in (0, 1]")
         if abs(sum(alphas) - 1.0) > 1e-9:
             raise ValueError(f"hash powers must sum to 1, got {sum(alphas)}")
@@ -48,10 +49,11 @@ class VerificationParams:
     p: int = 1
 
     def __post_init__(self):
-        if self.t_v < 0:
-            raise ValueError("verification time must be non-negative")
-        if self.t_b <= 0:
-            raise ValueError("block interval must be positive")
+        # NaN fails every comparison: test finiteness first
+        if not math.isfinite(self.t_v) or self.t_v < 0:
+            raise ValueError(f"t_v (the verification time) must be finite and non-negative, got {self.t_v!r}")
+        if not math.isfinite(self.t_b) or self.t_b <= 0:
+            raise ValueError(f"t_b (the block interval) must be finite and positive, got {self.t_b!r}")
         if not 0.0 <= self.c <= 1.0:
             raise ValueError("conflict rate must lie in [0, 1]")
         if self.p < 1:
@@ -142,6 +144,8 @@ def reward_table(profile: PowerProfile, params: VerificationParams, mode: str = 
 def uniform_profile(n_miners: int, nonverifier_alpha: float | None = None) -> PowerProfile:
     """n equal miners; optionally one non-verifier with the given power, the
     rest splitting the residual equally."""
+    if n_miners - (nonverifier_alpha is not None) < 1:
+        raise ValueError("no room left for verifying miners")
     if nonverifier_alpha is None:
         return PowerProfile.make((f"m{i}", 1.0 / n_miners, True) for i in range(n_miners))
     residual = (1.0 - nonverifier_alpha) / (n_miners - 1)

@@ -11,8 +11,10 @@ and runs conflicting ones sequentially afterwards.
 import numpy as np
 
 from verisim import kernels
-from verisim.config import MODES
 from verisim.workload import MAX_BLOCK_LIMIT, MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
+
+# transactions drawn per refill, unless a block limit needs more
+CHUNK_TXS = 1 << 16
 
 
 def _parallel_time(cpu: np.ndarray, conflicting: np.ndarray, p: int) -> float:
@@ -46,7 +48,6 @@ class TxStream:
         conflict_rate: float,
         rng: np.random.Generator,
         block_limit: int | None = None,
-        chunk: int = 1 << 16,
     ):
         self._wl = workload
         self._c = conflict_rate
@@ -56,7 +57,7 @@ class TxStream:
             raise ValueError(f"block_limit must lie in [{MIN_TX_GAS}, {MAX_BLOCK_LIMIT}], got {self._limit}")
         # packing can never consume more transactions than this per block
         self._max_block_txs = self._limit // MIN_TX_GAS + 2
-        self._chunk = max(chunk, 4 * self._max_block_txs)
+        self._chunk = max(CHUNK_TXS, 4 * self._max_block_txs)
         self._cols = None
         self._cursor = 0
 
@@ -102,15 +103,12 @@ def measure_verification_times(
     block_limit: int,
     n_blocks: int,
     seed: int = 0,
-    mode: str = "sequential",
     p: int = 1,
     conflict_rate: float = 0.0,
 ) -> np.ndarray:
-    """Verification times of n freshly built blocks (the per-limit statistics source)."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == "sequential":
-        p = 1
+    """Verification times on p processors of n freshly built blocks (the per-limit statistics source)."""
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be >= 1, got {n_blocks!r}")
     stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit)
     return np.asarray([verification_seconds(stream.next_block_txs(), p) for _ in range(n_blocks)], dtype=np.float64)
 

@@ -24,7 +24,7 @@ def cmd_fit(args) -> int:
     from verisim.stats import regression_metrics
     from verisim.workload import fit_workload
 
-    ds = load_dataset(args.data, args.partition)
+    ds = load_dataset(args.data, args.partition, args.block_limit)
     n = len(ds)
     rng = np.random.default_rng(args.seed)
     test_idx = rng.choice(n, size=max(1, n // 5), replace=False)

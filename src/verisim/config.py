@@ -104,8 +104,14 @@ class ScenarioConfig:
         elif invalid:
             raise ValueError("invalid_rate is 0 but a miner produces invalid blocks")
 
-    def processors_for(self, miner: MinerConfig) -> int:
-        return self.p if miner.processors is None else miner.processors
+    def processors_for(self, miner: MinerConfig | None = None) -> int:
+        """Processors a verifier re-executes blocks on, or the scenario's own count with no miner.
+
+        Sequential verification is verification on one processor.
+        """
+        if self.mode == "sequential":
+            return 1
+        return self.p if miner is None or miner.processors is None else miner.processors
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, base_seed=int(seed))

@@ -62,10 +62,6 @@ class GmmModel:
         if any(v <= 0 for v in self.variances):
             raise ValueError("component variances must be positive")
 
-    @property
-    def free_parameters(self) -> int:
-        return 3 * self.k - 1
-
     def to_dict(self) -> dict:
         return {
             "k": self.k,

@@ -129,14 +129,13 @@ def run_sweep(
     cells = []
     for config_id, config in enumerate(configs):
         wl = workload if workload is not None else FittedWorkload.load(config.workload)
-        times = measure_verification_times(
-            wl, config.block_limit, tv_blocks, seed=tv_seed, mode=config.mode, p=config.p, conflict_rate=config.c
+        p = config.processors_for()
+        tv_stats = summary_stats(
+            measure_verification_times(wl, config.block_limit, tv_blocks, seed=tv_seed, p=p, conflict_rate=config.c)
         )
-        tv_stats = summary_stats(times)
-        if config.mode == "sequential":
-            seq_tv = tv_stats["mean"]
-        else:
-            # the same blocks, re-timed sequentially for the closed form
+        seq_tv = tv_stats["mean"]
+        if p != 1:
+            # the same blocks, re-timed on one processor for the closed form
             seq_tv = float(
                 measure_verification_times(wl, config.block_limit, tv_blocks, seed=tv_seed, conflict_rate=config.c).mean()
             )
@@ -191,8 +190,8 @@ def check_comparable(configs) -> None:
                 f"invalid_rate: config {config_id} has invalid_rate={config.invalid_rate}, "
                 "whose punishment neither the closed form nor the expected-share estimator sees"
             )
-        if config.mode == "parallel" and not all(m.verifies for m in config.miners):
-            others = [m.id for m in config.miners if m.verifies and config.processors_for(m) != config.p]
+        if not all(m.verifies for m in config.miners):
+            others = [m.id for m in config.miners if m.verifies and config.processors_for(m) != config.processors_for()]
             if others:
                 raise ValueError(
                     f"processors: config {config_id} gives verifiers {others} a count other than p={config.p}, "

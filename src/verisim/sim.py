@@ -21,16 +21,18 @@ parent: a new block has valid ancestry exactly when the head it extends does
 and its finder does not produce invalid blocks.  Every block of valid
 ancestry extends ``v_head`` by one and becomes the new ``v_head``, so the
 valid-ancestry blocks are the canonical chain and ``canonical_length`` is the
-height of ``v_head``.  Each block is recorded as its finder, that validity
-flag, its fee and its verification time, nothing more.  ``stale_blocks``
-counts valid-ancestry blocks off the canonical chain; by the argument it is
-always 0, and the run asserts so.
+height of ``v_head``.  Each miner counts its blocks, its blocks of valid
+ancestry and their fees; each block leaves only its verification time.
+``stale_blocks`` counts valid-ancestry blocks off the canonical chain; by the
+argument it is always 0, and the run asserts so.
 
 The pending finds live in one array and the next event is its minimum, ties
-going to the lowest miner index.  A verification pause adds its cost to the
-pending finds of the verifiers in place (the next-reaction method of Gibson
-and Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so a
-deferred find is still exactly exponential.
+going to the lowest miner index.  Each block prices its re-execution once
+per miner: a verifier pays it on its own processor count (one in sequential
+mode), the finder and the non-verifiers pay 0.  Adding that vector to the
+pending finds defers them in place (the next-reaction method of Gibson and
+Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so a deferred
+find is still exactly exponential.
 """
 
 from dataclasses import dataclass
@@ -122,25 +124,21 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
 
     miners = config.miners
     duration = config.sim_duration
-    parallel = config.mode == "parallel"
-    # every processor count a verifier uses, and config.p for the t_v statistics
-    verifier_ps = sorted({config.processors_for(m) for m in miners if m.verifies} | {config.p})
-    tv_slot = verifier_ps.index(config.p)
-    verifiers = np.flatnonzero([m.verifies for m in miners])
-    # a non-verifier's slot is never read
-    slots = np.searchsorted(verifier_ps, [config.processors_for(m) for m in miners])
-    # for each finder: the verifiers that re-execute its blocks, and where
-    # each one's processor count sits in verifier_ps
-    others = [verifiers[verifiers != i] for i in range(len(miners))]
-    other_slots = [slots[o] for o in others]
+    n = len(miners)
+    # one verification cost per distinct verifier processor count, then a 0
+    # that non-verifiers pay; config.processors_for() sets the t_v statistics
+    ps = sorted({config.processors_for(m) for m in miners if m.verifies} | {config.processors_for()})
+    costs = np.zeros(len(ps) + 1)
+    tv_slot = ps.index(config.processors_for())
+    slot = np.asarray([ps.index(config.processors_for(m)) if m.verifies else len(ps) for m in miners])
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
     next_find = np.asarray([rng_mine.exponential(scale) for scale in scales])
-    busy_until = np.zeros(len(miners))
-    busy_in_window = np.zeros(len(miners))
+    busy_until = np.zeros(n)
+    busy_in_window = np.zeros(n)
 
-    # per block: its finder, whether its ancestry is valid, its fee and its t_v at config.p
-    finders, valid, fees, tvs = [], [], [], []
+    # per miner: blocks found, blocks of valid ancestry and their fees; per block: t_v
+    found, canon, fees, tvs = [0] * n, [0] * n, [0.0] * n, []
     v_head = s_head = GENESIS
     while True:
         i = int(np.argmin(next_find))
@@ -152,15 +150,13 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # the new block, as the head of the chain it ends
         block = Head(parent.height + 1, parent.valid_ancestry and not miner.produces_invalid)
         packed = stream.next_block_txs()
-        if parallel:
-            costs = np.asarray([verification_seconds(packed, p) for p in verifier_ps])
-            tv = costs[tv_slot]
-        else:
-            tv = packed["seq_time"]
-        tvs.append(tv)
-        finders.append(i)
-        valid.append(block.valid_ancestry)
-        fees.append(packed["total_fee"])
+        for k, p in enumerate(ps):
+            costs[k] = verification_seconds(packed, p)
+        tvs.append(costs[tv_slot])
+        found[i] += 1
+        if block.valid_ancestry:
+            canon[i] += 1
+            fees[i] += packed["total_fee"]
 
         # every node applies the block under its own rule; the producer
         # adopts its own block without re-executing it
@@ -172,33 +168,25 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # invalid ancestry are rejected without cost, while invalid blocks on
         # valid parents cost full verification before rejection
         if parent.valid_ancestry:
-            idx = others[i]
-            cost = costs[other_slots[i]] if parallel else tv
-            start = np.maximum(t, busy_until[idx])
-            end = start + cost
-            busy_until[idx] = end
+            paid = costs[slot]
+            paid[i] = 0.0
+            # a miner that pays nothing stays idle: its pause adds 0 everywhere
+            start = np.maximum(busy_until, t)
+            np.add(start, paid, out=busy_until)
             # only the part of the pause inside the window counts
-            busy_in_window[idx] += np.minimum(end, duration) - np.minimum(start, duration)
+            busy_in_window += np.minimum(busy_until, duration) - np.minimum(start, duration)
             # mining is suspended while verifying: push the pending find back
-            next_find[idx] += cost
+            next_find += paid
 
     uptime = [float(duration - busy) for busy in busy_in_window]
-    return _finalize(config, finders, valid, fees, tvs, v_head, uptime)
+    return _finalize(config, found, canon, fees, tvs, v_head, uptime)
 
 
-def _finalize(config, finders, valid, block_fees, tvs, v_head: Head, uptime) -> SimResult:
-    n = len(config.miners)
-    found, canon, fees = [0] * n, [0] * n, [0.0] * n
-    for i, ok, fee in zip(finders, valid, block_fees):
-        found[i] += 1
-        if ok:
-            canon[i] += 1
-            fees[i] += fee
-
+def _finalize(config, found, canon, fees, tvs, v_head: Head, uptime) -> SimResult:
     # the valid-ancestry blocks form one chain, ending at v_head (module docstring)
     canonical_length = v_head.height
     stale = sum(canon) - canonical_length
-    rejected = len(finders) - sum(canon)
+    rejected = len(tvs) - sum(canon)
     total_fees = sum(fees)
     total_reward = total_fees + BLOCK_REWARD_ETHER * canonical_length
 
@@ -235,7 +223,7 @@ def _finalize(config, finders, valid, block_fees, tvs, v_head: Head, uptime) -> 
         mode=config.mode,
         duration=config.sim_duration,
         miners=tuple(miners),
-        total_blocks=len(finders),
+        total_blocks=len(tvs),
         canonical_length=canonical_length,
         stale_blocks=stale,
         rejected_blocks=rejected,

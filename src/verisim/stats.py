@@ -1,4 +1,4 @@
-"""Correlation coefficients, regression quality metrics, and distribution distance."""
+"""Regression quality metrics and distribution distance."""
 
 import numpy as np
 
@@ -13,37 +13,6 @@ def _as_pair(xs, ys, min_len: int = 2):
     if x.size < min_len:
         raise ValueError(f"need at least {min_len} samples, got {x.size}")
     return x, y
-
-
-def pearson(xs, ys) -> float:
-    """Product-moment correlation coefficient in [-1, 1]."""
-    x, y = _as_pair(xs, ys)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("correlation undefined for constant input")
-    r = float(np.sum(dx * dy)) / (sx * sy)
-    return min(1.0, max(-1.0, r))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, with tied values assigned their average rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.arange(1, x.size + 1, dtype=np.float64)
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    # average the positional ranks within each tie group
-    sums = np.zeros(counts.size, dtype=np.float64)
-    np.add.at(sums, inverse, ranks)
-    return sums[inverse] / counts[inverse]
-
-
-def spearman(xs, ys) -> float:
-    """Rank correlation: Pearson on average-tied ranks."""
-    x, y = _as_pair(xs, ys)
-    return pearson(_average_ranks(x), _average_ranks(y))
 
 
 def regression_metrics(y_true, y_pred) -> dict:

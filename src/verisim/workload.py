@@ -9,7 +9,7 @@ Bernoulli draw.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class FittedWorkload:
     def __post_init__(self):
         if self.block_limit < MIN_TX_GAS:
             raise ValueError("block limit below the minimum transaction gas")
-
-    def with_block_limit(self, block_limit: int) -> "FittedWorkload":
-        """Same fitted models, different operative block limit."""
-        return replace(self, block_limit=int(block_limit))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -103,9 +103,9 @@ class TestVerificationTime:
     def test_measured_p1_parallel_equals_sequential(self, toy_wl, limit):
         # the simulator charges a one-processor verifier the sequential time;
         # the per-limit statistics must agree with it bit for bit
-        seq = measure_verification_times(toy_wl, limit, 50, seed=3)
-        par = measure_verification_times(toy_wl, limit, 50, seed=3, mode="parallel", p=1)
-        assert np.array_equal(par, seq)
+        stream = TxStream(toy_wl, 0.0, np.random.default_rng(3), limit)
+        seq = [stream.next_block_txs()["seq_time"] for _ in range(50)]
+        assert np.array_equal(measure_verification_times(toy_wl, limit, 50, seed=3, p=1), seq)
 
     def test_conflicting_run_sequentially(self):
         packed = packed_with([1.0, 1.0, 2.0, 2.0], conflicting=[True, True, False, False])
@@ -136,16 +136,15 @@ class TestVerificationTime:
 
     def test_parallel_factor_over_random_blocks(self, fitted_workload):
         # averaged over blocks, parallel time tracks t_v * (c + (1-c)/p)
-        seq = measure_verification_times(fitted_workload, 8_000_000, 100, seed=21, mode="sequential")
-        par = measure_verification_times(
-            fitted_workload, 8_000_000, 100, seed=21, mode="parallel", p=4, conflict_rate=0.4
-        )
+        seq = measure_verification_times(fitted_workload, 8_000_000, 100, seed=21)
+        par = measure_verification_times(fitted_workload, 8_000_000, 100, seed=21, p=4, conflict_rate=0.4)
         factor = 0.4 + 0.6 / 4
         assert par.mean() == pytest.approx(seq.mean() * factor, rel=0.15)
 
-    def test_unknown_mode(self, toy_wl):
-        with pytest.raises(ValueError, match="^mode"):
-            measure_verification_times(toy_wl, 8_000_000, 1, mode="psychic")
+    @pytest.mark.parametrize("n_blocks", [0, -1])
+    def test_rejects_no_blocks(self, toy_wl, n_blocks):
+        with pytest.raises(ValueError, match="^n_blocks"):
+            measure_verification_times(toy_wl, 8_000_000, n_blocks)
 
 
 class TestKernelProperties:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from tests.helpers import pearson, spearman
 from verisim.dataio import (
     generate_synthetic_dataset,
     load_dataset,
     write_dataset,
 )
-from verisim.stats import pearson, spearman
 
 
 def write_rows(path, rows, header="used_gas,gas_limit,gas_price,cpu_time_s"):

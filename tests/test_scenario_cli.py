@@ -110,7 +110,7 @@ class TestSweep:
         cfg = small_config(mode="parallel", c=0.4, p=16, runs=2)
         cell = run_sweep([cfg], toy_wl, tv_blocks=60, tv_seed=3).cells[0]
         seq = measure_verification_times(toy_wl, cfg.block_limit, 60, seed=3, conflict_rate=cfg.c)
-        par = measure_verification_times(toy_wl, cfg.block_limit, 60, seed=3, mode="parallel", p=16, conflict_rate=cfg.c)
+        par = measure_verification_times(toy_wl, cfg.block_limit, 60, seed=3, p=16, conflict_rate=cfg.c)
         # the parallel formula discounts the sequential time once
         assert cell.closed_gain_pct == closed_form_gain(cfg, float(seq.mean()))
         # while the summary keeps reporting the parallel times
@@ -335,6 +335,40 @@ class TestCli:
                          "--d-grid", "5", "--s-grid", "2", "--folds", "5"])
         assert code == 2
         assert "line 9: cpu_time_s" in capsys.readouterr().err
+
+    def test_fit_reads_its_own_block_limit(self, tmp_path):
+        data = tmp_path / "16m.csv"
+        code = cli_main(["gen-data", "--n", "2000", "--seed", "5", "--block-limit", "16000000", "--out", str(data)])
+        assert code == 0
+        code = cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), "--block-limit", "16000000",
+                         "--k-max", "2", "--d-grid", "5", "--s-grid", "2", "--folds", "2"])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--miners", "1", "--nonverifier-alpha", "0.1", "--t-v", "0.2"], "no room left for verifying miners"),
+            (["--nonverifier-alpha", "nan", "--t-v", "0.2"], "every hash-power fraction"),
+            (["--t-v", "nan"], "t_v"),
+            (["--t-v", "inf"], "t_v"),
+            (["--t-v", "0.2", "--t-b", "nan"], "t_b"),
+            (["--tv-blocks", "0"], "n_blocks"),
+        ],
+    )
+    def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        assert cli_main(["analytic", "--model", str(model), "--limits", "8000000", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_simulate_rejects_no_tv_blocks(self, toy_wl, tmp_path, capsys, mode):
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        cfg_path = tmp_path / "cfg.json"
+        small_config(mode=mode, c=0.4, p=4, runs=1, workload=str(model)).to_json(cfg_path)
+        assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "0", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: n_blocks")
 
     @pytest.mark.parametrize("scenarios", [5, "a", {"block_limit": 8_000_000}, [], [5]])
     def test_scenarios_not_a_list_of_objects(self, tmp_path, capsys, scenarios):

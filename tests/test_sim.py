@@ -220,6 +220,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(block_limit=8_000_000, miners=miners, invalid_rate=0.6)
 
+    @pytest.mark.parametrize("mode, scenario, own", [("sequential", 1, 1), ("parallel", 16, 4)])
+    def test_processors_for(self, mode, scenario, own):
+        override = MinerConfig(id="own", alpha=0.5, processors=4)
+        cfg = ScenarioConfig(
+            block_limit=8_000_000, miners=(override, MinerConfig(id="default", alpha=0.5)), mode=mode, p=16
+        )
+        assert cfg.processors_for() == cfg.processors_for(cfg.miners[1]) == scenario
+        assert cfg.processors_for(override) == own
+
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
             ScenarioConfig(

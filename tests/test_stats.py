@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from verisim.stats import distribution_distance, pearson, regression_metrics, spearman
+from tests.helpers import pearson, spearman
+from verisim.stats import distribution_distance, regression_metrics
 
 
 class TestPearson:

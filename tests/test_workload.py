@@ -77,8 +77,3 @@ class TestPersistence:
         toy_wl.save(p1)
         toy_wl.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_with_block_limit(self, toy_wl):
-        wl2 = toy_wl.with_block_limit(128_000_000)
-        assert wl2.block_limit == 128_000_000
-        assert wl2.used_gas_model == toy_wl.used_gas_model
