@@ -115,8 +115,6 @@ def measure_verification_times(
 
 def summary_stats(values: np.ndarray) -> dict:
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return {"mean": 0.0, "min": 0.0, "max": 0.0, "median": 0.0, "sd": 0.0}
     return {
         "mean": float(values.mean()),
         "min": float(values.min()),

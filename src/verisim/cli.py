@@ -15,7 +15,7 @@ def cmd_gen_data(args) -> int:
 
     ds = generate_synthetic_dataset(args.n, args.partition, args.seed, args.block_limit)
     write_dataset(ds, args.out)
-    print(f"wrote {len(ds)} {ds.partition} transactions to {args.out}")
+    print(f"wrote {len(ds)} {args.partition} transactions to {args.out}")
     return 0
 
 
@@ -24,7 +24,7 @@ def cmd_fit(args) -> int:
     from verisim.stats import regression_metrics
     from verisim.workload import fit_workload
 
-    ds = load_dataset(args.data, args.partition, args.block_limit)
+    ds = load_dataset(args.data, args.block_limit)
     n = len(ds)
     rng = np.random.default_rng(args.seed)
     test_idx = rng.choice(n, size=max(1, n // 5), replace=False)
@@ -71,14 +71,7 @@ def cmd_sample(args) -> int:
 
     wl = FittedWorkload.load(args.model)
     cols = sample_transaction_arrays(wl, args.n, args.conflict_rate, np.random.default_rng(args.seed))
-    ds = Dataset(
-        used_gas=cols["used_gas"],
-        gas_limit=cols["gas_limit"],
-        gas_price=cols["gas_price"],
-        cpu_time=cols["cpu_time"],
-        partition=args.partition,
-        source="synthetic",
-    )
+    ds = Dataset(cols["used_gas"], cols["gas_limit"], cols["gas_price"], cols["cpu_time"])
     write_dataset(ds, args.out)
     print(f"sampled {args.n} transactions to {args.out}")
     return 0
@@ -180,16 +173,14 @@ def cmd_validate(args) -> int:
     check_comparable(configs)  # before any simulation runs
     workload = FittedWorkload.load(args.workload) if args.workload else None
     report = run_sweep(configs, workload, tv_blocks=args.tv_blocks)
-    verdicts = validate_sweep(report, args.tolerance)
     failed = 0
-    for v in verdicts:
-        status = "PASS" if v["passed"] else "FAIL"
-        failed += not v["passed"]
+    for cell, relative, passed in validate_sweep(report, args.tolerance):
+        failed += not passed
         print(
-            f"{status} config {v['config_id']} (limit {v['block_limit']}): "
-            f"closed {v['closed_gain_pct']:+.2f}% vs sim {v['sim_gain_mean_pct']:+.2f}%, "
-            f"signed deviation {v['signed_deviation_pct']:+.2f} points "
-            f"({100 * v['relative_deviation']:.1f}% relative, tolerance {100 * args.tolerance:.0f}%)"
+            f"{'PASS' if passed else 'FAIL'} config {cell.config_id} (limit {cell.block_limit}): "
+            f"closed {cell.closed_gain_pct:+.2f}% vs sim {cell.sim_expected_gain_pct:+.2f}%, "
+            f"signed deviation {cell.signed_deviation_pct:+.2f} points "
+            f"({100 * relative:.1f}% relative, tolerance {100 * args.tolerance:.0f}%)"
         )
     if args.out:
         report.write(args.out)
@@ -211,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fit", help="fit mixtures and the CPU-time forest to a dataset")
     f.add_argument("--data", required=True)
-    f.add_argument("--partition", choices=["execution", "creation"], default="execution")
     f.add_argument("--out", required=True)
     f.add_argument("--seed", type=int, default=42)
     f.add_argument("--k-min", type=int, default=1)
@@ -231,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--n", type=int, default=10_000)
     s.add_argument("--conflict-rate", type=float, default=0.0)
-    s.add_argument("--partition", choices=["execution", "creation"], default="execution")
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)

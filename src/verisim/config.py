@@ -1,6 +1,5 @@
-"""Scenario configuration: miner lineup and run parameters, with strict JSON I/O."""
+"""Scenario configuration: miner lineup and run parameters, strictly checked when read from JSON."""
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
@@ -144,16 +143,6 @@ class ScenarioConfig:
             miners.append(MinerConfig(**m))
         rest = {k: v for k, v in d.items() if k != "miners"}
         return cls(miners=tuple(miners), **rest)
-
-    @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def standard_miners(

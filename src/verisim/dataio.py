@@ -15,7 +15,6 @@ import numpy as np
 from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS
 
 CSV_HEADER = ["used_gas", "gas_limit", "gas_price", "cpu_time_s"]
-PARTITIONS = ("creation", "execution")
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ class Dataset:
     gas_limit: np.ndarray
     gas_price: np.ndarray
     cpu_time: np.ndarray
-    partition: str
-    source: str
 
     def __len__(self) -> int:
         return int(self.used_gas.size)
@@ -102,10 +99,8 @@ def _validate_row(line_no: int, used_gas: int, gas_limit: int, gas_price: float,
         raise ValueError(f"line {line_no}: cpu_time_s must be non-negative and finite, got {cpu_time}")
 
 
-def load_dataset(path, partition: str = "execution", block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
+def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
     """Read and validate a transaction CSV; errors name the offending line."""
-    if partition not in PARTITIONS:
-        raise ValueError(f"unknown partition {partition!r}")
     used_gas, gas_limit, gas_price, cpu_time = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -137,8 +132,6 @@ def load_dataset(path, partition: str = "execution", block_limit: int = DEFAULT_
         gas_limit=np.asarray(gas_limit, dtype=np.int64),
         gas_price=np.asarray(gas_price, dtype=np.float64),
         cpu_time=np.asarray(cpu_time, dtype=np.float64),
-        partition=partition,
-        source="file",
     )
 
 
@@ -173,7 +166,7 @@ def generate_synthetic_dataset(
     """Generate a calibrated synthetic dataset; deterministic for a given seed."""
     if n < 100:
         raise ValueError("need n >= 100 for a meaningful dataset")
-    if partition not in PARTITIONS:
+    if partition not in PROFILES:
         raise ValueError(f"unknown partition {partition!r}")
     profile = PROFILES[partition]
     rng = np.random.default_rng(seed)
@@ -190,14 +183,7 @@ def generate_synthetic_dataset(
     gas_price = np.exp(rng.normal(profile.price_log_mean, profile.price_log_sd, size=n))
     gas_limit = rng.integers(used_gas, block_limit + 1, dtype=np.int64)
 
-    return Dataset(
-        used_gas=used_gas,
-        gas_limit=gas_limit,
-        gas_price=gas_price,
-        cpu_time=cpu_time,
-        partition=partition,
-        source="synthetic",
-    )
+    return Dataset(used_gas=used_gas, gas_limit=gas_limit, gas_price=gas_price, cpu_time=cpu_time)
 
 
 def default_workload(n: int = 60_000, seed: int = 7, partition: str = "execution"):

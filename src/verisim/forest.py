@@ -48,10 +48,6 @@ class RegressionTree:
             i = self.left[i] if x <= self.thresholds[i] else self.right[i]
         return float(self.values[i])
 
-    @property
-    def split_count(self) -> int:
-        return int(np.count_nonzero(self.left >= 0))
-
     def as_step_function(self):
         """(bounds, leaf_values): value j applies for bounds[j-1] < x <= bounds[j]."""
         bounds, leaf_values = [], []

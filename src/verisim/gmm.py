@@ -55,6 +55,9 @@ class GmmModel:
                 raise ValueError(f"{name} must have k={self.k} entries, got {len(values)}")
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite, got {values!r}")
+        for name in ("log_likelihood", "aic", "bic"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("component weights must sum to 1")
         if any(w < 0 for w in self.weights):

@@ -13,13 +13,15 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from verisim.analytics import PowerProfile, VerificationParams, reward_table
 from verisim.blocks import measure_verification_times, summary_stats
 from verisim.config import ScenarioConfig
 from verisim.sim import SimResult, run_simulation
 from verisim.workload import FittedWorkload
+
+# the coverage of the summary's confidence intervals
+CI_LEVEL = 0.95
 
 RESULTS_HEADER = ["config_id", "seed", "miner_id", "alpha", "verifies", "fee_fraction", "relative_gain_pct"]
 
@@ -38,7 +40,7 @@ class CellSummary:
     sim_gain_ci95_pct: float | None
     sim_expected_gain_pct: float | None  # uptime-share gain (low-variance)
     sim_expected_ci95_pct: float | None
-    deviation_pct: float | None  # closed-form minus expected-share gain, in points
+    signed_deviation_pct: float | None  # closed-form minus expected-share gain, in points
 
 
 @dataclass
@@ -109,12 +111,15 @@ def run_many(config: ScenarioConfig, workload: FittedWorkload) -> list:
     ]
 
 
-def ci_halfwidth(values: np.ndarray, level: float = 0.95) -> float:
+def ci_halfwidth(values: np.ndarray) -> float:
+    # scipy.stats takes most of a second to import: load it only when a summary needs it
+    from scipy import stats as sps
+
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         return 0.0
     sd = float(values.std(ddof=1))
-    q = float(sps.t.ppf(0.5 + level / 2.0, values.size - 1))
+    q = float(sps.t.ppf(0.5 + CI_LEVEL / 2.0, values.size - 1))
     return float(q * sd / np.sqrt(values.size))
 
 
@@ -169,7 +174,7 @@ def run_sweep(
                 sim_gain_ci95_pct=sim_ci,
                 sim_expected_gain_pct=exp_mean,
                 sim_expected_ci95_pct=exp_ci,
-                deviation_pct=deviation,
+                signed_deviation_pct=deviation,
             )
         )
     return SweepReport(configs=configs, results=all_results, cells=cells)
@@ -200,30 +205,20 @@ def check_comparable(configs) -> None:
 
 
 def validate_sweep(report: SweepReport, tolerance: float) -> list:
-    """Per-cell pass/fail: relative deviation of the simulated gain from the closed form.
+    """``(cell, relative_deviation, passed)`` for each cell with a closed-form gain.
 
-    The deviation is signed (closed-form minus simulated) so a systematic
-    closed-form overestimate is visible in the output.  Configurations that
-    ``check_comparable`` rejects raise its error.
+    The relative deviation is ``|signed_deviation_pct| / |closed_gain_pct|``,
+    which compares the expected-share gain with the closed form; the cell's
+    signed deviation keeps a systematic closed-form overestimate visible.
+    Configurations that ``check_comparable`` rejects raise its error.
     """
     check_comparable(report.configs)
     verdicts = []
     for cell in report.cells:
         if cell.closed_gain_pct is None:
             continue
-        rel = abs(cell.deviation_pct) / abs(cell.closed_gain_pct) if cell.closed_gain_pct else np.inf
-        verdicts.append(
-            {
-                "config_id": cell.config_id,
-                "block_limit": cell.block_limit,
-                "closed_gain_pct": cell.closed_gain_pct,
-                "sim_gain_mean_pct": cell.sim_expected_gain_pct,
-                "sim_fee_gain_mean_pct": cell.sim_gain_mean_pct,
-                "signed_deviation_pct": cell.deviation_pct,
-                "relative_deviation": rel,
-                "passed": bool(rel <= tolerance),
-            }
-        )
+        rel = abs(cell.signed_deviation_pct) / abs(cell.closed_gain_pct) if cell.closed_gain_pct else np.inf
+        verdicts.append((cell, rel, bool(rel <= tolerance)))
     return verdicts
 
 
@@ -289,7 +284,7 @@ def write_summary_csv(path, cells):
                     "" if c.sim_gain_ci95_pct is None else repr(c.sim_gain_ci95_pct),
                     "" if c.sim_expected_gain_pct is None else repr(c.sim_expected_gain_pct),
                     "" if c.sim_expected_ci95_pct is None else repr(c.sim_expected_ci95_pct),
-                    "" if c.deviation_pct is None else repr(c.deviation_pct),
+                    "" if c.signed_deviation_pct is None else repr(c.signed_deviation_pct),
                 ]
             )
 

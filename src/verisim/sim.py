@@ -22,7 +22,7 @@ and its finder does not produce invalid blocks.  Every block of valid
 ancestry extends ``v_head`` by one and becomes the new ``v_head``, so the
 valid-ancestry blocks are the canonical chain and ``canonical_length`` is the
 height of ``v_head``.  Each miner counts its blocks, its blocks of valid
-ancestry and their fees; each block leaves only its verification time.
+ancestry and their fees; nothing is kept per block.
 ``stale_blocks`` counts valid-ancestry blocks off the canonical chain; by the
 argument it is always 0, and the run asserts so.
 
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from verisim.blocks import TxStream, summary_stats, verification_seconds
+from verisim.blocks import TxStream, verification_seconds
 from verisim.config import ScenarioConfig
 from verisim.workload import FittedWorkload
 
@@ -85,22 +85,17 @@ class MinerOutcome:
     # verification pauses (a low-variance estimator of the same quantity the
     # fee fraction realizes)
     expected_fraction: float
-    expected_gain_pct: float
 
 
 @dataclass(frozen=True)
 class SimResult:
     seed: int
-    block_limit: int
-    mode: str
-    duration: float
     miners: tuple
     total_blocks: int
     canonical_length: int
     stale_blocks: int
     rejected_blocks: int
     total_fees: float
-    verification_time_stats: dict
 
     def miner(self, miner_id: str) -> MinerOutcome:
         for m in self.miners:
@@ -126,10 +121,9 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     duration = config.sim_duration
     n = len(miners)
     # one verification cost per distinct verifier processor count, then a 0
-    # that non-verifiers pay; config.processors_for() sets the t_v statistics
-    ps = sorted({config.processors_for(m) for m in miners if m.verifies} | {config.processors_for()})
+    # that non-verifiers pay
+    ps = sorted({config.processors_for(m) for m in miners if m.verifies})
     costs = np.zeros(len(ps) + 1)
-    tv_slot = ps.index(config.processors_for())
     slot = np.asarray([ps.index(config.processors_for(m)) if m.verifies else len(ps) for m in miners])
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
@@ -137,8 +131,8 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     busy_until = np.zeros(n)
     busy_in_window = np.zeros(n)
 
-    # per miner: blocks found, blocks of valid ancestry and their fees; per block: t_v
-    found, canon, fees, tvs = [0] * n, [0] * n, [0.0] * n, []
+    # per miner: blocks found, blocks of valid ancestry and their fees
+    found, canon, fees = [0] * n, [0] * n, [0.0] * n
     v_head = s_head = GENESIS
     while True:
         i = int(np.argmin(next_find))
@@ -152,7 +146,6 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         packed = stream.next_block_txs()
         for k, p in enumerate(ps):
             costs[k] = verification_seconds(packed, p)
-        tvs.append(costs[tv_slot])
         found[i] += 1
         if block.valid_ancestry:
             canon[i] += 1
@@ -179,14 +172,15 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
             next_find += paid
 
     uptime = [float(duration - busy) for busy in busy_in_window]
-    return _finalize(config, found, canon, fees, tvs, v_head, uptime)
+    return _finalize(config, found, canon, fees, v_head, uptime)
 
 
-def _finalize(config, found, canon, fees, tvs, v_head: Head, uptime) -> SimResult:
+def _finalize(config, found, canon, fees, v_head: Head, uptime) -> SimResult:
     # the valid-ancestry blocks form one chain, ending at v_head (module docstring)
     canonical_length = v_head.height
+    total_blocks = sum(found)
     stale = sum(canon) - canonical_length
-    rejected = len(tvs) - sum(canon)
+    rejected = total_blocks - sum(canon)
     total_fees = sum(fees)
     total_reward = total_fees + BLOCK_REWARD_ETHER * canonical_length
 
@@ -212,21 +206,16 @@ def _finalize(config, found, canon, fees, tvs, v_head: Head, uptime) -> SimResul
                 reward_fraction=reward_fraction,
                 relative_gain_pct=100.0 * (fee_fraction - m.alpha) / m.alpha,
                 expected_fraction=expected,
-                expected_gain_pct=100.0 * (expected - m.alpha) / m.alpha,
             )
         )
 
     assert stale == 0, f"{stale} blocks of valid ancestry are off the canonical chain"
     return SimResult(
         seed=config.base_seed,
-        block_limit=config.block_limit,
-        mode=config.mode,
-        duration=config.sim_duration,
         miners=tuple(miners),
-        total_blocks=len(tvs),
+        total_blocks=total_blocks,
         canonical_length=canonical_length,
         stale_blocks=stale,
         rejected_blocks=rejected,
         total_fees=total_fees,
-        verification_time_stats=summary_stats(np.asarray(tvs)),
     )

@@ -158,7 +158,7 @@ class TestTreeStructure:
         xs, ys = monotone_sample(600, seed=14)
         for budget in (1, 5, 17):
             model = fit_forest(xs, ys, tree_count=4, split_budget=budget, seed=15)
-            assert all(t.split_count <= budget for t in model.trees)
+            assert all(np.count_nonzero(t.left >= 0) <= budget for t in model.trees)
             assert model.split_budget == budget
 
     def test_serialization_round_trip(self):

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -15,6 +16,7 @@ from verisim.gmm import (
     fit_gmm,
     sample_gmm_with,
 )
+from verisim.workload import FittedWorkload
 
 
 def two_component_sample(n, seed, mu1=2.0, mu2=6.0, sd=0.5, w=0.5):
@@ -206,3 +208,16 @@ class TestModelValidation:
         d.update({key: list(value) for key, value in change.items()})
         with pytest.raises(ValueError, match=f"^{field}"):
             GmmModel.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("log_likelihood", float("inf")), ("aic", float("nan")), ("bic", float("-inf"))],
+    )
+    def test_non_finite_criterion_in_a_model_file_rejected(self, toy_wl, tmp_path, field, value):
+        path = tmp_path / "workload.json"
+        toy_wl.save(path)
+        payload = json.loads(path.read_text())
+        payload["used_gas_model"][field] = value
+        path.write_text(json.dumps(payload))  # writes the NaN/Infinity literals
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FittedWorkload.load(path)
