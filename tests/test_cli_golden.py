@@ -1,12 +1,15 @@
-"""Golden CLI outputs: ``verisim simulate`` and ``verisim sample`` must write
-the recorded files byte for byte.
+"""Golden CLI outputs: ``verisim simulate``, ``sample``, ``analytic`` and
+``gen-data`` must write the recorded files byte for byte.
 
 The recorded file holds the exact text of ``results.csv``, ``summary.csv`` and
 ``configs.json`` from one three-cell ``simulate`` sweep on the toy workload,
 and of the CSV from one ``sample`` call.  The cells are a sequential 8M cell
 with a 0.1 non-verifier, a parallel 32M cell (c=0.4, p=4) and an all-verifier
-8M cell, whose summary gain columns are empty.  A refactor that keeps the
-outputs leaves every file unchanged.  Re-record only when an output changes on
+8M cell, whose summary gain columns are empty.  It also holds two ``analytic``
+reward tables, one with t_v measured on the toy workload (parallel, c=0.4,
+p=4, limits 8M and 32M) and one with an explicit t_v, and one 300-row
+``gen-data`` dataset.  A refactor that keeps the outputs leaves every file
+unchanged.  Re-record only when an output changes on
 purpose::
 
     PYTHONPATH=src python -m tests.test_cli_golden
@@ -40,6 +43,21 @@ SCENARIOS = {
     ]
 }
 
+ANALYTIC_CALLS = {
+    "measured.csv": lambda model: [
+        "--model", str(model), "--limits", "8000000,32000000", "--tv-blocks", "40",
+        "--mode", "parallel", "--conflict-rate", "0.4", "--processors", "4",
+    ],
+    "explicit.csv": lambda model: ["--limits", "128000000", "--t-v", "3.18", "--t-b", "12.0"],
+}
+
+GOLDEN_NAMES = (
+    [f"simulate/{n}" for n in SIMULATE_FILES]
+    + ["sample/sampled.csv"]
+    + [f"analytic/{n}" for n in ANALYTIC_CALLS]
+    + ["gen-data/dataset.csv"]
+)
+
 
 def _outputs(root: pathlib.Path) -> dict:
     model = root / "toy.json"
@@ -53,6 +71,13 @@ def _outputs(root: pathlib.Path) -> dict:
     assert cli_main(["sample", "--model", str(model), "--n", "300", "--seed", "5", "--out", str(sampled)]) == 0
     files = {f"simulate/{name}": (out / name).read_bytes() for name in SIMULATE_FILES}
     files["sample/sampled.csv"] = sampled.read_bytes()
+    for name, argv in ANALYTIC_CALLS.items():
+        table = root / name
+        assert cli_main(["analytic", *argv(model), "--out", str(table)]) == 0
+        files[f"analytic/{name}"] = table.read_bytes()
+    dataset = root / "dataset.csv"
+    assert cli_main(["gen-data", "--n", "300", "--out", str(dataset)]) == 0
+    files["gen-data/dataset.csv"] = dataset.read_bytes()
     return {name: data.decode("utf-8") for name, data in files.items()}
 
 
@@ -66,7 +91,7 @@ def outputs(tmp_path_factory):
     return _outputs(tmp_path_factory.mktemp("cli_golden"))
 
 
-@pytest.mark.parametrize("name", [f"simulate/{n}" for n in SIMULATE_FILES] + ["sample/sampled.csv"])
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_matches_golden(name, golden, outputs):
     assert outputs[name] == golden[name]
 
