@@ -26,7 +26,7 @@ from verisim.gmm import DegenerateDataError, GmmModel, fit_gmm, sample_gmm_with
 from verisim.kernels import BACKEND as KERNEL_BACKEND
 from verisim.scenario import SweepReport, run_sweep, validate_sweep
 from verisim.sim import Head, SimResult, fork_choice, run_simulation
-from verisim.stats import distribution_distance, regression_metrics
+from verisim.stats import regression_metrics
 from verisim.workload import FittedWorkload, fit_workload, sample_transaction_arrays
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ and runs conflicting ones sequentially afterwards.
 import numpy as np
 
 from verisim import kernels
-from verisim.workload import MAX_BLOCK_LIMIT, MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
+from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, sample_transaction_arrays
 
 # transactions drawn per refill, unless a block limit needs more
 CHUNK_TXS = 1 << 16
@@ -47,14 +47,12 @@ class TxStream:
         workload: FittedWorkload,
         conflict_rate: float,
         rng: np.random.Generator,
-        block_limit: int | None = None,
+        block_limit: int,
     ):
         self._wl = workload
         self._c = conflict_rate
         self._rng = rng
-        self._limit = workload.block_limit if block_limit is None else int(block_limit)
-        if not MIN_TX_GAS <= self._limit <= MAX_BLOCK_LIMIT:
-            raise ValueError(f"block_limit must lie in [{MIN_TX_GAS}, {MAX_BLOCK_LIMIT}], got {self._limit}")
+        self._limit = check_block_limit(block_limit)
         # packing can never consume more transactions than this per block
         self._max_block_txs = self._limit // MIN_TX_GAS + 2
         self._chunk = max(CHUNK_TXS, 4 * self._max_block_txs)

@@ -105,8 +105,7 @@ def cmd_analytic(args) -> int:
     for limit, tv in zip(limits, tvs):
         params = VerificationParams(t_v=tv, t_b=args.t_b, c=args.conflict_rate, p=args.processors)
         for row in reward_table(profile, params, mode=args.mode):
-            rows_out.append([limit, repr(tv), row.id, repr(row.alpha), int(row.verifies),
-                             repr(row.expected_fraction), repr(row.relative_gain_pct)])
+            rows_out.append([limit, tv, row.id, row.alpha, int(row.verifies), row.expected_fraction, row.relative_gain_pct])
             if not row.verifies:
                 print(
                     f"limit {limit}: t_v {tv:.4f}s -> non-verifier {row.id} "

@@ -4,7 +4,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
-from verisim.workload import MAX_BLOCK_LIMIT, MIN_TX_GAS
+from verisim.workload import check_block_limit
 
 MODES = ("sequential", "parallel")
 
@@ -68,9 +68,7 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        _require_integer("block_limit", self.block_limit, MIN_TX_GAS)
-        if self.block_limit > MAX_BLOCK_LIMIT:
-            raise ValueError(f"block_limit must be <= {MAX_BLOCK_LIMIT}, got {self.block_limit!r}")
+        check_block_limit(self.block_limit)
         _require_positive_finite("t_b", self.t_b)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS
+from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS, check_block_limit
 
 CSV_HEADER = ["used_gas", "gas_limit", "gas_price", "cpu_time_s"]
 
@@ -101,6 +101,7 @@ def _validate_row(line_no: int, used_gas: int, gas_limit: int, gas_price: float,
 
 def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
     """Read and validate a transaction CSV; errors name the offending line."""
+    check_block_limit(block_limit)
     used_gas, gas_limit, gas_price, cpu_time = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -136,19 +137,12 @@ def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, path):
-    """Write the CSV schema; floats use repr so load(write(ds)) round-trips exactly."""
+    """Write the CSV schema; csv writes floats by repr, so load(write(ds)) round-trips exactly."""
+    columns = (dataset.used_gas, dataset.gas_limit, dataset.gas_price, dataset.cpu_time)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for i in range(len(dataset)):
-            writer.writerow(
-                [
-                    int(dataset.used_gas[i]),
-                    int(dataset.gas_limit[i]),
-                    repr(float(dataset.gas_price[i])),
-                    repr(float(dataset.cpu_time[i])),
-                ]
-            )
+        writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
 def synthetic_cpu_map(profile: SyntheticProfile, used_gas) -> np.ndarray:
@@ -164,6 +158,7 @@ def generate_synthetic_dataset(
     block_limit: int = DEFAULT_BLOCK_LIMIT,
 ) -> Dataset:
     """Generate a calibrated synthetic dataset; deterministic for a given seed."""
+    check_block_limit(block_limit)
     if n < 100:
         raise ValueError("need n >= 100 for a meaningful dataset")
     if partition not in PROFILES:
@@ -186,8 +181,8 @@ def generate_synthetic_dataset(
     return Dataset(used_gas=used_gas, gas_limit=gas_limit, gas_price=gas_price, cpu_time=cpu_time)
 
 
-def default_workload(n: int = 60_000, seed: int = 7, partition: str = "execution"):
-    """Generate the calibrated synthetic dataset and fit it at desk scale.
+def default_workload(n: int = 60_000, seed: int = 7):
+    """Generate the calibrated synthetic execution dataset and fit it at desk scale.
 
     This is the reference recipe behind the shipped calibration targets:
     mixtures searched up to K=6 (component count chosen on a 20k subsample,
@@ -195,7 +190,7 @@ def default_workload(n: int = 60_000, seed: int = 7, partition: str = "execution
     """
     from verisim.workload import fit_workload
 
-    ds = generate_synthetic_dataset(n, partition, seed)
+    ds = generate_synthetic_dataset(n, seed=seed)
     return fit_workload(
         ds.used_gas,
         ds.gas_price,

@@ -17,13 +17,22 @@ import numpy as np
 from verisim.analytics import PowerProfile, VerificationParams, reward_table
 from verisim.blocks import measure_verification_times, summary_stats
 from verisim.config import ScenarioConfig
-from verisim.sim import SimResult, run_simulation
+from verisim.sim import SimResult, resolve_workload, run_simulation
 from verisim.workload import FittedWorkload
 
 # the coverage of the summary's confidence intervals
 CI_LEVEL = 0.95
 
 RESULTS_HEADER = ["config_id", "seed", "miner_id", "alpha", "verifies", "fee_fraction", "relative_gain_pct"]
+TV_STATS = ("mean", "min", "max", "median", "sd")
+SUMMARY_HEADER = [
+    "config_id", "block_limit", "mode", "runs", "seed_first", "seed_last", *(f"tv_{name}" for name in TV_STATS),
+    "closed_gain_pct", "sim_gain_mean_pct", "sim_gain_ci95_pct", "sim_expected_gain_pct", "sim_expected_ci95_pct",
+    "signed_deviation_pct",
+]
+
+# the MinerOutcome field each simulated gain estimator sums
+ESTIMATOR_FIELDS = {"fee": "fee_fraction", "expected": "expected_fraction"}
 
 
 @dataclass(frozen=True)
@@ -35,12 +44,13 @@ class CellSummary:
     seed_first: int
     seed_last: int
     tv_stats: dict
+    # all None in a cell without a non-verifier
     closed_gain_pct: float | None
-    sim_gain_mean_pct: float | None  # realized fee-share gain
-    sim_gain_ci95_pct: float | None
-    sim_expected_gain_pct: float | None  # uptime-share gain (low-variance)
-    sim_expected_ci95_pct: float | None
-    signed_deviation_pct: float | None  # closed-form minus expected-share gain, in points
+    sim_gain_mean_pct: float | None = None  # realized fee-share gain
+    sim_gain_ci95_pct: float | None = None
+    sim_expected_gain_pct: float | None = None  # uptime-share gain (low-variance)
+    sim_expected_ci95_pct: float | None = None
+    signed_deviation_pct: float | None = None  # closed-form minus expected-share gain, in points
 
 
 @dataclass
@@ -60,25 +70,28 @@ class SweepReport:
         return out
 
 
-def profile_of(config: ScenarioConfig) -> PowerProfile:
-    """The closed-form power profile: the invalid producer counts as a verifier."""
-    return PowerProfile.make((m.id, m.alpha, m.verifies) for m in config.miners)
+def _gain_pct(rows, fraction: str) -> float | None:
+    """100 (sum of ``fraction`` - sum of alpha) / sum of alpha over the rows that
+    skip verification, None if every row verifies."""
+    skipped = [r for r in rows if not r.verifies]
+    if not skipped:
+        return None
+    alpha = sum(r.alpha for r in skipped)
+    frac = sum(getattr(r, fraction) for r in skipped)
+    return 100.0 * (frac - alpha) / alpha
 
 
 def closed_form_gain(config: ScenarioConfig, t_v: float) -> float | None:
     """Closed-form relative gain (%) of the non-verifying power, None if all verify.
 
-    ``t_v`` is the mean *sequential* verification time in every mode.
+    ``t_v`` is the mean *sequential* verification time in every mode.  The
+    invalid producer counts as a verifier.
     """
-    profile = profile_of(config)
+    profile = PowerProfile.make((m.id, m.alpha, m.verifies) for m in config.miners)
     if profile.alpha_skipping <= 0.0:
         return None
     params = VerificationParams(t_v=t_v, t_b=config.t_b, c=config.c, p=config.p)
-    rows = reward_table(profile, params, mode=config.mode)
-    skipped = [r for r in rows if not r.verifies]
-    alpha = sum(r.alpha for r in skipped)
-    frac = sum(r.expected_fraction for r in skipped)
-    return 100.0 * (frac - alpha) / alpha
+    return _gain_pct(reward_table(profile, params, mode=config.mode), "expected_fraction")
 
 
 def nonverifier_gain(result: SimResult, estimator: str = "fee") -> float | None:
@@ -90,17 +103,9 @@ def nonverifier_gain(result: SimResult, estimator: str = "fee") -> float | None:
     quantity with far less race noise, which is what the closed-form
     comparison needs at desk scale.
     """
-    skipped = [m for m in result.miners if not m.verifies]
-    if not skipped:
-        return None
-    alpha = sum(m.alpha for m in skipped)
-    if estimator == "fee":
-        frac = sum(m.fee_fraction for m in skipped)
-    elif estimator == "expected":
-        frac = sum(m.expected_fraction for m in skipped)
-    else:
+    if estimator not in ESTIMATOR_FIELDS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    return 100.0 * (frac - alpha) / alpha
+    return _gain_pct(result.miners, ESTIMATOR_FIELDS[estimator])
 
 
 def run_many(config: ScenarioConfig, workload: FittedWorkload) -> list:
@@ -133,7 +138,7 @@ def run_sweep(
     all_results = []
     cells = []
     for config_id, config in enumerate(configs):
-        wl = workload if workload is not None else FittedWorkload.load(config.workload)
+        wl = resolve_workload(config, workload)
         p = config.processors_for()
         tv_stats = summary_stats(
             measure_verification_times(wl, config.block_limit, tv_blocks, seed=tv_seed, p=p, conflict_rate=config.c)
@@ -148,18 +153,18 @@ def run_sweep(
         all_results.append(results)
 
         closed = closed_form_gain(config, seq_tv)
-        gains = [nonverifier_gain(r, "fee") for r in results]
-        expected = [nonverifier_gain(r, "expected") for r in results]
-        if closed is None or any(g is None for g in gains):
-            sim_mean = sim_ci = exp_mean = exp_ci = deviation = None
-        else:
-            arr = np.asarray(gains, dtype=np.float64)
-            exp_arr = np.asarray(expected, dtype=np.float64)
-            sim_mean = float(arr.mean())
-            sim_ci = ci_halfwidth(arr)
-            exp_mean = float(exp_arr.mean())
-            exp_ci = ci_halfwidth(exp_arr)
-            deviation = closed - exp_mean
+        gains = {}
+        # the closed form and every run have a non-verifier, or none of them does
+        if closed is not None:
+            fee = np.asarray([nonverifier_gain(r, "fee") for r in results], dtype=np.float64)
+            expected = np.asarray([nonverifier_gain(r, "expected") for r in results], dtype=np.float64)
+            gains = dict(
+                sim_gain_mean_pct=float(fee.mean()),
+                sim_gain_ci95_pct=ci_halfwidth(fee),
+                sim_expected_gain_pct=float(expected.mean()),
+                sim_expected_ci95_pct=ci_halfwidth(expected),
+                signed_deviation_pct=closed - float(expected.mean()),
+            )
         cells.append(
             CellSummary(
                 config_id=config_id,
@@ -170,11 +175,7 @@ def run_sweep(
                 seed_last=config.base_seed + config.runs - 1,
                 tv_stats=tv_stats,
                 closed_gain_pct=closed,
-                sim_gain_mean_pct=sim_mean,
-                sim_gain_ci95_pct=sim_ci,
-                sim_expected_gain_pct=exp_mean,
-                sim_expected_ci95_pct=exp_ci,
-                signed_deviation_pct=deviation,
+                **gains,
             )
         )
     return SweepReport(configs=configs, results=all_results, cells=cells)
@@ -226,67 +227,25 @@ def write_results_csv(path, configs, all_results):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
-        for config_id, results in enumerate(all_results):
-            for result in results:
-                for m in result.miners:
-                    writer.writerow(
-                        [
-                            config_id,
-                            result.seed,
-                            m.id,
-                            repr(m.alpha),
-                            int(m.verifies),
-                            repr(m.fee_fraction),
-                            repr(m.relative_gain_pct),
-                        ]
-                    )
+        writer.writerows(
+            [config_id, result.seed, m.id, m.alpha, int(m.verifies), m.fee_fraction, m.relative_gain_pct]
+            for config_id, results in enumerate(all_results)
+            for result in results
+            for m in result.miners
+        )
 
 
 def write_summary_csv(path, cells):
-    header = [
-        "config_id",
-        "block_limit",
-        "mode",
-        "runs",
-        "seed_first",
-        "seed_last",
-        "tv_mean",
-        "tv_min",
-        "tv_max",
-        "tv_median",
-        "tv_sd",
-        "closed_gain_pct",
-        "sim_gain_mean_pct",
-        "sim_gain_ci95_pct",
-        "sim_expected_gain_pct",
-        "sim_expected_ci95_pct",
-        "signed_deviation_pct",
-    ]
+    # csv writes a float as its repr and None as an empty field
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for c in cells:
-            writer.writerow(
-                [
-                    c.config_id,
-                    c.block_limit,
-                    c.mode,
-                    c.runs,
-                    c.seed_first,
-                    c.seed_last,
-                    repr(c.tv_stats["mean"]),
-                    repr(c.tv_stats["min"]),
-                    repr(c.tv_stats["max"]),
-                    repr(c.tv_stats["median"]),
-                    repr(c.tv_stats["sd"]),
-                    "" if c.closed_gain_pct is None else repr(c.closed_gain_pct),
-                    "" if c.sim_gain_mean_pct is None else repr(c.sim_gain_mean_pct),
-                    "" if c.sim_gain_ci95_pct is None else repr(c.sim_gain_ci95_pct),
-                    "" if c.sim_expected_gain_pct is None else repr(c.sim_expected_gain_pct),
-                    "" if c.sim_expected_ci95_pct is None else repr(c.sim_expected_ci95_pct),
-                    "" if c.signed_deviation_pct is None else repr(c.signed_deviation_pct),
-                ]
-            )
+        writer.writerow(SUMMARY_HEADER)
+        writer.writerows(
+            [c.config_id, c.block_limit, c.mode, c.runs, c.seed_first, c.seed_last, *(c.tv_stats[k] for k in TV_STATS),
+             c.closed_gain_pct, c.sim_gain_mean_pct, c.sim_gain_ci95_pct, c.sim_expected_gain_pct,
+             c.sim_expected_ci95_pct, c.signed_deviation_pct]
+            for c in cells
+        )
 
 
 def write_configs_json(path, configs):

@@ -104,13 +104,19 @@ class SimResult:
         raise KeyError(miner_id)
 
 
+def resolve_workload(config: ScenarioConfig, workload: FittedWorkload | None = None) -> FittedWorkload:
+    """``workload`` if given, else the fitted-model file that ``config.workload`` names."""
+    if workload is not None:
+        return workload
+    if config.workload is None:
+        raise ValueError("workload: pass a fitted model or set the scenario's workload to a fitted-model file")
+    return FittedWorkload.load(config.workload)
+
+
 def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = None) -> SimResult:
     """One deterministic simulation run at config.base_seed."""
     config.validate()
-    if workload is None:
-        if config.workload is None:
-            raise ValueError("no workload: set config.workload to a fitted-model file")
-        workload = FittedWorkload.load(config.workload)
+    workload = resolve_workload(config, workload)
 
     root = np.random.SeedSequence(config.base_seed)
     mine_ss, tx_ss = root.spawn(2)

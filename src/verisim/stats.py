@@ -1,4 +1,4 @@
-"""Regression quality metrics and distribution distance."""
+"""Regression quality metrics."""
 
 import numpy as np
 
@@ -32,14 +32,3 @@ def regression_metrics(y_true, y_pred) -> dict:
         r2 = 1.0 - float(np.sum(err * err)) / ss_tot
     return {"mae": mae, "rmse": rmse, "r2": r2}
 
-
-def distribution_distance(original, sampled) -> dict:
-    """Two-sample Kolmogorov-Smirnov statistic: sup distance of empirical CDFs."""
-    a = np.sort(np.asarray(original, dtype=np.float64))
-    b = np.sort(np.asarray(sampled, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return {"ks_stat": float(np.max(np.abs(cdf_a - cdf_b)))}

@@ -9,6 +9,7 @@ Bernoulli draw.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,17 @@ MAX_BLOCK_LIMIT = 2**30
 DEFAULT_BLOCK_LIMIT = 8_000_000
 
 
+def check_block_limit(block_limit) -> int:
+    """The block limit as an int; anything but an integer in [MIN_TX_GAS, MAX_BLOCK_LIMIT] raises."""
+    if (
+        isinstance(block_limit, bool)
+        or not isinstance(block_limit, numbers.Integral)
+        or not MIN_TX_GAS <= block_limit <= MAX_BLOCK_LIMIT
+    ):
+        raise ValueError(f"block_limit must be an integer in [{MIN_TX_GAS}, {MAX_BLOCK_LIMIT}], got {block_limit!r}")
+    return int(block_limit)
+
+
 @dataclass(frozen=True)
 class FittedWorkload:
     gas_price_model: GmmModel
@@ -32,8 +44,7 @@ class FittedWorkload:
     seed: int = 0
 
     def __post_init__(self):
-        if self.block_limit < MIN_TX_GAS:
-            raise ValueError("block limit below the minimum transaction gas")
+        check_block_limit(self.block_limit)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -59,7 +70,7 @@ class FittedWorkload:
             gas_price_model=GmmModel.from_dict(d["gas_price_model"]),
             used_gas_model=GmmModel.from_dict(d["used_gas_model"]),
             cpu_time_model=ForestModel.from_dict(d["cpu_time_model"]),
-            block_limit=int(d["block_limit"]),
+            block_limit=d["block_limit"],
             seed=int(d["seed"]),
         )
 

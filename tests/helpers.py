@@ -71,3 +71,15 @@ def spearman(xs, ys) -> float:
     """Rank correlation: Pearson on average-tied ranks."""
     x, y = _as_pair(xs, ys)
     return pearson(_average_ranks(x), _average_ranks(y))
+
+
+def distribution_distance(original, sampled) -> dict:
+    """Two-sample Kolmogorov-Smirnov statistic: sup distance of empirical CDFs."""
+    a = np.sort(np.asarray(original, dtype=np.float64))
+    b = np.sort(np.asarray(sampled, dtype=np.float64))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("both samples must be non-empty")
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return {"ks_stat": float(np.max(np.abs(cdf_a - cdf_b)))}

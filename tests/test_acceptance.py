@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tests.helpers import distribution_distance
 from verisim.analytics import (
     VerificationParams,
     nonverifier_reward,
@@ -25,7 +26,7 @@ from verisim.forest import fit_forest, fit_rfr
 from verisim.gmm import _em_once, fit_gmm, sample_gmm_with
 from verisim.scenario import closed_form_gain, nonverifier_gain, run_many
 from verisim.sim import run_simulation
-from verisim.stats import distribution_distance, regression_metrics
+from verisim.stats import regression_metrics
 from verisim.workload import sample_transaction_arrays
 
 TEN_MINERS_ONE_SKIP = uniform_profile(10, nonverifier_alpha=0.1)

@@ -389,6 +389,38 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "error: scenarios:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block_limit", [100, 2**30 + 1])
+    def test_gen_data_rejects_block_limit(self, tmp_path, capsys, block_limit):
+        out = tmp_path / "txs.csv"
+        assert cli_main(["gen-data", "--n", "300", "--block-limit", str(block_limit), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: block_limit")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block_limit", [100, 2**30 + 1])
+    def test_fit_rejects_block_limit_before_fitting(self, tmp_path, capsys, monkeypatch, block_limit):
+        data = tmp_path / "txs.csv"
+        assert cli_main(["gen-data", "--n", "300", "--out", str(data)]) == 0
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_workload ran before the block limit was checked")
+
+        monkeypatch.setattr("verisim.workload.fit_workload", no_fit)
+        capsys.readouterr()
+        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), "--block-limit", str(block_limit)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: block_limit")
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_no_workload_anywhere(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: workload:")
+
+    def test_sweep_without_a_workload(self):
+        with pytest.raises(ValueError, match="^workload"):
+            run_sweep([small_config(runs=1)])
+
     def test_missing_file(self, capsys):
         assert cli_main(["fit", "--data", "/nonexistent.csv", "--out", "/tmp/x.json"]) == 2
         assert "error:" in capsys.readouterr().err

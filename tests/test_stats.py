@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from tests.helpers import pearson, spearman
-from verisim.stats import distribution_distance, regression_metrics
+from tests.helpers import distribution_distance, pearson, spearman
+from verisim.stats import regression_metrics
 
 
 class TestPearson:

@@ -1,10 +1,16 @@
-"""The benchmark's tracer wraps library functions by name.
+"""The benchmark reads the library by name.
 
-A refactor that renames or removes one of those functions would leave its
-per-layer metric silently at zero; this test makes it fail loudly instead.
+Its tracer wraps library functions by name: a refactor that renames or
+removes one of them would leave its per-layer metric silently at zero.  Its
+sweep workloads call ``run_sweep`` and read the report: a change to what they
+read would fail every benchmark run.  These tests make both fail loudly here.
 """
 
+import pytest
+
+from perfbench.run import measure
 from perfbench.tracer import Tracer
+from perfbench.workloads import TINY
 
 
 def test_every_traced_name_resolves():
@@ -13,3 +19,9 @@ def test_every_traced_name_resolves():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("name", ["sweep_128m_invalid", "sweep_8m_parallel", "sweep_8m_100miners"])
+def test_sweep_workload_runs_correctly(name, tmp_path):
+    run = measure(name, seed=1, seconds=0, trace=False, scale=TINY, out_dir=tmp_path)
+    assert run["result"]["correct"], run["info"]["failures"]

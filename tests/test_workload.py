@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from verisim.workload import MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
+from verisim.workload import MAX_BLOCK_LIMIT, MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
 
 
 def sample(workload, n, conflict_rate, seed, block_limit=None):
@@ -77,3 +79,13 @@ class TestPersistence:
         toy_wl.save(p1)
         toy_wl.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("block_limit", [100, MAX_BLOCK_LIMIT + 1, 8e6, "8000000"])
+    def test_bad_block_limit_in_a_model_file_rejected(self, toy_wl, tmp_path, block_limit):
+        path = tmp_path / "workload.json"
+        toy_wl.save(path)
+        payload = json.loads(path.read_text())
+        payload["block_limit"] = block_limit
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="^block_limit must"):
+            FittedWorkload.load(path)
