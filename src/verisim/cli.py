@@ -82,9 +82,9 @@ def cmd_analytic(args) -> int:
 
     from verisim.analytics import VerificationParams, reward_table, uniform_profile
     from verisim.blocks import measure_verification_times
-    from verisim.workload import FittedWorkload
+    from verisim.workload import FittedWorkload, check_block_limit
 
-    limits = _ints(args.limits)
+    limits = [check_block_limit(limit) for limit in _ints(args.limits)]
     if args.t_v:
         tvs = [float(x) for x in args.t_v.split(",")]
         if len(tvs) != len(limits):

@@ -148,7 +148,7 @@ def sample_transaction_arrays(
         raise ValueError("sample size must be >= 1")
     if not 0.0 <= conflict_rate <= 1.0:
         raise ValueError("conflict rate must lie in [0, 1]")
-    limit = workload.block_limit if block_limit is None else int(block_limit)
+    limit = workload.block_limit if block_limit is None else check_block_limit(block_limit)
     price = sample_gmm_with(workload.gas_price_model, n, rng)
     raw_gas = sample_gmm_with(workload.used_gas_model, n, rng)
     used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, limit).astype(np.int64)

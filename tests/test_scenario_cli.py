@@ -365,6 +365,8 @@ class TestCli:
             (["--t-v", "inf"], "t_v"),
             (["--t-v", "0.2", "--t-b", "nan"], "t_b"),
             (["--tv-blocks", "0"], "n_blocks"),
+            (["--limits", "100", "--t-v", "0.2"], "block_limit"),
+            (["--limits", "8000000,-5", "--t-v", "0.2,0.3"], "block_limit"),
         ],
     )
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):

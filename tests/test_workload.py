@@ -49,6 +49,8 @@ class TestSampleTransactions:
             sample(toy_wl, 0, 0.0, seed=0)
         with pytest.raises(ValueError):
             sample(toy_wl, 10, 1.5, seed=0)
+        with pytest.raises(ValueError, match="^block_limit must"):
+            sample(toy_wl, 10, 0.0, seed=0, block_limit=100)
 
     def test_cpu_times_follow_model(self, toy_wl):
         cols = sample(toy_wl, 500, conflict_rate=0.0, seed=9)
