@@ -11,12 +11,9 @@ from verisim.analytics import (
     PowerProfile,
     RewardRow,
     VerificationParams,
-    nonverifier_reward,
-    par_slowdown,
     reward_table,
-    seq_slowdown,
+    slowdown,
     uniform_profile,
-    verifier_reward,
 )
 from verisim.blocks import measure_verification_times
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners

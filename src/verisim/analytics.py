@@ -7,6 +7,7 @@ slowdown by the factor c + (1 - c) / p.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -32,14 +33,6 @@ class PowerProfile:
     def make(cls, entries) -> "PowerProfile":
         return cls(tuple(MinerPower(str(i), float(a), bool(v)) for i, a, v in entries))
 
-    @property
-    def alpha_verifying(self) -> float:
-        return sum(m.alpha for m in self.miners if m.verifies)
-
-    @property
-    def alpha_skipping(self) -> float:
-        return sum(m.alpha for m in self.miners if not m.verifies)
-
 
 @dataclass(frozen=True)
 class VerificationParams:
@@ -55,43 +48,16 @@ class VerificationParams:
         if not math.isfinite(self.t_b) or self.t_b <= 0:
             raise ValueError(f"t_b (the block interval) must be finite and positive, got {self.t_b!r}")
         if not 0.0 <= self.c <= 1.0:
-            raise ValueError("conflict rate must lie in [0, 1]")
-        if self.p < 1:
-            raise ValueError("processor count must be >= 1")
+            raise ValueError(f"c (the conflict rate) must lie in [0, 1], got {self.c!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral) or self.p < 1:
+            raise ValueError(f"p (the processor count) must be an integer >= 1, got {self.p!r}")
 
 
-def seq_slowdown(profile: PowerProfile, t_v: float) -> float:
-    """Expected mining slowdown per block under sequential verification."""
-    if t_v < 0:
-        raise ValueError("verification time must be non-negative")
-    return (1.0 - profile.alpha_verifying) * t_v
-
-
-def par_slowdown(profile: PowerProfile, params: VerificationParams) -> float:
-    """Slowdown under parallel verification: conflicting work stays sequential."""
-    factor = params.c + (1.0 - params.c) / params.p
-    return (1.0 - profile.alpha_verifying) * params.t_v * factor
-
-
-def verifier_reward(alpha_v: float, t_b: float, delta: float) -> float:
-    """Expected reward fraction of a verifier with power alpha_v; always <= alpha_v."""
-    if not 0.0 < alpha_v <= 1.0:
-        raise ValueError("alpha_v must lie in (0, 1]")
-    if delta < 0 or t_b <= 0:
-        raise ValueError("need delta >= 0 and t_b > 0")
-    return alpha_v * t_b / (t_b + delta)
-
-
-def nonverifier_reward(alpha_s: float, alpha_skip_total: float, alpha_verify_total: float, reward_verify_total: float) -> float:
-    """Expected reward fraction of a non-verifier: its power plus its share of the verifiers' loss."""
-    if alpha_skip_total <= 0:
-        raise ValueError("no non-verifying hash power: reward redistribution undefined")
-    if alpha_s > alpha_skip_total + 1e-12:
-        raise ValueError("alpha_s cannot exceed the non-verifying total")
-    if reward_verify_total > alpha_verify_total + 1e-12:
-        raise ValueError("verifier reward cannot exceed verifier power")
-    surplus = alpha_verify_total - reward_verify_total
-    return alpha_s + alpha_s * surplus / alpha_skip_total
+def slowdown(alpha_verifying: float, t_v: float, c: float = 0.0, p: int = 1) -> float:
+    """Expected mining slowdown per block: the non-verifying share of the
+    network's verification time, of which the conflicting part c stays
+    sequential on p processors.  p = 1 is sequential verification for any c."""
+    return (1.0 - alpha_verifying) * t_v * (c + (1.0 - c) / p)
 
 
 @dataclass(frozen=True)
@@ -103,38 +69,30 @@ class RewardRow:
     relative_gain_pct: float
 
 
-def reward_table(profile: PowerProfile, params: VerificationParams, mode: str = "sequential") -> list:
+def reward_table(lineup, params: VerificationParams, mode: str = "sequential") -> list:
     """Per-miner expected reward fractions and relative gains for one scenario.
 
-    A single network-wide slowdown (from the profile's total verifier power)
-    applies to every verifier.  Fractions sum to 1.
+    ``lineup`` is a ``PowerProfile`` or a ``ScenarioConfig``: only the ``id``,
+    ``alpha`` and ``verifies`` of its miners are read.  A single network-wide
+    slowdown (from the lineup's total verifier power) applies to every
+    verifier; the non-verifiers split the verifiers' loss by power.  Fractions
+    sum to 1.
     """
-    if mode == "sequential":
-        delta = seq_slowdown(profile, params.t_v)
-    elif mode == "parallel":
-        delta = par_slowdown(profile, params)
-    else:
+    if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    alpha_v_total = profile.alpha_verifying
-    alpha_s_total = profile.alpha_skipping
-    reward_v_total = alpha_v_total * params.t_b / (params.t_b + delta) if alpha_v_total > 0 else 0.0
+    alpha_v_total = sum(m.alpha for m in lineup.miners if m.verifies)
+    alpha_s_total = sum(m.alpha for m in lineup.miners if not m.verifies)
+    delta = slowdown(alpha_v_total, params.t_v, params.c, 1 if mode == "sequential" else params.p)
+    t_b = params.t_b
+    surplus = alpha_v_total - alpha_v_total * t_b / (t_b + delta)
 
     rows = []
-    for m in profile.miners:
+    for m in lineup.miners:
         if m.verifies:
-            frac = verifier_reward(m.alpha, params.t_b, delta)
+            frac = m.alpha * t_b / (t_b + delta)
         else:
-            frac = nonverifier_reward(m.alpha, alpha_s_total, alpha_v_total, reward_v_total)
-        rows.append(
-            RewardRow(
-                id=m.id,
-                alpha=m.alpha,
-                verifies=m.verifies,
-                expected_fraction=frac,
-                relative_gain_pct=100.0 * (frac - m.alpha) / m.alpha,
-            )
-        )
+            frac = m.alpha + m.alpha * surplus / alpha_s_total
+        rows.append(RewardRow(m.id, m.alpha, m.verifies, frac, 100.0 * (frac - m.alpha) / m.alpha))
     total = sum(r.expected_fraction for r in rows)
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"reward fractions must sum to 1, got {total}")

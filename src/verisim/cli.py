@@ -13,9 +13,9 @@ def _ints(text: str):
 def cmd_gen_data(args) -> int:
     from verisim.dataio import generate_synthetic_dataset, write_dataset
 
-    ds = generate_synthetic_dataset(args.n, args.partition, args.seed, args.block_limit)
+    ds = generate_synthetic_dataset(args.n, args.seed, args.block_limit)
     write_dataset(ds, args.out)
-    print(f"wrote {len(ds)} {args.partition} transactions to {args.out}")
+    print(f"wrote {len(ds)} transactions to {args.out}")
     return 0
 
 
@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a calibrated synthetic transaction CSV")
     g.add_argument("--n", type=int, default=100_000)
-    g.add_argument("--partition", choices=["execution", "creation"], default="execution")
     g.add_argument("--seed", type=int, default=42)
     g.add_argument("--block-limit", type=int, default=8_000_000)
     g.add_argument("--out", required=True)

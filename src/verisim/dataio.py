@@ -2,7 +2,7 @@
 
 CSV schema: header ``used_gas,gas_limit,gas_price,cpu_time_s``, one row per
 transaction, UTF-8, decimal point.  The synthetic generator stands in for the
-(unpublished) measured dataset; its parameters live in the profile constants
+(unpublished) measured dataset; its parameters live in the profile constant
 below so recalibration is a one-file change.
 """
 
@@ -19,7 +19,7 @@ CSV_HEADER = ["used_gas", "gas_limit", "gas_price", "cpu_time_s"]
 
 @dataclass(frozen=True)
 class SyntheticProfile:
-    """Generator parameters for one dataset partition.
+    """Generator parameters of the synthetic contract-execution dataset.
 
     ``gas_components`` are (weight, log-mean, log-sd) lognormal components of
     used gas.  CPU time follows a saturating power map of used gas,
@@ -37,7 +37,7 @@ class SyntheticProfile:
     price_log_sd: float
 
 
-# Execution-partition constants, tuned so that greedy 8M-gas blocks built from
+# Contract-execution constants, tuned so that greedy 8M-gas blocks built from
 # the *fitted* models average ~=0.23 s of sequential verification and the mean
 # grows slightly sublinearly with the block limit (the rare heavyweight
 # component is clipped at 8M in the dataset but not at larger limits).
@@ -55,26 +55,10 @@ EXECUTION_PROFILE = SyntheticProfile(
     price_log_sd=0.60,
 )
 
-# Contract deployments: fewer, larger, slower; not calibration-constrained.
-CREATION_PROFILE = SyntheticProfile(
-    gas_components=(
-        (0.55, 12.6115, 0.60),  # ln 300_000
-        (0.45, 13.9108, 0.55),  # ln 1_100_000
-    ),
-    cpu_scale=9.0e-3,
-    cpu_exponent=0.30,
-    cpu_ref_gas=1e5,
-    cpu_noise_sd=0.07,
-    price_log_mean=-17.7275,
-    price_log_sd=0.60,
-)
-
-PROFILES = {"execution": EXECUTION_PROFILE, "creation": CREATION_PROFILE}
-
 
 @dataclass
 class Dataset:
-    """Columnar dataset of contract transactions for one partition."""
+    """Columnar dataset of contract transactions."""
 
     used_gas: np.ndarray
     gas_limit: np.ndarray
@@ -153,7 +137,6 @@ def synthetic_cpu_map(profile: SyntheticProfile, used_gas) -> np.ndarray:
 
 def generate_synthetic_dataset(
     n: int,
-    partition: str = "execution",
     seed: int = 0,
     block_limit: int = DEFAULT_BLOCK_LIMIT,
 ) -> Dataset:
@@ -161,9 +144,7 @@ def generate_synthetic_dataset(
     check_block_limit(block_limit)
     if n < 100:
         raise ValueError("need n >= 100 for a meaningful dataset")
-    if partition not in PROFILES:
-        raise ValueError(f"unknown partition {partition!r}")
-    profile = PROFILES[partition]
+    profile = EXECUTION_PROFILE
     rng = np.random.default_rng(seed)
 
     weights = np.asarray([c[0] for c in profile.gas_components])

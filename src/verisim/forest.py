@@ -41,6 +41,7 @@ class RegressionTree:
     left: np.ndarray
     right: np.ndarray
     values: np.ndarray
+    _steps: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def predict_one(self, x: float) -> float:
         i = 0
@@ -49,7 +50,13 @@ class RegressionTree:
         return float(self.values[i])
 
     def as_step_function(self):
-        """(bounds, leaf_values): value j applies for bounds[j-1] < x <= bounds[j]."""
+        """(bounds, leaf_values): value j applies for bounds[j-1] < x <= bounds[j].
+
+        Built on the first call: loading a tree walks it once to check it, and
+        the forest's merge reuses that walk.
+        """
+        if self._steps is not None:
+            return self._steps
         bounds, leaf_values = [], []
         stack = [(0, False)]
         while stack:
@@ -64,7 +71,8 @@ class RegressionTree:
                 stack.append((self.right[i], False))
                 stack.append((i, True))
                 stack.append((self.left[i], False))
-        return np.asarray(bounds), np.asarray(leaf_values)
+        self._steps = (np.asarray(bounds), np.asarray(leaf_values))
+        return self._steps
 
     def to_dict(self) -> dict:
         return {
@@ -103,7 +111,20 @@ class RegressionTree:
                 f"left/right: node {i} has children ({left[i]}, {right[i]}); "
                 f"an internal node's children must both lie in ({i}, {n}); a leaf's are both -1"
             )
-        return cls(**arrays)
+        # one parent per node keeps the in-order walk linear: a chain of shared
+        # nodes would double it at every level
+        shared = np.flatnonzero(np.bincount(np.concatenate([left[internal], right[internal]]), minlength=n) > 1)
+        if shared.size:
+            raise ValueError(f"left/right: node {int(shared[0])} is the child of more than one node")
+        tree = cls(**arrays)
+        # predict_one and the merged step function agree only while the
+        # in-order thresholds never decrease; a grown tree's never do
+        bounds = tree.as_step_function()[0].tolist()
+        drop = next(((a, b) for a, b in zip(bounds, bounds[1:]) if b < a), None)
+        if drop:
+            a, b = drop
+            raise ValueError(f"thresholds: in-order split thresholds must be non-decreasing, got {a!r} before {b!r}")
+        return tree
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from verisim.analytics import PowerProfile, VerificationParams, reward_table
+from verisim.analytics import VerificationParams, reward_table
 from verisim.blocks import measure_verification_times, summary_stats
 from verisim.config import ScenarioConfig
 from verisim.sim import SimResult, resolve_workload, run_simulation
@@ -87,11 +87,8 @@ def closed_form_gain(config: ScenarioConfig, t_v: float) -> float | None:
     ``t_v`` is the mean *sequential* verification time in every mode.  The
     invalid producer counts as a verifier.
     """
-    profile = PowerProfile.make((m.id, m.alpha, m.verifies) for m in config.miners)
-    if profile.alpha_skipping <= 0.0:
-        return None
     params = VerificationParams(t_v=t_v, t_b=config.t_b, c=config.c, p=config.p)
-    return _gain_pct(reward_table(profile, params, mode=config.mode), "expected_fraction")
+    return _gain_pct(reward_table(config, params, mode=config.mode), "expected_fraction")
 
 
 def nonverifier_gain(result: SimResult, estimator: str = "fee") -> float | None:

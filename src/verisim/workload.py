@@ -45,6 +45,8 @@ class FittedWorkload:
 
     def __post_init__(self):
         check_block_limit(self.block_limit)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -71,7 +73,7 @@ class FittedWorkload:
             used_gas_model=GmmModel.from_dict(d["used_gas_model"]),
             cpu_time_model=ForestModel.from_dict(d["cpu_time_model"]),
             block_limit=d["block_limit"],
-            seed=int(d["seed"]),
+            seed=d["seed"],
         )
 
 
@@ -91,7 +93,7 @@ def fit_workload(
     gmm_subsample: int | None = None,
     block_limit: int = DEFAULT_BLOCK_LIMIT,
 ) -> FittedWorkload:
-    """Fit both mixtures and the CPU-time forest on one dataset partition.
+    """Fit both mixtures and the CPU-time forest on one transaction dataset.
 
     ``cv_subsample`` caps the number of rows used for the grid-search CV (the
     forest is grown on all rows at the winning hyperparameters);

@@ -11,15 +11,7 @@ import numpy as np
 import pytest
 
 from tests.helpers import distribution_distance
-from verisim.analytics import (
-    VerificationParams,
-    nonverifier_reward,
-    par_slowdown,
-    reward_table,
-    seq_slowdown,
-    uniform_profile,
-    verifier_reward,
-)
+from verisim.analytics import VerificationParams, reward_table, slowdown, uniform_profile
 from verisim.blocks import TxStream, measure_verification_times, verification_seconds
 from verisim.config import ScenarioConfig, standard_miners
 from verisim.forest import fit_forest, fit_rfr
@@ -30,20 +22,19 @@ from verisim.stats import regression_metrics
 from verisim.workload import sample_transaction_arrays
 
 TEN_MINERS_ONE_SKIP = uniform_profile(10, nonverifier_alpha=0.1)
+TEN_MINERS_ALPHA_V = sum(m.alpha for m in TEN_MINERS_ONE_SKIP.miners if m.verifies)
 
 
 def test_criterion_1_sequential_worked_example():
     """Sequential verification: slowdown 0.318, shares 0.877 / 0.122."""
-    delta = seq_slowdown(TEN_MINERS_ONE_SKIP, t_v=3.18)
+    delta = slowdown(TEN_MINERS_ALPHA_V, t_v=3.18)
     assert delta == pytest.approx(0.318, abs=1e-12)
 
-    t_b = 12.0
-    total_verifier = sum(
-        verifier_reward(m.alpha, t_b, delta) for m in TEN_MINERS_ONE_SKIP.miners if m.verifies
-    )
+    rows = reward_table(TEN_MINERS_ONE_SKIP, VerificationParams(t_v=3.18, t_b=12.0), mode="sequential")
+    total_verifier = sum(r.expected_fraction for r in rows if r.verifies)
     assert total_verifier == pytest.approx(0.877, abs=0.002)
 
-    skip = nonverifier_reward(0.1, 0.1, 0.9, total_verifier)
+    skip = [r for r in rows if not r.verifies][0].expected_fraction
     assert skip == pytest.approx(0.122, abs=0.002)
     print(f"\n[criterion 1] PASS: delta=0.318, verifiers {total_verifier:.4f}, non-verifier {skip:.4f}")
 
@@ -51,7 +42,7 @@ def test_criterion_1_sequential_worked_example():
 def test_criterion_2_parallel_worked_example():
     """Parallel verification with c=0.4, p=4: slowdown 0.1749, share 0.112."""
     params = VerificationParams(t_v=3.18, t_b=12.0, c=0.4, p=4)
-    delta = par_slowdown(TEN_MINERS_ONE_SKIP, params)
+    delta = slowdown(TEN_MINERS_ALPHA_V, params.t_v, params.c, params.p)
     assert delta == pytest.approx(0.1749, abs=1e-4)
 
     rows = reward_table(TEN_MINERS_ONE_SKIP, params, mode="parallel")

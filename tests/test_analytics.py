@@ -5,98 +5,104 @@ from hypothesis import strategies as st
 from verisim.analytics import (
     PowerProfile,
     VerificationParams,
-    nonverifier_reward,
-    par_slowdown,
     reward_table,
-    seq_slowdown,
+    slowdown,
     uniform_profile,
-    verifier_reward,
 )
 
 NINE_VERIFIERS_ONE_SKIP = uniform_profile(10, nonverifier_alpha=0.1)
 
 
+def alpha_verifying(profile):
+    return sum(m.alpha for m in profile.miners if m.verifies)
+
+
+def fractions(profile, t_v, t_b=12.0, verifies=None):
+    """Expected fractions of a sequential reward table, by miner id."""
+    rows = reward_table(profile, VerificationParams(t_v=t_v, t_b=t_b), "sequential")
+    return {r.id: r.expected_fraction for r in rows if verifies is None or r.verifies == verifies}
+
+
 class TestSeqSlowdown:
     def test_worked_example(self):
-        assert seq_slowdown(NINE_VERIFIERS_ONE_SKIP, 3.18) == pytest.approx(0.318, abs=1e-12)
+        assert slowdown(alpha_verifying(NINE_VERIFIERS_ONE_SKIP), 3.18) == pytest.approx(0.318, abs=1e-12)
 
     def test_zero_verification_time(self):
-        assert seq_slowdown(NINE_VERIFIERS_ONE_SKIP, 0.0) == 0.0
+        assert slowdown(alpha_verifying(NINE_VERIFIERS_ONE_SKIP), 0.0) == 0.0
 
     def test_all_verify_means_no_slowdown(self):
-        assert seq_slowdown(uniform_profile(5), 3.18) == pytest.approx(0.0, abs=1e-12)
+        assert slowdown(alpha_verifying(uniform_profile(5)), 3.18) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_nonverifier_burden(self):
         # with one non-verifier of power alpha, the network slowdown equals
         # the per-block verification burden (1 - alpha_V) * t_v
         profile = uniform_profile(4, nonverifier_alpha=0.3)
-        assert seq_slowdown(profile, 2.0) == pytest.approx(0.3 * 2.0, abs=1e-12)
+        assert slowdown(alpha_verifying(profile), 2.0) == pytest.approx(0.3 * 2.0, abs=1e-12)
+
+
+# one non-verifier of power 0.25: the slowdown is 0.25 t_v
+QUARTER_SKIP = PowerProfile.make([("v", 0.25, True), ("w", 0.1, True), ("x", 0.4, True), ("skip", 0.25, False)])
 
 
 class TestVerifierReward:
     def test_worked_example_total(self):
-        delta = seq_slowdown(NINE_VERIFIERS_ONE_SKIP, 3.18)
-        total = sum(
-            verifier_reward(m.alpha, 12.0, delta)
-            for m in NINE_VERIFIERS_ONE_SKIP.miners
-            if m.verifies
-        )
+        total = sum(fractions(NINE_VERIFIERS_ONE_SKIP, 3.18, verifies=True).values())
         assert total == pytest.approx(0.877, abs=0.002)
 
     def test_zero_delta_identity(self):
-        assert verifier_reward(0.25, 12.0, 0.0) == pytest.approx(0.25)
+        assert fractions(QUARTER_SKIP, 0.0)["v"] == pytest.approx(0.25)
 
     def test_large_interval_limit(self):
-        assert verifier_reward(0.25, 1e12, 0.3) == pytest.approx(0.25, abs=1e-9)
+        # slowdown 0.3 against a 1e12 s block interval
+        assert fractions(QUARTER_SKIP, 1.2, t_b=1e12)["v"] == pytest.approx(0.25, abs=1e-9)
 
     def test_never_exceeds_alpha(self):
-        assert verifier_reward(0.4, 12.0, 5.0) < 0.4
+        # slowdown 5 against a 12 s block interval
+        assert fractions(QUARTER_SKIP, 20.0)["x"] < 0.4
 
 
 class TestNonverifierReward:
     def test_worked_example(self):
-        delta = seq_slowdown(NINE_VERIFIERS_ONE_SKIP, 3.18)
-        reward_v = 0.9 * 12.0 / (12.0 + delta)
-        r_s = nonverifier_reward(0.1, 0.1, 0.9, reward_v)
+        r_s = fractions(NINE_VERIFIERS_ONE_SKIP, 3.18)["skip"]
         assert r_s == pytest.approx(0.122, abs=0.002)
 
     def test_no_verifier_loss_means_no_gain(self):
-        assert nonverifier_reward(0.1, 0.2, 0.8, 0.8) == pytest.approx(0.1)
+        profile = PowerProfile.make([("s1", 0.1, False), ("s2", 0.1, False), ("v", 0.8, True)])
+        assert fractions(profile, 0.0)["s1"] == pytest.approx(0.1)
 
     def test_two_nonverifiers_split_surplus_equally(self):
-        surplus = 0.9 - 0.88
-        each = nonverifier_reward(0.05, 0.1, 0.9, 0.88)
-        assert each - 0.05 == pytest.approx(surplus / 2, rel=1e-9)
-
-    def test_no_nonverifiers_is_an_error(self):
-        with pytest.raises(ValueError):
-            nonverifier_reward(0.1, 0.0, 1.0, 0.9)
+        verifiers = [(f"v{i}", 0.1, True) for i in range(9)]
+        profile = PowerProfile.make([("s1", 0.05, False), ("s2", 0.05, False), *verifiers])
+        frac = fractions(profile, 3.18)
+        surplus = 0.9 - sum(f for i, f in frac.items() if i.startswith("v"))
+        assert surplus > 0
+        for each in (frac["s1"], frac["s2"]):
+            assert each - 0.05 == pytest.approx(surplus / 2, rel=1e-9)
 
 
 class TestParSlowdown:
     def test_worked_example(self):
-        params = VerificationParams(t_v=3.18, t_b=12.0, c=0.4, p=4)
-        assert par_slowdown(NINE_VERIFIERS_ONE_SKIP, params) == pytest.approx(0.1749, abs=1e-4)
+        delta = slowdown(alpha_verifying(NINE_VERIFIERS_ONE_SKIP), 3.18, c=0.4, p=4)
+        assert delta == pytest.approx(0.1749, abs=1e-4)
 
-    def test_single_processor_equals_sequential(self):
-        for c in (0.0, 0.3, 1.0):
-            params = VerificationParams(t_v=2.5, t_b=12.0, c=c, p=1)
-            assert par_slowdown(NINE_VERIFIERS_ONE_SKIP, params) == pytest.approx(
-                seq_slowdown(NINE_VERIFIERS_ONE_SKIP, 2.5), abs=1e-12
-            )
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 100.0))
+    def test_single_processor_equals_sequential(self, c, alpha_v, t_v):
+        # c + (1 - c) / 1 is exactly 1.0: one processor is sequential, bit for bit
+        assert slowdown(alpha_v, t_v, c, 1) == slowdown(alpha_v, t_v)
+        parallel = reward_table(NINE_VERIFIERS_ONE_SKIP, VerificationParams(t_v=t_v, t_b=12.0, c=c, p=1), "parallel")
+        sequential = reward_table(NINE_VERIFIERS_ONE_SKIP, VerificationParams(t_v=t_v, t_b=12.0), "sequential")
+        assert parallel == sequential
 
     def test_full_conflict_equals_sequential(self):
+        alpha_v = alpha_verifying(NINE_VERIFIERS_ONE_SKIP)
         for p in (1, 4, 64):
-            params = VerificationParams(t_v=2.5, t_b=12.0, c=1.0, p=p)
-            assert par_slowdown(NINE_VERIFIERS_ONE_SKIP, params) == pytest.approx(
-                seq_slowdown(NINE_VERIFIERS_ONE_SKIP, 2.5), abs=1e-12
-            )
+            assert slowdown(alpha_v, 2.5, c=1.0, p=p) == pytest.approx(slowdown(alpha_v, 2.5), abs=1e-12)
 
     @given(st.floats(0.0, 1.0), st.integers(1, 128), st.floats(0.0, 10.0))
     def test_never_exceeds_sequential(self, c, p, t_v):
-        params = VerificationParams(t_v=t_v, t_b=12.0, c=c, p=p)
-        par = par_slowdown(NINE_VERIFIERS_ONE_SKIP, params)
-        seq = seq_slowdown(NINE_VERIFIERS_ONE_SKIP, t_v)
+        alpha_v = alpha_verifying(NINE_VERIFIERS_ONE_SKIP)
+        par = slowdown(alpha_v, t_v, c, p)
+        seq = slowdown(alpha_v, t_v)
         assert par <= seq + 1e-12
         if p > 1 and c < 1.0 and t_v > 1e-9:
             assert par < seq
@@ -164,5 +170,22 @@ class TestProfileValidation:
             PowerProfile.make([("a", 0.0, True), ("b", 1.0, True)])
 
     def test_verifier_power_split(self):
-        assert NINE_VERIFIERS_ONE_SKIP.alpha_verifying == pytest.approx(0.9)
-        assert NINE_VERIFIERS_ONE_SKIP.alpha_skipping == pytest.approx(0.1)
+        rows = reward_table(NINE_VERIFIERS_ONE_SKIP, VerificationParams(t_v=1.0, t_b=12.0))
+        assert sum(r.alpha for r in rows if r.verifies) == pytest.approx(0.9)
+        assert sum(r.alpha for r in rows if not r.verifies) == pytest.approx(0.1)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            (dict(c=1.5), r"^c \(the conflict rate\)"),
+            (dict(c=float("nan")), r"^c \(the conflict rate\)"),
+            (dict(p=0), r"^p \(the processor count\)"),
+            (dict(p=2.5), r"^p \(the processor count\)"),
+            (dict(p=True), r"^p \(the processor count\)"),
+        ],
+    )
+    def test_params_name_the_field(self, kw, error):
+        with pytest.raises(ValueError, match=error):
+            VerificationParams(t_v=1.0, t_b=12.0, **kw)

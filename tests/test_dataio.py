@@ -81,7 +81,7 @@ class TestLoadDataset:
 
 class TestRoundTrip:
     def test_write_then_load_is_exact(self, tmp_path):
-        ds = generate_synthetic_dataset(500, "execution", seed=1)
+        ds = generate_synthetic_dataset(500, seed=1)
         p = tmp_path / "ds.csv"
         write_dataset(ds, p)
         back = load_dataset(p)
@@ -93,21 +93,17 @@ class TestRoundTrip:
 
 class TestSyntheticGenerator:
     def test_deterministic(self):
-        a = generate_synthetic_dataset(300, "execution", seed=5)
-        b = generate_synthetic_dataset(300, "execution", seed=5)
+        a = generate_synthetic_dataset(300, seed=5)
+        b = generate_synthetic_dataset(300, seed=5)
         assert np.array_equal(a.used_gas, b.used_gas)
         assert np.array_equal(a.cpu_time, b.cpu_time)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            generate_synthetic_dataset(50, "execution", seed=0)
-
-    def test_unknown_partition(self):
-        with pytest.raises(ValueError):
-            generate_synthetic_dataset(200, "transfer", seed=0)
+            generate_synthetic_dataset(50, seed=0)
 
     def test_invariants_hold(self):
-        ds = generate_synthetic_dataset(5000, "execution", seed=2)
+        ds = generate_synthetic_dataset(5000, seed=2)
         assert np.all(ds.used_gas >= 21_000)
         assert np.all(ds.gas_limit >= ds.used_gas)
         assert np.all(ds.gas_limit <= 8_000_000)
@@ -115,17 +111,12 @@ class TestSyntheticGenerator:
         assert np.all(ds.cpu_time >= 0)
 
     def test_gas_price_independent_of_gas(self):
-        ds = generate_synthetic_dataset(100_000, "execution", seed=3)
+        ds = generate_synthetic_dataset(100_000, seed=3)
         assert abs(pearson(ds.gas_price, ds.used_gas)) < 0.05
 
     def test_cpu_gas_relation_is_nonlinear_monotone(self):
-        ds = generate_synthetic_dataset(100_000, "execution", seed=4)
+        ds = generate_synthetic_dataset(100_000, seed=4)
         pe = pearson(ds.used_gas, ds.cpu_time)
         sp = spearman(ds.used_gas, ds.cpu_time)
         assert pe < sp
         assert sp > 0.5
-
-    def test_creation_partition_differs(self):
-        ex = generate_synthetic_dataset(2000, "execution", seed=6)
-        cr = generate_synthetic_dataset(2000, "creation", seed=6)
-        assert cr.used_gas.mean() > ex.used_gas.mean()

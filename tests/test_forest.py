@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -175,6 +176,11 @@ class TestTreeStructure:
         for x in np.linspace(1e4, 8e6, 101):
             assert model.predict(x) == pytest.approx(tree.predict_one(x), rel=1e-12)
 
+    def test_replaced_tree_builds_its_own_step_function(self):
+        tree = chain_tree(np.asarray([1.0, 2.0]))
+        bumped = dataclasses.replace(tree, values=tree.values + 1.0)
+        assert np.array_equal(bumped.as_step_function()[1], tree.as_step_function()[1] + 1.0)
+
 
 def search_reference(model, x):
     """The prediction by binary search alone, which the integer table must reproduce."""
@@ -292,6 +298,28 @@ class TestModelFiles:
     def test_malformed_tree_rejected(self, change, field):
         with pytest.raises(ValueError, match=field):
             ForestModel.from_dict({"tree_count": 1, "split_budget": 1, "trees": [dict(self.SPLIT, **change)]})
+
+    def test_decreasing_thresholds_rejected(self):
+        # root splits at 5 and its left child at 8: x = 3 walks to the leaf
+        # worth 1.0, but the merged step function would read 3.0
+        tree = {"thresholds": [5.0, 8.0, 0.0, 0.0, 0.0], "left": [1, 3, -1, -1, -1], "right": [2, 4, -1, -1, -1],
+                "values": [0.0, 0.0, 3.0, 1.0, 2.0]}
+        with pytest.raises(ValueError, match=r"^thresholds: .*non-decreasing, got 8\.0 before 5\.0"):
+            ForestModel.from_dict({"tree_count": 1, "split_budget": 2, "trees": [tree]})
+
+    @pytest.mark.parametrize(
+        "tree, node",
+        [
+            # node 2 hangs under both the root and node 1
+            ({"thresholds": [4.0, 3.0, 5.0, 0.0, 0.0], "left": [1, 3, 3, -1, -1], "right": [2, 2, 4, -1, -1]}, 2),
+            # both children of every node are the next node: the walk would double 40 times
+            ({"thresholds": [1.0] * 41, "left": [*range(1, 41), -1], "right": [*range(1, 41), -1]}, 1),
+        ],
+    )
+    def test_shared_node_rejected(self, tree, node):
+        tree = dict(tree, values=[0.5] * len(tree["left"]))
+        with pytest.raises(ValueError, match=f"^left/right: node {node} is the child of more than one node"):
+            ForestModel.from_dict({"tree_count": 1, "split_budget": 2, "trees": [tree]})
 
     def test_cyclic_tree_in_a_model_file_rejected(self, toy_wl, tmp_path):
         path = tmp_path / "workload.json"

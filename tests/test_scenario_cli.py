@@ -367,6 +367,8 @@ class TestCli:
             (["--tv-blocks", "0"], "n_blocks"),
             (["--limits", "100", "--t-v", "0.2"], "block_limit"),
             (["--limits", "8000000,-5", "--t-v", "0.2,0.3"], "block_limit"),
+            (["--t-v", "0.2", "--conflict-rate", "1.5"], "c (the conflict rate)"),
+            (["--t-v", "0.2", "--processors", "0"], "p (the processor count)"),
         ],
     )
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):

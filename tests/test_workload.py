@@ -91,3 +91,13 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="^block_limit must"):
             FittedWorkload.load(path)
+
+    @pytest.mark.parametrize("seed", [7.9, "7", True, -3, None])
+    def test_bad_seed_in_a_model_file_rejected(self, toy_wl, tmp_path, seed):
+        path = tmp_path / "workload.json"
+        toy_wl.save(path)
+        payload = json.loads(path.read_text())
+        payload["seed"] = seed
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="^seed must"):
+            FittedWorkload.load(path)
