@@ -143,9 +143,9 @@ class ForestModel:
     tree_count: int
     split_budget: int
     trees: list
-    _bounds: np.ndarray = field(default=None, repr=False, compare=False)
-    _values: np.ndarray = field(default=None, repr=False, compare=False)
-    _table: np.ndarray = field(default=None, repr=False, compare=False)
+    _bounds: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _values: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def _ensure_merged(self):
         # the mean of step functions of one variable is itself a step function;

@@ -176,10 +176,14 @@ class TestTreeStructure:
         for x in np.linspace(1e4, 8e6, 101):
             assert model.predict(x) == pytest.approx(tree.predict_one(x), rel=1e-12)
 
-    def test_replaced_tree_builds_its_own_step_function(self):
+    def test_replaced_tree_or_forest_builds_its_own_step_function(self):
         tree = chain_tree(np.asarray([1.0, 2.0]))
         bumped = dataclasses.replace(tree, values=tree.values + 1.0)
         assert np.array_equal(bumped.as_step_function()[1], tree.as_step_function()[1] + 1.0)
+        model = ForestModel(1, 2, [tree])
+        x = np.asarray([0.5, 1.5, 2.5])
+        before = model.predict(x)
+        assert np.array_equal(dataclasses.replace(model, trees=[bumped]).predict(x), before + 1.0)
 
 
 def search_reference(model, x):
