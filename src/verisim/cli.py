@@ -22,8 +22,11 @@ def cmd_gen_data(args) -> int:
 def cmd_fit(args) -> int:
     from verisim.dataio import load_dataset
     from verisim.stats import regression_metrics
-    from verisim.workload import fit_workload
+    from verisim.workload import fit_cpu_time_model, fit_workload
 
+    # the mixtures are fitted after the split's forest: reject their K range first
+    if not 1 <= args.k_min <= args.k_max:
+        raise ValueError(f"need 1 <= --k-min <= --k-max, got {args.k_min} and {args.k_max}")
     ds = load_dataset(args.data, args.block_limit)
     n = len(ds)
     rng = np.random.default_rng(args.seed)
@@ -31,29 +34,34 @@ def cmd_fit(args) -> int:
     mask = np.zeros(n, dtype=bool)
     mask[test_idx] = True
 
-    def fit(rows, d_grid, s_grid):
-        return fit_workload(
-            ds.used_gas[rows],
-            ds.gas_price[rows],
-            ds.cpu_time[rows],
-            k_min=args.k_min,
-            k_max=args.k_max,
-            criterion=args.criterion,
-            d_grid=d_grid,
-            s_grid=s_grid,
-            folds=args.folds,
-            seed=args.seed,
-            cv_subsample=args.cv_subsample,
-            gmm_subsample=args.gmm_subsample,
-            block_limit=args.block_limit,
-        )
-
-    # the training split picks (d, s) and is scored on the held-out rows;
-    # the saved models are then fitted on all rows at that (d, s)
-    model = fit(~mask, _ints(args.d_grid), _ints(args.s_grid)).cpu_time_model
+    # the training split's forest picks (d, s) and is scored on the held-out
+    # rows; the saved models are then fitted on all rows at that (d, s)
+    model = fit_cpu_time_model(
+        ds.used_gas[~mask],
+        ds.cpu_time[~mask],
+        d_grid=_ints(args.d_grid),
+        s_grid=_ints(args.s_grid),
+        folds=args.folds,
+        seed=args.seed,
+        cv_subsample=args.cv_subsample,
+    )
     train = regression_metrics(ds.cpu_time[~mask], model.predict(ds.used_gas[~mask]))
     test = regression_metrics(ds.cpu_time[mask], model.predict(ds.used_gas[mask]))
-    final = fit(slice(None), [model.tree_count], [model.split_budget])
+    final = fit_workload(
+        ds.used_gas,
+        ds.gas_price,
+        ds.cpu_time,
+        k_min=args.k_min,
+        k_max=args.k_max,
+        criterion=args.criterion,
+        d_grid=[model.tree_count],
+        s_grid=[model.split_budget],
+        folds=args.folds,
+        seed=args.seed,
+        cv_subsample=args.cv_subsample,
+        gmm_subsample=args.gmm_subsample,
+        block_limit=args.block_limit,
+    )
     final.save(args.out)
 
     print(f"gas price mixture: K = {final.gas_price_model.k} (criterion {args.criterion})")

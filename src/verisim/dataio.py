@@ -166,7 +166,8 @@ def default_workload(n: int = 60_000, seed: int = 7):
     """Generate the calibrated synthetic execution dataset and fit it at desk scale.
 
     This is the reference recipe behind the shipped calibration targets:
-    mixtures searched up to K=6 (component count chosen on a 20k subsample,
+    mixtures searched up to K=6 (component count chosen by BIC on a 20k
+    subsample, the search stopping once BIC has risen on two K in a row, then
     refit on all rows) and a 100-tree forest with a 64-split budget.
     """
     from verisim.workload import fit_workload

@@ -96,6 +96,9 @@ class RegressionTree:
             arrays[name] = raw.astype(dtype)
             if not np.all(np.isfinite(arrays[name])):
                 raise ValueError(f"{name} must be finite")
+        # a value is a CPU time in seconds, as the dataset's cpu_time_s >= 0
+        if np.any(arrays["values"] < 0):
+            raise ValueError(f"values must be non-negative, got {float(arrays['values'].min())!r}")
         n = arrays["thresholds"].size
         if any(a.size != n for a in arrays.values()):
             sizes = [a.size for a in arrays.values()]

@@ -2,8 +2,10 @@
 
 A mixture of K univariate normals is fitted to ln(values) with
 expectation-maximisation; the component count is chosen by minimising an
-information criterion over a candidate range.  Sampling returns
-exp(normal draw), i.e. values on the original positive scale.
+information criterion (AIC or BIC, after Schwarz 1978) over a candidate range,
+searched upwards from the smallest K and stopped once the criterion has risen
+on two fitted K in a row.  Sampling returns exp(normal draw), i.e. values on
+the original positive scale.
 
 EM works component-major.  The E-step's log densities come from one
 (k, 3) x (3, n) product into a reused (k, n) buffer; the max, the shift, the
@@ -207,11 +209,20 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
     """Fit mixtures with K in [k_min, k_max] to ln(values); keep the best by criterion.
 
     The information criteria use 3K-1 free parameters per mixture:
-    AIC = 2(3K-1) - 2 logL, BIC = (3K-1) ln n - 2 logL.  Deterministic for a
-    given seed.  Raises on empty/non-positive input, on constant data, and
-    when every candidate collapses.  Logs a warning for each K with EM
-    restarts that stopped at the EM_MAX_ITER cap unconverged, and one when a
-    search (k_min < k_max) selects k_max.
+    AIC = 2(3K-1) - 2 logL, BIC = (3K-1) ln n - 2 logL.  K is searched
+    upwards from k_min, and the search stops early once the selected
+    criterion's score has risen on two consecutive fitted K (each above the
+    one before it); the best model seen so far is returned.  A K whose
+    restarts all collapse is skipped: it neither counts as a rise nor resets
+    the count.  Every K in the range is given its child seed up front, so a
+    fitted K has the same bits whether or not the search reaches past it.
+
+    Deterministic for a given seed.  Raises on empty/non-positive input, on
+    constant data, and when every candidate collapses.  Logs (logger
+    ``verisim.gmm``) each fitted K's criterion score and the K at which the
+    search stopped early at INFO, and at WARNING each K with EM restarts that
+    stopped at the EM_MAX_ITER cap unconverged, and a search (k_min < k_max)
+    that selects k_max.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -233,6 +244,8 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
     candidates = list(range(k_min, k_max + 1))
     best_model = None
     best_score = np.inf
+    prev_score = np.inf
+    rises = 0
     for k, child in zip(candidates, root.spawn(len(candidates))):
         fit, capped = _fit_k(x, k, child)
         if capped:
@@ -247,6 +260,9 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
         aic = 2.0 * params - 2.0 * log_l
         bic = params * np.log(n) - 2.0 * log_l
         score = bic if criterion == "bic" else aic
+        _log.info("K=%d: %s %.10g", k, criterion.upper(), score)
+        rises = rises + 1 if score > prev_score else 0
+        prev_score = score
         if score < best_score:
             best_score = score
             order = np.argsort(means)
@@ -260,6 +276,9 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
                 bic=float(bic),
                 n=n,
             )
+        if rises == 2 and k < k_max:
+            _log.info("stopped the K search at K=%d: %s rose on two K in a row", k, criterion.upper())
+            break
     if best_model is None:
         raise DegenerateDataError("every candidate mixture collapsed; data cannot be fitted")
     if k_min < k_max and best_model.k == k_max:

@@ -77,6 +77,41 @@ class FittedWorkload:
         )
 
 
+def _derived_seeds(seed: int) -> list:
+    """The five model seeds derived from one fit seed: gas price mixture,
+    used gas mixture, CV subsample pick, forest, mixture subsample pick."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(5)]
+
+
+def fit_cpu_time_model(
+    used_gas,
+    cpu_time,
+    *,
+    d_grid=None,
+    s_grid=None,
+    folds: int = 10,
+    seed: int = 0,
+    cv_subsample: int | None = None,
+) -> ForestModel:
+    """The CPU-time forest of :func:`fit_workload`, fitted alone with the same derived seeds.
+
+    The grid-search CV picks (d, s) on at most ``cv_subsample`` rows (None
+    uses every row); the forest is then grown on all rows at that cell.
+    """
+    used_gas = np.asarray(used_gas, dtype=np.float64)
+    cpu_time = np.asarray(cpu_time, dtype=np.float64)
+    d_grid = DEFAULT_D_GRID if d_grid is None else d_grid
+    s_grid = DEFAULT_S_GRID if s_grid is None else s_grid
+    _, _, cv_pick_seed, forest_seed, _ = _derived_seeds(seed)
+
+    cv_gas, cv_cpu = used_gas, cpu_time
+    if cv_subsample is not None and cv_subsample < used_gas.size:
+        pick = np.random.default_rng(cv_pick_seed).choice(used_gas.size, size=cv_subsample, replace=False)
+        cv_gas, cv_cpu = used_gas[pick], cpu_time[pick]
+    d, s = fit_rfr(cv_gas, cv_cpu, d_grid, s_grid, folds, seed=forest_seed)
+    return fit_forest(used_gas, cpu_time, d, s, seed=forest_seed)
+
+
 def fit_workload(
     used_gas,
     gas_price,
@@ -95,21 +130,14 @@ def fit_workload(
 ) -> FittedWorkload:
     """Fit both mixtures and the CPU-time forest on one transaction dataset.
 
-    ``cv_subsample`` caps the number of rows used for the grid-search CV (the
-    forest is grown on all rows at the winning hyperparameters);
-    ``gmm_subsample`` does the same for the mixture component-count search
-    (the winning K is refit on all rows).  None uses every row.
+    ``gmm_subsample`` caps the number of rows used for the mixture
+    component-count search (the winning K is refit on all rows); None uses
+    every row.  The forest is :func:`fit_cpu_time_model` with the same
+    ``d_grid``, ``s_grid``, ``folds``, ``seed`` and ``cv_subsample``.
     """
     used_gas = np.asarray(used_gas, dtype=np.float64)
     gas_price = np.asarray(gas_price, dtype=np.float64)
-    cpu_time = np.asarray(cpu_time, dtype=np.float64)
-    d_grid = DEFAULT_D_GRID if d_grid is None else d_grid
-    s_grid = DEFAULT_S_GRID if s_grid is None else s_grid
-
-    root = np.random.SeedSequence(seed)
-    price_seed, gas_seed, cv_pick_seed, forest_seed, gmm_pick_seed = [
-        int(s.generate_state(1)[0]) for s in root.spawn(5)
-    ]
+    price_seed, gas_seed, _, _, gmm_pick_seed = _derived_seeds(seed)
 
     def _fit_mixture(values, fit_seed):
         if gmm_subsample is not None and gmm_subsample < values.size:
@@ -120,14 +148,9 @@ def fit_workload(
 
     price_model = _fit_mixture(gas_price, price_seed)
     gas_model = _fit_mixture(used_gas, gas_seed)
-
-    cv_gas, cv_cpu = used_gas, cpu_time
-    if cv_subsample is not None and cv_subsample < used_gas.size:
-        pick = np.random.default_rng(cv_pick_seed).choice(used_gas.size, size=cv_subsample, replace=False)
-        cv_gas, cv_cpu = used_gas[pick], cpu_time[pick]
-    d, s = fit_rfr(cv_gas, cv_cpu, d_grid, s_grid, folds, seed=forest_seed)
-    cpu_model = fit_forest(used_gas, cpu_time, d, s, seed=forest_seed)
-
+    cpu_model = fit_cpu_time_model(
+        used_gas, cpu_time, d_grid=d_grid, s_grid=s_grid, folds=folds, seed=seed, cv_subsample=cv_subsample
+    )
     return FittedWorkload(
         gas_price_model=price_model,
         used_gas_model=gas_model,

@@ -297,6 +297,7 @@ class TestModelFiles:
             ({"values": [0.0, float("inf"), 0.3]}, "values"),
             ({"values": [0.0, 0.1]}, "equal lengths"),
             ({"thresholds": [], "left": [], "right": [], "values": []}, "thresholds"),
+            ({"values": [0.0, -0.245, 0.3]}, "values must be non-negative"),
         ],
     )
     def test_malformed_tree_rejected(self, change, field):

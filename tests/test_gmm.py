@@ -6,6 +6,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from verisim import gmm
 from verisim.dataio import generate_synthetic_dataset
 from verisim.gmm import (
     EM_MAX_ITER,
@@ -118,6 +119,62 @@ class TestFitDiagnostics:
         with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
             fit_gmm(two_component_sample(2000, seed=15), 2, 2, "bic", seed=16)
         assert caplog.records == []
+
+
+def canned_search(monkeypatch, scores, k_max=6):
+    """Run a BIC search over K = 1..k_max whose K-th fit scores ``scores[K - 1]``
+    (None: every restart collapses); returns the model and the K values fitted."""
+    values = np.exp(np.linspace(0.0, 1.0, 50))
+    fitted = []
+
+    def fake_fit_k(x, k, seed_seq):
+        fitted.append(k)
+        score = scores[k - 1]
+        if score is None:
+            return None, 0
+        log_l = ((3 * k - 1) * np.log(x.size) - score) / 2.0
+        return (log_l, np.full(k, 1.0 / k), np.arange(float(k)), np.ones(k)), 0
+
+    monkeypatch.setattr(gmm, "_fit_k", fake_fit_k)
+    return fit_gmm(values, 1, k_max, "bic", seed=0), fitted
+
+
+class TestSearchStop:
+    def test_two_rises_stop_the_search(self, monkeypatch, caplog):
+        with caplog.at_level(logging.INFO, logger="verisim.gmm"):
+            model, fitted = canned_search(monkeypatch, [10.0, 11.0, 12.0, 5.0, 4.0, 3.0])
+        assert fitted == [1, 2, 3]
+        assert model.k == 1 and model.bic == pytest.approx(10.0)
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["K=1: BIC 10", "K=2: BIC 11", "K=3: BIC 12",
+                            "stopped the K search at K=3: BIC rose on two K in a row"]
+
+    def test_a_new_minimum_after_one_rise_keeps_the_search_going(self, monkeypatch, caplog):
+        with caplog.at_level(logging.INFO, logger="verisim.gmm"):
+            model, fitted = canned_search(monkeypatch, [10.0, 11.0, 8.0, 9.0, 7.0, 12.0])
+        assert fitted == [1, 2, 3, 4, 5, 6]
+        assert model.k == 5 and model.bic == pytest.approx(7.0)
+        assert not any("stopped" in r.getMessage() for r in caplog.records)
+
+    def test_a_collapsed_k_neither_counts_nor_resets(self, monkeypatch):
+        # counted as a rise, K=3 would stop the search; as a reset, K=5 would win
+        model, fitted = canned_search(monkeypatch, [10.0, 11.0, None, 12.0, 5.0, 4.0])
+        assert fitted == [1, 2, 3, 4]
+        assert model.k == 1
+
+    def test_a_rise_at_the_top_of_the_range_is_not_an_early_stop(self, monkeypatch, caplog):
+        with caplog.at_level(logging.INFO, logger="verisim.gmm"):
+            model, fitted = canned_search(monkeypatch, [10.0, 11.0, 12.0], k_max=3)
+        assert fitted == [1, 2, 3] and model.k == 1
+        assert not any("stopped" in r.getMessage() for r in caplog.records)
+
+    def test_real_search_logs_each_score(self, caplog):
+        values = two_component_sample(2000, seed=15)
+        with caplog.at_level(logging.INFO, logger="verisim.gmm"):
+            model = fit_gmm(values, 1, 8, "aic", seed=16)
+        scores = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert scores[model.k - 1] == f"K={model.k}: AIC {model.aic:.10g}"
+        assert scores[-1].startswith("stopped the K search at K=")
 
 
 class TestComponentMajor:

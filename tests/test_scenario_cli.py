@@ -414,6 +414,38 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: block_limit")
 
+    @pytest.mark.parametrize("k_range", [["--k-min", "3", "--k-max", "2"], ["--k-min", "0"]])
+    def test_fit_rejects_k_range_before_fitting(self, tmp_path, capsys, monkeypatch, k_range):
+        data = tmp_path / "txs.csv"
+        assert cli_main(["gen-data", "--n", "300", "--out", str(data)]) == 0
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the forest was fitted before the K range was checked")
+
+        monkeypatch.setattr("verisim.workload.fit_rfr", no_fit)
+        capsys.readouterr()
+        assert cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), *k_range]) == 2
+        assert capsys.readouterr().err.startswith("error: need 1 <= --k-min <= --k-max")
+
+    def test_fit_runs_one_search_per_mixture(self, tmp_path, monkeypatch):
+        from verisim import workload
+
+        data = tmp_path / "txs.csv"
+        assert cli_main(["gen-data", "--n", "600", "--seed", "5", "--out", str(data)]) == 0
+        rows = []
+        real_fit_gmm = workload.fit_gmm
+
+        def counted(values, *args, **kwargs):
+            rows.append(len(values))
+            return real_fit_gmm(values, *args, **kwargs)
+
+        monkeypatch.setattr(workload, "fit_gmm", counted)
+        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), "--k-max", "3",
+                "--gmm-subsample", "300", "--d-grid", "5", "--s-grid", "4", "--folds", "2"]
+        assert cli_main(argv) == 0
+        # per mixture: the K search on the subsample, then the refit on all rows
+        assert rows == [300, 600, 300, 600]
+
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_no_workload_anywhere(self, tmp_path, capsys, command):
         cfg_path = tmp_path / "cfg.json"

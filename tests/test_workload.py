@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from verisim.workload import MAX_BLOCK_LIMIT, MIN_TX_GAS, FittedWorkload, sample_transaction_arrays
+from verisim.dataio import generate_synthetic_dataset
+from verisim.workload import (
+    MAX_BLOCK_LIMIT,
+    MIN_TX_GAS,
+    FittedWorkload,
+    fit_cpu_time_model,
+    fit_workload,
+    sample_transaction_arrays,
+)
 
 
 def sample(workload, n, conflict_rate, seed, block_limit=None):
@@ -56,6 +64,14 @@ class TestSampleTransactions:
         cols = sample(toy_wl, 500, conflict_rate=0.0, seed=9)
         for used_gas, cpu_time in zip(cols["used_gas"][:50], cols["cpu_time"][:50]):
             assert cpu_time == pytest.approx(float(toy_wl.cpu_time_model.predict(int(used_gas))), rel=1e-12)
+
+
+def test_cpu_time_model_is_the_workload_forest():
+    ds = generate_synthetic_dataset(800, seed=3)
+    recipe = dict(d_grid=[3, 5], s_grid=[4], folds=2, seed=9, cv_subsample=400)
+    forest = fit_cpu_time_model(ds.used_gas, ds.cpu_time, **recipe)
+    whole = fit_workload(ds.used_gas, ds.gas_price, ds.cpu_time, k_max=2, **recipe)
+    assert forest.to_dict() == whole.cpu_time_model.to_dict()
 
 
 class TestPersistence:
