@@ -6,9 +6,9 @@ to non-verifiers while the total stays 1.  Parallel verification shrinks the
 slowdown by the factor c + (1 - c) / p.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
+
+from verisim.fields import require_finite, require_integer, require_positive
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,10 @@ class VerificationParams:
     p: int = 1
 
     def __post_init__(self):
-        # NaN fails every comparison: test finiteness first
-        if not math.isfinite(self.t_v) or self.t_v < 0:
-            raise ValueError(f"t_v (the verification time) must be finite and non-negative, got {self.t_v!r}")
-        if not math.isfinite(self.t_b) or self.t_b <= 0:
-            raise ValueError(f"t_b (the block interval) must be finite and positive, got {self.t_b!r}")
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c (the conflict rate) must lie in [0, 1], got {self.c!r}")
-        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral) or self.p < 1:
-            raise ValueError(f"p (the processor count) must be an integer >= 1, got {self.p!r}")
+        require_finite("t_v (the verification time)", self.t_v, 0)
+        require_positive("t_b (the block interval)", self.t_b)
+        require_finite("c (the conflict rate)", self.c, 0, 1)
+        require_integer("p (the processor count)", self.p)
 
 
 def slowdown(alpha_verifying: float, t_v: float, c: float = 0.0, p: int = 1) -> float:

@@ -59,10 +59,6 @@ class TxStream:
         self._cols = None
         self._cursor = 0
 
-    @property
-    def block_limit(self) -> int:
-        return self._limit
-
     def _refill(self):
         fresh = sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit)
         if self._cols is not None and self._cursor < self._cols["used_gas"].size:

@@ -1,9 +1,8 @@
 """Scenario configuration: miner lineup and run parameters, strictly checked when read from JSON."""
 
-import math
-import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
+from verisim.fields import require_finite, require_integer, require_list, require_object, require_positive
 from verisim.workload import check_block_limit
 
 MODES = ("sequential", "parallel")
@@ -24,30 +23,13 @@ class MinerConfig:
         for name in ("verifies", "produces_invalid"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r} (miner {self.id})")
-        _require_finite(f"alpha (miner {self.id})", self.alpha)
+        require_finite(f"alpha (miner {self.id})", self.alpha)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"miner {self.id}: alpha must lie in (0, 1]")
         if self.processors is not None:
-            _require_integer(f"processors (miner {self.id})", self.processors)
+            require_integer(f"processors (miner {self.id})", self.processors)
         if self.produces_invalid and not self.verifies:
             raise ValueError(f"miner {self.id}: the invalid-block producer must verify")
-
-
-def _require_finite(name: str, value):
-    # NaN fails every comparison and inf never ends a run: test both explicitly
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def _require_positive_finite(name: str, value):
-    _require_finite(name, value)
-    if value <= 0:
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-
-
-def _require_integer(name: str, value, minimum: int = 1):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,19 +51,16 @@ class ScenarioConfig:
 
     def validate(self):
         check_block_limit(self.block_limit)
-        _require_positive_finite("t_b", self.t_b)
+        require_positive("t_b", self.t_b)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        _require_finite("c", self.c)
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c (the conflict rate) must lie in [0, 1], got {self.c!r}")
-        _require_integer("p", self.p)
-        _require_finite("invalid_rate", self.invalid_rate)
-        if not 0.0 <= self.invalid_rate < 0.5:
+        require_finite("c", self.c, 0, 1)
+        require_integer("p", self.p)
+        if not 0.0 <= require_finite("invalid_rate", self.invalid_rate) < 0.5:
             raise ValueError(f"invalid_rate must lie in [0, 0.5), got {self.invalid_rate!r}")
-        _require_positive_finite("sim_duration", self.sim_duration)
-        _require_integer("runs", self.runs)
-        _require_integer("base_seed", self.base_seed, 0)
+        require_positive("sim_duration", self.sim_duration)
+        require_integer("runs", self.runs)
+        require_integer("base_seed", self.base_seed, 0)
         if self.workload is not None and not isinstance(self.workload, str):
             raise ValueError(f"workload must be a file path or null, got {self.workload!r}")
         if not self.miners:
@@ -120,27 +99,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"a configuration must be an object, got {d!r}")
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-        if "block_limit" not in d or "miners" not in d:
-            raise ValueError("configuration requires 'block_limit' and 'miners'")
-        if not isinstance(d["miners"], list) or not all(isinstance(m, dict) for m in d["miners"]):
-            raise ValueError(f"miners must be a list of objects, got {d['miners']!r}")
-        miner_allowed = {f.name for f in fields(MinerConfig)}
-        miners = []
-        for m in d["miners"]:
-            bad = set(m) - miner_allowed
-            if bad:
-                raise ValueError(f"unknown miner keys: {sorted(bad)}")
-            if "id" not in m or "alpha" not in m:
-                raise ValueError(f"miners must each have an 'id' and an 'alpha', got keys {sorted(m)}")
-            miners.append(MinerConfig(**m))
-        rest = {k: v for k, v in d.items() if k != "miners"}
-        return cls(miners=tuple(miners), **rest)
+        d = require_object("configuration", d, cls)
+        miners = (MinerConfig(**require_object("miners", m, MinerConfig)) for m in require_list("miners", d["miners"]))
+        return cls(**{**d, "miners": tuple(miners)})
 
 
 def standard_miners(
@@ -149,7 +110,12 @@ def standard_miners(
     invalid_rate: float = 0.0,
 ) -> tuple:
     """The experiment lineup: optionally one non-verifier and one invalid
-    producer; the remaining (verifying) miners split the residual power equally."""
+    producer; the remaining (verifying) miners split the residual power equally.
+
+    The non-verifier counts towards n and the invalid producer (``punisher``)
+    comes on top of it: ``standard_miners(10, a_s, 0.04)`` has 11 miners, the
+    non-verifier and 9 verifiers besides the punisher.
+    """
     entries = []
     residual = 1.0
     remaining = n

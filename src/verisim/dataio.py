@@ -2,58 +2,40 @@
 
 CSV schema: header ``used_gas,gas_limit,gas_price,cpu_time_s``, one row per
 transaction, UTF-8, decimal point.  The synthetic generator stands in for the
-(unpublished) measured dataset; its parameters live in the profile constant
+(unpublished) measured dataset; its parameters live in the profile constants
 below so recalibration is a one-file change.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from verisim.fields import require_finite, require_positive
 from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS, check_block_limit
 
 CSV_HEADER = ["used_gas", "gas_limit", "gas_price", "cpu_time_s"]
 
-
-@dataclass(frozen=True)
-class SyntheticProfile:
-    """Generator parameters of the synthetic contract-execution dataset.
-
-    ``gas_components`` are (weight, log-mean, log-sd) lognormal components of
-    used gas.  CPU time follows a saturating power map of used gas,
-    cpu = scale * (gas / ref)^exponent, times multiplicative lognormal noise
-    (heteroscedastic: the noise sd scales with the level).  Gas price is an
-    independent lognormal.
-    """
-
-    gas_components: tuple
-    cpu_scale: float
-    cpu_exponent: float
-    cpu_ref_gas: float
-    cpu_noise_sd: float
-    price_log_mean: float
-    price_log_sd: float
-
-
-# Contract-execution constants, tuned so that greedy 8M-gas blocks built from
-# the *fitted* models average ~=0.23 s of sequential verification and the mean
+# The synthetic contract-execution profile.  Used gas is a mixture of
+# lognormal components, (weight, log-mean, log-sd) each.  CPU time follows a
+# saturating power map of used gas, CPU_SCALE * (gas / CPU_REF_GAS) **
+# CPU_EXPONENT, times multiplicative lognormal noise (heteroscedastic: the
+# noise sd scales with the level).  Gas price is an independent lognormal.
+# The constants are tuned so that greedy 8M-gas blocks built from the
+# *fitted* models average ~=0.23 s of sequential verification and the mean
 # grows slightly sublinearly with the block limit (the rare heavyweight
 # component is clipped at 8M in the dataset but not at larger limits).
-EXECUTION_PROFILE = SyntheticProfile(
-    gas_components=(
-        (0.715, 10.5966, 0.50),  # ln 40_000: typical calls
-        (0.273, 11.9184, 0.50),  # ln 150_000: heavier contract calls
-        (0.012, 15.6073, 0.80),  # ln 6_000_000: rare near-block-size calls
-    ),
-    cpu_scale=3.822e-3,
-    cpu_exponent=0.25,
-    cpu_ref_gas=1e5,
-    cpu_noise_sd=0.07,
-    price_log_mean=-17.7275,  # ln 2e-8 Ether per gas unit
-    price_log_sd=0.60,
+GAS_COMPONENTS = (
+    (0.715, 10.5966, 0.50),  # ln 40_000: typical calls
+    (0.273, 11.9184, 0.50),  # ln 150_000: heavier contract calls
+    (0.012, 15.6073, 0.80),  # ln 6_000_000: rare near-block-size calls
 )
+CPU_SCALE = 3.822e-3
+CPU_EXPONENT = 0.25
+CPU_REF_GAS = 1e5
+CPU_NOISE_SD = 0.07
+PRICE_LOG_MEAN = -17.7275  # ln 2e-8 Ether per gas unit
+PRICE_LOG_SD = 0.60
 
 
 @dataclass
@@ -76,11 +58,8 @@ def _validate_row(line_no: int, used_gas: int, gas_limit: int, gas_price: float,
         raise ValueError(f"line {line_no}: gas_limit ({gas_limit}) < used_gas ({used_gas})")
     if gas_limit > block_limit:
         raise ValueError(f"line {line_no}: gas_limit ({gas_limit}) exceeds block limit ({block_limit})")
-    # NaN passes every comparison below: check finiteness first
-    if not math.isfinite(gas_price) or gas_price <= 0:
-        raise ValueError(f"line {line_no}: gas_price must be positive and finite, got {gas_price}")
-    if not math.isfinite(cpu_time) or cpu_time < 0:
-        raise ValueError(f"line {line_no}: cpu_time_s must be non-negative and finite, got {cpu_time}")
+    require_positive(f"line {line_no}: gas_price", gas_price)
+    require_finite(f"line {line_no}: cpu_time_s", cpu_time, 0)
 
 
 def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
@@ -129,12 +108,6 @@ def write_dataset(dataset: Dataset, path):
         writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
-def synthetic_cpu_map(profile: SyntheticProfile, used_gas) -> np.ndarray:
-    """Noise-free expected CPU seconds for a given used gas."""
-    g = np.asarray(used_gas, dtype=np.float64)
-    return profile.cpu_scale * (g / profile.cpu_ref_gas) ** profile.cpu_exponent
-
-
 def generate_synthetic_dataset(
     n: int,
     seed: int = 0,
@@ -144,19 +117,16 @@ def generate_synthetic_dataset(
     check_block_limit(block_limit)
     if n < 100:
         raise ValueError("need n >= 100 for a meaningful dataset")
-    profile = EXECUTION_PROFILE
     rng = np.random.default_rng(seed)
 
-    weights = np.asarray([c[0] for c in profile.gas_components])
-    mus = np.asarray([c[1] for c in profile.gas_components])
-    sds = np.asarray([c[2] for c in profile.gas_components])
+    weights, mus, sds = np.asarray(GAS_COMPONENTS).T
     comps = rng.choice(weights.size, size=n, p=weights / weights.sum())
     raw_gas = np.exp(rng.normal(mus[comps], sds[comps]))
     used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, block_limit).astype(np.int64)
 
-    noise = np.exp(rng.normal(0.0, profile.cpu_noise_sd, size=n))
-    cpu_time = synthetic_cpu_map(profile, used_gas) * noise
-    gas_price = np.exp(rng.normal(profile.price_log_mean, profile.price_log_sd, size=n))
+    noise = np.exp(rng.normal(0.0, CPU_NOISE_SD, size=n))
+    cpu_time = CPU_SCALE * (used_gas / CPU_REF_GAS) ** CPU_EXPONENT * noise
+    gas_price = np.exp(rng.normal(PRICE_LOG_MEAN, PRICE_LOG_SD, size=n))
     gas_limit = rng.integers(used_gas, block_limit + 1, dtype=np.int64)
 
     return Dataset(used_gas=used_gas, gas_limit=gas_limit, gas_price=gas_price, cpu_time=cpu_time)

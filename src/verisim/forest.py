@@ -14,23 +14,14 @@ from itertools import product
 import numpy as np
 
 from verisim import kernels
+from verisim.fields import require_integer, require_list, require_object
+from verisim.stats import r2
 
 DEFAULT_D_GRID = (10, 50, 100, 200, 500)
 DEFAULT_S_GRID = (1, 10, 50, 150, 300)
 
 # integer used gas below this bound maps to its prediction step by table lookup
 TABLE_SIZE = 1 << 20
-
-
-def _fold_r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    # R^2 with the constant-target convention 0, extended to single-sample
-    # folds (leave-one-out) where the strict formula is undefined
-    if y_true.size < 2:
-        return 0.0
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 0.0
-    return 1.0 - float(np.sum((y_true - y_pred) ** 2)) / ss_tot
 
 
 @dataclass
@@ -84,15 +75,19 @@ class RegressionTree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
-        """Load a tree, rejecting any that could crash, loop or mispredict on use."""
+        """Load a tree from an object that has passed ``require_object``, rejecting any
+        that could crash, loop or mispredict on use."""
         arrays = {}
         columns = (("thresholds", np.float64), ("left", np.int64), ("right", np.int64), ("values", np.float64))
         for name, dtype in columns:
-            raw = np.asarray(d[name])
-            if raw.ndim != 1 or raw.size == 0:
-                raise ValueError(f"{name} must be a non-empty list, got shape {raw.shape}")
-            if dtype is np.int64 and raw.dtype.kind not in "iu":
-                raise ValueError(f"{name} must hold integer node indices, got dtype {raw.dtype}")
+            values = d[name]
+            # numpy would read a true as 1, and fail on ragged nesting without naming the field
+            if not isinstance(values, list) or not values or not set(map(type, values)) <= {int, float}:
+                raise ValueError(f"{name} must be a non-empty list of numbers")
+            raw = np.asarray(values)
+            if raw.dtype.kind not in ("iu" if dtype is np.int64 else "iuf"):
+                kind = "integer node indices" if dtype is np.int64 else "numbers"
+                raise ValueError(f"{name} must hold {kind}, got dtype {raw.dtype}")
             arrays[name] = raw.astype(dtype)
             if not np.all(np.isfinite(arrays[name])):
                 raise ValueError(f"{name} must be finite")
@@ -150,6 +145,12 @@ class ForestModel:
     _values: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        require_integer("tree_count", self.tree_count)
+        require_integer("split_budget", self.split_budget)
+        if self.tree_count != len(self.trees):
+            raise ValueError(f"tree_count must equal the number of trees, {len(self.trees)}, got {self.tree_count!r}")
+
     def _ensure_merged(self):
         # the mean of step functions of one variable is itself a step function;
         # merging once makes batch prediction a single searchsorted
@@ -199,11 +200,10 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForestModel":
-        return cls(
-            tree_count=int(d["tree_count"]),
-            split_budget=int(d["split_budget"]),
-            trees=[RegressionTree.from_dict(t) for t in d["trees"]],
-        )
+        """Load a forest from an object that has passed ``require_object``."""
+        trees = [RegressionTree.from_dict(require_object("trees", t, RegressionTree))
+                 for t in require_list("trees", d["trees"])]
+        return cls(**{**d, "trees": trees})
 
 
 def _weighted_mean(y, w, lo, hi):
@@ -326,7 +326,7 @@ def fit_rfr(xs, ys, d_grid=DEFAULT_D_GRID, s_grid=DEFAULT_S_GRID, folds: int = 1
             xt, yt = fold_train[f]
             model = _fit_forest_sorted(xt, yt, d, s, cell_ss[ci * folds + f])
             te = fold_idx[f]
-            scores.append(_fold_r2(y[te], model.predict(x[te])))
+            scores.append(r2(y[te], model.predict(x[te])))
         mean_r2 = float(np.mean(scores))
         if mean_r2 > best_score:
             best_score = mean_r2

@@ -17,10 +17,11 @@ ties to the lowest index as ``argmin`` does.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from verisim.fields import require_finite, require_integer, require_list, require_positive
 
 VARIANCE_FLOOR = 1e-8
 EM_TOL = 1e-6
@@ -50,22 +51,19 @@ class GmmModel:
     n: int
 
     def __post_init__(self):
-        # NaN passes every comparison below: check finiteness first
+        require_integer("k", self.k)
+        require_integer("n", self.n)
         for name in ("weights", "means", "variances"):
-            values = getattr(self, name)
-            if len(values) != self.k:
-                raise ValueError(f"{name} must have k={self.k} entries, got {len(values)}")
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be finite, got {values!r}")
+            if len(getattr(self, name)) != self.k:
+                raise ValueError(f"{name} must have k={self.k} entries, got {len(getattr(self, name))}")
+        for w, m, v in zip(self.weights, self.means, self.variances):
+            require_finite("weights", w, 0)
+            require_finite("means", m)
+            require_positive("variances", v)
         for name in ("log_likelihood", "aic", "bic"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            require_finite(name, getattr(self, name))
         if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("component weights must sum to 1")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("component weights must be non-negative")
-        if any(v <= 0 for v in self.variances):
-            raise ValueError("component variances must be positive")
+            raise ValueError(f"weights must sum to 1, got {sum(self.weights)!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -81,16 +79,8 @@ class GmmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GmmModel":
-        return cls(
-            k=int(d["k"]),
-            weights=tuple(float(w) for w in d["weights"]),
-            means=tuple(float(m) for m in d["means"]),
-            variances=tuple(float(v) for v in d["variances"]),
-            log_likelihood=float(d["log_likelihood"]),
-            aic=float(d["aic"]),
-            bic=float(d["bic"]),
-            n=int(d["n"]),
-        )
+        """Load a mixture from an object that has passed ``require_object``."""
+        return cls(**{**d, **{name: tuple(require_list(name, d[name])) for name in ("weights", "means", "variances")}})
 
 
 def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -15,20 +15,26 @@ def _as_pair(xs, ys, min_len: int = 2):
     return x, y
 
 
-def regression_metrics(y_true, y_pred) -> dict:
-    """MAE, RMSE and the coefficient of determination.
+def r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """The coefficient of determination of two float arrays.
 
-    R^2 is defined as 0 when the true values are constant (the strict formula
-    is undefined there).
+    Defined as 0 where the strict formula is undefined: for constant true
+    values and for fewer than 2 samples (a leave-one-out fold).
     """
+    if y_true.size < 2:
+        return 0.0
+    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    if ss_tot == 0.0:
+        return 0.0
+    err = y_true - y_pred
+    return 1.0 - float(np.sum(err * err)) / ss_tot
+
+
+def regression_metrics(y_true, y_pred) -> dict:
+    """MAE, RMSE and the coefficient of determination (:func:`r2`) of at least 2 samples."""
     yt, yp = _as_pair(y_true, y_pred)
     err = yt - yp
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err * err)))
-    ss_tot = float(np.sum((yt - yt.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 0.0
-    else:
-        r2 = 1.0 - float(np.sum(err * err)) / ss_tot
-    return {"mae": mae, "rmse": rmse, "r2": r2}
+    return {"mae": mae, "rmse": rmse, "r2": r2(yt, yp)}
 

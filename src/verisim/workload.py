@@ -9,11 +9,11 @@ Bernoulli draw.
 """
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from verisim.fields import require_integer, require_object
 from verisim.forest import DEFAULT_D_GRID, DEFAULT_S_GRID, ForestModel, fit_forest, fit_rfr
 from verisim.gmm import GmmModel, fit_gmm, sample_gmm_with
 
@@ -26,13 +26,7 @@ DEFAULT_BLOCK_LIMIT = 8_000_000
 
 def check_block_limit(block_limit) -> int:
     """The block limit as an int; anything but an integer in [MIN_TX_GAS, MAX_BLOCK_LIMIT] raises."""
-    if (
-        isinstance(block_limit, bool)
-        or not isinstance(block_limit, numbers.Integral)
-        or not MIN_TX_GAS <= block_limit <= MAX_BLOCK_LIMIT
-    ):
-        raise ValueError(f"block_limit must be an integer in [{MIN_TX_GAS}, {MAX_BLOCK_LIMIT}], got {block_limit!r}")
-    return int(block_limit)
+    return require_integer("block_limit", block_limit, MIN_TX_GAS, MAX_BLOCK_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -45,8 +39,7 @@ class FittedWorkload:
 
     def __post_init__(self):
         check_block_limit(self.block_limit)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        require_integer("seed", self.seed, 0)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -66,15 +59,13 @@ class FittedWorkload:
 
     @classmethod
     def load(cls, path) -> "FittedWorkload":
+        """Read a saved workload; every error names the field it rejects."""
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        return cls(
-            gas_price_model=GmmModel.from_dict(d["gas_price_model"]),
-            used_gas_model=GmmModel.from_dict(d["used_gas_model"]),
-            cpu_time_model=ForestModel.from_dict(d["cpu_time_model"]),
-            block_limit=d["block_limit"],
-            seed=d["seed"],
-        )
+            d = require_object("workload", json.load(fh), cls)
+        models = {name: GmmModel.from_dict(require_object(name, d[name], GmmModel))
+                  for name in ("gas_price_model", "used_gas_model")}
+        forest = ForestModel.from_dict(require_object("cpu_time_model", d["cpu_time_model"], ForestModel))
+        return cls(**{**d, **models, "cpu_time_model": forest})
 
 
 def _derived_seeds(seed: int) -> list:

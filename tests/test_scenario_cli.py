@@ -386,6 +386,22 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "0", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: n_blocks")
 
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_model_file_without_a_mixture_exits_2(self, toy_wl, tmp_path, capsys, command):
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        payload = json.loads(model.read_text())
+        del payload["used_gas_model"]
+        model.write_text(json.dumps(payload))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
+        argv = {
+            "analytic": ["analytic", "--model", str(model), "--limits", "8000000", "--tv-blocks", "5"],
+            "simulate": ["simulate", "--config", str(cfg_path), "--workload", str(model), "--out", str(tmp_path / "o")],
+        }[command]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: workload must have ['used_gas_model']")
+
     @pytest.mark.parametrize("scenarios", [5, "a", {"block_limit": 8_000_000}, [], [5]])
     def test_scenarios_not_a_list_of_objects(self, tmp_path, capsys, scenarios):
         cfg_path = tmp_path / "sweep.json"

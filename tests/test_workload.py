@@ -117,3 +117,63 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="^seed must"):
             FittedWorkload.load(path)
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            # a missing key, at each level
+            (("used_gas_model",), None, "workload"),
+            (("used_gas_model", "k"), None, "used_gas_model"),
+            (("cpu_time_model", "trees"), None, "cpu_time_model"),
+            (("cpu_time_model", "trees", 0, "left"), None, "trees"),
+            # an unknown key, at each level
+            (("format",), 1, "workload"),
+            (("gas_price_model", "sd"), [0.3], "gas_price_model"),
+            (("cpu_time_model", "depth"), 4, "cpu_time_model"),
+            (("cpu_time_model", "trees", 0, "parent"), [-1, 0, 0], "trees"),
+            # a list where an object belongs
+            ((), [], "workload"),
+            (("used_gas_model",), [], "used_gas_model"),
+            (("cpu_time_model",), [], "cpu_time_model"),
+            (("cpu_time_model", "trees", 0), [], "trees"),
+            # a number where a list belongs
+            (("used_gas_model", "weights"), 5, "weights"),
+            (("cpu_time_model", "trees"), 5, "trees"),
+            (("cpu_time_model", "trees", 0, "left"), 5, "left"),
+            # a true or a nested list inside a tree array
+            (("cpu_time_model", "trees", 0, "left"), [True, -1, -1], "left"),
+            (("cpu_time_model", "trees", 0, "values"), [0.0, [0.1], 0.3], "values"),
+            # integer fields
+            *(
+                ((model, name), value, name)
+                for model, name in [
+                    ("gas_price_model", "k"),
+                    ("used_gas_model", "n"),
+                    ("cpu_time_model", "tree_count"),
+                    ("cpu_time_model", "split_budget"),
+                ]
+                for value in (True, "7", 2.7)
+            ),
+            (("used_gas_model", "weights"), ["1.0"], "weights"),
+            (("cpu_time_model", "tree_count"), 2, "tree_count"),
+        ],
+    )
+    def test_malformed_model_file_names_the_field(self, toy_wl, tmp_path, path, value, field):
+        """``value`` None drops the key at ``path``; the empty path is the whole file."""
+        file = tmp_path / "workload.json"
+        toy_wl.save(file)
+        payload = json.loads(file.read_text())
+        if path:
+            *parents, last = path
+            target = payload
+            for key in parents:
+                target = target[key]
+            if value is None:
+                del target[last]
+            else:
+                target[last] = value
+        else:
+            payload = value
+        file.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{field} "):
+            FittedWorkload.load(file)
