@@ -48,20 +48,23 @@ class RegressionTree:
         """
         if self._steps is not None:
             return self._steps
+        # walk Python lists: indexing numpy arrays node by node costs twice as much
+        left, right = self.left.tolist(), self.right.tolist()
+        thresholds, values = self.thresholds.tolist(), self.values.tolist()
         bounds, leaf_values = [], []
         stack = [(0, False)]
         while stack:
             i, emit_threshold = stack.pop()
             if emit_threshold:
-                bounds.append(float(self.thresholds[i]))
+                bounds.append(thresholds[i])
                 continue
-            if self.left[i] < 0:
-                leaf_values.append(float(self.values[i]))
+            if left[i] < 0:
+                leaf_values.append(values[i])
             else:
                 # in-order: left subtree, this threshold, right subtree
-                stack.append((self.right[i], False))
+                stack.append((right[i], False))
                 stack.append((i, True))
-                stack.append((self.left[i], False))
+                stack.append((left[i], False))
         self._steps = (np.asarray(bounds), np.asarray(leaf_values))
         return self._steps
 

@@ -281,11 +281,17 @@ def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator) -> np.nda
 
     The draws, and the generator's state after them, are those of
     ``rng.choice(k, size=n, p=weights)`` then ``rng.normal(means[c], sds[c])``,
-    made without those calls' per-call overhead.
+    made without those calls' per-call overhead.  The component of a uniform
+    u is the number of CDF edges at or below it, counted edge by edge: the
+    ``searchsorted(cdf, u, side="right")`` of ``choice``, without its binary
+    search.
     """
     cdf = np.cumsum(model.weights)
     cdf /= cdf[-1]
-    comps = np.searchsorted(cdf, rng.random(n), side="right")
+    u = rng.random(n)
+    comps = np.zeros(n, dtype=np.intp)
+    for edge in cdf[:-1]:
+        comps += u >= edge
     means = np.asarray(model.means)
     sds = np.sqrt(np.asarray(model.variances))
     return np.exp(means[comps] + sds[comps] * rng.standard_normal(n))
