@@ -39,7 +39,9 @@ class TxStream:
 
     Equivalent to sampling transactions freshly per block (the stream is iid),
     but amortises the draws; cumulative sums make per-block packing a single
-    binary search.
+    binary search.  Each refill spawns fresh per-column streams from ``rng``
+    (see ``sample_transaction_arrays``), so ``rng`` must carry a
+    ``SeedSequence``.
     """
 
     def __init__(

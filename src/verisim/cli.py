@@ -78,8 +78,12 @@ def cmd_sample(args) -> int:
     from verisim.workload import FittedWorkload, sample_transaction_arrays
 
     wl = FittedWorkload.load(args.model)
-    cols = sample_transaction_arrays(wl, args.n, args.conflict_rate, np.random.default_rng(args.seed))
-    ds = Dataset(cols["used_gas"], cols["gas_limit"], cols["gas_price"], cols["cpu_time"])
+    rng = np.random.default_rng(args.seed)
+    cols = sample_transaction_arrays(wl, args.n, args.conflict_rate, rng)
+    # the dataset schema keeps a gas limit; nothing simulated reads it, so it
+    # is drawn here, uniform in [used gas, block limit], from rng's own stream
+    gas_limit = rng.integers(cols["used_gas"], wl.block_limit + 1, dtype=np.int64)
+    ds = Dataset(cols["used_gas"], gas_limit, cols["gas_price"], cols["cpu_time"])
     write_dataset(ds, args.out)
     print(f"sampled {args.n} transactions to {args.out}")
     return 0

@@ -279,13 +279,17 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
 def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n positive values: pick a component by weight, draw the normal, exponentiate.
 
-    The draws, and the generator's state after them, are those of
+    A one-component model draws no component: its values, and the
+    generator's state after them, are those of
+    ``np.exp(rng.normal(mean, sd, n))``.  For K > 1 they are those of
     ``rng.choice(k, size=n, p=weights)`` then ``rng.normal(means[c], sds[c])``,
     made without those calls' per-call overhead.  The component of a uniform
     u is the number of CDF edges at or below it, counted edge by edge: the
     ``searchsorted(cdf, u, side="right")`` of ``choice``, without its binary
     search.
     """
+    if model.k == 1:
+        return np.exp(model.means[0] + np.sqrt(model.variances[0]) * rng.standard_normal(n))
     cdf = np.cumsum(model.weights)
     cdf /= cdf[-1]
     u = rng.random(n)

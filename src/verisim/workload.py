@@ -3,9 +3,9 @@
 A workload bundles three fitted models: log-scale mixtures for gas price and
 used gas, and a regression forest mapping used gas to CPU seconds.  Sampling
 draws gas price and used gas from the mixtures, clamps used gas to
-[21000, block_limit], draws the gas limit uniformly between the used gas and
-the block limit, predicts CPU time from used gas, and flags conflicts by a
-Bernoulli draw.
+[21000, block_limit], predicts CPU time from used gas, and flags conflicts by
+a Bernoulli draw.  Each drawn column has its own random stream, spawned from
+the caller's generator, so one column's draws never shift another's.
 """
 
 import json
@@ -158,22 +158,27 @@ def sample_transaction_arrays(
     rng: np.random.Generator,
     block_limit: int | None = None,
 ) -> dict:
-    """Draw n synthetic transactions as columns: ``used_gas``, ``gas_limit``,
-    ``gas_price``, ``cpu_time`` and ``conflicting``, one array each."""
+    """Draw n synthetic transactions as columns: ``used_gas``, ``gas_price``,
+    ``cpu_time`` and ``conflicting``, one array each.
+
+    ``rng`` must carry a ``SeedSequence``, as ``np.random.default_rng`` does.
+    It is only spawned, never drawn from: its three children, in order, feed
+    the gas price, the used gas and the conflict flags.  At ``conflict_rate``
+    0 no flag is drawn.
+    """
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if not 0.0 <= conflict_rate <= 1.0:
         raise ValueError("conflict rate must lie in [0, 1]")
     limit = workload.block_limit if block_limit is None else check_block_limit(block_limit)
-    price = sample_gmm_with(workload.gas_price_model, n, rng)
-    raw_gas = sample_gmm_with(workload.used_gas_model, n, rng)
+    price_rng, gas_rng, conflict_rng = rng.spawn(3)
+    price = sample_gmm_with(workload.gas_price_model, n, price_rng)
+    raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng)
     used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, limit).astype(np.int64)
-    gas_limit = rng.integers(used_gas, limit + 1, dtype=np.int64)
     cpu = workload.cpu_time_model.predict(used_gas)
-    conflicting = rng.random(n) < conflict_rate
+    conflicting = conflict_rng.random(n) < conflict_rate if conflict_rate > 0 else np.zeros(n, dtype=bool)
     return {
         "used_gas": used_gas,
-        "gas_limit": gas_limit,
         "gas_price": price,
         "cpu_time": cpu,
         "conflicting": conflicting,

@@ -231,10 +231,16 @@ class TestSampleStream:
     @pytest.mark.parametrize("model", [K1, K6], ids=["k1", "k6"])
     @pytest.mark.parametrize("n", [1, 7, 65_536])
     def test_matches_choice_then_normal(self, model, n):
+        """K > 1 draws ``choice`` then ``normal``; K = 1 picks no component,
+        so it draws ``normal`` alone."""
         rng, ref = np.random.default_rng(123), np.random.default_rng(123)
         out = sample_gmm_with(model, n, rng)
-        comps = ref.choice(model.k, size=n, p=np.asarray(model.weights))
-        expected = np.exp(ref.normal(np.asarray(model.means)[comps], np.sqrt(np.asarray(model.variances))[comps]))
+        means, sds = np.asarray(model.means), np.sqrt(np.asarray(model.variances))
+        if model.k == 1:
+            expected = np.exp(ref.normal(means[0], sds[0], n))
+        else:
+            comps = ref.choice(model.k, size=n, p=np.asarray(model.weights))
+            expected = np.exp(ref.normal(means[comps], sds[comps]))
         assert np.array_equal(out, expected)
         assert rng.random() == ref.random()
 

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from verisim.dataio import generate_synthetic_dataset
+from verisim.cli import main as cli_main
+from verisim.dataio import generate_synthetic_dataset, load_dataset
+from verisim.gmm import GmmModel
 from verisim.workload import (
     MAX_BLOCK_LIMIT,
     MIN_TX_GAS,
@@ -18,6 +21,11 @@ def sample(workload, n, conflict_rate, seed, block_limit=None):
     return sample_transaction_arrays(workload, n, conflict_rate, np.random.default_rng(seed), block_limit)
 
 
+def lognormal(mean, variance=0.25):
+    return GmmModel(k=1, weights=(1.0,), means=(float(np.log(mean)),), variances=(variance,),
+                    log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+
+
 class TestSampleTransactions:
     def test_zero_conflict_rate(self, toy_wl):
         assert not sample(toy_wl, 200, conflict_rate=0.0, seed=1)["conflicting"].any()
@@ -29,14 +37,20 @@ class TestSampleTransactions:
         frac = sample(toy_wl, 10_000, conflict_rate=0.4, seed=3)["conflicting"].mean()
         assert 0.38 <= frac <= 0.42
 
-    def test_gas_limit_bounds(self, toy_wl):
-        cols = sample(toy_wl, 10_000, conflict_rate=0.4, seed=3)
-        assert np.all(cols["used_gas"] <= cols["gas_limit"])
-        assert np.all(cols["gas_limit"] <= 8_000_000)
-        assert np.all(cols["used_gas"] >= MIN_TX_GAS)
+    def test_gas_limit_bounds(self, toy_wl, tmp_path):
+        # the gas limit is drawn by `verisim sample` alone; its CSV must load
+        model, out = tmp_path / "toy.json", tmp_path / "sampled.csv"
+        toy_wl.save(model)
+        argv = ["sample", "--model", str(model), "--n", "10000", "--conflict-rate", "0.4", "--seed", "3"]
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        ds = load_dataset(out)
+        assert ds.used_gas.size == 10_000
+        assert np.all(ds.used_gas <= ds.gas_limit)
+        assert np.all(ds.gas_limit <= 8_000_000)
+        assert np.all(ds.used_gas >= MIN_TX_GAS)
+        assert np.any(ds.gas_limit > ds.used_gas)
 
     def test_record_invariants(self, toy_wl):
-        # with test_gas_limit_bounds: every row would pass dataio.load_dataset's checks
         cols = sample(toy_wl, 10_000, conflict_rate=0.4, seed=4)
         assert np.all(cols["gas_price"] > 0)
         assert np.all(cols["cpu_time"] >= 0)
@@ -48,9 +62,12 @@ class TestSampleTransactions:
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_block_limit_override(self, toy_wl):
-        gas_limit = sample(toy_wl, 5000, conflict_rate=0.0, seed=5, block_limit=64_000_000)["gas_limit"]
-        assert np.all(gas_limit <= 64_000_000)
-        assert np.any(gas_limit > 8_000_000)
+        # used gas around 2e7 only shows the override if the clamp moves with it
+        big = dataclasses.replace(toy_wl, used_gas_model=lognormal(2e7))
+        assert np.all(sample(big, 5000, conflict_rate=0.0, seed=5)["used_gas"] <= 8_000_000)
+        used_gas = sample(big, 5000, conflict_rate=0.0, seed=5, block_limit=64_000_000)["used_gas"]
+        assert np.all(used_gas <= 64_000_000)
+        assert np.any(used_gas > 8_000_000)
 
     def test_invalid_args(self, toy_wl):
         with pytest.raises(ValueError):
@@ -64,6 +81,34 @@ class TestSampleTransactions:
         cols = sample(toy_wl, 500, conflict_rate=0.0, seed=9)
         for used_gas, cpu_time in zip(cols["used_gas"][:50], cols["cpu_time"][:50]):
             assert cpu_time == pytest.approx(float(toy_wl.cpu_time_model.predict(int(used_gas))), rel=1e-12)
+
+
+class TestColumnStreams:
+    """Each column draws from its own stream, spawned from the caller's generator."""
+
+    def test_columns(self, toy_wl):
+        # the gas limit is no sampled column: `verisim sample` draws it
+        assert set(sample(toy_wl, 10, 0.3, seed=1)) == {"used_gas", "gas_price", "cpu_time", "conflicting"}
+
+    def test_used_gas_ignores_the_price_model(self, toy_wl):
+        two = GmmModel(k=2, weights=(0.4, 0.6), means=(-18.0, -17.0), variances=(0.1, 0.2),
+                       log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+        one = sample(toy_wl, 2000, 0.3, seed=6)
+        other = sample(dataclasses.replace(toy_wl, gas_price_model=two), 2000, 0.3, seed=6)
+        assert not np.array_equal(one["gas_price"], other["gas_price"])
+        for column in ("used_gas", "cpu_time", "conflicting"):
+            assert np.array_equal(one[column], other[column])
+
+    def test_conflict_rate_moves_only_the_flags(self, toy_wl):
+        none, some = sample(toy_wl, 2000, 0.0, seed=8), sample(toy_wl, 2000, 0.4, seed=8)
+        for column in ("used_gas", "gas_price", "cpu_time"):
+            assert np.array_equal(none[column], some[column])
+        assert some["conflicting"].any()
+
+    def test_root_generator_not_drawn_from(self, toy_wl):
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        sample_transaction_arrays(toy_wl, 100, 0.4, rng)
+        assert rng.random() == ref.random()
 
 
 def test_cpu_time_model_is_the_workload_forest():
