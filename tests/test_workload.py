@@ -41,8 +41,7 @@ class TestSampleTransactions:
         # the gas limit is drawn by `verisim sample` alone; its CSV must load
         model, out = tmp_path / "toy.json", tmp_path / "sampled.csv"
         toy_wl.save(model)
-        argv = ["sample", "--model", str(model), "--n", "10000", "--conflict-rate", "0.4", "--seed", "3"]
-        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert cli_main(["sample", "--model", str(model), "--n", "10000", "--seed", "3", "--out", str(out)]) == 0
         ds = load_dataset(out)
         assert ds.used_gas.size == 10_000
         assert np.all(ds.used_gas <= ds.gas_limit)
