@@ -60,6 +60,9 @@ RUNS = {
     ),
     # sequential verification runs on one processor: p and the override are ignored
     "seq_p4_override": _config(_override_processors(standard_miners(10, 0.1), "v0", 2), seed=29, p=4),
+    # one day: ~7,000 blocks, crossing about fifteen transaction refills and
+    # several thousand find-time draws
+    "day_10_miners": _config(standard_miners(10, 0.1), duration=86400.0, seed=30),
 }
 
 
