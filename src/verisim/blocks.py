@@ -6,6 +6,12 @@ transaction is discarded).  Sequential verification costs the sum of the
 transactions' CPU times; parallel verification schedules non-conflicting
 transactions across p processors (longest first, earliest-free processor)
 and runs conflicting ones sequentially afterwards.
+
+``TxStream`` packs on demand, a few blocks ahead of its caller: each block
+end is one binary search over cumulative gas, and a batch's totals are read
+off the cumulative sums in a few vectorised gathers, so the per-block path
+does no array work.  A block is a small dict that names its rows of the
+refill's columns; only a parallel verification time slices them.
 """
 
 import numpy as np
@@ -25,13 +31,22 @@ def _parallel_time(cpu: np.ndarray, conflicting: np.ndarray, p: int) -> float:
 def verification_seconds(packed: dict, p: int) -> float:
     """CPU seconds a verifier with p processors spends re-executing a packed block.
 
-    ``packed`` is a block from ``TxStream.next_block_txs``.  One processor
-    runs the transactions back to back, so p = 1 is exactly the sequential
-    time.
+    ``packed`` is a block from ``TxStream.next_block_txs``: its ``rows`` slice
+    of the columns ``cols``.  One processor runs the transactions back to
+    back, so p = 1 is exactly the sequential time.
     """
     if p == 1:
         return packed["seq_time"]
-    return _parallel_time(packed["slice"]["cpu_time"], packed["slice"]["conflicting"], p)
+    cols, rows = packed["cols"], packed["rows"]
+    return _parallel_time(cols["cpu_time"][rows], cols["conflicting"][rows], p)
+
+
+def _cumsum0(values: np.ndarray) -> np.ndarray:
+    """Cumulative sums with a leading 0: rows [a, b) total ``c[b] - c[a]``."""
+    out = np.empty(values.size + 1, dtype=values.dtype)
+    out[0] = 0
+    np.cumsum(values, out=out[1:])
+    return out
 
 
 class TxStream:
@@ -42,6 +57,18 @@ class TxStream:
     binary search.  Each refill spawns fresh per-column streams from ``rng``
     (see ``sample_transaction_arrays``), so ``rng`` must carry a
     ``SeedSequence``.
+
+    A refill happens exactly when fewer than ``max_block_txs`` rows remain
+    unread, and the unread tail is kept in front of the fresh rows.  The
+    refill point fixes where each cumulative sum starts, so it fixes the bits
+    of every ``total_fee`` and ``seq_time``: moving it, or summing the tail
+    and the fresh rows apart, would change them.
+
+    Blocks are packed on demand: when none is waiting, the stream packs
+    ``max(1, blocks handed out since the refill)`` more, never past the next
+    refill point.  The batches double, so a short stream packs at most about
+    twice the blocks it hands out, and how many blocks a caller takes never
+    changes the blocks it gets.
     """
 
     def __init__(
@@ -60,6 +87,8 @@ class TxStream:
         self._chunk = max(CHUNK_TXS, 4 * self._max_block_txs)
         self._cols = None
         self._cursor = 0
+        self._handed = 0  # blocks handed out since the last refill
+        self._packed = []  # packed blocks not yet handed out, last one first
 
     def _refill(self):
         fresh = sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit)
@@ -68,30 +97,51 @@ class TxStream:
         else:
             cols = fresh
         self._cursor = 0
+        self._handed = 0
         self._cols = cols
-        self._gas_csum = np.cumsum(cols["used_gas"])
-        self._fee_csum = np.cumsum(cols["used_gas"] * cols["gas_price"])
-        self._cpu_csum = np.cumsum(cols["cpu_time"])
+        self._gas_c = _cumsum0(cols["used_gas"])
+        self._fee_c = _cumsum0(cols["used_gas"] * cols["gas_price"])
+        self._cpu_c = _cumsum0(cols["cpu_time"])
 
-    def next_block_txs(self):
-        """Columns of the next greedily packed block (may be empty)."""
+    def _pack(self):
         if self._cols is None or self._cols["used_gas"].size - self._cursor < self._max_block_txs:
             self._refill()
-        base = self._gas_csum[self._cursor - 1] if self._cursor > 0 else 0
-        end = int(np.searchsorted(self._gas_csum, base + self._limit, side="right"))
-        start = self._cursor
-        # skip the first overflowing transaction: packing stops there
-        self._cursor = end + 1
-        gas = int((self._gas_csum[end - 1] - base) if end > start else 0)
-        fee_base = self._fee_csum[start - 1] if start > 0 else 0.0
-        cpu_base = self._cpu_csum[start - 1] if start > 0 else 0.0
-        return {
-            "slice": {k: v[start:end] for k, v in self._cols.items()},
-            "tx_count": end - start,
-            "gas_used_total": gas,
-            "total_fee": float(self._fee_csum[end - 1] - fee_base) if end > start else 0.0,
-            "seq_time": float(self._cpu_csum[end - 1] - cpu_base) if end > start else 0.0,
-        }
+        gas_c = self._gas_c
+        find = gas_c.searchsorted
+        # the last cursor from which a block can be packed before a refill
+        last = gas_c.size - 1 - self._max_block_txs
+        limit = self._limit
+        cursor = self._cursor
+        starts, ends = [], []
+        for _ in range(max(1, self._handed)):
+            end = int(find(gas_c[cursor] + limit, side="right")) - 1
+            starts.append(cursor)
+            ends.append(end)
+            # skip the first overflowing transaction: packing stops there
+            cursor = end + 1
+            if cursor > last:
+                break
+        self._cursor = cursor
+        self._handed += len(starts)
+        s, e = np.asarray(starts), np.asarray(ends)
+        gas = (gas_c.take(e) - gas_c.take(s)).tolist()
+        fee = (self._fee_c.take(e) - self._fee_c.take(s)).tolist()
+        seq = (self._cpu_c.take(e) - self._cpu_c.take(s)).tolist()
+        cols = self._cols
+        self._packed = [
+            {"tx_count": b - a, "gas_used_total": g, "total_fee": f, "seq_time": q, "rows": slice(a, b), "cols": cols}
+            for a, b, g, f, q in zip(starts, ends, gas, fee, seq)
+        ][::-1]
+
+    def next_block_txs(self) -> dict:
+        """The next greedily packed block (may be empty).
+
+        Keys: ``tx_count``, ``gas_used_total``, ``total_fee``, ``seq_time``,
+        and the block's ``rows`` (a slice) of the refill's columns ``cols``.
+        """
+        if not self._packed:
+            self._pack()
+        return self._packed.pop()
 
 
 def measure_verification_times(

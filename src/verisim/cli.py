@@ -79,7 +79,8 @@ def cmd_sample(args) -> int:
 
     wl = FittedWorkload.load(args.model)
     rng = np.random.default_rng(args.seed)
-    cols = sample_transaction_arrays(wl, args.n, args.conflict_rate, rng)
+    # the dataset CSV has no conflict column, so no flag is drawn
+    cols = sample_transaction_arrays(wl, args.n, 0.0, rng)
     # the dataset schema keeps a gas limit; nothing simulated reads it, so it
     # is drawn here, uniform in [used gas, block limit], from rng's own stream
     gas_limit = rng.integers(cols["used_gas"], wl.block_limit + 1, dtype=np.int64)
@@ -230,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="sample synthetic transactions from fitted models")
     s.add_argument("--model", required=True)
     s.add_argument("--n", type=int, default=10_000)
-    s.add_argument("--conflict-rate", type=float, default=0.0)
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)

@@ -33,6 +33,12 @@ mode), the finder and the non-verifiers pay 0.  Adding that vector to the
 pending finds defers them in place (the next-reaction method of Gibson and
 Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so a deferred
 find is still exactly exponential.
+
+The mining stream draws only find times: each miner's first wait, then one
+wait per block for its finder.  A wait is its miner's mean times a standard
+exponential, which is what ``exponential(scale)`` computes, bit for bit; the
+standard exponentials after the first waits are drawn ``FIND_DRAWS`` at a
+time and taken in order.
 """
 
 from dataclasses import dataclass
@@ -45,6 +51,8 @@ from verisim.config import ScenarioConfig
 from verisim.workload import FittedWorkload
 
 BLOCK_REWARD_ETHER = 2.0
+# standard exponentials drawn at once for the find times
+FIND_DRAWS = 1024
 
 
 class Head(NamedTuple):
@@ -136,12 +144,17 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     next_find = np.asarray([rng_mine.exponential(scale) for scale in scales])
     busy_until = np.zeros(n)
     busy_in_window = np.zeros(n)
+    # per-block buffers, rewritten in place
+    paid, start, inside = np.empty(n), np.empty(n), np.empty(n)
+    # standard exponentials for the find times, next one last (module docstring)
+    draws = []
+    argmin = next_find.argmin
 
     # per miner: blocks found, blocks of valid ancestry and their fees
     found, canon, fees = [0] * n, [0] * n, [0.0] * n
     v_head = s_head = GENESIS
     while True:
-        i = int(np.argmin(next_find))
+        i = int(argmin())
         t = float(next_find[i])
         if t > duration:
             break
@@ -161,19 +174,23 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # adopts its own block without re-executing it
         v_head = fork_choice(v_head, block, True)
         s_head = fork_choice(s_head, block, False)
-        next_find[i] = t + rng_mine.exponential(scales[i])
+        if not draws:
+            draws = rng_mine.standard_exponential(FIND_DRAWS).tolist()[::-1]
+        next_find[i] = t + scales[i] * draws.pop()
 
         # re-execution requires the parent's post-state: blocks extending
         # invalid ancestry are rejected without cost, while invalid blocks on
         # valid parents cost full verification before rejection
         if parent.valid_ancestry:
-            paid = costs[slot]
+            costs.take(slot, out=paid)
             paid[i] = 0.0
             # a miner that pays nothing stays idle: its pause adds 0 everywhere
-            start = np.maximum(busy_until, t)
+            np.maximum(busy_until, t, out=start)
             np.add(start, paid, out=busy_until)
             # only the part of the pause inside the window counts
-            busy_in_window += np.minimum(busy_until, duration) - np.minimum(start, duration)
+            np.minimum(busy_until, duration, out=inside)
+            inside -= np.minimum(start, duration, out=start)
+            busy_in_window += inside
             # mining is suspended while verifying: push the pending find back
             next_find += paid
 

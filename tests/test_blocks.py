@@ -12,7 +12,12 @@ def packed_with(cpu_times, conflicting=None):
     """A packed block as ``TxStream.next_block_txs`` returns it, with the columns verification reads."""
     cpu = np.asarray(cpu_times, dtype=np.float64)
     conf = np.zeros(cpu.size, dtype=bool) if conflicting is None else np.asarray(conflicting, dtype=bool)
-    return {"slice": {"cpu_time": cpu, "conflicting": conf}, "seq_time": float(cpu.sum())}
+    return {"cols": {"cpu_time": cpu, "conflicting": conf}, "rows": slice(0, cpu.size), "seq_time": float(cpu.sum())}
+
+
+def column(packed, name):
+    """One column's values over the block's rows."""
+    return packed["cols"][name][packed["rows"]]
 
 
 def first_block(workload, block_limit, seed):
@@ -37,11 +42,11 @@ class TestBuildBlock:
         b = first_block(toy_wl, 8_000_000, 7)
         assert a["tx_count"] == b["tx_count"]
         assert a["total_fee"] == b["total_fee"]
-        assert np.array_equal(a["slice"]["used_gas"], b["slice"]["used_gas"])
+        assert np.array_equal(column(a, "used_gas"), column(b, "used_gas"))
 
     def test_fee_is_gas_times_price(self, toy_wl):
         packed = first_block(toy_wl, 8_000_000, 3)
-        expected = float(np.sum(packed["slice"]["used_gas"] * packed["slice"]["gas_price"]))
+        expected = float(np.sum(column(packed, "used_gas") * column(packed, "gas_price")))
         assert packed["total_fee"] == pytest.approx(expected, rel=1e-12)
 
     def test_limit_below_min_tx_gas(self, toy_wl):
@@ -60,7 +65,8 @@ class TestTxStreamPacking:
         for _ in range(20):
             packed = stream.next_block_txs()
             assert packed["gas_used_total"] <= 400_000
-            assert packed["slice"]["used_gas"].sum() == packed["gas_used_total"]
+            assert column(packed, "used_gas").sum() == packed["gas_used_total"]
+            assert column(packed, "used_gas").size == packed["tx_count"]
 
     def test_first_overflow_stops_packing(self, toy_wl):
         stream = TxStream(toy_wl, 0.0, np.random.default_rng(0), 8_000_000)
@@ -69,6 +75,16 @@ class TestTxStreamPacking:
         # the discarded transaction would have pushed the first block past its limit
         assert packed["gas_used_total"] <= 8_000_000
         assert nxt["gas_used_total"] <= 8_000_000
+
+    @pytest.mark.parametrize("limit, n, ks", [(8_000_000, 1_000, (1, 2, 3, 200, 470, 999)), (21_000, 33_500, (1, 5, 33_000))])
+    def test_taking_fewer_blocks_never_changes_them(self, toy_wl, limit, n, ks):
+        # packing runs ahead of the caller in batches; a stream cut short
+        # must still hand out the same blocks, across a refill (about 465
+        # blocks per refill at 8M and 32,800 at 21000)
+        p = 4 if limit > 21_000 else 1
+        whole = measure_verification_times(toy_wl, limit, n, seed=5, p=p, conflict_rate=0.4)
+        for k in ks:
+            assert np.array_equal(measure_verification_times(toy_wl, limit, k, seed=5, p=p, conflict_rate=0.4), whole[:k])
 
     def test_limit_above_max_rejected(self, toy_wl):
         # a larger limit would size refills past MAX_BLOCK_LIMIT / 21000 * 4 transactions

@@ -223,6 +223,16 @@ class TestCli:
 
         assert len(load_dataset(out)) == 500
 
+    def test_sample_has_no_conflict_rate(self, toy_wl, tmp_path, capsys):
+        # the dataset CSV has no conflict column, so the flag could change nothing written
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        argv = ["sample", "--model", str(model), "--conflict-rate", "0.4", "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "--conflict-rate" in capsys.readouterr().err
+
     def test_analytic(self, cli_artifacts, tmp_path, capsys):
         _, _, model = cli_artifacts
         out = tmp_path / "rewards.csv"
