@@ -76,12 +76,13 @@ class TestTxStreamPacking:
         assert packed["gas_used_total"] <= 8_000_000
         assert nxt["gas_used_total"] <= 8_000_000
 
-    @pytest.mark.parametrize("limit, n, ks", [(8_000_000, 1_000, (1, 2, 3, 200, 470, 999)), (21_000, 33_500, (1, 5, 33_000))])
-    def test_taking_fewer_blocks_never_changes_them(self, toy_wl, limit, n, ks):
+    @pytest.mark.parametrize(
+        "limit, p, n, ks", [(8_000_000, 4, 1_000, (1, 2, 3, 200, 470, 999)), (21_000, 1, 33_500, (1, 5, 33_000))]
+    )
+    def test_taking_fewer_blocks_never_changes_them(self, toy_wl, limit, p, n, ks):
         # packing runs ahead of the caller in batches; a stream cut short
         # must still hand out the same blocks, across a refill (about 465
         # blocks per refill at 8M and 32,800 at 21000)
-        p = 4 if limit > 21_000 else 1
         whole = measure_verification_times(toy_wl, limit, n, seed=5, p=p, conflict_rate=0.4)
         for k in ks:
             assert np.array_equal(measure_verification_times(toy_wl, limit, k, seed=5, p=p, conflict_rate=0.4), whole[:k])
