@@ -96,11 +96,18 @@ def reward_table(lineup, params: VerificationParams, mode: str = "sequential") -
 
 def uniform_profile(n_miners: int, nonverifier_alpha: float | None = None) -> PowerProfile:
     """n equal miners; optionally one non-verifier with the given power, the
-    rest splitting the residual equally."""
-    if n_miners - (nonverifier_alpha is not None) < 1:
-        raise ValueError("no room left for verifying miners")
+    rest splitting the residual equally.
+
+    Errors name the ``analytic`` command's fields, ``miners`` and
+    ``nonverifier_alpha``.
+    """
     if nonverifier_alpha is None:
+        require_integer("miners", n_miners)
         return PowerProfile.make((f"m{i}", 1.0 / n_miners, True) for i in range(n_miners))
+    # the non-verifier takes one of the n places and must leave the verifiers some power
+    require_integer("miners (with a non-verifier)", n_miners, 2)
+    if not 0 < require_finite("nonverifier_alpha", nonverifier_alpha) < 1:
+        raise ValueError(f"nonverifier_alpha must lie in (0, 1), got {nonverifier_alpha!r}")
     residual = (1.0 - nonverifier_alpha) / (n_miners - 1)
     entries = [("skip", nonverifier_alpha, False)]
     entries += [(f"m{i}", residual, True) for i in range(1, n_miners)]

@@ -98,6 +98,7 @@ def cmd_analytic(args) -> int:
     from verisim.workload import FittedWorkload, check_block_limit
 
     limits = [check_block_limit(limit) for limit in _ints(args.limits)]
+    profile = uniform_profile(args.miners, args.nonverifier_alpha)  # before t_v is measured
     if args.t_v:
         tvs = [float(x) for x in args.t_v.split(",")]
         if len(tvs) != len(limits):
@@ -113,7 +114,6 @@ def cmd_analytic(args) -> int:
             for limit in limits
         ]
 
-    profile = uniform_profile(args.miners, args.nonverifier_alpha)
     rows_out = []
     for limit, tv in zip(limits, tvs):
         params = VerificationParams(t_v=tv, t_b=args.t_b, c=args.conflict_rate, p=args.processors)
@@ -178,11 +178,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from verisim.fields import require_finite
     from verisim.scenario import check_comparable, run_sweep, validate_sweep
     from verisim.workload import FittedWorkload
 
     configs = _load_scenarios(args.config, args.seed, args.runs)
-    check_comparable(configs)  # before any simulation runs
+    # both before any simulation runs
+    check_comparable(configs)
+    require_finite("tolerance", args.tolerance, 0)
     workload = FittedWorkload.load(args.workload) if args.workload else None
     report = run_sweep(configs, workload, tv_blocks=args.tv_blocks)
     failed = 0

@@ -6,6 +6,10 @@ from verisim.fields import require_finite, require_integer, require_list, requir
 from verisim.workload import check_block_limit
 
 MODES = ("sequential", "parallel")
+# Work caps, over 1000x the largest scenario in use (one day at t_b = 12.42 s,
+# about 6,957 blocks, and 20 runs): a typo must not ask for unbounded work.
+MAX_BLOCKS_PER_RUN = 10**7
+MAX_RUNS = 10**5
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,12 @@ class ScenarioConfig:
         if not 0.0 <= require_finite("invalid_rate", self.invalid_rate) < 0.5:
             raise ValueError(f"invalid_rate must lie in [0, 0.5), got {self.invalid_rate!r}")
         require_positive("sim_duration", self.sim_duration)
-        require_integer("runs", self.runs)
+        blocks = self.sim_duration / self.t_b
+        if blocks > MAX_BLOCKS_PER_RUN:
+            raise ValueError(
+                f"sim_duration must span at most {MAX_BLOCKS_PER_RUN} block intervals t_b, got {blocks:.4g}"
+            )
+        require_integer("runs", self.runs, 1, MAX_RUNS)
         require_integer("base_seed", self.base_seed, 0)
         if self.workload is not None and not isinstance(self.workload, str):
             raise ValueError(f"workload must be a file path or null, got {self.workload!r}")

@@ -1,41 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import verisim._fallback as fallback
 from verisim import kernels
-
-try:
-    from verisim import _native as native
-except ImportError:
-    native = None
-
-
-@pytest.mark.skipif(native is None, reason="compiled extension not built")
-class TestBackendAgreement:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(1e-9, 100.0), min_size=0, max_size=200), st.integers(1, 32))
-    def test_lpt_makespan_identical(self, times, p):
-        arr = np.asarray(times, dtype=np.float64)
-        assert native.lpt_makespan(arr, p) == fallback.lpt_makespan(arr, p)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(2, 400))
-    def test_best_split_identical(self, seed, n):
-        rng = np.random.default_rng(seed)
-        x = np.sort(rng.choice(np.linspace(0, 1, n // 2 + 1), size=n))  # force ties
-        y = np.sin(x * 7) + rng.normal(0, 0.2, n)
-        w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(np.float64)
-        lo = int(rng.integers(0, n))
-        hi = int(rng.integers(lo, n)) + 1
-        pos_n, gain_n = native.best_split(x, y, w, lo, hi)
-        pos_f, gain_f = fallback.best_split(x, y, w, lo, hi)
-        assert pos_n == pos_f
-        assert gain_n == pytest.approx(gain_f, rel=1e-9, abs=1e-12)
-
-    def test_selected_backend_is_native(self):
-        assert kernels.BACKEND == "native"
 
 
 class TestBestSplitSemantics:

@@ -321,6 +321,28 @@ class TestCli:
         assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid_rate:")
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
+    def test_validate_rejects_tolerance_before_simulating(self, tmp_path, capsys, monkeypatch, tolerance):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the tolerance was rejected")
+
+        monkeypatch.setattr(scenario, "run_sweep", sweep)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
+        assert cli_main(["validate", "--config", str(cfg_path), f"--tolerance={tolerance}"]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance")
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_unbounded_runs_rejected_before_simulating(self, tmp_path, capsys, monkeypatch, command):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the run count was rejected")
+
+        monkeypatch.setattr(scenario, "run_sweep", sweep)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
+        assert cli_main([command, "--config", str(cfg_path), "--runs", str(10**12), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: runs")
+
     def test_validate_failure_exit_code(self, cli_artifacts, tmp_path):
         _, _, model = cli_artifacts
         cfg = {
@@ -369,8 +391,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["--miners", "1", "--nonverifier-alpha", "0.1", "--t-v", "0.2"], "no room left for verifying miners"),
-            (["--nonverifier-alpha", "nan", "--t-v", "0.2"], "every hash-power fraction"),
+            (["--miners", "1", "--nonverifier-alpha", "0.1", "--t-v", "0.2"], "miners"),
+            (["--nonverifier-alpha", "nan", "--t-v", "0.2"], "nonverifier_alpha"),
             (["--t-v", "nan"], "t_v"),
             (["--t-v", "inf"], "t_v"),
             (["--t-v", "0.2", "--t-b", "nan"], "t_b"),
@@ -382,6 +404,25 @@ class TestCli:
         ],
     )
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        assert cli_main(["analytic", "--model", str(model), "--limits", "8000000", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--nonverifier-alpha", "1.5"], "nonverifier_alpha"),
+            (["--nonverifier-alpha", "0"], "nonverifier_alpha"),
+            (["--nonverifier-alpha", "nan"], "nonverifier_alpha"),
+            (["--miners", "1"], "miners"),
+        ],
+    )
+    def test_analytic_rejects_lineup_before_measuring_tv(self, toy_wl, tmp_path, capsys, monkeypatch, argv, error):
+        def measure(*args, **kwargs):
+            raise AssertionError("t_v was measured before the lineup was rejected")
+
+        monkeypatch.setattr("verisim.blocks.measure_verification_times", measure)
         model = tmp_path / "toy.json"
         toy_wl.save(model)
         assert cli_main(["analytic", "--model", str(model), "--limits", "8000000", *argv]) == 2

@@ -242,7 +242,7 @@ class TestScenarioValidation:
         + [("base_seed", 1.5), ("base_seed", "x"), ("base_seed", -1), ("base_seed", False)]
         + [("c", "0.4"), ("invalid_rate", None), ("workload", 5), ("miners", {"id": "solo"})]
         + [("miners", [{"id": "solo"}])]
-        + [("block_limit", MAX_BLOCK_LIMIT + 1)],
+        + [("block_limit", MAX_BLOCK_LIMIT + 1), ("runs", 10**12)],
     )
     def test_non_finite_or_non_integral_rejected(self, name, value, tmp_path):
         scenario = {"block_limit": 8_000_000, "miners": [{"id": "solo", "alpha": 1.0}], name: value}
@@ -253,6 +253,11 @@ class TestScenarioValidation:
         path.write_text(json.dumps(scenario))
         with pytest.raises(ValueError, match=f"^{name} must"):
             _load_scenarios(path)
+
+    def test_unbounded_blocks_per_run_rejected(self):
+        # each value is finite and positive, but the run would never end
+        with pytest.raises(ValueError, match="^sim_duration must"):
+            ScenarioConfig(block_limit=8_000_000, miners=standard_miners(10), t_b=1e-300, sim_duration=1e300)
 
     @pytest.mark.parametrize(
         "name, value",
