@@ -6,15 +6,7 @@ simulator of mining with sequential or parallel block verification and
 intentional invalid-block injection.
 """
 
-from verisim.analytics import (
-    MinerPower,
-    PowerProfile,
-    RewardRow,
-    VerificationParams,
-    reward_table,
-    slowdown,
-    uniform_profile,
-)
+from verisim.analytics import PowerProfile, RewardRow, VerificationParams, reward_table, slowdown
 from verisim.blocks import measure_verification_times
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
 from verisim.dataio import Dataset, generate_synthetic_dataset, load_dataset, write_dataset

@@ -8,30 +8,23 @@ slowdown by the factor c + (1 - c) / p.
 
 from dataclasses import dataclass
 
+from verisim.config import MinerConfig, check_lineup
 from verisim.fields import require_finite, require_integer, require_positive
 
 
 @dataclass(frozen=True)
-class MinerPower:
-    id: str
-    alpha: float
-    verifies: bool
-
-
-@dataclass(frozen=True)
 class PowerProfile:
+    """A lineup of ``MinerConfig``s, checked as a scenario's lineup is."""
+
     miners: tuple
 
     def __post_init__(self):
-        alphas = [m.alpha for m in self.miners]
-        if any(not 0 < a <= 1 for a in alphas):
-            raise ValueError("every hash-power fraction must lie in (0, 1]")
-        if abs(sum(alphas) - 1.0) > 1e-9:
-            raise ValueError(f"hash powers must sum to 1, got {sum(alphas)}")
+        check_lineup(self.miners)
 
     @classmethod
     def make(cls, entries) -> "PowerProfile":
-        return cls(tuple(MinerPower(str(i), float(a), bool(v)) for i, a, v in entries))
+        """A lineup from ``(id, alpha, verifies)`` triples."""
+        return cls(tuple(MinerConfig(str(i), float(a), bool(v)) for i, a, v in entries))
 
 
 @dataclass(frozen=True)
@@ -93,22 +86,3 @@ def reward_table(lineup, params: VerificationParams, mode: str = "sequential") -
         raise AssertionError(f"reward fractions must sum to 1, got {total}")
     return rows
 
-
-def uniform_profile(n_miners: int, nonverifier_alpha: float | None = None) -> PowerProfile:
-    """n equal miners; optionally one non-verifier with the given power, the
-    rest splitting the residual equally.
-
-    Errors name the ``analytic`` command's fields, ``miners`` and
-    ``nonverifier_alpha``.
-    """
-    if nonverifier_alpha is None:
-        require_integer("miners", n_miners)
-        return PowerProfile.make((f"m{i}", 1.0 / n_miners, True) for i in range(n_miners))
-    # the non-verifier takes one of the n places and must leave the verifiers some power
-    require_integer("miners (with a non-verifier)", n_miners, 2)
-    if not 0 < require_finite("nonverifier_alpha", nonverifier_alpha) < 1:
-        raise ValueError(f"nonverifier_alpha must lie in (0, 1), got {nonverifier_alpha!r}")
-    residual = (1.0 - nonverifier_alpha) / (n_miners - 1)
-    entries = [("skip", nonverifier_alpha, False)]
-    entries += [(f"m{i}", residual, True) for i in range(1, n_miners)]
-    return PowerProfile.make(entries)

@@ -6,8 +6,12 @@ import sys
 import numpy as np
 
 
-def _ints(text: str):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _numbers(flag: str, text: str, kind=int) -> list:
+    """A comma-separated flag value; an entry that does not parse names the flag."""
+    try:
+        return [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated {kind.__name__} values, got {text!r}") from None
 
 
 def cmd_gen_data(args) -> int:
@@ -21,12 +25,20 @@ def cmd_gen_data(args) -> int:
 
 def cmd_fit(args) -> int:
     from verisim.dataio import load_dataset
+    from verisim.fields import require_integer
     from verisim.stats import regression_metrics
     from verisim.workload import fit_cpu_time_model, fit_workload
 
-    # the mixtures are fitted after the split's forest: reject their K range first
+    # the mixtures are fitted after the split's forest: reject their flags first
     if not 1 <= args.k_min <= args.k_max:
         raise ValueError(f"need 1 <= --k-min <= --k-max, got {args.k_min} and {args.k_max}")
+    if require_integer("--gmm-subsample", args.gmm_subsample) < args.k_max:
+        raise ValueError(
+            f"--gmm-subsample must be at least --k-max ({args.k_max}), since the K search "
+            f"needs at least K rows, got {args.gmm_subsample}"
+        )
+    require_integer("--cv-subsample", args.cv_subsample)
+    d_grid, s_grid = _numbers("--d-grid", args.d_grid), _numbers("--s-grid", args.s_grid)
     ds = load_dataset(args.data, args.block_limit)
     n = len(ds)
     rng = np.random.default_rng(args.seed)
@@ -39,8 +51,8 @@ def cmd_fit(args) -> int:
     model = fit_cpu_time_model(
         ds.used_gas[~mask],
         ds.cpu_time[~mask],
-        d_grid=_ints(args.d_grid),
-        s_grid=_ints(args.s_grid),
+        d_grid=d_grid,
+        s_grid=s_grid,
         folds=args.folds,
         seed=args.seed,
         cv_subsample=args.cv_subsample,
@@ -54,11 +66,9 @@ def cmd_fit(args) -> int:
         k_min=args.k_min,
         k_max=args.k_max,
         criterion=args.criterion,
-        d_grid=[model.tree_count],
-        s_grid=[model.split_budget],
-        folds=args.folds,
+        tree_count=model.tree_count,
+        split_budget=model.split_budget,
         seed=args.seed,
-        cv_subsample=args.cv_subsample,
         gmm_subsample=args.gmm_subsample,
         block_limit=args.block_limit,
     )
@@ -93,21 +103,20 @@ def cmd_sample(args) -> int:
 def cmd_analytic(args) -> int:
     import csv
 
-    from verisim.analytics import VerificationParams, reward_table, uniform_profile
+    from verisim.analytics import PowerProfile, VerificationParams, reward_table
     from verisim.blocks import measure_verification_times
+    from verisim.config import standard_miners
     from verisim.workload import FittedWorkload, check_block_limit
 
-    limits = [check_block_limit(limit) for limit in _ints(args.limits)]
-    profile = uniform_profile(args.miners, args.nonverifier_alpha)  # before t_v is measured
+    limits = [check_block_limit(limit) for limit in _numbers("--limits", args.limits)]
+    profile = PowerProfile(standard_miners(args.miners, args.nonverifier_alpha))  # before t_v is measured
     if args.t_v:
-        tvs = [float(x) for x in args.t_v.split(",")]
+        tvs = _numbers("--t-v", args.t_v, float)
         if len(tvs) != len(limits):
-            print("--t-v needs one value per block limit", file=sys.stderr)
-            return 2
+            raise ValueError(f"--t-v needs one value per block limit, got {len(tvs)} for {len(limits)}")
     else:
         if not args.model:
-            print("need --model (to measure t_v) or explicit --t-v values", file=sys.stderr)
-            return 2
+            raise ValueError("need --model (to measure t_v) or explicit --t-v values")
         wl = FittedWorkload.load(args.model)
         tvs = [
             float(np.mean(measure_verification_times(wl, limit, args.tv_blocks, seed=args.seed)))

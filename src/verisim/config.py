@@ -36,6 +36,18 @@ class MinerConfig:
             raise ValueError(f"miner {self.id}: the invalid-block producer must verify")
 
 
+def check_lineup(miners) -> None:
+    """The rules of a whole lineup: at least one miner, hash powers summing to 1, unique ids."""
+    if not miners:
+        raise ValueError("miners must list at least one miner")
+    total = sum(m.alpha for m in miners)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"miners' hash powers must sum to 1, got {total}")
+    ids = [m.id for m in miners]
+    if len(set(ids)) != len(ids):
+        raise ValueError("miners must have unique ids")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     block_limit: int
@@ -72,14 +84,7 @@ class ScenarioConfig:
         require_integer("base_seed", self.base_seed, 0)
         if self.workload is not None and not isinstance(self.workload, str):
             raise ValueError(f"workload must be a file path or null, got {self.workload!r}")
-        if not self.miners:
-            raise ValueError("need at least one miner")
-        total = sum(m.alpha for m in self.miners)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"miner hash powers must sum to 1, got {total}")
-        ids = [m.id for m in self.miners]
-        if len(set(ids)) != len(ids):
-            raise ValueError("miner ids must be unique")
+        check_lineup(self.miners)
         invalid = [m for m in self.miners if m.produces_invalid]
         if self.invalid_rate > 0:
             if len(invalid) != 1:
@@ -123,20 +128,27 @@ def standard_miners(
 
     The non-verifier counts towards n and the invalid producer (``punisher``)
     comes on top of it: ``standard_miners(10, a_s, 0.04)`` has 11 miners, the
-    non-verifier and 9 verifiers besides the punisher.
+    non-verifier and 9 verifiers besides the punisher.  Errors name the
+    ``analytic`` command's fields, ``miners`` and ``nonverifier_alpha``.
     """
+    # the non-verifier takes one of the n places and must leave the verifiers one
+    remaining = require_integer("miners", n, 1 if nonverifier_alpha is None else 2)
     entries = []
     residual = 1.0
-    remaining = n
     if nonverifier_alpha is not None:
+        if not 0 < require_finite("nonverifier_alpha", nonverifier_alpha) < 1:
+            raise ValueError(f"nonverifier_alpha must lie in (0, 1), got {nonverifier_alpha!r}")
         entries.append(MinerConfig(id="skip", alpha=nonverifier_alpha, verifies=False))
         residual -= nonverifier_alpha
         remaining -= 1
-    if invalid_rate > 0.0:
+    if require_finite("invalid_rate", invalid_rate, 0.0) > 0.0:
         entries.append(MinerConfig(id="punisher", alpha=invalid_rate, verifies=True, produces_invalid=True))
         residual -= invalid_rate
-    if remaining < 1 or residual <= 0:
-        raise ValueError("no room left for verifying miners")
+    if residual <= 0:
+        raise ValueError(
+            f"nonverifier_alpha ({nonverifier_alpha!r}) and invalid_rate ({invalid_rate!r}) "
+            "must leave the verifying miners some power"
+        )
     share = residual / remaining
     entries += [MinerConfig(id=f"v{i}", alpha=share) for i in range(remaining)]
     return tuple(entries)

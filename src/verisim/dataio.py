@@ -149,10 +149,8 @@ def default_workload(n: int = 60_000, seed: int = 7):
         ds.cpu_time,
         k_min=1,
         k_max=6,
-        d_grid=[100],
-        s_grid=[64],
-        folds=5,
+        tree_count=100,
+        split_budget=64,
         seed=seed,
-        cv_subsample=8_000,
         gmm_subsample=20_000,
     )

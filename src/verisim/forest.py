@@ -17,9 +17,6 @@ from verisim import kernels
 from verisim.fields import require_integer, require_list, require_object
 from verisim.stats import r2
 
-DEFAULT_D_GRID = (10, 50, 100, 200, 500)
-DEFAULT_S_GRID = (1, 10, 50, 150, 300)
-
 # integer used gas below this bound maps to its prediction step by table lookup
 TABLE_SIZE = 1 << 20
 
@@ -282,7 +279,7 @@ def _fit_forest_sorted(x_sorted, y_sorted, tree_count, split_budget, seed_seq) -
     return ForestModel(tree_count=tree_count, split_budget=split_budget, trees=trees)
 
 
-def fit_rfr(xs, ys, d_grid=DEFAULT_D_GRID, s_grid=DEFAULT_S_GRID, folds: int = 10, seed: int = 0) -> tuple:
+def fit_rfr(xs, ys, d_grid, s_grid, folds: int = 10, seed: int = 0) -> tuple:
     """Grid search over (tree count, split budget) with K-fold CV.
 
     Returns the winning ``(tree_count, split_budget)``; grow the forest with

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from verisim.fields import require_integer, require_object
-from verisim.forest import DEFAULT_D_GRID, DEFAULT_S_GRID, ForestModel, fit_forest, fit_rfr
+from verisim.forest import ForestModel, fit_forest, fit_rfr
 from verisim.gmm import GmmModel, fit_gmm, sample_gmm_with
 
 MIN_TX_GAS = 21_000
@@ -78,21 +78,21 @@ def fit_cpu_time_model(
     used_gas,
     cpu_time,
     *,
-    d_grid=None,
-    s_grid=None,
+    d_grid,
+    s_grid,
     folds: int = 10,
     seed: int = 0,
     cv_subsample: int | None = None,
 ) -> ForestModel:
-    """The CPU-time forest of :func:`fit_workload`, fitted alone with the same derived seeds.
+    """The CPU-time forest at the grid cell that K-fold CV picks.
 
     The grid-search CV picks (d, s) on at most ``cv_subsample`` rows (None
-    uses every row); the forest is then grown on all rows at that cell.
+    uses every row); the forest is then grown on all rows at that cell with
+    the forest seed of :func:`fit_workload`, so ``fit_workload`` at the
+    picked (d, s) and the same ``seed`` grows the same forest.
     """
     used_gas = np.asarray(used_gas, dtype=np.float64)
     cpu_time = np.asarray(cpu_time, dtype=np.float64)
-    d_grid = DEFAULT_D_GRID if d_grid is None else d_grid
-    s_grid = DEFAULT_S_GRID if s_grid is None else s_grid
     _, _, cv_pick_seed, forest_seed, _ = _derived_seeds(seed)
 
     cv_gas, cv_cpu = used_gas, cpu_time
@@ -111,24 +111,22 @@ def fit_workload(
     k_min: int = 1,
     k_max: int = 8,
     criterion: str = "bic",
-    d_grid=None,
-    s_grid=None,
-    folds: int = 10,
+    tree_count: int,
+    split_budget: int,
     seed: int = 0,
-    cv_subsample: int | None = None,
     gmm_subsample: int | None = None,
     block_limit: int = DEFAULT_BLOCK_LIMIT,
 ) -> FittedWorkload:
-    """Fit both mixtures and the CPU-time forest on one transaction dataset.
+    """Fit both mixtures on one transaction dataset and grow its CPU-time
+    forest at (``tree_count``, ``split_budget``).
 
     ``gmm_subsample`` caps the number of rows used for the mixture
     component-count search (the winning K is refit on all rows); None uses
-    every row.  The forest is :func:`fit_cpu_time_model` with the same
-    ``d_grid``, ``s_grid``, ``folds``, ``seed`` and ``cv_subsample``.
+    every row.  :func:`fit_cpu_time_model` picks the forest's cell by CV.
     """
     used_gas = np.asarray(used_gas, dtype=np.float64)
     gas_price = np.asarray(gas_price, dtype=np.float64)
-    price_seed, gas_seed, _, _, gmm_pick_seed = _derived_seeds(seed)
+    price_seed, gas_seed, _, forest_seed, gmm_pick_seed = _derived_seeds(seed)
 
     def _fit_mixture(values, fit_seed):
         if gmm_subsample is not None and gmm_subsample < values.size:
@@ -139,9 +137,7 @@ def fit_workload(
 
     price_model = _fit_mixture(gas_price, price_seed)
     gas_model = _fit_mixture(used_gas, gas_seed)
-    cpu_model = fit_cpu_time_model(
-        used_gas, cpu_time, d_grid=d_grid, s_grid=s_grid, folds=folds, seed=seed, cv_subsample=cv_subsample
-    )
+    cpu_model = fit_forest(used_gas, cpu_time, tree_count, split_budget, seed=forest_seed)
     return FittedWorkload(
         gas_price_model=price_model,
         used_gas_model=gas_model,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tests.helpers import distribution_distance
-from verisim.analytics import VerificationParams, reward_table, slowdown, uniform_profile
+from verisim.analytics import PowerProfile, VerificationParams, reward_table, slowdown
 from verisim.blocks import TxStream, measure_verification_times, verification_seconds
 from verisim.config import ScenarioConfig, standard_miners
 from verisim.forest import fit_forest, fit_rfr
@@ -21,7 +21,7 @@ from verisim.sim import run_simulation
 from verisim.stats import regression_metrics
 from verisim.workload import sample_transaction_arrays
 
-TEN_MINERS_ONE_SKIP = uniform_profile(10, nonverifier_alpha=0.1)
+TEN_MINERS_ONE_SKIP = PowerProfile(standard_miners(10, nonverifier_alpha=0.1))
 TEN_MINERS_ALPHA_V = sum(m.alpha for m in TEN_MINERS_ONE_SKIP.miners if m.verifies)
 
 
@@ -53,7 +53,7 @@ def test_criterion_2_parallel_worked_example():
 
 def test_criterion_3_analytic_sweep_endpoints(fitted_workload):
     """Closed-form gains at measured verification times: ~1.7% at 8M, ~22% at 128M."""
-    profile = uniform_profile(10, nonverifier_alpha=0.05)
+    profile = PowerProfile(standard_miners(10, nonverifier_alpha=0.05))
     gains = {}
     for limit in (8_000_000, 128_000_000):
         t_v = float(np.mean(measure_verification_times(fitted_workload, limit, 1200, seed=11)))

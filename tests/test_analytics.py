@@ -2,15 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from verisim.analytics import (
-    PowerProfile,
-    VerificationParams,
-    reward_table,
-    slowdown,
-    uniform_profile,
-)
+from verisim.analytics import PowerProfile, VerificationParams, reward_table, slowdown
+from verisim.config import standard_miners
 
-NINE_VERIFIERS_ONE_SKIP = uniform_profile(10, nonverifier_alpha=0.1)
+
+def lineup(n, nonverifier_alpha=None):
+    return PowerProfile(standard_miners(n, nonverifier_alpha))
+
+
+NINE_VERIFIERS_ONE_SKIP = lineup(10, nonverifier_alpha=0.1)
 
 
 def alpha_verifying(profile):
@@ -31,12 +31,12 @@ class TestSeqSlowdown:
         assert slowdown(alpha_verifying(NINE_VERIFIERS_ONE_SKIP), 0.0) == 0.0
 
     def test_all_verify_means_no_slowdown(self):
-        assert slowdown(alpha_verifying(uniform_profile(5)), 3.18) == pytest.approx(0.0, abs=1e-12)
+        assert slowdown(alpha_verifying(lineup(5)), 3.18) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_nonverifier_burden(self):
         # with one non-verifier of power alpha, the network slowdown equals
         # the per-block verification burden (1 - alpha_V) * t_v
-        profile = uniform_profile(4, nonverifier_alpha=0.3)
+        profile = lineup(4, nonverifier_alpha=0.3)
         assert slowdown(alpha_verifying(profile), 2.0) == pytest.approx(0.3 * 2.0, abs=1e-12)
 
 
@@ -124,18 +124,18 @@ class TestRewardTable:
         assert skip.relative_gain_pct == pytest.approx(12.0, abs=2.0)
 
     def test_small_miner_small_blocks(self):
-        profile = uniform_profile(10, nonverifier_alpha=0.05)
+        profile = lineup(10, nonverifier_alpha=0.05)
         rows = reward_table(profile, VerificationParams(t_v=0.23, t_b=12.42), "sequential")
         skip = [r for r in rows if not r.verifies][0]
         assert skip.relative_gain_pct == pytest.approx(1.7, abs=0.3)
 
     def test_all_verifiers_gain_nothing(self):
-        rows = reward_table(uniform_profile(6), VerificationParams(t_v=3.0, t_b=12.0), "sequential")
+        rows = reward_table(lineup(6), VerificationParams(t_v=3.0, t_b=12.0), "sequential")
         assert all(abs(r.relative_gain_pct) < 1e-9 for r in rows)
 
     @given(st.floats(0.01, 5.0), st.floats(5.0, 60.0), st.floats(0.05, 0.6))
     def test_conservation(self, t_v, t_b, alpha_skip):
-        profile = uniform_profile(8, nonverifier_alpha=alpha_skip)
+        profile = lineup(8, nonverifier_alpha=alpha_skip)
         rows = reward_table(profile, VerificationParams(t_v=t_v, t_b=t_b), "sequential")
         assert sum(r.expected_fraction for r in rows) == pytest.approx(1.0, abs=1e-9)
 

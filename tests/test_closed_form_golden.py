@@ -15,17 +15,17 @@ import pathlib
 
 import pytest
 
-from verisim.analytics import PowerProfile, VerificationParams, reward_table, uniform_profile
+from verisim.analytics import PowerProfile, VerificationParams, reward_table
 from verisim.config import ScenarioConfig, standard_miners
 from verisim.scenario import closed_form_gain
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "closed_form_golden.json"
 
 LINEUPS = {
-    "uniform10-skip0.1": lambda: uniform_profile(10, 0.1),
-    "uniform10-skip0.05": lambda: uniform_profile(10, 0.05),
-    "uniform6-all-verify": lambda: uniform_profile(6),
-    "uniform4-skip0.3": lambda: uniform_profile(4, 0.3),
+    "uniform10-skip0.1": lambda: PowerProfile(standard_miners(10, 0.1)),
+    "uniform10-skip0.05": lambda: PowerProfile(standard_miners(10, 0.05)),
+    "uniform6-all-verify": lambda: PowerProfile(standard_miners(6)),
+    "uniform4-skip0.3": lambda: PowerProfile(standard_miners(4, 0.3)),
     "two-skippers": lambda: PowerProfile.make(
         [("s1", 0.1, False), ("v1", 0.25, True), ("s2", 0.15, False), ("v2", 0.5, True)]
     ),

@@ -401,6 +401,9 @@ class TestCli:
             (["--limits", "8000000,-5", "--t-v", "0.2,0.3"], "block_limit"),
             (["--t-v", "0.2", "--conflict-rate", "1.5"], "c (the conflict rate)"),
             (["--t-v", "0.2", "--processors", "0"], "p (the processor count)"),
+            (["--limits", "8000000,abc", "--t-v", "0.2,0.3"], "--limits"),
+            (["--t-v", "abc"], "--t-v"),
+            (["--t-v", "0.2,0.3"], "--t-v needs one value per block limit"),
         ],
     )
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):
@@ -481,18 +484,30 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: block_limit")
 
-    @pytest.mark.parametrize("k_range", [["--k-min", "3", "--k-max", "2"], ["--k-min", "0"]])
-    def test_fit_rejects_k_range_before_fitting(self, tmp_path, capsys, monkeypatch, k_range):
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--k-min", "3", "--k-max", "2"], "need 1 <= --k-min <= --k-max"),
+            (["--k-min", "0"], "need 1 <= --k-min <= --k-max"),
+            (["--gmm-subsample", "3"], "--gmm-subsample must be at least --k-max"),
+            (["--gmm-subsample", "-1"], "--gmm-subsample"),
+            (["--cv-subsample", "0"], "--cv-subsample"),
+            (["--cv-subsample", "-1"], "--cv-subsample"),
+            (["--d-grid", "5,x"], "--d-grid"),
+            (["--s-grid", "abc"], "--s-grid"),
+        ],
+    )
+    def test_fit_rejects_k_range_before_fitting(self, tmp_path, capsys, monkeypatch, argv, error):
         data = tmp_path / "txs.csv"
         assert cli_main(["gen-data", "--n", "300", "--out", str(data)]) == 0
 
         def no_fit(*args, **kwargs):
-            raise AssertionError("the forest was fitted before the K range was checked")
+            raise AssertionError("the forest was fitted before the fit flags were checked")
 
         monkeypatch.setattr("verisim.workload.fit_rfr", no_fit)
         capsys.readouterr()
-        assert cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), *k_range]) == 2
-        assert capsys.readouterr().err.startswith("error: need 1 <= --k-min <= --k-max")
+        assert cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
 
     def test_fit_runs_one_search_per_mixture(self, tmp_path, monkeypatch):
         from verisim import workload

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import toy_workload
+from verisim.analytics import PowerProfile
 from verisim.cli import _load_scenarios
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
 from verisim.sim import BLOCK_REWARD_ETHER, GENESIS, Head, fork_choice, run_simulation
@@ -229,6 +230,32 @@ class TestScenarioValidation:
                 block_limit=8_000_000,
                 miners=(MinerConfig(id="a", alpha=0.5), MinerConfig(id="a", alpha=0.5)),
             )
+
+    @pytest.mark.parametrize("ids, alphas", [((), ()), (("a",), (0.5,)), (("a", "a"), (0.5, 0.5))])
+    @pytest.mark.parametrize("owner", ["scenario", "profile"])
+    def test_lineup_errors_name_miners(self, owner, ids, alphas):
+        miners = tuple(MinerConfig(id=i, alpha=a) for i, a in zip(ids, alphas))
+        with pytest.raises(ValueError, match="^miners"):
+            if owner == "scenario":
+                ScenarioConfig(block_limit=8_000_000, miners=miners)
+            else:
+                PowerProfile(miners)
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((1, 0.1), "^miners"),
+            ((0,), "^miners"),
+            ((10, float("nan")), "^nonverifier_alpha"),
+            ((10, 1.0), "^nonverifier_alpha"),
+            ((10, 0.6, 0.45), "^nonverifier_alpha .*invalid_rate"),
+            ((10, 0.1, float("nan")), "^invalid_rate"),
+            ((10, 0.1, -0.2), "^invalid_rate"),
+        ],
+    )
+    def test_standard_miners_name_the_field(self, args, error):
+        with pytest.raises(ValueError, match=error):
+            standard_miners(*args)
 
     @pytest.mark.parametrize(
         "name, value",

@@ -2,8 +2,9 @@
 
 Its tracer wraps library functions by name: a refactor that renames or
 removes one of them would leave its per-layer metric silently at zero.  Its
-sweep workloads call ``run_sweep`` and read the report: a change to what they
-read would fail every benchmark run.  These tests make both fail loudly here.
+workloads call ``default_workload`` and ``run_sweep`` and read what they
+return: a change to what they read would fail every benchmark run.  These
+tests make both fail loudly here.
 """
 
 import pytest
@@ -21,7 +22,7 @@ def test_every_traced_name_resolves():
         tracer.uninstall()
 
 
-@pytest.mark.parametrize("name", ["sweep_128m_invalid", "sweep_8m_parallel", "sweep_8m_100miners"])
-def test_sweep_workload_runs_correctly(name, tmp_path):
+@pytest.mark.parametrize("name", ["fit_reference", "sweep_128m_invalid", "sweep_8m_parallel", "sweep_8m_100miners"])
+def test_benchmark_workload_runs_correctly(name, tmp_path):
     run = measure(name, seed=1, seconds=0, trace=False, scale=TINY, out_dir=tmp_path)
     assert run["result"]["correct"], run["info"]["failures"]
