@@ -129,7 +129,7 @@ def standard_miners(
     The non-verifier counts towards n and the invalid producer (``punisher``)
     comes on top of it: ``standard_miners(10, a_s, 0.04)`` has 11 miners, the
     non-verifier and 9 verifiers besides the punisher.  Errors name the
-    ``analytic`` command's fields, ``miners`` and ``nonverifier_alpha``.
+    argument they reject: ``miners``, ``nonverifier_alpha`` or ``invalid_rate``.
     """
     # the non-verifier takes one of the n places and must leave the verifiers one
     remaining = require_integer("miners", n, 1 if nonverifier_alpha is None else 2)

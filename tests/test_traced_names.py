@@ -11,7 +11,7 @@ import pytest
 
 from perfbench.run import measure
 from perfbench.tracer import Tracer
-from perfbench.workloads import TINY
+from perfbench.workloads import TINY, WORKLOADS
 
 
 def test_every_traced_name_resolves():
@@ -22,7 +22,7 @@ def test_every_traced_name_resolves():
         tracer.uninstall()
 
 
-@pytest.mark.parametrize("name", ["fit_reference", "sweep_128m_invalid", "sweep_8m_parallel", "sweep_8m_100miners"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_benchmark_workload_runs_correctly(name, tmp_path):
     run = measure(name, seed=1, seconds=0, trace=False, scale=TINY, out_dir=tmp_path)
     assert run["result"]["correct"], run["info"]["failures"]
