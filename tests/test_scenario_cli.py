@@ -484,11 +484,13 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: block_limit")
 
+    @pytest.mark.parametrize("k_range", [["--k-min", "3", "--k-max", "2"], ["--k-min", "0"]])
+    def test_fit_rejects_k_range_before_fitting(self, tmp_path, capsys, monkeypatch, k_range):
+        self._assert_fit_rejects_before_fitting(tmp_path, capsys, monkeypatch, k_range, "need 1 <= --k-min <= --k-max")
+
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["--k-min", "3", "--k-max", "2"], "need 1 <= --k-min <= --k-max"),
-            (["--k-min", "0"], "need 1 <= --k-min <= --k-max"),
             (["--gmm-subsample", "3"], "--gmm-subsample must be at least --k-max"),
             (["--gmm-subsample", "-1"], "--gmm-subsample"),
             (["--cv-subsample", "0"], "--cv-subsample"),
@@ -497,7 +499,11 @@ class TestCli:
             (["--s-grid", "abc"], "--s-grid"),
         ],
     )
-    def test_fit_rejects_k_range_before_fitting(self, tmp_path, capsys, monkeypatch, argv, error):
+    def test_fit_rejects_search_flags_before_fitting(self, tmp_path, capsys, monkeypatch, argv, error):
+        self._assert_fit_rejects_before_fitting(tmp_path, capsys, monkeypatch, argv, error)
+
+    @staticmethod
+    def _assert_fit_rejects_before_fitting(tmp_path, capsys, monkeypatch, argv, error):
         data = tmp_path / "txs.csv"
         assert cli_main(["gen-data", "--n", "300", "--out", str(data)]) == 0
 
