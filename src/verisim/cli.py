@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 
+from verisim.fields import require_finite, require_integer
+
 
 def _numbers(flag: str, text: str, kind=int) -> list:
     """A comma-separated flag value; an entry that does not parse names the flag."""
@@ -25,7 +27,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_fit(args) -> int:
     from verisim.dataio import load_dataset
-    from verisim.fields import require_integer
     from verisim.stats import regression_metrics
     from verisim.workload import fit_cpu_time_model, fit_workload
 
@@ -37,7 +38,11 @@ def cmd_fit(args) -> int:
             f"--gmm-subsample must be at least --k-max ({args.k_max}), since the K search "
             f"needs at least K rows, got {args.gmm_subsample}"
         )
-    require_integer("--cv-subsample", args.cv_subsample)
+    if require_integer("--cv-subsample", args.cv_subsample) < require_integer("--folds", args.folds, 2):
+        raise ValueError(
+            f"--cv-subsample must be at least --folds ({args.folds}), since each fold "
+            f"needs a row, got {args.cv_subsample}"
+        )
     d_grid, s_grid = _numbers("--d-grid", args.d_grid), _numbers("--s-grid", args.s_grid)
     ds = load_dataset(args.data, args.block_limit)
     n = len(ds)
@@ -187,7 +192,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from verisim.fields import require_finite
     from verisim.scenario import check_comparable, run_sweep, validate_sweep
     from verisim.workload import FittedWorkload
 
@@ -287,6 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # numpy's own error for a negative seed names no flag
+        if args.seed is not None:
+            require_integer("--seed", args.seed, 0)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,9 +63,6 @@ class ScenarioConfig:
     workload: str | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         check_block_limit(self.block_limit)
         require_positive("t_b", self.t_b)
         if self.mode not in MODES:

@@ -207,13 +207,12 @@ class ForestModel:
 
 
 def _weighted_mean(y, w, lo, hi):
+    # ws sums above 0: the root's bootstrap weights sum to n, and best_split
+    # only returns splits with positive weight on both sides
     ws = w[lo:hi]
-    total = ws.sum()
-    if total <= 0:
-        return float(y[lo:hi].mean())
     # np.sum, not np.dot: BLAS splits a long dot across threads, which would
     # make the leaf bits depend on the thread count
-    return float(np.sum(y[lo:hi] * ws) / total)
+    return float(np.sum(y[lo:hi] * ws) / ws.sum())
 
 
 def _grow_tree(x_sorted, y_sorted, weights, split_budget) -> RegressionTree:

@@ -114,14 +114,15 @@ def run_many(config: ScenarioConfig, workload: FittedWorkload) -> list:
 
 
 def ci_halfwidth(values: np.ndarray) -> float:
-    # scipy.stats takes most of a second to import: load it only when a summary needs it
-    from scipy import stats as sps
+    # stdtrit is what scipy.stats.t.ppf evaluates, bit for bit; scipy.stats
+    # takes a second to import and scipy.special a third, so import it lazily
+    from scipy.special import stdtrit
 
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         return 0.0
     sd = float(values.std(ddof=1))
-    q = float(sps.t.ppf(0.5 + CI_LEVEL / 2.0, values.size - 1))
+    q = float(stdtrit(values.size - 1, 0.5 + CI_LEVEL / 2.0))
     return float(q * sd / np.sqrt(values.size))
 
 

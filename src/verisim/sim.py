@@ -123,7 +123,6 @@ def resolve_workload(config: ScenarioConfig, workload: FittedWorkload | None = N
 
 def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = None) -> SimResult:
     """One deterministic simulation run at config.base_seed."""
-    config.validate()
     workload = resolve_workload(config, workload)
 
     root = np.random.SeedSequence(config.base_seed)

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -136,10 +137,31 @@ class TestSweep:
         narrow = ci_halfwidth(np.asarray([0.0, 0.1, -0.1, 0.05]))
         assert wide > narrow > 0
 
+    def test_ci_halfwidth_is_the_student_t_interval(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(4)
+        for n in [*range(2, 41), 1000]:
+            values = rng.normal(size=n)
+            expected = float(stats.t.ppf(0.975, n - 1)) * float(values.std(ddof=1)) / np.sqrt(n)
+            assert ci_halfwidth(values) == expected
+
     def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats dominates the import time; only ci_halfwidth loads it
-        code = "import sys, verisim; sys.exit('scipy.stats' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}).returncode == 0
+        # scipy.stats takes a second to import and scipy.special a third of one:
+        # importing verisim loads neither, and a sweep's summary loads only scipy.special
+        code = textwrap.dedent("""
+            import sys
+            import verisim
+            print([m for m in ("scipy.stats", "scipy.special") if m in sys.modules])
+            from tests.helpers import toy_workload
+            config = verisim.ScenarioConfig(8_000_000, verisim.standard_miners(10, 0.1), sim_duration=120.0, runs=2)
+            verisim.run_sweep([config], toy_workload(), tv_blocks=5)
+            print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(pathlib.Path(SRC).parent)])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        # a non-verifier and runs=2 make the summary call ci_halfwidth
+        assert run.stdout.splitlines() == ["[]", "True False"]
 
 
 class TestConfigIO:
@@ -497,6 +519,8 @@ class TestCli:
             (["--cv-subsample", "-1"], "--cv-subsample"),
             (["--d-grid", "5,x"], "--d-grid"),
             (["--s-grid", "abc"], "--s-grid"),
+            (["--folds", "1"], "--folds must be an integer >= 2, got 1"),
+            (["--cv-subsample", "3", "--folds", "5"], "--cv-subsample must be at least --folds (5)"),
         ],
     )
     def test_fit_rejects_search_flags_before_fitting(self, tmp_path, capsys, monkeypatch, argv, error):
@@ -514,6 +538,17 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    @pytest.mark.parametrize("command", ["gen-data", "fit", "sample", "analytic"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
+        argv = {
+            "gen-data": ["gen-data", "--out", str(tmp_path / "txs.csv")],
+            "fit": ["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json")],
+            "sample": ["sample", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "s.csv")],
+            "analytic": ["analytic", "--t-v", "0.1", "--limits", "8000000"],
+        }[command]
+        assert cli_main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
 
     def test_fit_runs_one_search_per_mixture(self, tmp_path, monkeypatch):
         from verisim import workload
