@@ -116,6 +116,9 @@ def cmd_analytic(args) -> int:
     limits = [check_block_limit(limit) for limit in _numbers("--limits", args.limits)]
     profile = PowerProfile(standard_miners(args.miners, args.nonverifier_alpha))  # before t_v is measured
     if args.t_v:
+        for flag, value in (("--seed", args.seed), ("--tv-blocks", args.tv_blocks)):
+            if value is not None:
+                raise ValueError(f"{flag} is not read when --t-v is given")
         tvs = _numbers("--t-v", args.t_v, float)
         if len(tvs) != len(limits):
             raise ValueError(f"--t-v needs one value per block limit, got {len(tvs)} for {len(limits)}")
@@ -123,10 +126,9 @@ def cmd_analytic(args) -> int:
         if not args.model:
             raise ValueError("need --model (to measure t_v) or explicit --t-v values")
         wl = FittedWorkload.load(args.model)
-        tvs = [
-            float(np.mean(measure_verification_times(wl, limit, args.tv_blocks, seed=args.seed)))
-            for limit in limits
-        ]
+        n_blocks = 400 if args.tv_blocks is None else args.tv_blocks
+        seed = 42 if args.seed is None else args.seed
+        tvs = [float(np.mean(measure_verification_times(wl, limit, n_blocks, seed=seed))) for limit in limits]
 
     rows_out = []
     for limit, tv in zip(limits, tvs):
@@ -261,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--mode", choices=["sequential", "parallel"], default="sequential")
     a.add_argument("--conflict-rate", type=float, default=0.0)
     a.add_argument("--processors", type=int, default=1)
-    a.add_argument("--tv-blocks", type=int, default=400)
-    a.add_argument("--seed", type=int, default=42)
+    a.add_argument("--tv-blocks", type=int, help="blocks packed to measure t_v (default 400; not with --t-v)")
+    a.add_argument("--seed", type=int, help="seed of the t_v measurement (default 42; not with --t-v)")
     a.add_argument("--out")
     a.set_defaults(func=cmd_analytic)
 
@@ -291,9 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # numpy's own error for a negative seed names no flag
+        # numpy's own error for a negative seed names no flag, nor does
+        # n_blocks's for --tv-blocks; both are checked before any work
         if args.seed is not None:
             require_integer("--seed", args.seed, 0)
+        if getattr(args, "tv_blocks", None) is not None:
+            require_integer("--tv-blocks", args.tv_blocks)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,12 @@ BACKEND = "fallback"
 def lpt_makespan(times: np.ndarray, p: int) -> float:
     """Makespan of greedy longest-processing-time-first scheduling on p processors.
 
-    Jobs are sorted by decreasing duration and each is assigned to the
-    processor that is free earliest (lowest load, lowest index on ties).
+    Jobs (nonnegative durations) are sorted by decreasing duration and each
+    is assigned to the processor that is free earliest.  Which of several
+    equally loaded processors takes a job cannot change the result: adding
+    the job to any of them leaves the same multiset of loads, so every later
+    float addition and the final maximum are the same.  The heap therefore
+    holds bare loads, with no processor index to break ties.
     """
     if p < 1:
         raise ValueError("processor count must be >= 1")
@@ -27,16 +31,15 @@ def lpt_makespan(times: np.ndarray, p: int) -> float:
         return 0.0
     if p == 1:
         return float(times.sum())
-    order = np.sort(times)[::-1]
+    order = np.sort(times)[::-1].tolist()
     if p >= n:
-        return float(order[0])
-    # (load, processor index) heap; ties resolve to the lowest index
-    loads = [(0.0, i) for i in range(p)]
-    heapq.heapify(loads)
-    for t in order:
-        load, i = heapq.heappop(loads)
-        heapq.heappush(loads, (load + float(t), i))
-    return max(load for load, _ in loads)
+        return order[0]
+    # the p longest jobs open the p empty processors (0.0 + t == t);
+    # in ascending order they already form a heap
+    loads = order[p - 1::-1]
+    for t in order[p:]:
+        heapq.heapreplace(loads, loads[0] + t)
+    return max(loads)
 
 
 def best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray, lo: int, hi: int):

@@ -1,7 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verisim import kernels
+
+# A few durations, 0.0 among them, so equal loads and so ties are common.
+# Sums of the binary fractions are exact in any order; the others round.
+EXACT = [0.0, 0.125, 0.5, 1.0, 2.75]
+ROUNDING = [0.1, 0.3, 0.7, 1.3]
+
+
+def lpt_oracle(times, p):
+    """LPT by its definition: longest job first, each to the least-loaded processor (lowest index on ties)."""
+    loads = [0.0] * p
+    for t in sorted(times, reverse=True):
+        i = min(range(p), key=loads.__getitem__)
+        loads[i] += t
+    return max(loads)
+
+
+@st.composite
+def jobs_and_processors(draw):
+    n = draw(st.integers(0, 150))
+    p = draw(st.one_of(st.integers(1, 24), st.sampled_from([1, max(n, 1), n + 1])))
+    # p = 1 is numpy's pairwise sum in input order, whose bits match a
+    # job-by-job sum only when every partial sum is exact
+    values = EXACT if p == 1 else EXACT + ROUNDING
+    return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), p
+
+
+class TestLptMakespanBits:
+    @settings(max_examples=300, deadline=None)
+    @given(jobs_and_processors())
+    def test_matches_the_definition(self, case):
+        times, p = case
+        assert kernels.lpt_makespan(np.asarray(times, dtype=np.float64), p) == lpt_oracle(times, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(jobs_and_processors(), st.randoms(use_true_random=False))
+    def test_input_order_never_changes_the_bits(self, case, rnd):
+        times, p = case
+        shuffled = list(times)
+        rnd.shuffle(shuffled)
+        makespan = kernels.lpt_makespan(np.asarray(times, dtype=np.float64), p)
+        assert kernels.lpt_makespan(np.asarray(shuffled, dtype=np.float64), p).hex() == makespan.hex()
 
 
 class TestBestSplitSemantics:

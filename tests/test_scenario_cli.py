@@ -418,7 +418,7 @@ class TestCli:
             (["--t-v", "nan"], "t_v"),
             (["--t-v", "inf"], "t_v"),
             (["--t-v", "0.2", "--t-b", "nan"], "t_b"),
-            (["--tv-blocks", "0"], "n_blocks"),
+            (["--tv-blocks", "0"], "--tv-blocks"),
             (["--limits", "100", "--t-v", "0.2"], "block_limit"),
             (["--limits", "8000000,-5", "--t-v", "0.2,0.3"], "block_limit"),
             (["--t-v", "0.2", "--conflict-rate", "1.5"], "c (the conflict rate)"),
@@ -460,7 +460,24 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(mode=mode, c=0.4, p=4, runs=1, workload=str(model)).to_dict()))
         assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "0", "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: n_blocks")
+        assert capsys.readouterr().err == "error: --tv-blocks must be an integer >= 1, got 0\n"
+
+    @pytest.mark.parametrize("tv_blocks", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "validate"])
+    def test_tv_blocks_below_one_names_the_flag(self, tmp_path, capsys, command, tv_blocks):
+        # none of these files exists, so reading any of them would fail with another error
+        argv = {
+            "analytic": ["analytic", "--model", str(tmp_path / "m.json"), "--limits", "8000000"],
+            "simulate": ["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")],
+            "validate": ["validate", "--config", str(tmp_path / "c.json")],
+        }[command]
+        assert cli_main([*argv, "--tv-blocks", tv_blocks]) == 2
+        assert capsys.readouterr().err == f"error: --tv-blocks must be an integer >= 1, got {tv_blocks}\n"
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--tv-blocks", "40")])
+    def test_analytic_t_v_rejects_measuring_flags(self, capsys, flag, value):
+        assert cli_main(["analytic", "--t-v", "0.1", "--limits", "8000000", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} is not read when --t-v is given\n"
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
     def test_model_file_without_a_mixture_exits_2(self, toy_wl, tmp_path, capsys, command):
@@ -521,6 +538,16 @@ class TestCli:
             (["--s-grid", "abc"], "--s-grid"),
             (["--folds", "1"], "--folds must be an integer >= 2, got 1"),
             (["--cv-subsample", "3", "--folds", "5"], "--cv-subsample must be at least --folds (5)"),
+        ],
+        ids=[
+            "gmm-subsample-below-k-max",
+            "gmm-subsample-negative",
+            "cv-subsample-zero",
+            "cv-subsample-negative",
+            "d-grid-not-integer",
+            "s-grid-not-integer",
+            "folds-below-2",
+            "cv-subsample-below-folds",
         ],
     )
     def test_fit_rejects_search_flags_before_fitting(self, tmp_path, capsys, monkeypatch, argv, error):
