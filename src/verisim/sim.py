@@ -36,9 +36,9 @@ find is still exactly exponential.
 
 The mining stream draws only find times: each miner's first wait, then one
 wait per block for its finder.  A wait is its miner's mean times a standard
-exponential, which is what ``exponential(scale)`` computes, bit for bit; the
-standard exponentials after the first waits are drawn ``FIND_DRAWS`` at a
-time and taken in order.
+exponential, which is what ``exponential(scale)`` computes, bit for bit.  The
+first waits take one draw of n standard exponentials; the later ones are
+drawn ``FIND_DRAWS`` at a time and taken in order.
 """
 
 from dataclasses import dataclass
@@ -140,7 +140,7 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     slot = np.asarray([ps.index(config.processors_for(m)) if m.verifies else len(ps) for m in miners])
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
-    next_find = np.asarray([rng_mine.exponential(scale) for scale in scales])
+    next_find = np.asarray(scales) * rng_mine.standard_exponential(n)
     busy_until = np.zeros(n)
     busy_in_window = np.zeros(n)
     # per-block buffers, rewritten in place
