@@ -21,7 +21,9 @@ def lpt_makespan(times: np.ndarray, p: int) -> float:
     equally loaded processors takes a job cannot change the result: adding
     the job to any of them leaves the same multiset of loads, so every later
     float addition and the final maximum are the same.  The heap therefore
-    holds bare loads, with no processor index to break ties.
+    holds bare loads, with no processor index to break ties.  The result
+    never depends on the order of the jobs; on one processor it is their
+    sum taken longest first.
     """
     if p < 1:
         raise ValueError("processor count must be >= 1")
@@ -29,8 +31,6 @@ def lpt_makespan(times: np.ndarray, p: int) -> float:
     n = times.size
     if n == 0:
         return 0.0
-    if p == 1:
-        return float(times.sum())
     order = np.sort(times)[::-1].tolist()
     if p >= n:
         return order[0]

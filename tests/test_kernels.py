@@ -24,10 +24,7 @@ def lpt_oracle(times, p):
 def jobs_and_processors(draw):
     n = draw(st.integers(0, 150))
     p = draw(st.one_of(st.integers(1, 24), st.sampled_from([1, max(n, 1), n + 1])))
-    # p = 1 is numpy's pairwise sum in input order, whose bits match a
-    # job-by-job sum only when every partial sum is exact
-    values = EXACT if p == 1 else EXACT + ROUNDING
-    return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), p
+    return draw(st.lists(st.sampled_from(EXACT + ROUNDING), min_size=n, max_size=n)), p
 
 
 class TestLptMakespanBits:
