@@ -26,13 +26,31 @@ ancestry and their fees; nothing is kept per block.
 ``stale_blocks`` counts valid-ancestry blocks off the canonical chain; by the
 argument it is always 0, and the run asserts so.
 
-The pending finds live in one array and the next event is its minimum, ties
-going to the lowest miner index.  Each block prices its re-execution once
-per miner: a verifier pays it on its own processor count (one in sequential
-mode), the finder and the non-verifiers pay 0.  Adding that vector to the
-pending finds defers them in place (the next-reaction method of Gibson and
-Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so a deferred
-find is still exactly exponential.
+Each block prices its re-execution once per distinct verifier processor
+count (one in sequential mode).  Miners fall into classes: one per such
+count, whose verifiers all pay the same pause for a block except its finder,
+and one for the non-verifiers, which pay nothing.  A paying class keeps
+``offset``, the pauses its members have paid so far, and each verifier counts
+the pauses it ``skipped`` as a finder.  A miner's pending find is ``base +
+offset`` of its class, so adding a block's cost to the offset defers every
+member's find at once (the next-reaction method of Gibson and Bruck, J. Phys.
+Chem. A 104, 2000); the waits are memoryless, so a deferred find is still
+exactly exponential.  A finder's new base subtracts the current offset, so
+its own block does not defer it.  Each class holds its members in a heap of
+``(base, index)``, and the next event is the least ``(base + offset,
+index)`` over the heap tops, ties going to the lowest miner index.  No step
+of a block touches every miner.
+
+A verifier's uptime is the window less the pauses it paid, ``offset -
+skipped``, of which only the part inside the window counts.  Pauses queue:
+a verifier still busy when a block arrives starts that block's pause when
+the current one ends, so only its last busy period can run past the end.
+Each class runs that queue for a member that pays every block, and keeps the
+``(time, cost)`` of the blocks in its current busy period.  A verifier is
+idle at its own find, because every pause it paid deferred that find.  So a
+verifier whose last find came before its class's final busy period ends
+that period with the class, and one whose last find falls inside it replays
+its own queue from that find over the period's blocks.
 
 The mining stream draws only find times: each miner's first wait, then one
 wait per block for its finder.  A wait is its miner's mean times a standard
@@ -41,6 +59,8 @@ first waits take one draw of n standard exponentials; the later ones are
 drawn ``FIND_DRAWS`` at a time and taken in order.
 """
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,28 +153,46 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     miners = config.miners
     duration = config.sim_duration
     n = len(miners)
-    # one verification cost per distinct verifier processor count, then a 0
-    # that non-verifiers pay
+    # one paying class per distinct verifier processor count, then the
+    # non-verifiers' class, which never pays (module docstring)
     ps = sorted({config.processors_for(m) for m in miners if m.verifies})
-    costs = np.zeros(len(ps) + 1)
-    slot = np.asarray([ps.index(config.processors_for(m)) if m.verifies else len(ps) for m in miners])
+    nv = len(ps)
+    cls = [ps.index(config.processors_for(m)) if m.verifies else nv for m in miners]
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
-    next_find = np.asarray(scales) * rng_mine.standard_exponential(n)
-    busy_until = np.zeros(n)
-    busy_in_window = np.zeros(n)
-    # per-block buffers, rewritten in place
-    paid, start, inside = np.empty(n), np.empty(n), np.empty(n)
+    first = (np.asarray(scales) * rng_mine.standard_exponential(n)).tolist()
+    # per class: pauses paid so far, and a heap of (pending find - offset, miner)
+    offset = [0.0] * (nv + 1)
+    heaps = [[] for _ in offset]
+    for j, k in enumerate(cls):
+        heaps[k].append((first[j], j))
+    for heap in heaps:
+        heapq.heapify(heap)
+    classes = [(k, heap) for k, heap in enumerate(heaps) if heap]
+    # per paying class: the busy-until of a member that pays every block, the
+    # (time, cost) of the blocks in its current busy period, and the number
+    # of paid blocks before that period
+    busy_until = [0.0] * nv
+    period = [[] for _ in range(nv)]
+    period_start = [0] * nv
+    # per verifier: the pauses it skipped as a finder, the time of its last
+    # find and the number of paid blocks up to and including that find
+    skipped, last_find, paid_at_find = [0.0] * n, [0.0] * n, [0] * n
+    paid_blocks = 0
     # standard exponentials for the find times, next one last (module docstring)
     draws = []
-    argmin = next_find.argmin
 
     # per miner: blocks found, blocks of valid ancestry and their fees
     found, canon, fees = [0] * n, [0] * n, [0.0] * n
     v_head = s_head = GENESIS
     while True:
-        i = int(argmin())
-        t = float(next_find[i])
+        # the least (pending find, miner) over the class heap tops
+        t = math.inf
+        for k, heap in classes:
+            base, j = heap[0]
+            find = base + offset[k]
+            if find < t or (find == t and j < i):
+                t, i = find, j
         if t > duration:
             break
         miner = miners[i]
@@ -162,8 +200,7 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # the new block, as the head of the chain it ends
         block = Head(parent.height + 1, parent.valid_ancestry and not miner.produces_invalid)
         packed = stream.next_block_txs()
-        for k, p in enumerate(ps):
-            costs[k] = verification_seconds(packed, p)
+        costs = [verification_seconds(packed, p) for p in ps]
         found[i] += 1
         if block.valid_ancestry:
             canon[i] += 1
@@ -175,25 +212,46 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         s_head = fork_choice(s_head, block, False)
         if not draws:
             draws = rng_mine.standard_exponential(FIND_DRAWS).tolist()[::-1]
-        next_find[i] = t + scales[i] * draws.pop()
+        wait = scales[i] * draws.pop()
 
         # re-execution requires the parent's post-state: blocks extending
         # invalid ancestry are rejected without cost, while invalid blocks on
-        # valid parents cost full verification before rejection
+        # valid parents cost full verification before rejection.  A verifier
+        # always extends the valid head, so it finds only blocks that cost.
         if parent.valid_ancestry:
-            costs.take(slot, out=paid)
-            paid[i] = 0.0
-            # a miner that pays nothing stays idle: its pause adds 0 everywhere
-            np.maximum(busy_until, t, out=start)
-            np.add(start, paid, out=busy_until)
-            # only the part of the pause inside the window counts
-            np.minimum(busy_until, duration, out=inside)
-            inside -= np.minimum(start, duration, out=start)
-            busy_in_window += inside
-            # mining is suspended while verifying: push the pending find back
-            next_find += paid
+            for k, cost in enumerate(costs):
+                # mining is suspended while verifying: every member's
+                # pending find moves back with the offset
+                offset[k] += cost
+                if busy_until[k] > t:
+                    busy_until[k] += cost
+                    period[k].append((t, cost))
+                else:
+                    busy_until[k] = t + cost
+                    period[k] = [(t, cost)]
+                    period_start[k] = paid_blocks
+            paid_blocks += 1
+            if miner.verifies:
+                skipped[i] += costs[cls[i]]
+                last_find[i] = t
+                paid_at_find[i] = paid_blocks
+        k = cls[i]
+        heapq.heapreplace(heaps[k], (t + wait - offset[k], i))
 
-    uptime = [float(duration - busy) for busy in busy_in_window]
+    uptime = []
+    for j, k in enumerate(cls):
+        if k == nv:
+            uptime.append(float(duration))
+            continue
+        end = busy_until[k]
+        if paid_at_find[j] > period_start[k]:
+            # its last find fell inside the class's final busy period: it was
+            # idle then, so its own queue restarts at that find
+            end = last_find[j]
+            for s, cost in period[k][paid_at_find[j] - period_start[k]:]:
+                end = max(end, s) + cost
+        # only the part of the pauses inside the window counts
+        uptime.append(duration - (offset[k] - skipped[j]) + max(end - duration, 0.0))
     return _finalize(config, found, canon, fees, v_head, uptime)
 
 
