@@ -2,8 +2,13 @@
 
 The recorded file holds, for each named run below, the ``repr`` of every
 ``SimResult`` field.  A change to the simulator's internals that keeps its
-semantics and its random draw order leaves every field unchanged.  Re-record
-only when the semantics change on purpose::
+semantics and its random draw order finds the same blocks in the same order,
+so every count, fee and fee or reward fraction keeps its bits.  Only
+``expected_fraction`` may move, in its last digits, when the change reorders
+the float additions behind the uptimes.  Such a change must still pass
+``tests/test_sim_oracle.py``, which compares the simulator with the per-miner
+vector loop: every other field bit for bit, ``expected_fraction`` to 1e-12
+relative.  Re-record then, or when the semantics change on purpose::
 
     PYTHONPATH=src python -m tests.test_sim_golden
 """
