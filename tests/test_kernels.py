@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from verisim import kernels
 
 # A few durations, 0.0 among them, so equal loads and so ties are common.
-# Sums of the binary fractions are exact in any order; the others round.
-EXACT = [0.0, 0.125, 0.5, 1.0, 2.75]
-ROUNDING = [0.1, 0.3, 0.7, 1.3]
+# Sums of the binary fractions are exact in any order; the others round, so
+# a sum taken in another order shows in the bits.
+DURATIONS = [0.0, 0.125, 0.5, 1.0, 2.75, 0.1, 0.3, 0.7, 1.3]
 
 
 def lpt_oracle(times, p):
@@ -24,7 +24,7 @@ def lpt_oracle(times, p):
 def jobs_and_processors(draw):
     n = draw(st.integers(0, 150))
     p = draw(st.one_of(st.integers(1, 24), st.sampled_from([1, max(n, 1), n + 1])))
-    return draw(st.lists(st.sampled_from(EXACT + ROUNDING), min_size=n, max_size=n)), p
+    return draw(st.lists(st.sampled_from(DURATIONS), min_size=n, max_size=n)), p
 
 
 class TestLptMakespanBits:
