@@ -12,12 +12,18 @@ end is one binary search over cumulative gas, and a batch's totals are read
 off the cumulative sums in a few vectorised gathers, so the per-block path
 does no array work.  A block is a small dict that names its rows of the
 refill's columns; only a parallel verification time slices them.
+
+The stream draws into buffers it owns: two column sets used in turn, each
+refill copying the unread tail to the front of the other set and drawing the
+fresh chunk straight behind it, plus one buffer per cumulative sum.  So a
+refill allocates no column, and a block's rows stay valid until the second
+refill after the one that made it.
 """
 
 import numpy as np
 
 from verisim import kernels
-from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, sample_transaction_arrays
+from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, empty_columns, sample_transaction_arrays
 
 # transactions drawn per refill, unless a block limit needs more
 CHUNK_TXS = 1 << 16
@@ -41,9 +47,9 @@ def verification_seconds(packed: dict, p: int) -> float:
     return _parallel_time(cols["cpu_time"][rows], cols["conflicting"][rows], p)
 
 
-def _cumsum0(values: np.ndarray) -> np.ndarray:
-    """Cumulative sums with a leading 0: rows [a, b) total ``c[b] - c[a]``."""
-    out = np.empty(values.size + 1, dtype=values.dtype)
+def _cumsum0(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cumulative sums with a leading 0 into ``out`` (one longer than
+    ``values``): rows [a, b) total ``c[b] - c[a]``."""
     out[0] = 0
     np.cumsum(values, out=out[1:])
     return out
@@ -63,6 +69,14 @@ class TxStream:
     refill point fixes where each cumulative sum starts, so it fixes the bits
     of every ``total_fee`` and ``seq_time``: moving it, or summing the tail
     and the fresh rows apart, would change them.
+
+    The stream owns two column sets of ``max_block_txs + chunk`` rows,
+    allocated at its first refill, and refills them in turn: the tail is
+    copied to the front of the other set and the fresh chunk is drawn
+    straight behind it.  The cumulative sums and the fee products go into
+    buffers it keeps as well.  So a block's ``cols`` stay valid until the
+    second refill after the one that made the block; every caller prices a
+    block before it takes the next.
 
     Blocks are packed on demand: when none is waiting, the stream packs
     ``max(1, blocks handed out since the refill)`` more, never past the next
@@ -85,23 +99,38 @@ class TxStream:
         # packing can never consume more transactions than this per block
         self._max_block_txs = self._limit // MIN_TX_GAS + 2
         self._chunk = max(CHUNK_TXS, 4 * self._max_block_txs)
+        self._sets = None  # the two column sets, allocated at the first refill
+        self._refills = 0
         self._cols = None
         self._cursor = 0
         self._handed = 0  # blocks handed out since the last refill
         self._packed = []  # packed blocks not yet handed out, last one first
 
     def _refill(self):
-        fresh = sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit)
-        if self._cols is not None and self._cursor < self._cols["used_gas"].size:
-            cols = {k: np.concatenate([self._cols[k][self._cursor :], fresh[k]]) for k in fresh}
-        else:
-            cols = fresh
+        if self._sets is None:
+            size = self._max_block_txs + self._chunk
+            self._sets = [empty_columns(size), empty_columns(size)]
+            self._fee = np.empty(size)
+            self._sums = [np.empty(size + 1, dtype=np.int64), np.empty(size + 1), np.empty(size + 1)]
+        dst = self._sets[self._refills % 2]
+        self._refills += 1
+        tail = 0
+        if self._cols is not None:
+            tail = self._cols["used_gas"].size - self._cursor
+            for k, col in self._cols.items():
+                dst[k][:tail] = col[self._cursor :]
+        n = tail + self._chunk
+        fresh = {k: col[tail:n] for k, col in dst.items()}
+        sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit, out=fresh)
+        cols = {k: col[:n] for k, col in dst.items()}
         self._cursor = 0
         self._handed = 0
         self._cols = cols
-        self._gas_c = _cumsum0(cols["used_gas"])
-        self._fee_c = _cumsum0(cols["used_gas"] * cols["gas_price"])
-        self._cpu_c = _cumsum0(cols["cpu_time"])
+        fee = np.multiply(cols["used_gas"], cols["gas_price"], out=self._fee[:n])
+        gas_c, fee_c, cpu_c = (s[: n + 1] for s in self._sums)
+        self._gas_c = _cumsum0(cols["used_gas"], gas_c)
+        self._fee_c = _cumsum0(fee, fee_c)
+        self._cpu_c = _cumsum0(cols["cpu_time"], cpu_c)
 
     def _pack(self):
         if self._cols is None or self._cols["used_gas"].size - self._cursor < self._max_block_txs:

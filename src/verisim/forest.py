@@ -178,18 +178,20 @@ class ForestModel:
         counts = np.diff(starts, prepend=0, append=TABLE_SIZE)
         self._table = np.repeat(np.arange(m + 1, dtype=np.min_scalar_type(m)), counts)
 
-    def predict(self, used_gas) -> np.ndarray:
+    def predict(self, used_gas, out: np.ndarray | None = None) -> np.ndarray:
+        """The forest's CPU-time predictions, in ``out`` if given (a float64
+        array of used_gas's shape), which is then returned."""
         self._ensure_merged()
         x = np.asarray(used_gas)
         if x.ndim == 0 or x.dtype.kind not in "iu":
             x = np.asarray(x, dtype=np.float64)
-            return self._values[np.searchsorted(self._bounds, x, side="left")]
+            return self._values.take(np.searchsorted(self._bounds, x, side="left"), out=out)
         self._ensure_table()
         steps = self._table.take(x, mode="clip")
         outside = (x < 0) | (x >= TABLE_SIZE)
         if outside.any():
             steps[outside] = np.searchsorted(self._bounds, x[outside].astype(np.float64), side="left")
-        return self._values.take(steps)
+        return self._values.take(steps, out=out)
 
     def to_dict(self) -> dict:
         return {

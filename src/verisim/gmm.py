@@ -276,7 +276,7 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
     return best_model
 
 
-def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Draw n positive values: pick a component by weight, draw the normal, exponentiate.
 
     A one-component model draws no component: its values, and the
@@ -287,15 +287,27 @@ def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator) -> np.nda
     u is the number of CDF edges at or below it, counted edge by edge: the
     ``searchsorted(cdf, u, side="right")`` of ``choice``, without its binary
     search.
+
+    The draws land in ``out`` (a float64 array of n, fresh if None), which is
+    returned.  The normal is scaled, shifted and exponentiated there in
+    place: ``z *= sd; z += mean`` gives the bits of ``mean + sd * z``.
     """
+    if out is None:
+        out = np.empty(n)
     if model.k == 1:
-        return np.exp(model.means[0] + np.sqrt(model.variances[0]) * rng.standard_normal(n))
+        z = rng.standard_normal(n, out=out)
+        z *= np.sqrt(model.variances[0])
+        z += model.means[0]
+        return np.exp(z, out=z)
     cdf = np.cumsum(model.weights)
     cdf /= cdf[-1]
-    u = rng.random(n)
+    u = rng.random(n, out=out)
     comps = np.zeros(n, dtype=np.intp)
     for edge in cdf[:-1]:
         comps += u >= edge
     means = np.asarray(model.means)
     sds = np.sqrt(np.asarray(model.variances))
-    return np.exp(means[comps] + sds[comps] * rng.standard_normal(n))
+    z = rng.standard_normal(n, out=out)
+    z *= sds.take(comps)
+    z += means.take(comps)
+    return np.exp(z, out=z)

@@ -147,12 +147,23 @@ def fit_workload(
     )
 
 
+def empty_columns(n: int) -> dict:
+    """Uninitialised transaction columns of n rows, as ``sample_transaction_arrays`` fills them."""
+    return {
+        "used_gas": np.empty(n, dtype=np.int64),
+        "gas_price": np.empty(n),
+        "cpu_time": np.empty(n),
+        "conflicting": np.empty(n, dtype=bool),
+    }
+
+
 def sample_transaction_arrays(
     workload: FittedWorkload,
     n: int,
     conflict_rate: float,
     rng: np.random.Generator,
     block_limit: int | None = None,
+    out: dict | None = None,
 ) -> dict:
     """Draw n synthetic transactions as columns: ``used_gas``, ``gas_price``,
     ``cpu_time`` and ``conflicting``, one array each.
@@ -161,21 +172,31 @@ def sample_transaction_arrays(
     It is only spawned, never drawn from: its three children, in order, feed
     the gas price, the used gas and the conflict flags.  At ``conflict_rate``
     0 no flag is drawn.
+
+    ``out`` maps the four column names to arrays of n, typed as
+    :func:`empty_columns` makes them, that receive the draws, and is
+    returned; None allocates them.  Every step runs in those arrays, with
+    the bits of the out-of-place ``clip(rint(draw), ...).astype(np.int64)``.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
     if not 0.0 <= conflict_rate <= 1.0:
         raise ValueError("conflict rate must lie in [0, 1]")
     limit = workload.block_limit if block_limit is None else check_block_limit(block_limit)
+    if out is None:
+        out = empty_columns(n)
     price_rng, gas_rng, conflict_rng = rng.spawn(3)
-    price = sample_gmm_with(workload.gas_price_model, n, price_rng)
-    raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng)
-    used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, limit).astype(np.int64)
-    cpu = workload.cpu_time_model.predict(used_gas)
-    conflicting = conflict_rng.random(n) < conflict_rate if conflict_rate > 0 else np.zeros(n, dtype=bool)
-    return {
-        "used_gas": used_gas,
-        "gas_price": price,
-        "cpu_time": cpu,
-        "conflicting": conflicting,
-    }
+    # cpu_time is scratch until the forest fills it: first the conflict
+    # uniforms, then the raw used gas
+    scratch = out["cpu_time"]
+    if conflict_rate > 0:
+        np.less(conflict_rng.random(n, out=scratch), conflict_rate, out=out["conflicting"])
+    else:
+        out["conflicting"].fill(False)
+    sample_gmm_with(workload.gas_price_model, n, price_rng, out=out["gas_price"])
+    raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng, out=scratch)
+    np.rint(raw_gas, out=raw_gas)
+    np.clip(raw_gas, MIN_TX_GAS, limit, out=raw_gas)
+    np.copyto(out["used_gas"], raw_gas, casting="unsafe")
+    workload.cpu_time_model.predict(out["used_gas"], out=out["cpu_time"])
+    return out

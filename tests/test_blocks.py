@@ -87,6 +87,24 @@ class TestTxStreamPacking:
         for k in ks:
             assert np.array_equal(measure_verification_times(toy_wl, limit, k, seed=5, p=p, conflict_rate=0.4), whole[:k])
 
+    def test_block_outlives_the_next_refill(self, toy_wl):
+        # a refill writes the other of the stream's two column sets, so the
+        # blocks of one refill keep their rows through the next (about 465
+        # blocks per refill at 8M)
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000)
+        taken = []
+        while len(taken) < 2 or taken[-1][0]["cols"] is taken[0][0]["cols"]:
+            b = stream.next_block_txs()
+            rows = {k: col[b["rows"]].copy() for k, col in b["cols"].items()}
+            taken.append((b, rows, b["seq_time"], verification_seconds(b, 4)))
+        # price a few more blocks of the new refill, as a caller does
+        for _ in range(5):
+            verification_seconds(stream.next_block_txs(), 4)
+        for b, rows, seq, par in taken:
+            assert all(np.array_equal(b["cols"][k][b["rows"]], rows[k]) for k in rows)
+            assert b["seq_time"] == seq
+            assert verification_seconds(b, 4) == par
+
     def test_limit_above_max_rejected(self, toy_wl):
         # a larger limit would size refills past MAX_BLOCK_LIMIT / 21000 * 4 transactions
         TxStream(toy_wl, 0.0, np.random.default_rng(0), MAX_BLOCK_LIMIT)

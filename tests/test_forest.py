@@ -265,6 +265,14 @@ class TestIntegerTable:
         if isinstance(value, int):
             assert model.predict(np.int64(value)) == expected
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_predict_into_out(self, dtype):
+        model = integer_gas_forest()
+        x = np.concatenate([np.arange(-5, 3 * TABLE_SIZE, 1237), near_bounds(model)]).astype(dtype)
+        buf = np.full(x.size, np.nan)
+        assert model.predict(x, out=buf) is buf
+        assert np.array_equal(buf, model.predict(x))
+
     def test_python_int_list_uses_table(self):
         model = integer_gas_forest()
         gas = list(range(0, 2 * TABLE_SIZE, 997))

@@ -82,6 +82,39 @@ class TestSampleTransactions:
             assert cpu_time == pytest.approx(float(toy_wl.cpu_time_model.predict(int(used_gas))), rel=1e-12)
 
 
+class TestOutBuffers:
+    """Drawing into caller buffers gives the bits of drawing into fresh arrays."""
+
+    MIXTURE = GmmModel(k=3, weights=(0.6, 0.3, 0.1), means=(10.6, 11.9, 15.6), variances=(0.25, 0.25, 0.64),
+                       log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+    PRICES = GmmModel(k=2, weights=(0.4, 0.6), means=(-18.0, -17.0), variances=(0.1, 0.2),
+                      log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
+    @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
+    @pytest.mark.parametrize("block_limit", [None, 64_000_000])
+    def test_same_bits(self, toy_wl, mixture, conflict_rate, block_limit):
+        wl = toy_wl
+        if mixture:
+            wl = dataclasses.replace(toy_wl, used_gas_model=self.MIXTURE, gas_price_model=self.PRICES)
+        n = 5000
+        # views into larger arrays, pre-filled so that an unwritten row shows
+        out = {
+            "used_gas": np.full(n + 3, -1, dtype=np.int64)[2:-1],
+            "gas_price": np.full(n + 3, np.nan)[2:-1],
+            "cpu_time": np.full(n + 3, np.nan)[2:-1],
+            "conflicting": np.ones(n + 3, dtype=bool)[2:-1],
+        }
+        got = sample_transaction_arrays(wl, n, conflict_rate, np.random.default_rng(13), block_limit, out=out)
+        fresh = sample(wl, n, conflict_rate, seed=13, block_limit=block_limit)
+        assert got is out
+        for k, col in fresh.items():
+            assert out[k].dtype == col.dtype
+            assert np.array_equal(out[k], col), k
+        if block_limit is not None and mixture:
+            assert np.any(fresh["used_gas"] > 8_000_000)
+
+
 class TestColumnStreams:
     """Each column draws from its own stream, spawned from the caller's generator."""
 
