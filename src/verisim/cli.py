@@ -96,10 +96,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     # the dataset CSV has no conflict column, so no flag is drawn
     cols = sample_transaction_arrays(wl, args.n, 0.0, rng)
-    # the dataset schema keeps a gas limit; nothing simulated reads it, so it
-    # is drawn here, uniform in [used gas, block limit], from rng's own stream
-    gas_limit = rng.integers(cols["used_gas"], wl.block_limit + 1, dtype=np.int64)
-    ds = Dataset(cols["used_gas"], gas_limit, cols["gas_price"], cols["cpu_time"])
+    ds = Dataset(cols["used_gas"], cols["gas_price"], cols["cpu_time"])
     write_dataset(ds, args.out)
     print(f"sampled {args.n} transactions to {args.out}")
     return 0

@@ -1,7 +1,7 @@
 """Transaction dataset files and calibrated synthetic dataset generation.
 
-CSV schema: header ``used_gas,gas_limit,gas_price,cpu_time_s``, one row per
-transaction, UTF-8, decimal point.  The synthetic generator stands in for the
+CSV schema: header ``used_gas,gas_price,cpu_time_s``, one row per
+transaction, UTF-8, decimal point.  Used gas lies in [1, block limit].  The synthetic generator stands in for the
 (unpublished) measured dataset; its parameters live in the profile constants
 below so recalibration is a one-file change.
 """
@@ -14,7 +14,7 @@ import numpy as np
 from verisim.fields import require_finite, require_positive
 from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS, check_block_limit
 
-CSV_HEADER = ["used_gas", "gas_limit", "gas_price", "cpu_time_s"]
+CSV_HEADER = ["used_gas", "gas_price", "cpu_time_s"]
 
 # The synthetic contract-execution profile.  Used gas is a mixture of
 # lognormal components, (weight, log-mean, log-sd) each.  CPU time follows a
@@ -43,7 +43,6 @@ class Dataset:
     """Columnar dataset of contract transactions."""
 
     used_gas: np.ndarray
-    gas_limit: np.ndarray
     gas_price: np.ndarray
     cpu_time: np.ndarray
 
@@ -51,13 +50,11 @@ class Dataset:
         return int(self.used_gas.size)
 
 
-def _validate_row(line_no: int, used_gas: int, gas_limit: int, gas_price: float, cpu_time: float, block_limit: int):
+def _validate_row(line_no: int, used_gas: int, gas_price: float, cpu_time: float, block_limit: int):
     if used_gas < 1:
         raise ValueError(f"line {line_no}: used_gas must be >= 1, got {used_gas}")
-    if gas_limit < used_gas:
-        raise ValueError(f"line {line_no}: gas_limit ({gas_limit}) < used_gas ({used_gas})")
-    if gas_limit > block_limit:
-        raise ValueError(f"line {line_no}: gas_limit ({gas_limit}) exceeds block limit ({block_limit})")
+    if used_gas > block_limit:
+        raise ValueError(f"line {line_no}: used_gas ({used_gas}) exceeds block limit ({block_limit})")
     require_positive(f"line {line_no}: gas_price", gas_price)
     require_finite(f"line {line_no}: cpu_time_s", cpu_time, 0)
 
@@ -65,7 +62,7 @@ def _validate_row(line_no: int, used_gas: int, gas_limit: int, gas_price: float,
 def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
     """Read and validate a transaction CSV; errors name the offending line."""
     check_block_limit(block_limit)
-    used_gas, gas_limit, gas_price, cpu_time = [], [], [], []
+    used_gas, gas_price, cpu_time = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -77,23 +74,20 @@ def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError(f"line {line_no}: expected 4 fields, got {len(row)}")
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}")
             try:
-                ug, gl = int(row[0]), int(row[1])
-                gp, ct = float(row[2]), float(row[3])
+                ug, gp, ct = int(row[0]), float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: malformed value ({exc})") from None
-            _validate_row(line_no, ug, gl, gp, ct, block_limit)
+            _validate_row(line_no, ug, gp, ct, block_limit)
             used_gas.append(ug)
-            gas_limit.append(gl)
             gas_price.append(gp)
             cpu_time.append(ct)
     if not used_gas:
         raise ValueError("empty dataset")
     return Dataset(
         used_gas=np.asarray(used_gas, dtype=np.int64),
-        gas_limit=np.asarray(gas_limit, dtype=np.int64),
         gas_price=np.asarray(gas_price, dtype=np.float64),
         cpu_time=np.asarray(cpu_time, dtype=np.float64),
     )
@@ -101,7 +95,7 @@ def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
 
 def write_dataset(dataset: Dataset, path):
     """Write the CSV schema; csv writes floats by repr, so load(write(ds)) round-trips exactly."""
-    columns = (dataset.used_gas, dataset.gas_limit, dataset.gas_price, dataset.cpu_time)
+    columns = (dataset.used_gas, dataset.gas_price, dataset.cpu_time)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -127,9 +121,8 @@ def generate_synthetic_dataset(
     noise = np.exp(rng.normal(0.0, CPU_NOISE_SD, size=n))
     cpu_time = CPU_SCALE * (used_gas / CPU_REF_GAS) ** CPU_EXPONENT * noise
     gas_price = np.exp(rng.normal(PRICE_LOG_MEAN, PRICE_LOG_SD, size=n))
-    gas_limit = rng.integers(used_gas, block_limit + 1, dtype=np.int64)
 
-    return Dataset(used_gas=used_gas, gas_limit=gas_limit, gas_price=gas_price, cpu_time=cpu_time)
+    return Dataset(used_gas=used_gas, gas_price=gas_price, cpu_time=cpu_time)
 
 
 def default_workload(n: int = 60_000, seed: int = 7):

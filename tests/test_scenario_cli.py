@@ -382,9 +382,7 @@ class TestCli:
 
     def test_fit_too_few_rows_for_folds(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
-        rows = ["used_gas,gas_limit,gas_price,cpu_time_s"] + [
-            f"{21000 + i},{50000 + i},2e-08,0.001" for i in range(5)
-        ]
+        rows = ["used_gas,gas_price,cpu_time_s"] + [f"{21000 + i},2e-08,0.001" for i in range(5)]
         data.write_text("\n".join(rows) + "\n")
         code = cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
                          "--d-grid", "5", "--s-grid", "2", "--folds", "10"])
@@ -393,8 +391,8 @@ class TestCli:
 
     def test_fit_non_finite_cpu_time(self, tmp_path, capsys):
         data = tmp_path / "nan.csv"
-        rows = ["used_gas,gas_limit,gas_price,cpu_time_s"] + [
-            f"{21000 + i},{50000 + i},2e-08,{'nan' if i == 7 else '0.001'}" for i in range(300)
+        rows = ["used_gas,gas_price,cpu_time_s"] + [
+            f"{21000 + i},2e-08,{'nan' if i == 7 else '0.001'}" for i in range(300)
         ]
         data.write_text("\n".join(rows) + "\n")
         code = cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"),

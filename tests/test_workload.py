@@ -37,17 +37,17 @@ class TestSampleTransactions:
         frac = sample(toy_wl, 10_000, conflict_rate=0.4, seed=3)["conflicting"].mean()
         assert 0.38 <= frac <= 0.42
 
-    def test_gas_limit_bounds(self, toy_wl, tmp_path):
-        # the gas limit is drawn by `verisim sample` alone; its CSV must load
+    def test_sampled_csv_loads(self, toy_wl, tmp_path):
+        # `verisim sample` writes the sampled columns; its CSV must load
         model, out = tmp_path / "toy.json", tmp_path / "sampled.csv"
         toy_wl.save(model)
         assert cli_main(["sample", "--model", str(model), "--n", "10000", "--seed", "3", "--out", str(out)]) == 0
         ds = load_dataset(out)
-        assert ds.used_gas.size == 10_000
-        assert np.all(ds.used_gas <= ds.gas_limit)
-        assert np.all(ds.gas_limit <= 8_000_000)
-        assert np.all(ds.used_gas >= MIN_TX_GAS)
-        assert np.any(ds.gas_limit > ds.used_gas)
+        fresh = sample(toy_wl, 10_000, conflict_rate=0.0, seed=3)
+        assert np.array_equal(ds.used_gas, fresh["used_gas"])
+        assert np.array_equal(ds.gas_price, fresh["gas_price"])
+        assert np.array_equal(ds.cpu_time, fresh["cpu_time"])
+        assert np.all((ds.used_gas >= MIN_TX_GAS) & (ds.used_gas <= 8_000_000))
 
     def test_record_invariants(self, toy_wl):
         cols = sample(toy_wl, 10_000, conflict_rate=0.4, seed=4)
@@ -119,7 +119,6 @@ class TestColumnStreams:
     """Each column draws from its own stream, spawned from the caller's generator."""
 
     def test_columns(self, toy_wl):
-        # the gas limit is no sampled column: `verisim sample` draws it
         assert set(sample(toy_wl, 10, 0.3, seed=1)) == {"used_gas", "gas_price", "cpu_time", "conflicting"}
 
     def test_used_gas_ignores_the_price_model(self, toy_wl):
