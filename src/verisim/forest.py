@@ -185,13 +185,15 @@ class ForestModel:
         x = np.asarray(used_gas)
         if x.ndim == 0 or x.dtype.kind not in "iu":
             x = np.asarray(x, dtype=np.float64)
-            return self._values.take(np.searchsorted(self._bounds, x, side="left"), out=out)
+            # searchsorted's indices lie in [0, len(_values)); "clip" lets
+            # take write straight into out, where "raise" buffers a copy
+            return self._values.take(np.searchsorted(self._bounds, x, side="left"), out=out, mode="clip")
         self._ensure_table()
         steps = self._table.take(x, mode="clip")
         outside = (x < 0) | (x >= TABLE_SIZE)
         if outside.any():
             steps[outside] = np.searchsorted(self._bounds, x[outside].astype(np.float64), side="left")
-        return self._values.take(steps, out=out)
+        return self._values.take(steps, out=out, mode="clip")
 
     def to_dict(self) -> dict:
         return {
