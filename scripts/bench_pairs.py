@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating parent/change pairs and write BENCH_<label>.json.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --label NAME \\
-        [--seeds 10] [--first-seed 1] [--seconds 10] [--workloads a,b]
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --label NAME [--seeds 10]
 
 ``--parent`` and ``--change`` are two checkouts of this repository.  For
-every seed and every workload that the change's ``BENCHMARK.json`` lists,
-the script runs ``python3 perfbench/run.py --workload W --seed S --seconds
-T --trace 0`` once in each checkout: the parent first on odd seeds, the
-change first on even ones, so that a drift in host speed falls on both
-sides alike.  It writes ``BENCH_<label>.json`` at the root of the checkout
-that holds this script, after every pair, so that a cut-short run keeps
-the pairs it finished.
+seeds 1..N (N >= 10, the fewest pairs a claimed gain is judged on) and
+every workload that the change's ``BENCHMARK.json`` lists, the script runs
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+once in each checkout, with T the benchmark's ``run_seconds``: the parent
+first on odd seeds, the change first on even ones, so that a drift in host
+speed falls on both sides alike.  It writes ``BENCH_<label>.json`` at the
+root of the checkout that holds this script after every seed from the
+second on, so that a cut-short run keeps the seeds it finished.
 
 For each workload and end-to-end metric the file holds each side's
 per-run values, median and quartiles, and how many pairs the change won,
@@ -56,11 +56,8 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -
 
 
 def spread(values: list) -> dict:
-    """Median and quartiles (the inclusive method, so one value is its own quartiles)."""
-    if len(values) == 1:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles (the inclusive method)."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
@@ -86,17 +83,17 @@ def compare(pairs: list, metric: str, better: str) -> dict:
     return out
 
 
-def summarise(label: str, args, bench: dict, runs: dict) -> dict:
+def summarise(label: str, seeds: range, bench: dict, runs: dict) -> dict:
     workloads = {}
     for name, pairs in runs.items():
         metrics = {m["name"]: compare(pairs, m["name"], m["better"]) for m in bench["end_to_end"]
-                   if pairs and all(m["name"] in p[side]["metrics"] for p in pairs for side in SIDES)}
+                   if all(m["name"] in p[side]["metrics"] for p in pairs for side in SIDES)}
         workloads[name] = {"metrics": metrics, "pairs": pairs}
     return {
         "label": label,
-        "command": bench["command"] + ["--workload", "W", "--seed", "S", "--seconds", str(args.seconds), "--trace", "0"],
+        "command": bench["command"] + ["--workload", "W", "--seed", "S", "--seconds", str(bench["run_seconds"]), "--trace", "0"],
         "order": "parent first on odd seeds, change first on even seeds",
-        "seeds": list(range(args.first_seed, args.first_seed + args.seeds)),
+        "seeds": list(seeds),
         "workloads": workloads,
     }
 
@@ -106,35 +103,29 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=pathlib.Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=pathlib.Path, help="checkout of the change")
     parser.add_argument("--label", required=True, help="the output file is BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, default=10, help="pairs per workload (default 10)")
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0, help="run.py --seconds (default 10)")
-    parser.add_argument("--workloads", help="comma-separated subset of BENCHMARK.json's workloads")
+    parser.add_argument("--seeds", type=int, default=10, help="pairs per workload (default 10, at least 10)")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be >= 1")
+    if args.seeds < 10:
+        parser.error("--seeds must be >= 10")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        unknown = set(args.workloads.split(",")) - set(names)
-        if unknown:
-            parser.error(f"unknown workloads {sorted(unknown)}; choose from {names}")
-        names = [n for n in names if n in args.workloads.split(",")]
+    seeds = range(1, args.seeds + 1)
     out = ROOT / f"BENCH_{args.label}.json"
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {name: [] for name in names}
-    for seed in range(args.first_seed, args.first_seed + args.seeds):
+    for seed in seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
         for name in names:
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], name, seed, args.seconds)
+                pair[side] = run_once(checkouts[side], name, seed, bench["run_seconds"])
             runs[name].append(pair)
             line = "  ".join(f"{m}={pair['parent']['metrics'][m]:.4g}->{pair['change']['metrics'][m]:.4g}"
                              for m in pair["parent"]["metrics"])
             print(f"seed {seed} {name}: {line}", file=sys.stderr, flush=True)
-            out.write_text(json.dumps(summarise(args.label, args, bench, runs), indent=1) + "\n")
+        if seed > 1:  # quartiles need two pairs
+            out.write_text(json.dumps(summarise(args.label, seeds[:seed], bench, runs), indent=1) + "\n")
     print(f"wrote {out}")
     return 0
 
