@@ -180,12 +180,23 @@ def measure_verification_times(
     seed: int = 0,
     p: int = 1,
     conflict_rate: float = 0.0,
+    seq_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Verification times on p processors of n freshly built blocks (the per-limit statistics source)."""
+    """Verification times on p processors of n freshly built blocks (the per-limit statistics source).
+
+    ``seq_out``, an array of n_blocks floats if given, receives the same
+    blocks' one-processor times from the same pass.
+    """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks!r}")
     stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit)
-    return np.asarray([verification_seconds(stream.next_block_txs(), p) for _ in range(n_blocks)], dtype=np.float64)
+    times = np.empty(n_blocks, dtype=np.float64)
+    for i in range(n_blocks):
+        block = stream.next_block_txs()
+        times[i] = verification_seconds(block, p)
+        if seq_out is not None:
+            seq_out[i] = block["seq_time"]
+    return times
 
 
 def summary_stats(values: np.ndarray) -> dict:

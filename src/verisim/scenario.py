@@ -9,19 +9,24 @@ seed order, so reports are reproducible byte for byte.
 """
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
+from importlib.resources import as_file, files
 
 import numpy as np
 
 from verisim.analytics import VerificationParams, reward_table
 from verisim.blocks import measure_verification_times, summary_stats
-from verisim.config import ScenarioConfig
+from verisim.config import MAX_RUNS, ScenarioConfig
 from verisim.sim import SimResult, resolve_workload, run_simulation
 from verisim.workload import FittedWorkload
 
 # the coverage of the summary's confidence intervals
 CI_LEVEL = 0.95
+# stdtrit(df, 0.5 + CI_LEVEL / 2) for df = 1 .. MAX_RUNS - 1, in verisim/data;
+# tests/test_student_t_table.py checks it and regenerates it
+T_TABLE = "student_t_975.npy"
 
 RESULTS_HEADER = ["config_id", "seed", "miner_id", "alpha", "verifies", "fee_fraction", "relative_gain_pct"]
 TV_STATS = ("mean", "min", "max", "median", "sd")
@@ -113,16 +118,23 @@ def run_many(config: ScenarioConfig, workload: FittedWorkload) -> list:
     ]
 
 
-def ci_halfwidth(values: np.ndarray) -> float:
-    # stdtrit is what scipy.stats.t.ppf evaluates, bit for bit; scipy.stats
-    # takes a second to import and scipy.special a third, so import it lazily
-    from scipy.special import stdtrit
+@functools.cache
+def student_t_table() -> np.ndarray:
+    """The Student-t quantiles of ``T_TABLE``, memory-mapped once per process."""
+    with as_file(files("verisim") / "data" / T_TABLE) as path:
+        return np.load(path, mmap_mode="r")
 
+
+def ci_halfwidth(values: np.ndarray) -> float:
+    # the quantile is read from a table of scipy.special.stdtrit, the function
+    # scipy.stats.t.ppf evaluates, bit for bit, so a sweep never imports scipy
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         return 0.0
+    if values.size > MAX_RUNS:
+        raise ValueError(f"ci_halfwidth takes at most MAX_RUNS={MAX_RUNS} values, got {values.size}")
     sd = float(values.std(ddof=1))
-    q = float(stdtrit(values.size - 1, 0.5 + CI_LEVEL / 2.0))
+    q = float(student_t_table()[values.size - 2])
     return float(q * sd / np.sqrt(values.size))
 
 
@@ -138,15 +150,14 @@ def run_sweep(
     for config_id, config in enumerate(configs):
         wl = resolve_workload(config, workload)
         p = config.processors_for()
+        # the closed form takes the same blocks' time on one processor
+        seq = np.empty(tv_blocks, dtype=np.float64)
         tv_stats = summary_stats(
-            measure_verification_times(wl, config.block_limit, tv_blocks, seed=tv_seed, p=p, conflict_rate=config.c)
-        )
-        seq_tv = tv_stats["mean"]
-        if p != 1:
-            # the same blocks, re-timed on one processor for the closed form
-            seq_tv = float(
-                measure_verification_times(wl, config.block_limit, tv_blocks, seed=tv_seed, conflict_rate=config.c).mean()
+            measure_verification_times(
+                wl, config.block_limit, tv_blocks, seed=tv_seed, p=p, conflict_rate=config.c, seq_out=seq
             )
+        )
+        seq_tv = float(seq.mean())
         results = run_many(config, wl)
         all_results.append(results)
 

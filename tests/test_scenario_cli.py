@@ -146,22 +146,21 @@ class TestSweep:
             expected = float(stats.t.ppf(0.975, n - 1)) * float(values.std(ddof=1)) / np.sqrt(n)
             assert ci_halfwidth(values) == expected
 
-    def test_import_leaves_scipy_stats_out(self):
+    def test_sweep_loads_no_scipy(self):
         # scipy.stats takes a second to import and scipy.special a third of one:
-        # importing verisim loads neither, and a sweep's summary loads only scipy.special
+        # neither importing verisim nor a sweep's summary loads any part of scipy
         code = textwrap.dedent("""
             import sys
             import verisim
-            print([m for m in ("scipy.stats", "scipy.special") if m in sys.modules])
             from tests.helpers import toy_workload
             config = verisim.ScenarioConfig(8_000_000, verisim.standard_miners(10, 0.1), sim_duration=120.0, runs=2)
             verisim.run_sweep([config], toy_workload(), tv_blocks=5)
-            print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(pathlib.Path(SRC).parent)])}
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         # a non-verifier and runs=2 make the summary call ci_halfwidth
-        assert run.stdout.splitlines() == ["[]", "True False"]
+        assert run.stdout.splitlines() == ["[]"]
 
 
 class TestConfigIO:
