@@ -142,6 +142,13 @@ class TestVerificationTime:
         seq = [stream.next_block_txs()["seq_time"] for _ in range(50)]
         assert np.array_equal(measure_verification_times(toy_wl, limit, 50, seed=3, p=1), seq)
 
+    def test_seq_out_takes_the_sequential_times_from_the_same_pass(self, toy_wl):
+        # 1,000 blocks at 8M cross two refills
+        seq = np.empty(1_000)
+        par = measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, p=16, conflict_rate=0.4, seq_out=seq)
+        assert np.array_equal(par, measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, p=16, conflict_rate=0.4))
+        assert np.array_equal(seq, measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, conflict_rate=0.4))
+
     def test_conflicting_run_sequentially(self):
         packed = packed_with([1.0, 1.0, 2.0, 2.0], conflicting=[True, True, False, False])
         # two conflicting seconds-long jobs serialize; the others split over p=2

@@ -131,6 +131,11 @@ class TestSweep:
         for column in ("sim_gain_ci95_pct", "sim_expected_ci95_pct"):
             assert float(row[column]) > 0
 
+    @pytest.mark.parametrize("tv_blocks", [0, -1])
+    def test_sweep_rejects_no_tv_blocks(self, toy_wl, tv_blocks):
+        with pytest.raises(ValueError, match=f"^tv_blocks must be an integer >= 1, got {tv_blocks}$"):
+            run_sweep([small_config()], toy_wl, tv_blocks=tv_blocks)
+
     def test_ci_halfwidth_basics(self):
         assert ci_halfwidth(np.asarray([1.0])) == 0.0
         wide = ci_halfwidth(np.asarray([0.0, 10.0, -10.0, 5.0]))
