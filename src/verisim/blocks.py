@@ -7,17 +7,23 @@ transactions' CPU times; parallel verification schedules non-conflicting
 transactions across p processors (longest first, earliest-free processor)
 and runs conflicting ones sequentially afterwards.
 
-``TxStream`` packs on demand, a few blocks ahead of its caller: each block
-end is one binary search over cumulative gas, and a batch's totals are read
-off the cumulative sums in a few vectorised gathers, so the per-block path
-does no array work.  A block is a small dict that names its rows of the
-refill's columns; only a parallel verification time slices them.
+``TxStream`` packs on demand, a few blocks ahead of its caller, in batches:
+each block end is one binary search over cumulative gas, and a batch's
+totals are read off the cumulative sums in a few vectorised gathers, so the
+per-block path does no array work.  A block is a small dict that names its
+rows of the refill's columns and its place in its batch.  Parallel
+verification is priced a batch at a time: the first block priced at some
+p > 1 prices its whole batch at p in one ``lpt_makespan`` call, and the
+batch keeps those times for its other blocks.
 
 The stream draws into buffers it owns: two column sets used in turn, each
 refill copying the unread tail to the front of the other set and drawing the
 fresh chunk straight behind it, plus one buffer per cumulative sum.  So a
 refill allocates no column, and a block's rows stay valid until the second
-refill after the one that made it.
+refill after the one that made it.  A stream with conflicting transactions
+(c > 0) sums their CPU times too, in the fee products' buffer once the fees
+are summed, and reads each batch's conflicting totals off that sum as it
+packs the batch.
 """
 
 import numpy as np
@@ -29,22 +35,42 @@ from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, empt
 CHUNK_TXS = 1 << 16
 
 
-def _parallel_time(cpu: np.ndarray, conflicting: np.ndarray, p: int) -> float:
-    makespan = kernels.lpt_makespan(cpu[~conflicting], p)
-    return float(makespan + cpu[conflicting].sum())
+def _parallel_time(batch: dict, p: int) -> list:
+    """Parallel verification times on p processors of every block in a packed batch.
+
+    The non-conflicting CPU times go into a zero-padded matrix, one row per
+    block, that one ``lpt_makespan`` call schedules; each block's
+    conflicting total, read off at pack time, then runs after its makespan.
+    """
+    cols, starts, ends = batch["cols"], batch["starts"], batch["ends"]
+    lo, hi = starts[0], ends[-1]
+    free = np.where(cols["conflicting"][lo:hi], 0.0, cols["cpu_time"][lo:hi])
+    # one transaction, the first that overflowed, lies between two blocks
+    free = np.delete(free, ends[:-1] - lo)
+    counts = ends - starts
+    jobs = np.zeros((counts.size, counts.max()))
+    jobs[np.arange(jobs.shape[1]) < counts[:, None]] = free
+    makespans = kernels.lpt_makespan(jobs, p)
+    if batch["serial"] is not None:
+        makespans += batch["serial"]
+    return makespans.tolist()
 
 
 def verification_seconds(packed: dict, p: int) -> float:
     """CPU seconds a verifier with p processors spends re-executing a packed block.
 
-    ``packed`` is a block from ``TxStream.next_block_txs``: its ``rows`` slice
-    of the columns ``cols``.  One processor runs the transactions back to
-    back, so p = 1 is exactly the sequential time.
+    ``packed`` is a block from ``TxStream.next_block_txs``.  One processor
+    runs the transactions back to back, so p = 1 is exactly the sequential
+    time.  For p > 1 the first call prices every block of the block's batch
+    at p, and the batch keeps those times for its other blocks.
     """
     if p == 1:
         return packed["seq_time"]
-    cols, rows = packed["cols"], packed["rows"]
-    return _parallel_time(cols["cpu_time"][rows], cols["conflicting"][rows], p)
+    batch, i = packed["batch"]
+    priced = batch["priced"]
+    if p not in priced:
+        priced[p] = _parallel_time(batch, p)
+    return priced[p][i]
 
 
 def _cumsum0(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -74,15 +100,23 @@ class TxStream:
     allocated at its first refill, and refills them in turn: the tail is
     copied to the front of the other set and the fresh chunk is drawn
     straight behind it.  The cumulative sums and the fee products go into
-    buffers it keeps as well.  So a block's ``cols`` stay valid until the
-    second refill after the one that made the block; every caller prices a
-    block before it takes the next.
+    buffers it keeps as well.  When c > 0, a fourth cumulative sum, of the
+    conflicting transactions' CPU times, is taken into the fee products'
+    buffer after the fees are summed; it needs no buffer of its own and
+    lives until the next refill, and a batch's conflicting totals are read
+    off it when the batch is packed.  So a block's ``cols`` stay valid until
+    the second refill after the one that made the block; every caller
+    prices a block before it takes the next.
 
     Blocks are packed on demand: when none is waiting, the stream packs
     ``max(1, blocks handed out since the refill)`` more, never past the next
     refill point.  The batches double, so a short stream packs at most about
     twice the blocks it hands out, and how many blocks a caller takes never
-    changes the blocks it gets.
+    changes the blocks it gets.  Each block's ``batch`` is ``(batch, i)``:
+    the batch it was packed in and its place there.  The batch holds its
+    blocks' row bounds, their conflicting totals (``None`` when c = 0) and
+    the parallel times priced so far, one list per p; it lives as long as
+    any of its blocks.
     """
 
     def __init__(
@@ -131,6 +165,14 @@ class TxStream:
         self._gas_c = _cumsum0(cols["used_gas"], gas_c)
         self._fee_c = _cumsum0(fee, fee_c)
         self._cpu_c = _cumsum0(cols["cpu_time"], cpu_c)
+        self._serial_c = None
+        if self._c > 0:
+            # the fees are summed, so their buffer (n + 1 long, since a
+            # refill leaves fewer than max_block_txs rows unread) takes the
+            # cumulative CPU time of the conflicting transactions, summed in place
+            serial_c = self._fee[: n + 1]
+            serial = np.multiply(cols["cpu_time"], cols["conflicting"], out=serial_c[1:])
+            self._serial_c = _cumsum0(serial, serial_c)
 
     def _pack(self):
         if self._cols is None or self._cols["used_gas"].size - self._cursor < self._max_block_txs:
@@ -157,16 +199,27 @@ class TxStream:
         fee = (self._fee_c.take(e) - self._fee_c.take(s)).tolist()
         seq = (self._cpu_c.take(e) - self._cpu_c.take(s)).tolist()
         cols = self._cols
+        serial = None if self._serial_c is None else self._serial_c.take(e) - self._serial_c.take(s)
+        batch = {"cols": cols, "starts": s, "ends": e, "serial": serial, "priced": {}}
         self._packed = [
-            {"tx_count": b - a, "gas_used_total": g, "total_fee": f, "seq_time": q, "rows": slice(a, b), "cols": cols}
-            for a, b, g, f, q in zip(starts, ends, gas, fee, seq)
+            {
+                "tx_count": b - a,
+                "gas_used_total": g,
+                "total_fee": f,
+                "seq_time": q,
+                "rows": slice(a, b),
+                "cols": cols,
+                "batch": (batch, i),
+            }
+            for i, (a, b, g, f, q) in enumerate(zip(starts, ends, gas, fee, seq))
         ][::-1]
 
     def next_block_txs(self) -> dict:
         """The next greedily packed block (may be empty).
 
         Keys: ``tx_count``, ``gas_used_total``, ``total_fee``, ``seq_time``,
-        and the block's ``rows`` (a slice) of the refill's columns ``cols``.
+        the block's ``rows`` (a slice) of the refill's columns ``cols``, and
+        its ``batch`` (see the class docstring).
         """
         if not self._packed:
             self._pack()

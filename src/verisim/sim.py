@@ -26,16 +26,19 @@ ancestry and their fees; nothing is kept per block.
 ``stale_blocks`` counts valid-ancestry blocks off the canonical chain; by the
 argument it is always 0, and the run asserts so.
 
-Each block prices its re-execution once per distinct verifier processor
-count (one in sequential mode).  Miners fall into classes: one per such
-count, whose verifiers all pay the same pause for a block except its finder,
-and one for the non-verifiers, which pay nothing.  A paying class keeps
-``offset``, the pauses its members have paid so far, and each verifier counts
-the pauses it ``skipped`` as a finder.  A miner's pending find is ``base +
-offset`` of its class, so adding a block's cost to the offset defers every
-member's find at once (the next-reaction method of Gibson and Bruck, J. Phys.
-Chem. A 104, 2000); the waits are memoryless, so a deferred find is still
-exactly exponential.  A finder's new base subtracts the current offset, so
+Each block whose parent has valid ancestry prices its re-execution once per
+distinct verifier processor count (one in sequential mode); a block on
+invalid ancestry is rejected unexecuted and is not priced.  The stream
+prices parallel verification a packed batch at a time (``verisim.blocks``),
+so most blocks read their cost from their batch.  Miners fall into classes:
+one per such count, whose verifiers all pay the same pause for a block
+except its finder, and one for the non-verifiers, which pay nothing.  A
+paying class keeps ``offset``, the pauses its members have paid so far, and
+each verifier counts the pauses it ``skipped`` as a finder.  A miner's
+pending find is ``base + offset`` of its class, so adding a block's cost to
+the offset defers every member's find at once (the next-reaction method of
+Gibson and Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so
+a deferred find is still exactly exponential.  A finder's new base subtracts the current offset, so
 its own block does not defer it.  Each class holds its members in a heap of
 ``(base, index)``, and the next event is the least ``(base + offset,
 index)`` over the heap tops, ties going to the lowest miner index.  No step
@@ -208,7 +211,6 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # the new block, as the head of the chain it ends
         block = Head(parent.height + 1, parent.valid_ancestry and not miner.produces_invalid)
         packed = stream.next_block_txs()
-        costs = [verification_seconds(packed, p) for p in ps]
         found[i] += 1
         if block.valid_ancestry:
             canon[i] += 1
@@ -227,6 +229,7 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # valid parents cost full verification before rejection.  A verifier
         # always extends the valid head, so it finds only blocks that cost.
         if parent.valid_ancestry:
+            costs = [verification_seconds(packed, p) for p in ps]
             for k, cost in enumerate(costs):
                 # mining is suspended while verifying: every member's
                 # pending find moves back with the offset

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.test_kernels import lpt_oracle
 from verisim import kernels
 from verisim.blocks import TxStream, measure_verification_times, verification_seconds
 from verisim.workload import MAX_BLOCK_LIMIT
 
 
 def packed_with(cpu_times, conflicting=None):
-    """A packed block as ``TxStream.next_block_txs`` returns it, with the columns verification reads."""
+    """A packed block as ``TxStream.next_block_txs`` returns it, with the
+    columns verification reads, alone in its batch."""
     cpu = np.asarray(cpu_times, dtype=np.float64)
     conf = np.zeros(cpu.size, dtype=bool) if conflicting is None else np.asarray(conflicting, dtype=bool)
-    return {"cols": {"cpu_time": cpu, "conflicting": conf}, "rows": slice(0, cpu.size), "seq_time": float(cpu.sum())}
+    cols = {"cpu_time": cpu, "conflicting": conf}
+    batch = {"cols": cols, "starts": np.asarray([0]), "ends": np.asarray([cpu.size]), "serial": cpu[conf].sum(keepdims=True), "priced": {}}
+    return {"cols": cols, "rows": slice(0, cpu.size), "seq_time": float(cpu.sum()), "batch": (batch, 0)}
 
 
 def column(packed, name):
@@ -182,6 +186,39 @@ class TestVerificationTime:
         par = measure_verification_times(fitted_workload, 8_000_000, 100, seed=21, p=4, conflict_rate=0.4)
         factor = 0.4 + 0.6 / 4
         assert par.mean() == pytest.approx(seq.mean() * factor, rel=0.15)
+
+    @pytest.mark.parametrize("p", [2, 4, 16, 64])
+    @pytest.mark.parametrize("c", [0.0, 0.4])
+    @pytest.mark.parametrize("limit, n", [(8_000_000, 500), (128_000_000, 40)])
+    def test_batch_pricing_matches_the_oracle(self, toy_wl, monkeypatch, limit, n, c, p):
+        # each block is priced with its whole batch (both cases cross a refill:
+        # about 465 blocks per refill at 8M and 29 at 128M); the makespans are
+        # taken from the kernel's batch results, in stream order
+        batches = []
+        lpt = kernels.lpt_makespan
+
+        def recorded(jobs, p):
+            makespans = lpt(jobs, p)
+            batches.append(makespans.copy())
+            return makespans
+
+        monkeypatch.setattr(kernels, "lpt_makespan", recorded)
+        stream = TxStream(toy_wl, c, np.random.default_rng(9), limit)
+        times, jobs = [], []
+        for _ in range(n):
+            b = stream.next_block_txs()
+            times.append(verification_seconds(b, p))
+            cpu, conf = column(b, "cpu_time"), column(b, "conflicting")
+            jobs.append((cpu[~conf].tolist(), float(cpu[conf].sum())))
+        makespans = np.concatenate(batches)[:n].tolist()
+        for t, makespan, (free, serial) in zip(times, makespans, jobs):
+            assert makespan.hex() == lpt_oracle(free, p).hex()
+            if c == 0:
+                assert t.hex() == (makespan + serial).hex()
+            else:
+                assert t == pytest.approx(makespan + serial, rel=2e-12, abs=0.0)
+        for k in (1, 3, n // 3):
+            assert measure_verification_times(toy_wl, limit, k, seed=9, p=p, conflict_rate=c).tolist() == times[:k]
 
     @pytest.mark.parametrize("n_blocks", [0, -1])
     def test_rejects_no_blocks(self, toy_wl, n_blocks):

@@ -27,12 +27,33 @@ def jobs_and_processors(draw):
     return draw(st.lists(st.sampled_from(DURATIONS), min_size=n, max_size=n)), p
 
 
+def padded(rows, width):
+    """The job lists as one batch: a matrix with a row per list, zero-padded to ``width``."""
+    batch = np.zeros((len(rows), width))
+    for out, row in zip(batch, rows):
+        out[: len(row)] = row
+    return batch
+
+
 class TestLptMakespanBits:
+    # a batch this small runs vectorised steps only below FEW_ROWS = 0 and
+    # both kinds of step at 2
+    @pytest.mark.parametrize("few_rows", [0, 2, kernels.FEW_ROWS])
     @settings(max_examples=300, deadline=None)
-    @given(jobs_and_processors())
-    def test_matches_the_definition(self, case):
+    @given(
+        jobs_and_processors(),
+        st.lists(st.lists(st.sampled_from(DURATIONS), max_size=150), max_size=5),
+        st.integers(0, 3),
+    )
+    def test_matches_the_definition(self, few_rows, case, others, pad):
         times, p = case
-        assert kernels.lpt_makespan(np.asarray(times, dtype=np.float64), p) == lpt_oracle(times, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "FEW_ROWS", few_rows)
+            assert kernels.lpt_makespan(np.asarray(times, dtype=np.float64), p) == lpt_oracle(times, p)
+            # the same jobs as one row of a zero-padded batch, among rows of other lengths
+            rows = [*others[:2], times, *others[2:]]
+            makespans = kernels.lpt_makespan(padded(rows, max(map(len, rows)) + pad), p)
+        assert [m.hex() for m in makespans.tolist()] == [lpt_oracle(row, p).hex() for row in rows]
 
     @settings(max_examples=300, deadline=None)
     @given(jobs_and_processors(), st.randoms(use_true_random=False))
