@@ -20,7 +20,7 @@ BACKEND = "fallback"
 FEW_ROWS = 16
 
 
-def lpt_makespan(times: np.ndarray, p: int):
+def lpt_makespan(times: np.ndarray, p: int) -> float | np.ndarray:
     """Makespan of greedy longest-processing-time-first scheduling on p processors.
 
     Jobs (nonnegative durations) are sorted by decreasing duration and each
