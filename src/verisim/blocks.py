@@ -11,7 +11,7 @@ and runs conflicting ones sequentially afterwards.
 each block end is one binary search over cumulative gas, and a batch's
 totals are read off the cumulative sums in a few vectorised gathers, so the
 per-block path does no array work.  A block is a small dict that names its
-rows of the refill's columns and its place in its batch.  Parallel
+rows of the refill's columns and the batch it was packed in.  Parallel
 verification is priced a batch at a time: the first block priced at some
 p > 1 prices its whole batch at p in one ``lpt_makespan`` call, and the
 batch keeps those times for its other blocks.
@@ -35,8 +35,9 @@ from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, empt
 CHUNK_TXS = 1 << 16
 
 
-def _parallel_time(batch: dict, p: int) -> list:
-    """Parallel verification times on p processors of every block in a packed batch.
+def _parallel_time(batch: dict, p: int) -> dict:
+    """Parallel verification times on p processors of every block in a packed
+    batch, keyed by each block's first row.
 
     The non-conflicting CPU times go into a zero-padded matrix, one row per
     block, that one ``lpt_makespan`` call schedules; each block's
@@ -53,7 +54,7 @@ def _parallel_time(batch: dict, p: int) -> list:
     makespans = kernels.lpt_makespan(jobs, p)
     if batch["serial"] is not None:
         makespans += batch["serial"]
-    return makespans.tolist()
+    return dict(zip(starts.tolist(), makespans.tolist()))
 
 
 def verification_seconds(packed: dict, p: int) -> float:
@@ -66,11 +67,11 @@ def verification_seconds(packed: dict, p: int) -> float:
     """
     if p == 1:
         return packed["seq_time"]
-    batch, i = packed["batch"]
+    batch = packed["batch"]
     priced = batch["priced"]
     if p not in priced:
         priced[p] = _parallel_time(batch, p)
-    return priced[p][i]
+    return priced[p][packed["rows"].start]
 
 
 def _cumsum0(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -112,11 +113,11 @@ class TxStream:
     ``max(1, blocks handed out since the refill)`` more, never past the next
     refill point.  The batches double, so a short stream packs at most about
     twice the blocks it hands out, and how many blocks a caller takes never
-    changes the blocks it gets.  Each block's ``batch`` is ``(batch, i)``:
-    the batch it was packed in and its place there.  The batch holds its
-    blocks' row bounds, their conflicting totals (``None`` when c = 0) and
-    the parallel times priced so far, one list per p; it lives as long as
-    any of its blocks.
+    changes the blocks it gets.  Each block's ``batch`` is the batch it was
+    packed in.  The batch holds its blocks' row bounds, their conflicting
+    totals (``None`` when c = 0) and the parallel times priced so far, one
+    dict per p keyed by each block's first row; it lives as long as any of
+    its blocks.
     """
 
     def __init__(
@@ -209,9 +210,9 @@ class TxStream:
                 "seq_time": q,
                 "rows": slice(a, b),
                 "cols": cols,
-                "batch": (batch, i),
+                "batch": batch,
             }
-            for i, (a, b, g, f, q) in enumerate(zip(starts, ends, gas, fee, seq))
+            for a, b, g, f, q in zip(starts, ends, gas, fee, seq)
         ][::-1]
 
     def next_block_txs(self) -> dict:

@@ -15,8 +15,9 @@ def packed_with(cpu_times, conflicting=None):
     cpu = np.asarray(cpu_times, dtype=np.float64)
     conf = np.zeros(cpu.size, dtype=bool) if conflicting is None else np.asarray(conflicting, dtype=bool)
     cols = {"cpu_time": cpu, "conflicting": conf}
-    batch = {"cols": cols, "starts": np.asarray([0]), "ends": np.asarray([cpu.size]), "serial": cpu[conf].sum(keepdims=True), "priced": {}}
-    return {"cols": cols, "rows": slice(0, cpu.size), "seq_time": float(cpu.sum()), "batch": (batch, 0)}
+    serial = cpu[conf].sum(keepdims=True)
+    batch = {"cols": cols, "starts": np.asarray([0]), "ends": np.asarray([cpu.size]), "serial": serial, "priced": {}}
+    return {"cols": cols, "rows": slice(0, cpu.size), "seq_time": float(cpu.sum()), "batch": batch}
 
 
 def column(packed, name):

@@ -36,16 +36,16 @@ def padded(rows, width):
 
 
 class TestLptMakespanBits:
-    # a batch this small runs vectorised steps only below FEW_ROWS = 0 and
-    # both kinds of step at 2
-    @pytest.mark.parametrize("few_rows", [0, 2, kernels.FEW_ROWS])
-    @settings(max_examples=300, deadline=None)
+    # a batch this small runs only vectorised steps at FEW_ROWS = 0, both
+    # kinds of step at 2 and only heaps at the default
+    @settings(max_examples=600, deadline=None)
     @given(
         jobs_and_processors(),
         st.lists(st.lists(st.sampled_from(DURATIONS), max_size=150), max_size=5),
         st.integers(0, 3),
+        st.sampled_from([0, 2, kernels.FEW_ROWS]),
     )
-    def test_matches_the_definition(self, few_rows, case, others, pad):
+    def test_matches_the_definition(self, case, others, pad, few_rows):
         times, p = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "FEW_ROWS", few_rows)
