@@ -10,20 +10,16 @@ and runs conflicting ones sequentially afterwards.
 ``TxStream`` packs on demand, a few blocks ahead of its caller, in batches:
 each block end is one binary search over cumulative gas, and a batch's
 totals are read off the cumulative sums in a few vectorised gathers, so the
-per-block path does no array work.  A block is a small dict that names its
-rows of the refill's columns and the batch it was packed in.  Parallel
-verification is priced a batch at a time: the first block priced at some
-p > 1 prices its whole batch at p in one ``lpt_makespan`` call, and the
-batch keeps those times for its other blocks.
+per-block path does no array work.  A block is a small dict of its totals,
+its first row and the batch it was packed in.  Parallel verification is
+priced a batch at a time: the first block priced at some p > 1 prices its
+whole batch at p in one ``lpt_makespan`` call, and the batch keeps those
+times for its other blocks.
 
-The stream draws into buffers it owns: two column sets used in turn, each
-refill copying the unread tail to the front of the other set and drawing the
-fresh chunk straight behind it, plus one buffer per cumulative sum.  So a
-refill allocates no column, and a block's rows stay valid until the second
-refill after the one that made it.  A stream with conflicting transactions
-(c > 0) sums their CPU times too, in the fee products' buffer once the fees
-are summed, and reads each batch's conflicting totals off that sum as it
-packs the batch.
+The stream draws into one set of buffers, allocated when it is made, and
+every buffer follows one lifetime rule: a block is valid until its caller
+takes the next block, since taking it may refill the buffers.  A block's
+totals, and any time already priced for it, stay readable after that.
 """
 
 import numpy as np
@@ -71,12 +67,13 @@ def verification_seconds(packed: dict, p: int) -> float:
     priced = batch["priced"]
     if p not in priced:
         priced[p] = _parallel_time(batch, p)
-    return priced[p][packed["rows"].start]
+    return priced[p][packed["start"]]
 
 
 def _cumsum0(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Cumulative sums with a leading 0 into ``out`` (one longer than
-    ``values``): rows [a, b) total ``c[b] - c[a]``."""
+    ``values``): rows [a, b) total ``c[b] - c[a]``.  ``values`` may be
+    ``out[1:]`` itself, summed in place."""
     out[0] = 0
     np.cumsum(values, out=out[1:])
     return out
@@ -97,27 +94,26 @@ class TxStream:
     of every ``total_fee`` and ``seq_time``: moving it, or summing the tail
     and the fresh rows apart, would change them.
 
-    The stream owns two column sets of ``max_block_txs + chunk`` rows,
-    allocated at its first refill, and refills them in turn: the tail is
-    copied to the front of the other set and the fresh chunk is drawn
-    straight behind it.  The cumulative sums and the fee products go into
-    buffers it keeps as well.  When c > 0, a fourth cumulative sum, of the
-    conflicting transactions' CPU times, is taken into the fee products'
-    buffer after the fees are summed; it needs no buffer of its own and
-    lives until the next refill, and a batch's conflicting totals are read
-    off it when the batch is packed.  So a block's ``cols`` stay valid until
-    the second refill after the one that made the block; every caller
-    prices a block before it takes the next.
+    The stream allocates all its buffers once, in ``__init__``: one column
+    set of ``max_block_txs + chunk`` rows and one buffer per cumulative sum
+    (of gas, fees and CPU time, and, when c > 0, of the conflicting
+    transactions' CPU time).  A refill copies the unread tail to the front
+    of the set and draws the fresh chunk straight behind it; the copy never
+    overlaps, since the tail is shorter than ``max_block_txs`` and starts
+    past ``chunk - max_block_txs >= 3 * max_block_txs``.  Each product is
+    summed in place in its cumulative sum's buffer.  So a refill allocates
+    no column, and every buffer follows one rule: a block is valid until its
+    caller takes the next block.  Every caller prices a block before it
+    takes the next.
 
     Blocks are packed on demand: when none is waiting, the stream packs
     ``max(1, blocks handed out since the refill)`` more, never past the next
     refill point.  The batches double, so a short stream packs at most about
     twice the blocks it hands out, and how many blocks a caller takes never
     changes the blocks it gets.  Each block's ``batch`` is the batch it was
-    packed in.  The batch holds its blocks' row bounds, their conflicting
-    totals (``None`` when c = 0) and the parallel times priced so far, one
-    dict per p keyed by each block's first row; it lives as long as any of
-    its blocks.
+    packed in.  The batch holds the columns, its blocks' row bounds, their
+    conflicting totals (``None`` when c = 0) and the parallel times priced so
+    far, one dict per p keyed by each block's first row.
     """
 
     def __init__(
@@ -134,54 +130,44 @@ class TxStream:
         # packing can never consume more transactions than this per block
         self._max_block_txs = self._limit // MIN_TX_GAS + 2
         self._chunk = max(CHUNK_TXS, 4 * self._max_block_txs)
-        self._sets = None  # the two column sets, allocated at the first refill
-        self._refills = 0
-        self._cols = None
+        size = self._max_block_txs + self._chunk
+        self._cols = empty_columns(size)
+        self._sums = [np.empty(size + 1, dtype=np.int64), np.empty(size + 1), np.empty(size + 1)]
+        self._serial_sum = np.empty(size + 1) if conflict_rate > 0 else None
+        self._n = 0  # rows drawn into the columns
         self._cursor = 0
         self._handed = 0  # blocks handed out since the last refill
         self._packed = []  # packed blocks not yet handed out, last one first
 
     def _refill(self):
-        if self._sets is None:
-            size = self._max_block_txs + self._chunk
-            self._sets = [empty_columns(size), empty_columns(size)]
-            self._fee = np.empty(size)
-            self._sums = [np.empty(size + 1, dtype=np.int64), np.empty(size + 1), np.empty(size + 1)]
-        dst = self._sets[self._refills % 2]
-        self._refills += 1
-        tail = 0
-        if self._cols is not None:
-            tail = self._cols["used_gas"].size - self._cursor
-            for k, col in self._cols.items():
-                dst[k][:tail] = col[self._cursor :]
-        n = tail + self._chunk
-        fresh = {k: col[tail:n] for k, col in dst.items()}
+        cols, cursor = self._cols, self._cursor
+        tail = self._n - cursor
+        for col in cols.values():
+            col[:tail] = col[cursor : self._n]
+        n = self._n = tail + self._chunk
+        fresh = {k: col[tail:n] for k, col in cols.items()}
         sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit, out=fresh)
-        cols = {k: col[:n] for k, col in dst.items()}
         self._cursor = 0
         self._handed = 0
-        self._cols = cols
-        fee = np.multiply(cols["used_gas"], cols["gas_price"], out=self._fee[:n])
+        used, cpu = cols["used_gas"][:n], cols["cpu_time"][:n]
         gas_c, fee_c, cpu_c = (s[: n + 1] for s in self._sums)
-        self._gas_c = _cumsum0(cols["used_gas"], gas_c)
+        self._gas_c = _cumsum0(used, gas_c)
+        fee = np.multiply(used, cols["gas_price"][:n], out=fee_c[1:])
         self._fee_c = _cumsum0(fee, fee_c)
-        self._cpu_c = _cumsum0(cols["cpu_time"], cpu_c)
+        self._cpu_c = _cumsum0(cpu, cpu_c)
         self._serial_c = None
-        if self._c > 0:
-            # the fees are summed, so their buffer (n + 1 long, since a
-            # refill leaves fewer than max_block_txs rows unread) takes the
-            # cumulative CPU time of the conflicting transactions, summed in place
-            serial_c = self._fee[: n + 1]
-            serial = np.multiply(cols["cpu_time"], cols["conflicting"], out=serial_c[1:])
+        if self._serial_sum is not None:
+            serial_c = self._serial_sum[: n + 1]
+            serial = np.multiply(cpu, cols["conflicting"][:n], out=serial_c[1:])
             self._serial_c = _cumsum0(serial, serial_c)
 
     def _pack(self):
-        if self._cols is None or self._cols["used_gas"].size - self._cursor < self._max_block_txs:
+        if self._n - self._cursor < self._max_block_txs:
             self._refill()
         gas_c = self._gas_c
         find = gas_c.searchsorted
         # the last cursor from which a block can be packed before a refill
-        last = gas_c.size - 1 - self._max_block_txs
+        last = self._n - self._max_block_txs
         limit = self._limit
         cursor = self._cursor
         starts, ends = [], []
@@ -199,28 +185,27 @@ class TxStream:
         gas = (gas_c.take(e) - gas_c.take(s)).tolist()
         fee = (self._fee_c.take(e) - self._fee_c.take(s)).tolist()
         seq = (self._cpu_c.take(e) - self._cpu_c.take(s)).tolist()
-        cols = self._cols
         serial = None if self._serial_c is None else self._serial_c.take(e) - self._serial_c.take(s)
-        batch = {"cols": cols, "starts": s, "ends": e, "serial": serial, "priced": {}}
+        batch = {"cols": self._cols, "starts": s, "ends": e, "serial": serial, "priced": {}}
         self._packed = [
             {
                 "tx_count": b - a,
                 "gas_used_total": g,
                 "total_fee": f,
                 "seq_time": q,
-                "rows": slice(a, b),
-                "cols": cols,
+                "start": a,
                 "batch": batch,
             }
             for a, b, g, f, q in zip(starts, ends, gas, fee, seq)
         ][::-1]
 
     def next_block_txs(self) -> dict:
-        """The next greedily packed block (may be empty).
+        """The next greedily packed block (may be empty), valid until the
+        caller takes the next one.
 
         Keys: ``tx_count``, ``gas_used_total``, ``total_fee``, ``seq_time``,
-        the block's ``rows`` (a slice) of the refill's columns ``cols``, and
-        its ``batch`` (see the class docstring).
+        the block's first row ``start`` and its ``batch`` (see the class
+        docstring), whose ``cols`` hold the block's rows from ``start`` on.
         """
         if not self._packed:
             self._pack()

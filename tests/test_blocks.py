@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from tests.test_kernels import lpt_oracle
 from verisim import kernels
-from verisim.blocks import TxStream, measure_verification_times, verification_seconds
+from verisim.blocks import CHUNK_TXS, TxStream, measure_verification_times, verification_seconds
 from verisim.workload import MAX_BLOCK_LIMIT
 
 
@@ -17,12 +19,13 @@ def packed_with(cpu_times, conflicting=None):
     cols = {"cpu_time": cpu, "conflicting": conf}
     serial = cpu[conf].sum(keepdims=True)
     batch = {"cols": cols, "starts": np.asarray([0]), "ends": np.asarray([cpu.size]), "serial": serial, "priced": {}}
-    return {"cols": cols, "rows": slice(0, cpu.size), "seq_time": float(cpu.sum()), "batch": batch}
+    return {"tx_count": cpu.size, "seq_time": float(cpu.sum()), "start": 0, "batch": batch}
 
 
 def column(packed, name):
     """One column's values over the block's rows."""
-    return packed["cols"][name][packed["rows"]]
+    start = packed["start"]
+    return packed["batch"]["cols"][name][start : start + packed["tx_count"]]
 
 
 def first_block(workload, block_limit, seed):
@@ -92,23 +95,41 @@ class TestTxStreamPacking:
         for k in ks:
             assert np.array_equal(measure_verification_times(toy_wl, limit, k, seed=5, p=p, conflict_rate=0.4), whole[:k])
 
-    def test_block_outlives_the_next_refill(self, toy_wl):
-        # a refill writes the other of the stream's two column sets, so the
-        # blocks of one refill keep their rows through the next (about 465
-        # blocks per refill at 8M)
+    def test_priced_block_keeps_its_times_across_a_refill(self, toy_wl):
+        # a refill overwrites the rows of the blocks before it, but not the
+        # totals or the times priced for them (about 465 blocks per refill
+        # at 8M; each refill's first block starts at row 0)
         stream = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000)
         taken = []
-        while len(taken) < 2 or taken[-1][0]["cols"] is taken[0][0]["cols"]:
+        while len(taken) < 2 or taken[-1][0]["start"] > 0:
             b = stream.next_block_txs()
-            rows = {k: col[b["rows"]].copy() for k, col in b["cols"].items()}
-            taken.append((b, rows, b["seq_time"], verification_seconds(b, 4)))
+            taken.append((b, b["seq_time"], verification_seconds(b, 4)))
         # price a few more blocks of the new refill, as a caller does
         for _ in range(5):
             verification_seconds(stream.next_block_txs(), 4)
-        for b, rows, seq, par in taken:
-            assert all(np.array_equal(b["cols"][k][b["rows"]], rows[k]) for k in rows)
+        for b, seq, par in taken:
             assert b["seq_time"] == seq
             assert verification_seconds(b, 4) == par
+
+    @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
+    def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
+        # the stream's buffers are allocated once and refilled in place: one
+        # column set and the cumulative sums held 3.8 MB at 8M and 3.5 MB at
+        # 128M, where a second column set would put either past 5.4 MB
+        toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
+        tracemalloc.start()
+        try:
+            stream = TxStream(toy_wl, c, np.random.default_rng(0), limit)
+            read = 0
+            for _ in range(n):
+                b = stream.next_block_txs()
+                verification_seconds(b, p)
+                read += b["tx_count"] + 1  # and the overflowing transaction
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read > 3 * CHUNK_TXS  # so the first fill was followed by three refills
+        assert held < 4.5e6
 
     def test_limit_above_max_rejected(self, toy_wl):
         # a larger limit would size refills past MAX_BLOCK_LIMIT / 21000 * 4 transactions
