@@ -8,7 +8,7 @@ slowdown by the factor c + (1 - c) / p.
 
 from dataclasses import dataclass
 
-from verisim.config import MinerConfig, check_lineup
+from verisim.config import MODES, MinerConfig, check_lineup
 from verisim.fields import require_finite, require_integer, require_positive
 
 
@@ -66,7 +66,7 @@ def reward_table(lineup, params: VerificationParams, mode: str = "sequential") -
     verifier; the non-verifiers split the verifiers' loss by power.  Fractions
     sum to 1.
     """
-    if mode not in ("sequential", "parallel"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     alpha_v_total = sum(m.alpha for m in lineup.miners if m.verifies)
     alpha_s_total = sum(m.alpha for m in lineup.miners if not m.verifies)

@@ -113,7 +113,7 @@ def cmd_analytic(args) -> int:
     limits = [check_block_limit(limit) for limit in _numbers("--limits", args.limits)]
     profile = PowerProfile(standard_miners(args.miners, args.nonverifier_alpha))  # before t_v is measured
     if args.t_v:
-        for flag, value in (("--seed", args.seed), ("--tv-blocks", args.tv_blocks)):
+        for flag, value in (("--seed", args.seed), ("--tv-blocks", args.tv_blocks), ("--model", args.model)):
             if value is not None:
                 raise ValueError(f"{flag} is not read when --t-v is given")
         tvs = _numbers("--t-v", args.t_v, float)
@@ -216,6 +216,8 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from verisim.config import MODES
+
     parser = argparse.ArgumentParser(prog="verisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -251,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sample)
 
     a = sub.add_parser("analytic", help="closed-form reward table over a block-limit sweep")
-    a.add_argument("--model", help="fitted-model JSON (source of measured t_v)")
+    a.add_argument("--model", help="fitted-model JSON (source of measured t_v; not with --t-v)")
     a.add_argument("--limits", default="8000000,16000000,32000000,64000000,128000000")
     a.add_argument("--t-v", default="", help="override: comma list of t_v seconds, one per limit")
     a.add_argument("--miners", type=int, default=10)
     a.add_argument("--nonverifier-alpha", type=float, default=0.1)
     a.add_argument("--t-b", type=float, default=12.42)
-    a.add_argument("--mode", choices=["sequential", "parallel"], default="sequential")
+    a.add_argument("--mode", choices=MODES, default="sequential")
     a.add_argument("--conflict-rate", type=float, default=0.0)
     a.add_argument("--processors", type=int, default=1)
     a.add_argument("--tv-blocks", type=int, help="blocks packed to measure t_v (default 400; not with --t-v)")

@@ -433,7 +433,9 @@ class TestCli:
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):
         model = tmp_path / "toy.json"
         toy_wl.save(model)
-        assert cli_main(["analytic", "--model", str(model), "--limits", "8000000", *argv]) == 2
+        # --model is read only to measure t_v, so it is not given with --t-v
+        source = [] if "--t-v" in argv else ["--model", str(model)]
+        assert cli_main(["analytic", *source, "--limits", "8000000", *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
 
     @pytest.mark.parametrize(
@@ -476,7 +478,7 @@ class TestCli:
         assert cli_main([*argv, "--tv-blocks", tv_blocks]) == 2
         assert capsys.readouterr().err == f"error: --tv-blocks must be an integer >= 1, got {tv_blocks}\n"
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--tv-blocks", "40")])
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--tv-blocks", "40"), ("--model", "/nonexistent.json")])
     def test_analytic_t_v_rejects_measuring_flags(self, capsys, flag, value):
         assert cli_main(["analytic", "--t-v", "0.1", "--limits", "8000000", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {flag} is not read when --t-v is given\n"
