@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.helpers import bootstrap_weights, forest_oracle
 from verisim import forest
 from verisim.forest import TABLE_SIZE, ForestModel, RegressionTree, fit_forest, fit_rfr
 from verisim.stats import regression_metrics
@@ -114,6 +115,56 @@ def test_forest_independent_of_blas_threads():
             )
             fits.append(json.loads(run.stdout))
         assert fits[0] == fits[1]
+
+
+# zeros of both signs, negatives, and magnitudes far enough apart that a
+# cumulative sum loses the small terms
+Y_ATOMS = [0.0, -0.0, 1.0, -1.0, 0.1, 0.3, -2.5, 7.0, 1e8, 3e-9]
+
+
+@st.composite
+def sorted_rows(draw):
+    """x-sorted rows: x with many ties; y from a few values, zeros and
+    negatives among them, so that runs of equal y and equal gains are common."""
+    n = draw(st.integers(2, 80))
+    top = draw(st.integers(0, 40))
+    x = sorted(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    palette = draw(st.lists(st.one_of(st.sampled_from(Y_ATOMS), st.floats(-1e3, 1e3)), min_size=1, max_size=4))
+    y = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        y.sort(reverse=draw(st.booleans()))
+    return np.asarray(x, dtype=np.float64), np.asarray(y)
+
+
+def grown_and_oracle(x, y, tree_count, split_budget, seed):
+    grown = forest._fit_forest_sorted(x, y, tree_count, split_budget, np.random.SeedSequence(seed))
+    oracle = forest_oracle(x, y, tree_count, split_budget, np.random.SeedSequence(seed))
+    return json.dumps(grown.to_dict()), json.dumps(oracle.to_dict())
+
+
+class TestForestOracle:
+    """The forest grown on the positive-weight rows is the one the plain
+    every-row recipe grows, bit for bit (the JSON keeps the sign of a zero)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sorted_rows(), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, rows, tree_count, split_budget, seed):
+        x, y = rows
+        grown, oracle = grown_and_oracle(x, y, tree_count, split_budget, seed)
+        assert grown == oracle
+
+    def test_zero_weight_sides_excluded(self):
+        # a tree whose bootstrap leaves out both end rows sees constant y
+        # among its rows: no split may isolate the zero-weight ends
+        x = np.arange(6.0)
+        y = np.asarray([5.0, 0.0, 0.0, 0.0, 0.0, 9.0])
+        grown, oracle = grown_and_oracle(x, y, 40, 4, seed=3)
+        assert grown == oracle
+        trees = forest._fit_forest_sorted(x, y, 40, 4, np.random.SeedSequence(3)).trees
+        weights = bootstrap_weights(x.size, np.random.SeedSequence(3), 40)
+        ends_out = [t for t, w in zip(trees, weights) if w[0] == 0 and w[-1] == 0]
+        assert ends_out
+        assert all(t.left.tolist() == [-1] and t.values.tolist() == [0.0] for t in ends_out)
 
 
 class TestPredict:
