@@ -5,6 +5,21 @@ largest variance reduction is split next, until the split budget is spent or
 no split helps.  Trees are trained on multinomial bootstrap weights over the
 x-sorted sample, so the sort happens once per dataset instead of once per
 tree.  A forest prediction is the arithmetic mean of its tree predictions.
+
+A tree scans only its rows of positive bootstrap weight, about 63 % of them:
+a zero-weight row adds nothing to any sum, so the best split is the same.
+It takes those rows' cumulative weights and weighted y once, into one buffer
+set allocated per forest.  A split node's left child starts where the node
+does, so its sums are the node's prefix and stay in place.  The right
+child's cumulative weights are the node's minus the left total, exact
+because every bootstrap count and sum of counts is an integer no larger than
+the row count, far below 2**53, where a float holds every integer exactly;
+its weighted y are summed afresh over its rows, since a float difference
+would round otherwise.
+A split between scanned rows i < j falls on the full rows at ``next_up[i]``,
+the first row whose x is larger.  Thresholds and leaf means are taken on the
+full rows (a pairwise sum's bits depend on how many terms it adds, zeros
+included), so the trees are, bit for bit, those of a scan over every row.
 """
 
 import heapq
@@ -210,46 +225,63 @@ class ForestModel:
         return cls(**{**d, "trees": trees})
 
 
-def _weighted_mean(y, w, lo, hi):
-    # ws sums above 0: the root's bootstrap weights sum to n, and best_split
-    # only returns splits with positive weight on both sides
-    ws = w[lo:hi]
-    # np.sum, not np.dot: BLAS splits a long dot across threads, which would
-    # make the leaf bits depend on the thread count
-    return float(np.sum(y[lo:hi] * ws) / ws.sum())
+def _grow_tree(x, y, counts, next_up, split_budget, wy, cw, cs) -> RegressionTree:
+    """Grow one tree on the bootstrap ``counts`` of the x-sorted rows (x, y).
 
+    ``wy``, ``cw`` and ``cs`` are the forest's buffers: the full rows'
+    weighted y, then the cumulative weights and weighted y of the scanned
+    rows, a node's sums kept from its first scanned row.
+    """
+    n = x.size
+    rows = np.flatnonzero(counts)
+    m = rows.size
+    np.multiply(y, counts, out=wy)
+    np.cumsum(counts[rows], out=cw[:m])
+    del counts  # wy and cw hold all that the tree reads of it
+    np.cumsum(wy[rows], out=cs[:m])
+    # x rises from scanned row i to i + 1 exactly when the first larger x
+    # comes at or before row i + 1
+    distinct = next_up[rows[:-1]] <= rows[1:]
 
-def _grow_tree(x_sorted, y_sorted, weights, split_budget) -> RegressionTree:
     thresholds = [0.0]
     left = [-1]
     right = [-1]
-    values = [_weighted_mean(y_sorted, weights, 0, x_sorted.size)]
+    # np.sum, not np.dot: BLAS splits a long dot across threads, which would
+    # make the leaf bits depend on the thread count
+    values = [float(np.sum(wy) / cw[m - 1])]
 
-    # candidate heap: (-gain, tie counter, node, lo, hi, split position)
+    # candidate heap: (-gain, tie counter, node, scanned rows [a, b) split
+    # at k, full rows [lo, hi))
     heap = []
     counter = 0
-    pos, gain = kernels.best_split(x_sorted, y_sorted, weights, 0, x_sorted.size)
-    if pos >= 0:
-        heap.append((-gain, counter, 0, 0, x_sorted.size, pos))
+    k, gain = kernels.best_split(cw[:m], cs[:m], distinct)
+    if k >= 0:
+        heap.append((-gain, counter, 0, 0, m, k, 0, n))
         counter += 1
     splits = 0
     while heap and splits < split_budget:
-        _, _, node, lo, hi, pos = heapq.heappop(heap)
-        threshold = 0.5 * (x_sorted[pos - 1] + x_sorted[pos])
-        for seg_lo, seg_hi in ((lo, pos), (pos, hi)):
+        _, _, node, a, b, k, lo, hi = heapq.heappop(heap)
+        pos = int(next_up[rows[k - 1]])
+        w_left = cw[k - 1]
+        w_right = cw[b - 1] - w_left
+        thresholds[node] = 0.5 * (x[pos - 1] + x[pos])
+        left[node] = len(values)
+        right[node] = len(values) + 1
+        # leaf means sum the full rows, zero weights included
+        for seg_lo, seg_hi, w in ((lo, pos, w_left), (pos, hi, w_right)):
             thresholds.append(0.0)
             left.append(-1)
             right.append(-1)
-            values.append(_weighted_mean(y_sorted, weights, seg_lo, seg_hi))
-        li, ri = len(values) - 2, len(values) - 1
-        thresholds[node] = threshold
-        left[node] = li
-        right[node] = ri
+            values.append(float(np.sum(wy[seg_lo:seg_hi]) / w))
         splits += 1
-        for child, seg_lo, seg_hi in ((li, lo, pos), (ri, pos, hi)):
-            cpos, cgain = kernels.best_split(x_sorted, y_sorted, weights, seg_lo, seg_hi)
-            if cpos >= 0:
-                heapq.heappush(heap, (-cgain, counter, child, seg_lo, seg_hi, cpos))
+        # the left child's sums are the node's prefix; the right child's are
+        # an exact integer difference and a fresh sum
+        cw[k:b] -= w_left
+        np.cumsum(wy[rows[k:b]], out=cs[k:b])
+        for child, ca, cb, clo, chi in ((left[node], a, k, lo, pos), (right[node], k, b, pos, hi)):
+            ck, cgain = kernels.best_split(cw[ca:cb], cs[ca:cb], distinct[ca : cb - 1])
+            if ck >= 0:
+                heapq.heappush(heap, (-cgain, counter, child, ca, cb, ca + ck, clo, chi))
                 counter += 1
     return RegressionTree(
         thresholds=np.asarray(thresholds, dtype=np.float64),
@@ -274,11 +306,17 @@ def fit_forest(xs, ys, tree_count: int, split_budget: int, seed=0) -> ForestMode
 def _fit_forest_sorted(x_sorted, y_sorted, tree_count, split_budget, seed_seq) -> ForestModel:
     n = x_sorted.size
     prob = np.full(n, 1.0 / n)
+    # next_up[i]: the first row whose x is larger than row i's (n if none),
+    # in the narrowest unsigned type that counts the rows
+    starts = np.append(np.flatnonzero(x_sorted[1:] > x_sorted[:-1]) + 1, n).astype(np.min_scalar_type(n))
+    next_up = np.repeat(starts, np.diff(starts, prepend=0))
+    del starts
+    wy, cw, cs = np.empty(n), np.empty(n), np.empty(n)
     trees = []
     for child in seed_seq.spawn(tree_count):
-        rng = np.random.default_rng(child)
-        weights = rng.multinomial(n, prob).astype(np.float64)
-        trees.append(_grow_tree(x_sorted, y_sorted, weights, split_budget))
+        # the bootstrap counts are passed unnamed, so the tree frees them once read
+        draw = np.random.default_rng(child).multinomial
+        trees.append(_grow_tree(x_sorted, y_sorted, draw(n, prob), next_up, split_budget, wy, cw, cs))
     return ForestModel(tree_count=tree_count, split_budget=split_budget, trees=trees)
 
 

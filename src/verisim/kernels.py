@@ -4,6 +4,13 @@ Callers reach them through the module attribute (``kernels.best_split``),
 so a tracer that replaces the attribute sees every call.  ``lpt_makespan``
 schedules a batch of blocks in one call: while many blocks still have jobs,
 one vectorised step gives each of them its next job.
+
+``best_split`` scans one tree node over its rows of positive bootstrap
+weight only; a zero-weight row never reaches it, so both sides of every
+split carry weight.  The forest hands it the node's cumulative sums from its
+forest-wide buffers (a left child's are its parent's prefix; a right child's
+weights are an exact integer difference, its weighted y a fresh sum) and the
+flags where x rises, read off the forest's ``next_up`` index.
 """
 
 import heapq
@@ -82,40 +89,27 @@ def lpt_makespan(times: np.ndarray, p: int) -> float | np.ndarray:
     return out
 
 
-def best_split(x: np.ndarray, y: np.ndarray, w: np.ndarray, lo: int, hi: int):
-    """Best variance-reduction split of the segment [lo, hi) of x-sorted data.
+def best_split(cw: np.ndarray, cs: np.ndarray, distinct: np.ndarray):
+    """Best variance-reduction split of a segment of positive-weight rows in x order.
 
-    Returns ``(pos, gain)`` where the split puts indices [lo, pos) left and
-    [pos, hi) right, or ``(-1, 0.0)`` when no split with positive gain and a
-    distinct x boundary exists.  Weights are bootstrap multiplicities; both
-    sides of a valid split must carry positive weight.  Ties pick the
-    smallest position.
+    ``cw`` and ``cs`` are the segment's cumulative weights and weighted y,
+    summed from its first row; ``distinct[i]`` says that row i + 1's x is
+    larger than row i's.  Returns ``(k, gain)`` where the split puts rows
+    [0, k) left and [k, m) right, or ``(-1, 0.0)`` when no split with
+    positive gain between distinct x exists.  Every row carries weight, so
+    both sides of every split do.  Ties pick the smallest k.
     """
-    m = hi - lo
+    m = cw.size
     if m < 2:
         return -1, 0.0
-    xs = x[lo:hi]
-    ys = y[lo:hi]
-    ws = w[lo:hi]
-    wy = ws * ys
-    cw = np.cumsum(ws)
-    cs = np.cumsum(wy)
     w_tot = cw[-1]
     s_tot = cs[-1]
-    if w_tot <= 0.0:
-        return -1, 0.0
     w_left = cw[:-1]
     s_left = cs[:-1]
-    w_right = w_tot - w_left
-    s_right = s_tot - s_left
-    valid = (xs[1:] > xs[:-1]) & (w_left > 0.0) & (w_right > 0.0)
-    if not np.any(valid):
-        return -1, 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = s_left**2 / w_left + s_right**2 / w_right - s_tot**2 / w_tot
-    gains = np.where(valid, gains, -np.inf)
+    gains = s_left**2 / w_left + (s_tot - s_left) ** 2 / (w_tot - w_left) - s_tot**2 / w_tot
+    gains[~distinct] = -np.inf
     j = int(np.argmax(gains))
     gain = float(gains[j])
     if gain <= 0.0:
         return -1, 0.0
-    return lo + j + 1, gain
+    return j + 1, gain
