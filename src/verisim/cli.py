@@ -16,6 +16,14 @@ def _numbers(flag: str, text: str, kind=int) -> list:
         raise ValueError(f"{flag} must be comma-separated {kind.__name__} values, got {text!r}") from None
 
 
+def _grid(flag: str, text: str) -> list:
+    """A search grid: a non-empty comma-separated list of positive integers."""
+    values = _numbers(flag, text)
+    if not values or min(values) < 1:
+        raise ValueError(f"{flag} must be a non-empty list of positive integers, got {text!r}")
+    return values
+
+
 def cmd_gen_data(args) -> int:
     from verisim.dataio import generate_synthetic_dataset, write_dataset
 
@@ -43,7 +51,7 @@ def cmd_fit(args) -> int:
             f"--cv-subsample must be at least --folds ({args.folds}), since each fold "
             f"needs a row, got {args.cv_subsample}"
         )
-    d_grid, s_grid = _numbers("--d-grid", args.d_grid), _numbers("--s-grid", args.s_grid)
+    d_grid, s_grid = _grid("--d-grid", args.d_grid), _grid("--s-grid", args.s_grid)
     ds = load_dataset(args.data, args.block_limit)
     n = len(ds)
     rng = np.random.default_rng(args.seed)

@@ -542,6 +542,9 @@ class TestCli:
             (["--s-grid", "abc"], "--s-grid"),
             (["--folds", "1"], "--folds must be an integer >= 2, got 1"),
             (["--cv-subsample", "3", "--folds", "5"], "--cv-subsample must be at least --folds (5)"),
+            (["--d-grid", "0,10"], "--d-grid must be a non-empty list of positive integers, got '0,10'"),
+            (["--s-grid", "-3"], "--s-grid must be a non-empty list of positive integers, got '-3'"),
+            (["--d-grid", ","], "--d-grid must be a non-empty list of positive integers, got ','"),
         ],
         ids=[
             "gmm-subsample-below-k-max",
@@ -552,6 +555,9 @@ class TestCli:
             "s-grid-not-integer",
             "folds-below-2",
             "cv-subsample-below-folds",
+            "d-grid-zero",
+            "s-grid-negative",
+            "d-grid-empty",
         ],
     )
     def test_fit_rejects_search_flags_before_fitting(self, tmp_path, capsys, monkeypatch, argv, error):
