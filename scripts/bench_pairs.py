@@ -15,7 +15,10 @@ second on, so that a cut-short run keeps the seeds it finished.
 
 For each workload and end-to-end metric the file holds each side's
 per-run values, median and quartiles, and how many pairs the change won,
-lost and tied, where winning follows the metric's ``better`` direction.
+lost and tied, where winning follows the metric's ``better`` direction;
+beside them, each side's operation count per run, in seed order, since a
+metric such as ``peak_rss_mb`` can step with the number of operations that
+fit in a run.
 ``claim`` applies the benchmark's rule for a claimed gain: the change wins
 at least nine pairs in ten, and the two medians differ by more than the
 parent's interquartile range.  Each run keeps the fingerprint and the host
@@ -88,7 +91,8 @@ def summarise(label: str, seeds: range, bench: dict, runs: dict) -> dict:
     for name, pairs in runs.items():
         metrics = {m["name"]: compare(pairs, m["name"], m["better"]) for m in bench["end_to_end"]
                    if all(m["name"] in p[side]["metrics"] for p in pairs for side in SIDES)}
-        workloads[name] = {"metrics": metrics, "pairs": pairs}
+        operations = {side: [p[side]["operations"] for p in pairs] for side in SIDES}
+        workloads[name] = {"metrics": metrics, "operations": operations, "pairs": pairs}
     return {
         "label": label,
         "command": bench["command"] + ["--workload", "W", "--seed", "S", "--seconds", str(bench["run_seconds"]), "--trace", "0"],
@@ -123,6 +127,7 @@ def main(argv=None) -> int:
             runs[name].append(pair)
             line = "  ".join(f"{m}={pair['parent']['metrics'][m]:.4g}->{pair['change']['metrics'][m]:.4g}"
                              for m in pair["parent"]["metrics"])
+            line += f"  operations={pair['parent']['operations']}->{pair['change']['operations']}"
             print(f"seed {seed} {name}: {line}", file=sys.stderr, flush=True)
         if seed > 1:  # quartiles need two pairs
             out.write_text(json.dumps(summarise(args.label, seeds[:seed], bench, runs), indent=1) + "\n")
