@@ -15,11 +15,11 @@ child's cumulative weights are the node's minus the left total, exact
 because every bootstrap count and sum of counts is an integer no larger than
 the row count, far below 2**53, where a float holds every integer exactly;
 its weighted y are summed afresh over its rows, since a float difference
-would round otherwise.
-A split between scanned rows i < j falls on the full rows at ``next_up[i]``,
-the first row whose x is larger.  Thresholds and leaf means are taken on the
-full rows (a pairwise sum's bits depend on how many terms it adds, zeros
-included), so the trees are, bit for bit, those of a scan over every row.
+would round otherwise.  A split between scanned rows i < j falls on the full
+rows at ``next_up[i]``, the first row whose x is larger.  Thresholds and
+leaf means are taken on the full rows (a pairwise sum's bits depend on how
+many terms it adds, zeros included), so the trees are, bit for bit, those of
+a scan over every row.
 """
 
 import heapq

@@ -160,11 +160,11 @@ class TestForestOracle:
         y = np.asarray([5.0, 0.0, 0.0, 0.0, 0.0, 9.0])
         grown, oracle = grown_and_oracle(x, y, 40, 4, seed=3)
         assert grown == oracle
-        trees = forest._fit_forest_sorted(x, y, 40, 4, np.random.SeedSequence(3)).trees
         weights = bootstrap_weights(x.size, np.random.SeedSequence(3), 40)
+        trees = json.loads(grown)["trees"]
         ends_out = [t for t, w in zip(trees, weights) if w[0] == 0 and w[-1] == 0]
         assert ends_out
-        assert all(t.left.tolist() == [-1] and t.values.tolist() == [0.0] for t in ends_out)
+        assert all(t["left"] == [-1] and t["values"] == [0.0] for t in ends_out)
 
 
 class TestPredict:
