@@ -27,6 +27,7 @@ def _grid(flag: str, text: str) -> list:
 def cmd_gen_data(args) -> int:
     from verisim.dataio import generate_synthetic_dataset, write_dataset
 
+    require_integer("--n", args.n, 100)  # fewer rows make no meaningful dataset
     ds = generate_synthetic_dataset(args.n, args.seed, args.block_limit)
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} transactions to {args.out}")
@@ -78,7 +79,6 @@ def cmd_fit(args) -> int:
         ds.cpu_time,
         k_min=args.k_min,
         k_max=args.k_max,
-        criterion=args.criterion,
         tree_count=model.tree_count,
         split_budget=model.split_budget,
         seed=args.seed,
@@ -87,8 +87,8 @@ def cmd_fit(args) -> int:
     )
     final.save(args.out)
 
-    print(f"gas price mixture: K = {final.gas_price_model.k} (criterion {args.criterion})")
-    print(f"used gas mixture:  K = {final.used_gas_model.k} (criterion {args.criterion})")
+    print(f"gas price mixture: K = {final.gas_price_model.k} (BIC)")
+    print(f"used gas mixture:  K = {final.used_gas_model.k} (BIC)")
     print(f"cpu-time forest:   d = {model.tree_count}, s = {model.split_budget}")
     print(f"train: MAE {train['mae']:.6g}  RMSE {train['rmse']:.6g}  R2 {train['r2']:.4f}")
     print(f"test:  MAE {test['mae']:.6g}  RMSE {test['rmse']:.6g}  R2 {test['r2']:.4f}")
@@ -100,6 +100,7 @@ def cmd_sample(args) -> int:
     from verisim.dataio import Dataset, write_dataset
     from verisim.workload import FittedWorkload, sample_transaction_arrays
 
+    require_integer("--n", args.n)
     wl = FittedWorkload.load(args.model)
     rng = np.random.default_rng(args.seed)
     # the dataset CSV has no conflict column, so no flag is drawn
@@ -119,7 +120,12 @@ def cmd_analytic(args) -> int:
     from verisim.workload import FittedWorkload, check_block_limit
 
     limits = [check_block_limit(limit) for limit in _numbers("--limits", args.limits)]
+    if not limits:
+        raise ValueError(f"--limits must list at least one block limit, got {args.limits!r}")
     profile = PowerProfile(standard_miners(args.miners, args.nonverifier_alpha))  # before t_v is measured
+    # a count below 1 fails the processor-count rule in either mode
+    if args.mode != "parallel" and args.processors > 1:
+        raise ValueError(f"--processors is not read unless --mode parallel is given, got {args.processors}")
     if args.t_v:
         for flag, value in (("--seed", args.seed), ("--tv-blocks", args.tv_blocks), ("--model", args.model)):
             if value is not None:
@@ -242,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--seed", type=int, default=42)
     f.add_argument("--k-min", type=int, default=1)
     f.add_argument("--k-max", type=int, default=8)
-    f.add_argument("--criterion", choices=["aic", "bic"], default="bic")
     f.add_argument("--d-grid", default="10,50,100,200,500")
     f.add_argument("--s-grid", default="1,10,50,150,300")
     f.add_argument("--folds", type=int, default=10)

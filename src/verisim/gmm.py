@@ -1,10 +1,10 @@
 """Gaussian mixture fitting on log-transformed positive data.
 
 A mixture of K univariate normals is fitted to ln(values) with
-expectation-maximisation; the component count is chosen by minimising an
-information criterion (AIC or BIC, after Schwarz 1978) over a candidate range,
-searched upwards from the smallest K and stopped once the criterion has risen
-on two fitted K in a row.  Sampling returns exp(normal draw), i.e. values on
+expectation-maximisation; the component count is chosen by minimising the
+Bayesian information criterion (BIC, Schwarz 1978) over a candidate range,
+searched upwards from the smallest K and stopped once BIC has risen on two
+fitted K in a row.  Sampling returns exp(normal draw), i.e. values on
 the original positive scale.
 
 EM works component-major.  The E-step's log densities come from one
@@ -195,22 +195,22 @@ def _fit_k(x: np.ndarray, k: int, seed_seq: np.random.SeedSequence):
     return best, capped
 
 
-def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed: int = 0) -> GmmModel:
-    """Fit mixtures with K in [k_min, k_max] to ln(values); keep the best by criterion.
+def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0) -> GmmModel:
+    """Fit mixtures with K in [k_min, k_max] to ln(values); keep the lowest BIC.
 
-    The information criteria use 3K-1 free parameters per mixture:
-    AIC = 2(3K-1) - 2 logL, BIC = (3K-1) ln n - 2 logL.  K is searched
-    upwards from k_min, and the search stops early once the selected
-    criterion's score has risen on two consecutive fitted K (each above the
-    one before it); the best model seen so far is returned.  A K whose
-    restarts all collapse is skipped: it neither counts as a rise nor resets
-    the count.  Every K in the range is given its child seed up front, so a
-    fitted K has the same bits whether or not the search reaches past it.
+    A mixture has 3K-1 free parameters, so BIC = (3K-1) ln n - 2 logL; the
+    model also stores AIC = 2(3K-1) - 2 logL, which selects nothing.  K is
+    searched upwards from k_min, and the search stops early once BIC has
+    risen on two consecutive fitted K (each above the one before it); the
+    best model seen so far is returned.  A K whose restarts all collapse is
+    skipped: it neither counts as a rise nor resets the count.  Every K in
+    the range is given its child seed up front, so a fitted K has the same
+    bits whether or not the search reaches past it.
 
     Deterministic for a given seed.  Raises on empty/non-positive input, on
     constant data, and when every candidate collapses.  Logs (logger
-    ``verisim.gmm``) each fitted K's criterion score and the K at which the
-    search stopped early at INFO, and at WARNING each K with EM restarts that
+    ``verisim.gmm``) each fitted K's BIC and the K at which the search
+    stopped early at INFO, and at WARNING each K with EM restarts that
     stopped at the EM_MAX_ITER cap unconverged, and a search (k_min < k_max)
     that selects k_max.
     """
@@ -221,9 +221,6 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
         raise ValueError("all values must be positive and finite (fit uses ln of the data)")
     if not (1 <= k_min <= k_max <= values.size):
         raise ValueError(f"need 1 <= k_min <= k_max <= n, got [{k_min}, {k_max}] with n={values.size}")
-    criterion = criterion.lower()
-    if criterion not in ("aic", "bic"):
-        raise ValueError(f"criterion must be 'aic' or 'bic', got {criterion!r}")
 
     x = np.log(values)
     if float(np.var(x)) == 0.0:
@@ -233,8 +230,8 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
     root = np.random.SeedSequence(seed)
     candidates = list(range(k_min, k_max + 1))
     best_model = None
-    best_score = np.inf
-    prev_score = np.inf
+    best_bic = np.inf
+    prev_bic = np.inf
     rises = 0
     for k, child in zip(candidates, root.spawn(len(candidates))):
         fit, capped = _fit_k(x, k, child)
@@ -249,12 +246,11 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
         params = 3 * k - 1
         aic = 2.0 * params - 2.0 * log_l
         bic = params * np.log(n) - 2.0 * log_l
-        score = bic if criterion == "bic" else aic
-        _log.info("K=%d: %s %.10g", k, criterion.upper(), score)
-        rises = rises + 1 if score > prev_score else 0
-        prev_score = score
-        if score < best_score:
-            best_score = score
+        _log.info("K=%d: BIC %.10g", k, bic)
+        rises = rises + 1 if bic > prev_bic else 0
+        prev_bic = bic
+        if bic < best_bic:
+            best_bic = bic
             order = np.argsort(means)
             best_model = GmmModel(
                 k=k,
@@ -267,7 +263,7 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, criterion: str = "bic", seed
                 n=n,
             )
         if rises == 2 and k < k_max:
-            _log.info("stopped the K search at K=%d: %s rose on two K in a row", k, criterion.upper())
+            _log.info("stopped the K search at K=%d: BIC rose on two K in a row", k)
             break
     if best_model is None:
         raise DegenerateDataError("every candidate mixture collapsed; data cannot be fitted")

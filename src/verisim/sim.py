@@ -135,12 +135,6 @@ class SimResult:
     rejected_blocks: int
     total_fees: float
 
-    def miner(self, miner_id: str) -> MinerOutcome:
-        for m in self.miners:
-            if m.id == miner_id:
-                return m
-        raise KeyError(miner_id)
-
 
 def resolve_workload(config: ScenarioConfig, workload: FittedWorkload | None = None) -> FittedWorkload:
     """``workload`` if given, else the fitted-model file that ``config.workload`` names."""

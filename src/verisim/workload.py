@@ -110,7 +110,6 @@ def fit_workload(
     *,
     k_min: int = 1,
     k_max: int = 8,
-    criterion: str = "bic",
     tree_count: int,
     split_budget: int,
     seed: int = 0,
@@ -131,9 +130,9 @@ def fit_workload(
     def _fit_mixture(values, fit_seed):
         if gmm_subsample is not None and gmm_subsample < values.size:
             pick = np.random.default_rng(gmm_pick_seed).choice(values.size, size=gmm_subsample, replace=False)
-            k = fit_gmm(values[pick], k_min, k_max, criterion, seed=fit_seed).k
-            return fit_gmm(values, k, k, criterion, seed=fit_seed)
-        return fit_gmm(values, k_min, k_max, criterion, seed=fit_seed)
+            k = fit_gmm(values[pick], k_min, k_max, seed=fit_seed).k
+            return fit_gmm(values, k, k, seed=fit_seed)
+        return fit_gmm(values, k_min, k_max, seed=fit_seed)
 
     price_model = _fit_mixture(gas_price, price_seed)
     gas_model = _fit_mixture(used_gas, gas_seed)

@@ -218,7 +218,7 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
     )
     res = run_simulation(invalid_cfg, fitted_workload)
     assert res.rejected_blocks > 0
-    assert res.miner("punisher").canonical_blocks == 0
+    assert next(m for m in res.miners if m.id == "punisher").canonical_blocks == 0
     checks.append("canonical validity")
 
     # bit-identical repeat of a full simulation
@@ -238,9 +238,9 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
     checks.append("EM monotone")
 
     # sample -> fit round trip recovers well-separated log-means within 0.1
-    truth = fit_gmm(mix, 2, 2, "bic", seed=5)
+    truth = fit_gmm(mix, 2, 2, seed=5)
     big = sample_gmm_with(truth, 100_000, np.random.default_rng(6))
-    refit = fit_gmm(big, 1, 4, "bic", seed=7)
+    refit = fit_gmm(big, 1, 4, seed=7)
     assert refit.k == 2
     assert refit.means[0] == pytest.approx(truth.means[0], abs=0.1)
     assert refit.means[1] == pytest.approx(truth.means[1], abs=0.1)

@@ -29,7 +29,7 @@ def two_component_sample(n, seed, mu1=2.0, mu2=6.0, sd=0.5, w=0.5):
 class TestFitGmm:
     def test_recovers_two_components(self):
         values = two_component_sample(5000, seed=1)
-        model = fit_gmm(values, 1, 10, "bic", seed=3)
+        model = fit_gmm(values, 1, 10, seed=3)
         assert model.k == 2
         assert model.means[0] == pytest.approx(2.0, abs=0.1)
         assert model.means[1] == pytest.approx(6.0, abs=0.1)
@@ -37,44 +37,44 @@ class TestFitGmm:
     def test_single_lognormal_picks_k1(self):
         rng = np.random.default_rng(2)
         values = np.exp(rng.normal(3.0, 0.7, 1000))
-        assert fit_gmm(values, 1, 6, "bic", seed=4).k == 1
+        assert fit_gmm(values, 1, 6, seed=4).k == 1
 
     def test_constant_data_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
-            fit_gmm([np.e, np.e, np.e, np.e], 1, 2, "bic", seed=0)
+            fit_gmm([np.e, np.e, np.e, np.e], 1, 2, seed=0)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            fit_gmm([], 1, 1, "bic", seed=0)
+            fit_gmm([], 1, 1, seed=0)
 
     def test_nonpositive_value(self):
         with pytest.raises(ValueError):
-            fit_gmm([1.0, -2.0, 3.0], 1, 1, "bic", seed=0)
+            fit_gmm([1.0, -2.0, 3.0], 1, 1, seed=0)
 
     def test_bad_k_range(self):
         with pytest.raises(ValueError):
-            fit_gmm([1.0, 2.0, 3.0], 2, 1, "bic", seed=0)
+            fit_gmm([1.0, 2.0, 3.0], 2, 1, seed=0)
         with pytest.raises(ValueError):
-            fit_gmm([1.0, 2.0, 3.0], 1, 4, "bic", seed=0)
+            fit_gmm([1.0, 2.0, 3.0], 1, 4, seed=0)
 
     def test_information_criteria_formulas(self):
         values = two_component_sample(800, seed=5)
-        m = fit_gmm(values, 2, 2, "aic", seed=6)
+        m = fit_gmm(values, 2, 2, seed=6)
         params = 3 * m.k - 1
         assert m.aic == pytest.approx(2 * params - 2 * m.log_likelihood, rel=1e-12)
         assert m.bic == pytest.approx(params * np.log(m.n) - 2 * m.log_likelihood, rel=1e-12)
         assert np.isfinite(m.aic) and np.isfinite(m.bic)
 
     def test_weights_sum_to_one(self):
-        m = fit_gmm(two_component_sample(1000, seed=7), 1, 3, "bic", seed=8)
+        m = fit_gmm(two_component_sample(1000, seed=7), 1, 3, seed=8)
         assert sum(m.weights) == pytest.approx(1.0, abs=1e-9)
         assert all(w >= 0 for w in m.weights)
         assert all(v > 0 for v in m.variances)
 
     def test_deterministic_given_seed(self):
         values = two_component_sample(1500, seed=9)
-        a = fit_gmm(values, 1, 4, "bic", seed=10)
-        b = fit_gmm(values, 1, 4, "bic", seed=10)
+        a = fit_gmm(values, 1, 4, seed=10)
+        b = fit_gmm(values, 1, 4, seed=10)
         assert a == b
 
     def test_em_likelihood_monotone(self):
@@ -87,7 +87,7 @@ class TestFitGmm:
         assert np.all(diffs >= -1e-6 * (1.0 + np.abs(np.asarray(trace)[:-1])))
 
     def test_serialization_round_trip(self):
-        m = fit_gmm(two_component_sample(600, seed=13), 1, 3, "bic", seed=14)
+        m = fit_gmm(two_component_sample(600, seed=13), 1, 3, seed=14)
         assert GmmModel.from_dict(m.to_dict()) == m
 
 
@@ -97,7 +97,7 @@ class TestFitDiagnostics:
         # crawls, and the search runs into its upper end
         used_gas = generate_synthetic_dataset(2000, seed=11).used_gas
         with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
-            model = fit_gmm(used_gas, 1, 6, "bic", seed=400)
+            model = fit_gmm(used_gas, 1, 6, seed=400)
         messages = [r.getMessage() for r in caplog.records]
         assert model.k == 6
         assert "selected K=6 is the top of the search range [1, 6]" in messages
@@ -117,7 +117,7 @@ class TestFitDiagnostics:
 
     def test_converged_fit_is_quiet(self, caplog):
         with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
-            fit_gmm(two_component_sample(2000, seed=15), 2, 2, "bic", seed=16)
+            fit_gmm(two_component_sample(2000, seed=15), 2, 2, seed=16)
         assert caplog.records == []
 
 
@@ -136,7 +136,7 @@ def canned_search(monkeypatch, scores, k_max=6):
         return (log_l, np.full(k, 1.0 / k), np.arange(float(k)), np.ones(k)), 0
 
     monkeypatch.setattr(gmm, "_fit_k", fake_fit_k)
-    return fit_gmm(values, 1, k_max, "bic", seed=0), fitted
+    return fit_gmm(values, 1, k_max, seed=0), fitted
 
 
 class TestSearchStop:
@@ -171,9 +171,9 @@ class TestSearchStop:
     def test_real_search_logs_each_score(self, caplog):
         values = two_component_sample(2000, seed=15)
         with caplog.at_level(logging.INFO, logger="verisim.gmm"):
-            model = fit_gmm(values, 1, 8, "aic", seed=16)
+            model = fit_gmm(values, 1, 8, seed=16)
         scores = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
-        assert scores[model.k - 1] == f"K={model.k}: AIC {model.aic:.10g}"
+        assert scores[model.k - 1] == f"K={model.k}: BIC {model.bic:.10g}"
         assert scores[-1].startswith("stopped the K search at K=")
 
 

@@ -428,6 +428,9 @@ class TestCli:
             (["--limits", "8000000,abc", "--t-v", "0.2,0.3"], "--limits"),
             (["--t-v", "abc"], "--t-v"),
             (["--t-v", "0.2,0.3"], "--t-v needs one value per block limit"),
+            (["--t-v", "0.2", "--processors", "4"], "--processors is not read unless --mode parallel is given"),
+            (["--limits", ",,"], "--limits must list at least one block limit"),
+            (["--limits", ""], "--limits must list at least one block limit"),
         ],
     )
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):
@@ -586,6 +589,24 @@ class TestCli:
         }[command]
         assert cli_main([*argv, "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command, n, minimum", [("gen-data", "50", 100), ("sample", "0", 1)])
+    def test_n_below_its_minimum_names_the_flag(self, tmp_path, capsys, command, n, minimum):
+        # the model file does not exist, so loading it would fail with another error
+        argv = {
+            "gen-data": ["gen-data", "--out", str(tmp_path / "txs.csv")],
+            "sample": ["sample", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "s.csv")],
+        }[command]
+        assert cli_main([*argv, "--n", n]) == 2
+        assert capsys.readouterr().err == f"error: --n must be an integer >= {minimum}, got {n}\n"
+        assert not (tmp_path / "txs.csv").exists()
+
+    def test_fit_rejects_a_criterion(self, tmp_path, capsys):
+        argv = ["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json"), "--criterion", "bic"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "--criterion" in capsys.readouterr().err
 
     def test_fit_runs_one_search_per_mixture(self, tmp_path, monkeypatch):
         from verisim import workload

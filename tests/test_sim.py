@@ -134,7 +134,7 @@ class TestRunSimulation:
             seed=9,
         )
         res = run_simulation(cfg, toy_wl)
-        punisher = res.miner("punisher")
+        punisher = next(m for m in res.miners if m.id == "punisher")
         assert punisher.found_blocks > 0
         assert punisher.canonical_blocks == 0
         assert punisher.fee_sum == 0.0
@@ -148,7 +148,7 @@ class TestRunSimulation:
             seed=10,
         )
         res = run_simulation(cfg, toy_wl)
-        skip = res.miner("skip")
+        skip = next(m for m in res.miners if m.id == "skip")
         assert skip.expected_fraction > 0.1
         for m in res.miners:
             if m.verifies:

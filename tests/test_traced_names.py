@@ -1,15 +1,19 @@
 """The benchmark reads the library by name.
 
 Its tracer wraps library functions by name: a refactor that renames or
-removes one of them would leave its per-layer metric silently at zero.  Its
-workloads call ``default_workload`` and ``run_sweep`` and read what they
-return: a change to what they read would fail every benchmark run.  These
-tests make both fail loudly here.
+removes one of them would leave its per-layer metric silently at zero, and
+one that renames a parameter the tracer reads (``fit_gmm``'s ``k_min`` and
+``k_max``) would fail every traced operation.  Its workloads call
+``default_workload`` and ``run_sweep`` and read what they return: a change to
+what they read would fail every benchmark run.  These tests make all three
+fail loudly here.
 """
+
+import json
 
 import pytest
 
-from perfbench.run import measure
+from perfbench.run import ROOT, measure
 from perfbench.tracer import Tracer
 from perfbench.workloads import TINY, WORKLOADS
 
@@ -26,3 +30,11 @@ def test_every_traced_name_resolves():
 def test_benchmark_workload_runs_correctly(name, tmp_path):
     run = measure(name, seed=1, seconds=0, trace=False, scale=TINY, out_dir=tmp_path)
     assert run["result"]["correct"], run["info"]["failures"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_benchmark_workload_reports_every_layer(name, tmp_path):
+    run = measure(name, seed=1, seconds=0, trace=True, scale=TINY, out_dir=tmp_path)
+    assert run["result"]["correct"], run["info"]["failures"]
+    per_layer = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert per_layer <= set(run["result"]["metrics"])
