@@ -10,36 +10,38 @@ and runs conflicting ones sequentially afterwards.
 ``TxStream`` packs on demand, a few blocks ahead of its caller, in batches:
 each block end is one binary search over cumulative gas, and a batch's
 totals are read off the cumulative sums in a few vectorised gathers, so the
-per-block path does no array work.  A block is a small dict of its totals,
-its first row and the batch it was packed in.  Parallel verification is
-priced a batch at a time: the first block priced at some p > 1 prices its
-whole batch at p in one ``lpt_makespan`` call, and the batch keeps those
-times for its other blocks.
+per-block path does no array work.  A stream is made with the processor
+counts its caller prices at, and prices each batch at every count as soon
+as it is packed: one processor is the sequential time, and each p > 1 is
+one ``lpt_makespan`` call over the whole batch.  A block is a small dict of
+numbers: its totals, its first row and its times, one per count.
 
 The stream draws into one set of buffers, allocated when it is made, and
-every buffer follows one lifetime rule: a block is valid until its caller
-takes the next block, since taking it may refill the buffers.  A block's
-totals, and any time already priced for it, stay readable after that.
+refills them in place.  Prices are fixed at pack time, so a block's totals
+and times stay valid for good; only its rows, read from the stream's
+columns through ``start``, are valid until its caller takes the next block,
+since taking it may refill the buffers.
 """
 
 import numpy as np
 
 from verisim import kernels
+from verisim.fields import require_integer
 from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, empty_columns, sample_transaction_arrays
 
 # transactions drawn per refill, unless a block limit needs more
 CHUNK_TXS = 1 << 16
 
 
-def _parallel_time(batch: dict, p: int) -> dict:
-    """Parallel verification times on p processors of every block in a packed
-    batch, keyed by each block's first row.
+def _parallel_time(cols: dict, starts: np.ndarray, ends: np.ndarray, serial, p: int) -> list:
+    """Parallel verification times on p processors of the blocks packed in
+    one batch, in order: block i is rows ``[starts[i], ends[i])`` of ``cols``.
 
     The non-conflicting CPU times go into a zero-padded matrix, one row per
     block, that one ``lpt_makespan`` call schedules; each block's
-    conflicting total, read off at pack time, then runs after its makespan.
+    conflicting total in ``serial`` (``None`` when c = 0) then runs after
+    its makespan.
     """
-    cols, starts, ends = batch["cols"], batch["starts"], batch["ends"]
     lo, hi = starts[0], ends[-1]
     free = np.where(cols["conflicting"][lo:hi], 0.0, cols["cpu_time"][lo:hi])
     # one transaction, the first that overflowed, lies between two blocks
@@ -48,26 +50,9 @@ def _parallel_time(batch: dict, p: int) -> dict:
     jobs = np.zeros((counts.size, counts.max()))
     jobs[np.arange(jobs.shape[1]) < counts[:, None]] = free
     makespans = kernels.lpt_makespan(jobs, p)
-    if batch["serial"] is not None:
-        makespans += batch["serial"]
-    return dict(zip(starts.tolist(), makespans.tolist()))
-
-
-def verification_seconds(packed: dict, p: int) -> float:
-    """CPU seconds a verifier with p processors spends re-executing a packed block.
-
-    ``packed`` is a block from ``TxStream.next_block_txs``.  One processor
-    runs the transactions back to back, so p = 1 is exactly the sequential
-    time.  For p > 1 the first call prices every block of the block's batch
-    at p, and the batch keeps those times for its other blocks.
-    """
-    if p == 1:
-        return packed["seq_time"]
-    batch = packed["batch"]
-    priced = batch["priced"]
-    if p not in priced:
-        priced[p] = _parallel_time(batch, p)
-    return priced[p][packed["start"]]
+    if serial is not None:
+        makespans += serial
+    return makespans.tolist()
 
 
 def _cumsum0(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -102,18 +87,18 @@ class TxStream:
     overlaps, since the tail is shorter than ``max_block_txs`` and starts
     past ``chunk - max_block_txs >= 3 * max_block_txs``.  Each product is
     summed in place in its cumulative sum's buffer.  So a refill allocates
-    no column, and every buffer follows one rule: a block is valid until its
-    caller takes the next block.  Every caller prices a block before it
-    takes the next.
+    no column, and a block's rows, from ``start`` on in the columns, are
+    valid only until its caller takes the next block.
 
     Blocks are packed on demand: when none is waiting, the stream packs
     ``max(1, blocks handed out since the refill)`` more, never past the next
     refill point.  The batches double, so a short stream packs at most about
     twice the blocks it hands out, and how many blocks a caller takes never
-    changes the blocks it gets.  Each block's ``batch`` is the batch it was
-    packed in.  The batch holds the columns, its blocks' row bounds, their
-    conflicting totals (``None`` when c = 0) and the parallel times priced so
-    far, one dict per p keyed by each block's first row.
+    changes the blocks it gets.  Each new batch is priced at once at every
+    count in ``processors``, which fixes every block's ``times``: p = 1 is
+    ``seq_time`` itself, and p > 1 is one ``_parallel_time`` call per batch.
+    Each makespan keeps the bits of its block alone, so when a batch is
+    priced never changes a time.
     """
 
     def __init__(
@@ -122,7 +107,9 @@ class TxStream:
         conflict_rate: float,
         rng: np.random.Generator,
         block_limit: int,
+        processors=(1,),
     ):
+        self._ps = tuple(require_integer("processors", p) for p in processors)
         self._wl = workload
         self._c = conflict_rate
         self._rng = rng
@@ -186,7 +173,9 @@ class TxStream:
         fee = (self._fee_c.take(e) - self._fee_c.take(s)).tolist()
         seq = (self._cpu_c.take(e) - self._cpu_c.take(s)).tolist()
         serial = None if self._serial_c is None else self._serial_c.take(e) - self._serial_c.take(s)
-        batch = {"cols": self._cols, "starts": s, "ends": e, "serial": serial, "priced": {}}
+        prices = [seq if p == 1 else _parallel_time(self._cols, s, e, serial, p) for p in self._ps]
+        # with no count to price at, every block's times are ()
+        times = zip(*prices) if prices else [()] * len(starts)
         self._packed = [
             {
                 "tx_count": b - a,
@@ -194,18 +183,19 @@ class TxStream:
                 "total_fee": f,
                 "seq_time": q,
                 "start": a,
-                "batch": batch,
+                "times": t,
             }
-            for a, b, g, f, q in zip(starts, ends, gas, fee, seq)
+            for a, b, g, f, q, t in zip(starts, ends, gas, fee, seq, times)
         ][::-1]
 
     def next_block_txs(self) -> dict:
-        """The next greedily packed block (may be empty), valid until the
-        caller takes the next one.
+        """The next greedily packed block (may be empty).
 
         Keys: ``tx_count``, ``gas_used_total``, ``total_fee``, ``seq_time``,
-        the block's first row ``start`` and its ``batch`` (see the class
-        docstring), whose ``cols`` hold the block's rows from ``start`` on.
+        the block's first row ``start`` and ``times``, its verification
+        seconds at each of the stream's ``processors`` in order.  Its rows,
+        from ``start`` on in the stream's columns, are valid until the
+        caller takes the next block; everything else stays valid.
         """
         if not self._packed:
             self._pack()
@@ -228,11 +218,11 @@ def measure_verification_times(
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks!r}")
-    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit)
+    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, (p,))
     times = np.empty(n_blocks, dtype=np.float64)
     for i in range(n_blocks):
         block = stream.next_block_txs()
-        times[i] = verification_seconds(block, p)
+        times[i] = block["times"][0]
         if seq_out is not None:
             seq_out[i] = block["seq_time"]
     return times

@@ -123,9 +123,11 @@ def cmd_analytic(args) -> int:
     if not limits:
         raise ValueError(f"--limits must list at least one block limit, got {args.limits!r}")
     profile = PowerProfile(standard_miners(args.miners, args.nonverifier_alpha))  # before t_v is measured
-    # a count below 1 fails the processor-count rule in either mode
+    # a count below 1, or a rate outside [0, 1], fails its field's rule in either mode
     if args.mode != "parallel" and args.processors > 1:
         raise ValueError(f"--processors is not read unless --mode parallel is given, got {args.processors}")
+    if args.mode != "parallel" and 0 < args.conflict_rate <= 1:
+        raise ValueError(f"--conflict-rate is not read unless --mode parallel is given, got {args.conflict_rate}")
     if args.t_v:
         for flag, value in (("--seed", args.seed), ("--tv-blocks", args.tv_blocks), ("--model", args.model)):
             if value is not None:

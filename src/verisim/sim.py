@@ -26,14 +26,15 @@ ancestry and their fees; nothing is kept per block.
 ``stale_blocks`` counts valid-ancestry blocks off the canonical chain; by the
 argument it is always 0, and the run asserts so.
 
-Each block whose parent has valid ancestry prices its re-execution once per
-distinct verifier processor count (one in sequential mode); a block on
-invalid ancestry is rejected unexecuted and is not priced.  The stream
-prices parallel verification a packed batch at a time (``verisim.blocks``),
-so most blocks read their cost from their batch.  Miners fall into classes:
-one per such count, whose verifiers all pay the same pause for a block
-except its finder, and one for the non-verifiers, which pay nothing.  A
-paying class keeps ``offset``, the pauses its members have paid so far, and
+The transaction stream is made with the distinct verifier processor counts
+(one in sequential mode, none when no miner verifies) and hands out each
+block with its re-execution time at every count, priced when its batch was
+packed (``verisim.blocks``).  A block whose parent has valid ancestry
+charges those times; a block on invalid ancestry is rejected unexecuted and
+charges nothing.  Miners fall into classes: one per such count, whose
+verifiers all pay the same pause for a block except its finder, and one for
+the non-verifiers, which pay nothing.
+A paying class keeps ``offset``, the pauses its members have paid so far, and
 each verifier counts the pauses it ``skipped`` as a finder.  A miner's
 pending find is ``base + offset`` of its class, so adding a block's cost to
 the offset defers every member's find at once (the next-reaction method of
@@ -69,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from verisim.blocks import TxStream, verification_seconds
+from verisim.blocks import TxStream
 from verisim.config import ScenarioConfig
 from verisim.workload import FittedWorkload
 
@@ -152,7 +153,6 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     root = np.random.SeedSequence(config.base_seed)
     mine_ss, tx_ss = root.spawn(2)
     rng_mine = np.random.default_rng(mine_ss)
-    stream = TxStream(workload, config.c, np.random.default_rng(tx_ss), config.block_limit)
 
     miners = config.miners
     duration = config.sim_duration
@@ -163,6 +163,7 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     ps = sorted({p for p, m in zip(procs, miners) if m.verifies})
     nv = len(ps)
     cls = [ps.index(p) if m.verifies else nv for p, m in zip(procs, miners)]
+    stream = TxStream(workload, config.c, np.random.default_rng(tx_ss), config.block_limit, ps)
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
     first = (np.asarray(scales) * rng_mine.standard_exponential(n)).tolist()
@@ -223,7 +224,7 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # valid parents cost full verification before rejection.  A verifier
         # always extends the valid head, so it finds only blocks that cost.
         if parent.valid_ancestry:
-            costs = [verification_seconds(packed, p) for p in ps]
+            costs = packed["times"]
             for k, cost in enumerate(costs):
                 # mining is suspended while verifying: every member's
                 # pending find moves back with the offset

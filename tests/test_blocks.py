@@ -7,54 +7,58 @@ from hypothesis import strategies as st
 
 from tests.test_kernels import lpt_oracle
 from verisim import kernels
-from verisim.blocks import CHUNK_TXS, TxStream, measure_verification_times, verification_seconds
+from verisim.blocks import CHUNK_TXS, TxStream, _parallel_time, measure_verification_times
 from verisim.workload import MAX_BLOCK_LIMIT
 
 
-def packed_with(cpu_times, conflicting=None):
-    """A packed block as ``TxStream.next_block_txs`` returns it, with the
-    columns verification reads, alone in its batch."""
+def block_time(cpu_times, p, conflicting=None):
+    """Verification seconds on p processors of a block of the given CPU
+    times and conflict flags, priced as ``TxStream`` prices a batch that
+    holds this block alone: p = 1 is the sum, p > 1 one ``_parallel_time``."""
     cpu = np.asarray(cpu_times, dtype=np.float64)
+    if p == 1:
+        return float(cpu.sum())
     conf = np.zeros(cpu.size, dtype=bool) if conflicting is None else np.asarray(conflicting, dtype=bool)
     cols = {"cpu_time": cpu, "conflicting": conf}
-    serial = cpu[conf].sum(keepdims=True)
-    batch = {"cols": cols, "starts": np.asarray([0]), "ends": np.asarray([cpu.size]), "serial": serial, "priced": {}}
-    return {"tx_count": cpu.size, "seq_time": float(cpu.sum()), "start": 0, "batch": batch}
+    [time] = _parallel_time(cols, np.asarray([0]), np.asarray([cpu.size]), cpu[conf].sum(keepdims=True), p)
+    return time
 
 
-def column(packed, name):
-    """One column's values over the block's rows."""
+def column(stream, packed, name):
+    """One column's values over the block's rows, valid until the next block is taken."""
     start = packed["start"]
-    return packed["batch"]["cols"][name][start : start + packed["tx_count"]]
+    return stream._cols[name][start : start + packed["tx_count"]]
 
 
 def first_block(workload, block_limit, seed):
-    return TxStream(workload, 0.0, np.random.default_rng(seed), block_limit).next_block_txs()
+    """A fresh stream and the first block it hands out."""
+    stream = TxStream(workload, 0.0, np.random.default_rng(seed), block_limit)
+    return stream, stream.next_block_txs()
 
 
 class TestBuildBlock:
     def test_respects_gas_limit(self, toy_wl):
         for seed in range(5):
-            packed = first_block(toy_wl, 8_000_000, seed)
+            _, packed = first_block(toy_wl, 8_000_000, seed)
             assert packed["gas_used_total"] <= 8_000_000
             assert packed["tx_count"] > 0
 
     def test_tiny_limit_packs_at_most_one(self, toy_wl):
         for seed in range(10):
-            packed = first_block(toy_wl, 21_000, seed)
+            _, packed = first_block(toy_wl, 21_000, seed)
             assert packed["tx_count"] in (0, 1)
             assert packed["gas_used_total"] <= 21_000
 
     def test_deterministic(self, toy_wl):
-        a = first_block(toy_wl, 8_000_000, 7)
-        b = first_block(toy_wl, 8_000_000, 7)
+        stream_a, a = first_block(toy_wl, 8_000_000, 7)
+        stream_b, b = first_block(toy_wl, 8_000_000, 7)
         assert a["tx_count"] == b["tx_count"]
         assert a["total_fee"] == b["total_fee"]
-        assert np.array_equal(column(a, "used_gas"), column(b, "used_gas"))
+        assert np.array_equal(column(stream_a, a, "used_gas"), column(stream_b, b, "used_gas"))
 
     def test_fee_is_gas_times_price(self, toy_wl):
-        packed = first_block(toy_wl, 8_000_000, 3)
-        expected = float(np.sum(column(packed, "used_gas") * column(packed, "gas_price")))
+        stream, packed = first_block(toy_wl, 8_000_000, 3)
+        expected = float(np.sum(column(stream, packed, "used_gas") * column(stream, packed, "gas_price")))
         assert packed["total_fee"] == pytest.approx(expected, rel=1e-12)
 
     def test_limit_below_min_tx_gas(self, toy_wl):
@@ -73,8 +77,8 @@ class TestTxStreamPacking:
         for _ in range(20):
             packed = stream.next_block_txs()
             assert packed["gas_used_total"] <= 400_000
-            assert column(packed, "used_gas").sum() == packed["gas_used_total"]
-            assert column(packed, "used_gas").size == packed["tx_count"]
+            assert column(stream, packed, "used_gas").sum() == packed["gas_used_total"]
+            assert column(stream, packed, "used_gas").size == packed["tx_count"]
 
     def test_first_overflow_stops_packing(self, toy_wl):
         stream = TxStream(toy_wl, 0.0, np.random.default_rng(0), 8_000_000)
@@ -99,17 +103,19 @@ class TestTxStreamPacking:
         # a refill overwrites the rows of the blocks before it, but not the
         # totals or the times priced for them (about 465 blocks per refill
         # at 8M; each refill's first block starts at row 0)
-        stream = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000)
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000, (1, 4))
         taken = []
         while len(taken) < 2 or taken[-1][0]["start"] > 0:
             b = stream.next_block_txs()
-            taken.append((b, b["seq_time"], verification_seconds(b, 4)))
-        # price a few more blocks of the new refill, as a caller does
+            taken.append((b, b["seq_time"], b["times"]))
+        # take a few more blocks of the new refill, as a caller does
         for _ in range(5):
-            verification_seconds(stream.next_block_txs(), 4)
-        for b, seq, par in taken:
-            assert b["seq_time"] == seq
-            assert verification_seconds(b, 4) == par
+            stream.next_block_txs()
+        fresh = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000, (1, 4))
+        for b, seq, times in taken:
+            f = fresh.next_block_txs()
+            assert b["seq_time"] == seq == f["seq_time"]
+            assert b["times"] == times == f["times"]
 
     @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
     def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
@@ -119,11 +125,10 @@ class TestTxStreamPacking:
         toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
         tracemalloc.start()
         try:
-            stream = TxStream(toy_wl, c, np.random.default_rng(0), limit)
+            stream = TxStream(toy_wl, c, np.random.default_rng(0), limit, (p,))
             read = 0
             for _ in range(n):
                 b = stream.next_block_txs()
-                verification_seconds(b, p)
                 read += b["tx_count"] + 1  # and the overflowing transaction
             held, _ = tracemalloc.get_traced_memory()
         finally:
@@ -139,26 +144,47 @@ class TestTxStreamPacking:
         with pytest.raises(ValueError, match="^block_limit"):
             TxStream(toy_wl, 0.0, np.random.default_rng(0), 10**12)
 
+    @pytest.mark.parametrize("processors", [(0,), (4, -1), (True,), (2.0,), (1, "4")])
+    def test_processors_rejected_before_any_draw(self, toy_wl, monkeypatch, processors):
+        def sample(*args, **kwargs):
+            raise AssertionError("transactions were drawn before the processor counts were checked")
+
+        monkeypatch.setattr("verisim.blocks.sample_transaction_arrays", sample)
+        with pytest.raises(ValueError, match="^processors must be an integer >= 1"):
+            TxStream(toy_wl, 0.4, np.random.default_rng(0), 8_000_000, processors)
+        with pytest.raises(ValueError, match="^processors must be an integer >= 1, got 0"):
+            measure_verification_times(toy_wl, 8_000_000, 10, p=0)
+
+    def test_one_stream_prices_every_count_as_streams_of_one(self, toy_wl):
+        # 1,000 blocks at 8M cross two refills; each count's times must keep
+        # the bits a stream priced at that count alone gives
+        counts = (1, 4, 16)
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(6), 8_000_000, counts)
+        alone = [TxStream(toy_wl, 0.4, np.random.default_rng(6), 8_000_000, (p,)) for p in counts]
+        for _ in range(1_000):
+            b = stream.next_block_txs()
+            singles = [s.next_block_txs()["times"] for s in alone]
+            assert [t.hex() for t in b["times"]] == [t.hex() for (t,) in singles]
+            assert b["times"][0].hex() == b["seq_time"].hex()
+
 
 class TestVerificationTime:
     def test_empty_block_is_free(self):
-        packed = packed_with([])
-        assert verification_seconds(packed, 1) == 0.0
-        assert verification_seconds(packed, 4) == 0.0
+        assert block_time([], 1) == 0.0
+        assert block_time([], 4) == 0.0
 
     def test_sequential_is_sum(self):
-        assert verification_seconds(packed_with([0.5, 0.25, 0.25]), 1) == pytest.approx(1.0)
+        assert block_time([0.5, 0.25, 0.25], 1) == pytest.approx(1.0)
 
     def test_perfect_parallelism(self):
-        packed = packed_with([1.0, 1.0, 1.0, 1.0])
-        assert verification_seconds(packed, 1) == pytest.approx(4.0)
-        assert verification_seconds(packed, 4) == pytest.approx(1.0)
+        assert block_time([1.0, 1.0, 1.0, 1.0], 1) == pytest.approx(4.0)
+        assert block_time([1.0, 1.0, 1.0, 1.0], 4) == pytest.approx(1.0)
 
     def test_p1_parallel_equals_sequential_exactly(self, toy_wl):
-        stream = TxStream(toy_wl, 0.4, np.random.default_rng(0), 2_000_000)
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(0), 2_000_000, (1,))
         for _ in range(5):
             packed = stream.next_block_txs()
-            assert verification_seconds(packed, 1) == packed["seq_time"]
+            assert packed["times"][0] == packed["seq_time"]
 
     @pytest.mark.parametrize("limit", [8_000_000, 128_000_000])
     def test_measured_p1_parallel_equals_sequential(self, toy_wl, limit):
@@ -176,14 +202,14 @@ class TestVerificationTime:
         assert np.array_equal(seq, measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, conflict_rate=0.4))
 
     def test_conflicting_run_sequentially(self):
-        packed = packed_with([1.0, 1.0, 2.0, 2.0], conflicting=[True, True, False, False])
         # two conflicting seconds-long jobs serialize; the others split over p=2
-        assert verification_seconds(packed, 2) == pytest.approx(2.0 + 2.0)
+        conflicting = [True, True, False, False]
+        assert block_time([1.0, 1.0, 2.0, 2.0], 2, conflicting) == pytest.approx(2.0 + 2.0)
 
     def test_parallel_time_nonincreasing_in_p(self):
         rng = np.random.default_rng(4)
-        packed = packed_with(rng.lognormal(-5, 1, 200), conflicting=rng.random(200) < 0.4)
-        times = [verification_seconds(packed, p) for p in (1, 2, 4, 8, 16)]
+        cpu, conf = rng.lognormal(-5, 1, 200), rng.random(200) < 0.4
+        times = [block_time(cpu, p, conflicting=conf) for p in (1, 2, 4, 8, 16)]
         assert all(a >= b - 1e-12 for a, b in zip(times, times[1:]))
 
     def test_list_scheduling_bounds(self):
@@ -192,7 +218,7 @@ class TestVerificationTime:
             cpu = rng.lognormal(-5, 0.8, 120)
             conf = rng.random(120) < 0.4
             p = int(rng.integers(2, 16))
-            total = verification_seconds(packed_with(cpu, conf), p)
+            total = block_time(cpu, p, conflicting=conf)
             free = cpu[~conf]
             seq_part = cpu[conf].sum()
             lower = max(free.sum() / p, free.max() if free.size else 0.0) + seq_part
@@ -225,12 +251,12 @@ class TestVerificationTime:
             return makespans
 
         monkeypatch.setattr(kernels, "lpt_makespan", recorded)
-        stream = TxStream(toy_wl, c, np.random.default_rng(9), limit)
+        stream = TxStream(toy_wl, c, np.random.default_rng(9), limit, (p,))
         times, jobs = [], []
         for _ in range(n):
             b = stream.next_block_txs()
-            times.append(verification_seconds(b, p))
-            cpu, conf = column(b, "cpu_time"), column(b, "conflicting")
+            times.append(b["times"][0])
+            cpu, conf = column(stream, b, "cpu_time"), column(stream, b, "conflicting")
             jobs.append((cpu[~conf].tolist(), float(cpu[conf].sum())))
         makespans = np.concatenate(batches)[:n].tolist()
         for t, makespan, (free, serial) in zip(times, makespans, jobs):

@@ -4,11 +4,12 @@ For each case below (the toy workload at one block limit and conflict rate,
 seed 11) the recorded file holds the number of blocks packed, a SHA-256 digest
 of every block's entry and the first three entries in clear.  An entry is
 ``[tx_count, gas_used_total, repr(total_fee), repr(seq_time),
-repr(verification_seconds(block, 4))]``.  The block counts cross at least one
-refill at 21000 (about 32,800 blocks per refill there), three at 8M (about
-465) and several at 128M (about 29).  A change to how blocks are packed that
-keeps the stream, the refill points and the float expressions leaves every
-entry unchanged.  Re-record only when packing changes on purpose::
+repr(times[0])]`` from a stream priced at 4 processors.  The block counts
+cross at least one refill at 21000 (about 32,800 blocks per refill there),
+three at 8M (about 465) and several at 128M (about 29).  A change to how
+blocks are packed that keeps the stream, the refill points and the float
+expressions leaves every entry unchanged.  Re-record only when packing
+changes on purpose::
 
     PYTHONPATH=src python -m tests.test_pack_golden
 """
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from tests.helpers import toy_workload
-from verisim.blocks import TxStream, verification_seconds
+from verisim.blocks import TxStream
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "pack_golden.json"
 
@@ -37,12 +38,12 @@ CASES = {
 
 
 def _entries(workload, limit, c, n):
-    stream = TxStream(workload, c, np.random.default_rng(SEED), limit)
+    stream = TxStream(workload, c, np.random.default_rng(SEED), limit, (4,))
     entries = []
     for _ in range(n):
         b = stream.next_block_txs()
         entries.append(
-            [b["tx_count"], b["gas_used_total"], repr(b["total_fee"]), repr(b["seq_time"]), repr(verification_seconds(b, 4))]
+            [b["tx_count"], b["gas_used_total"], repr(b["total_fee"]), repr(b["seq_time"]), repr(b["times"][0])]
         )
     return entries
 

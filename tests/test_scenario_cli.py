@@ -431,6 +431,8 @@ class TestCli:
             (["--t-v", "0.2", "--processors", "4"], "--processors is not read unless --mode parallel is given"),
             (["--limits", ",,"], "--limits must list at least one block limit"),
             (["--limits", ""], "--limits must list at least one block limit"),
+            (["--t-v", "0.2", "--conflict-rate", "0.4"], "--conflict-rate is not read unless --mode parallel is given"),
+            (["--conflict-rate", "0.4"], "--conflict-rate is not read unless --mode parallel is given"),
         ],
     )
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):

@@ -81,6 +81,20 @@ class TestRunSimulation:
         assert abs(res.total_blocks - expect) < 3 * np.sqrt(expect)
         assert res.canonical_length == res.total_blocks
 
+    def test_lineup_with_no_verifier_runs(self, toy_wl):
+        # no processor count to price at: the stream still hands out every
+        # block, and nobody pauses (the recorded run, from before blocks
+        # carried their times)
+        cfg = ScenarioConfig(
+            block_limit=8_000_000,
+            miners=(MinerConfig("a", 0.5, False), MinerConfig("b", 0.5, False)),
+            sim_duration=600.0,
+        )
+        res = run_simulation(cfg, toy_wl)
+        assert res.total_blocks == res.canonical_length == 50
+        assert res.total_fees == 8.374045119034648
+        assert [m.expected_fraction for m in res.miners] == [0.5, 0.5]
+
     def test_fee_fractions_sum_to_one(self, toy_wl):
         res = run_simulation(day_config(seed=3), toy_wl)
         assert sum(m.fee_fraction for m in res.miners) == pytest.approx(1.0, abs=1e-9)
