@@ -144,14 +144,14 @@ class TestTxStreamPacking:
         with pytest.raises(ValueError, match="^block_limit"):
             TxStream(toy_wl, 0.0, np.random.default_rng(0), 10**12)
 
-    @pytest.mark.parametrize("processors", [(0,), (4, -1), (True,), (2.0,), (1, "4")])
-    def test_processors_rejected_before_any_draw(self, toy_wl, monkeypatch, processors):
+    def test_processors_rejected_before_any_draw(self, toy_wl, monkeypatch):
         def sample(*args, **kwargs):
             raise AssertionError("transactions were drawn before the processor counts were checked")
 
         monkeypatch.setattr("verisim.blocks.sample_transaction_arrays", sample)
-        with pytest.raises(ValueError, match="^processors must be an integer >= 1"):
-            TxStream(toy_wl, 0.4, np.random.default_rng(0), 8_000_000, processors)
+        for processors in [(0,), (4, -1), (True,), (2.0,), (1, "4")]:
+            with pytest.raises(ValueError, match="^processors must be an integer >= 1"):
+                TxStream(toy_wl, 0.4, np.random.default_rng(0), 8_000_000, processors)
         with pytest.raises(ValueError, match="^processors must be an integer >= 1, got 0"):
             measure_verification_times(toy_wl, 8_000_000, 10, p=0)
 
