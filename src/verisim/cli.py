@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 
+from verisim.config import MAX_BLOCKS_PER_RUN
 from verisim.fields import require_finite, require_integer
 
 
@@ -55,8 +56,12 @@ def cmd_fit(args) -> int:
     d_grid, s_grid = _grid("--d-grid", args.d_grid), _grid("--s-grid", args.s_grid)
     ds = load_dataset(args.data, args.block_limit)
     n = len(ds)
+    n_test = max(1, n // 5)
+    # the held-out rows are scored (R² needs two) and the rest are split into folds
+    if n_test < 2 or n - n_test < args.folds:
+        raise ValueError(f"--data has {n} rows, too few to hold out a fifth of 2 or more and keep --folds ({args.folds})")
     rng = np.random.default_rng(args.seed)
-    test_idx = rng.choice(n, size=max(1, n // 5), replace=False)
+    test_idx = rng.choice(n, size=n_test, replace=False)
     mask = np.zeros(n, dtype=bool)
     mask[test_idx] = True
 
@@ -113,6 +118,7 @@ def cmd_sample(args) -> int:
 
 def cmd_analytic(args) -> int:
     import csv
+    from dataclasses import replace
 
     from verisim.analytics import PowerProfile, VerificationParams, reward_table
     from verisim.blocks import measure_verification_times
@@ -123,11 +129,9 @@ def cmd_analytic(args) -> int:
     if not limits:
         raise ValueError(f"--limits must list at least one block limit, got {args.limits!r}")
     profile = PowerProfile(standard_miners(args.miners, args.nonverifier_alpha))  # before t_v is measured
-    # a count below 1, or a rate outside [0, 1], fails its field's rule in either mode
-    if args.mode != "parallel" and args.processors > 1:
-        raise ValueError(f"--processors is not read unless --mode parallel is given, got {args.processors}")
-    if args.mode != "parallel" and 0 < args.conflict_rate <= 1:
-        raise ValueError(f"--conflict-rate is not read unless --mode parallel is given, got {args.conflict_rate}")
+    params = VerificationParams(t_v=0.0, t_b=args.t_b, c=args.conflict_rate, p=args.processors)
+    if params.p == 1 and params.c:
+        raise ValueError(f"--conflict-rate is not read unless --processors is above 1, got {args.conflict_rate}")
     if args.t_v:
         for flag, value in (("--seed", args.seed), ("--tv-blocks", args.tv_blocks), ("--model", args.model)):
             if value is not None:
@@ -145,8 +149,8 @@ def cmd_analytic(args) -> int:
 
     rows_out = []
     for limit, tv in zip(limits, tvs):
-        params = VerificationParams(t_v=tv, t_b=args.t_b, c=args.conflict_rate, p=args.processors)
-        for row in reward_table(profile, params, mode=args.mode):
+        # at p = 1 the parallel form is the sequential one, bit for bit
+        for row in reward_table(profile, replace(params, t_v=tv), mode="parallel"):
             rows_out.append([limit, tv, row.id, row.alpha, int(row.verifies), row.expected_fraction, row.relative_gain_pct])
             if not row.verifies:
                 print(
@@ -232,19 +236,18 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from verisim.config import MODES
-
     parser = argparse.ArgumentParser(prog="verisim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-data", help="generate a calibrated synthetic transaction CSV")
+    # allow_abbrev=False: flags match only in full, so a retired flag is never read as the prefix of another
+    g = sub.add_parser("gen-data", allow_abbrev=False, help="generate a calibrated synthetic transaction CSV")
     g.add_argument("--n", type=int, default=100_000)
     g.add_argument("--seed", type=int, default=42)
     g.add_argument("--block-limit", type=int, default=8_000_000)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    f = sub.add_parser("fit", help="fit mixtures and the CPU-time forest to a dataset")
+    f = sub.add_parser("fit", allow_abbrev=False, help="fit mixtures and the CPU-time forest to a dataset")
     f.add_argument("--data", required=True)
     f.add_argument("--out", required=True)
     f.add_argument("--seed", type=int, default=42)
@@ -260,21 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--block-limit", type=int, default=8_000_000)
     f.set_defaults(func=cmd_fit)
 
-    s = sub.add_parser("sample", help="sample synthetic transactions from fitted models")
+    s = sub.add_parser("sample", allow_abbrev=False, help="sample synthetic transactions from fitted models")
     s.add_argument("--model", required=True)
     s.add_argument("--n", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)
 
-    a = sub.add_parser("analytic", help="closed-form reward table over a block-limit sweep")
+    a = sub.add_parser("analytic", allow_abbrev=False, help="closed-form reward table over a block-limit sweep")
     a.add_argument("--model", help="fitted-model JSON (source of measured t_v; not with --t-v)")
     a.add_argument("--limits", default="8000000,16000000,32000000,64000000,128000000")
     a.add_argument("--t-v", default="", help="override: comma list of t_v seconds, one per limit")
     a.add_argument("--miners", type=int, default=10)
     a.add_argument("--nonverifier-alpha", type=float, default=0.1)
     a.add_argument("--t-b", type=float, default=12.42)
-    a.add_argument("--mode", choices=MODES, default="sequential")
     a.add_argument("--conflict-rate", type=float, default=0.0)
     a.add_argument("--processors", type=int, default=1)
     a.add_argument("--tv-blocks", type=int, help="blocks packed to measure t_v (default 400; not with --t-v)")
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out")
     a.set_defaults(func=cmd_analytic)
 
-    m = sub.add_parser("simulate", help="run the simulation sweep from a config file")
+    m = sub.add_parser("simulate", allow_abbrev=False, help="run the simulation sweep from a config file")
     m.add_argument("--config", required=True)
     m.add_argument("--workload", help="fitted-model JSON overriding the config's workload path")
     m.add_argument("--seed", type=int, help="override the config's base_seed")
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_simulate)
 
-    v = sub.add_parser("validate", help="compare simulation against the closed form")
+    v = sub.add_parser("validate", allow_abbrev=False, help="compare simulation against the closed form")
     v.add_argument("--config", required=True)
     v.add_argument("--workload")
     v.add_argument("--seed", type=int, help="override the config's base_seed")
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             require_integer("--seed", args.seed, 0)
         if getattr(args, "tv_blocks", None) is not None:
-            require_integer("--tv-blocks", args.tv_blocks)
+            require_integer("--tv-blocks", args.tv_blocks, 1, MAX_BLOCKS_PER_RUN)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,16 +172,13 @@ class ForestModel:
         if self._bounds is not None:
             return
         per_tree = [t.as_step_function() for t in self.trees]
-        if per_tree:
-            merged = np.unique(np.concatenate([b for b, _ in per_tree]))
-        else:
-            merged = np.asarray([])
+        merged = np.unique(np.concatenate([b for b, _ in per_tree]))
         reps = np.append(merged, np.inf)
         acc = np.zeros(reps.size)
         for bounds, leaf_values in per_tree:
             acc += leaf_values[np.searchsorted(bounds, reps, side="left")]
         self._bounds = merged
-        self._values = acc / max(len(self.trees), 1)
+        self._values = acc / len(self.trees)
 
     def _ensure_table(self):
         # run lengths of each step over the integers, not a float grid: the

@@ -18,7 +18,7 @@ import numpy as np
 
 from verisim.analytics import VerificationParams, reward_table
 from verisim.blocks import measure_verification_times, summary_stats
-from verisim.config import MAX_RUNS, ScenarioConfig
+from verisim.config import MAX_BLOCKS_PER_RUN, MAX_RUNS, ScenarioConfig
 from verisim.fields import require_integer
 from verisim.sim import SimResult, resolve_workload, run_simulation
 from verisim.workload import FittedWorkload
@@ -145,7 +145,7 @@ def run_sweep(
     tv_blocks: int = 400,
     tv_seed: int = 1,
 ) -> SweepReport:
-    require_integer("tv_blocks", tv_blocks)
+    require_integer("tv_blocks", tv_blocks, 1, MAX_BLOCKS_PER_RUN)
     configs = list(configs)
     all_results = []
     cells = []

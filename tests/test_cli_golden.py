@@ -46,7 +46,7 @@ SCENARIOS = {
 ANALYTIC_CALLS = {
     "measured.csv": lambda model: [
         "--model", str(model), "--limits", "8000000,32000000", "--tv-blocks", "40",
-        "--mode", "parallel", "--conflict-rate", "0.4", "--processors", "4",
+        "--conflict-rate", "0.4", "--processors", "4",
     ],
     "explicit.csv": lambda model: ["--limits", "128000000", "--t-v", "3.18", "--t-b", "12.0"],
 }

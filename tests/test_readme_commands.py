@@ -1,0 +1,37 @@
+"""Every ``verisim`` command in README.md's code blocks must parse.
+
+Only the parser runs: no command is executed.  A flag that the CLI no
+longer has, or a misspelt one, fails here.
+"""
+
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from verisim.cli import build_parser
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def readme_commands() -> list:
+    """The argv of each ``verisim`` line in the README's fenced code blocks,
+    with backslash continuations joined."""
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("verisim "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"gen-data", "fit", "sample", "analytic", "simulate", "validate"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: verisim {shlex.join(argv)}\n{capsys.readouterr().err}")

@@ -131,9 +131,13 @@ class TestSweep:
         for column in ("sim_gain_ci95_pct", "sim_expected_ci95_pct"):
             assert float(row[column]) > 0
 
-    @pytest.mark.parametrize("tv_blocks", [0, -1])
-    def test_sweep_rejects_no_tv_blocks(self, toy_wl, tv_blocks):
-        with pytest.raises(ValueError, match=f"^tv_blocks must be an integer >= 1, got {tv_blocks}$"):
+    @pytest.mark.parametrize("tv_blocks", [0, -1, 10_000_001])
+    def test_sweep_rejects_no_tv_blocks(self, toy_wl, monkeypatch, tv_blocks):
+        def measure(*args, **kwargs):
+            raise AssertionError("t_v was measured before tv_blocks was checked")
+
+        monkeypatch.setattr("verisim.scenario.measure_verification_times", measure)
+        with pytest.raises(ValueError, match=rf"^tv_blocks must be an integer in \[1, 10000000\], got {tv_blocks}$"):
             run_sweep([small_config()], toy_wl, tv_blocks=tv_blocks)
 
     def test_ci_halfwidth_basics(self):
@@ -280,7 +284,7 @@ class TestCli:
     def test_analytic_parallel_worked_example(self, capsys):
         code = cli_main([
             "analytic", "--limits", "128000000", "--t-v", "3.18", "--t-b", "12.0",
-            "--mode", "parallel", "--conflict-rate", "0.4", "--processors", "4",
+            "--conflict-rate", "0.4", "--processors", "4",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -384,14 +388,20 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50", "--tolerance", "0.0"]) == 1
 
-    def test_fit_too_few_rows_for_folds(self, tmp_path, capsys):
+    def test_fit_too_few_rows_for_folds(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the forest was fitted on a dataset too small for its split")
+
+        monkeypatch.setattr("verisim.workload.fit_cpu_time_model", no_fit)
         data = tmp_path / "tiny.csv"
-        rows = ["used_gas,gas_price,cpu_time_s"] + [f"{21000 + i},2e-08,0.001" for i in range(5)]
-        data.write_text("\n".join(rows) + "\n")
-        code = cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
-                         "--d-grid", "5", "--s-grid", "2", "--folds", "10"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        # a fifth of the rows (at least one) is held out; it needs 2 rows, the rest --folds rows
+        for n, folds in [(5, 10), (1, 2), (9, 2), (11, 10)]:
+            rows = ["used_gas,gas_price,cpu_time_s"] + [f"{21000 + i},2e-08,0.001" for i in range(n)]
+            data.write_text("\n".join(rows) + "\n")
+            code = cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                             "--d-grid", "5", "--s-grid", "2", "--folds", str(folds)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: --data has {n} rows, too few")
 
     def test_fit_non_finite_cpu_time(self, tmp_path, capsys):
         data = tmp_path / "nan.csv"
@@ -428,11 +438,10 @@ class TestCli:
             (["--limits", "8000000,abc", "--t-v", "0.2,0.3"], "--limits"),
             (["--t-v", "abc"], "--t-v"),
             (["--t-v", "0.2,0.3"], "--t-v needs one value per block limit"),
-            (["--t-v", "0.2", "--processors", "4"], "--processors is not read unless --mode parallel is given"),
+            (["--t-v", "0.2", "--conflict-rate", "0.4"], "--conflict-rate is not read unless --processors is above 1"),
             (["--limits", ",,"], "--limits must list at least one block limit"),
             (["--limits", ""], "--limits must list at least one block limit"),
-            (["--t-v", "0.2", "--conflict-rate", "0.4"], "--conflict-rate is not read unless --mode parallel is given"),
-            (["--conflict-rate", "0.4"], "--conflict-rate is not read unless --mode parallel is given"),
+            (["--conflict-rate", "0.4"], "--conflict-rate is not read unless --processors is above 1"),
         ],
     )
     def test_analytic_rejects(self, toy_wl, tmp_path, capsys, argv, error):
@@ -450,11 +459,14 @@ class TestCli:
             (["--nonverifier-alpha", "0"], "nonverifier_alpha"),
             (["--nonverifier-alpha", "nan"], "nonverifier_alpha"),
             (["--miners", "1"], "miners"),
+            (["--processors", "4", "--conflict-rate", "1.5"], "c (the conflict rate)"),
+            (["--processors", "0"], "p (the processor count)"),
+            (["--t-b", "-1"], "t_b (the block interval)"),
         ],
     )
     def test_analytic_rejects_lineup_before_measuring_tv(self, toy_wl, tmp_path, capsys, monkeypatch, argv, error):
         def measure(*args, **kwargs):
-            raise AssertionError("t_v was measured before the lineup was rejected")
+            raise AssertionError("t_v was measured before the lineup and closed-form flags were checked")
 
         monkeypatch.setattr("verisim.blocks.measure_verification_times", measure)
         model = tmp_path / "toy.json"
@@ -468,10 +480,12 @@ class TestCli:
         toy_wl.save(model)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(mode=mode, c=0.4, p=4, runs=1, workload=str(model)).to_dict()))
-        assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "0", "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: --tv-blocks must be an integer >= 1, got 0\n"
+        for tv_blocks in ("0", "10000001"):
+            argv = ["simulate", "--config", str(cfg_path), "--tv-blocks", tv_blocks, "--out", str(tmp_path / "o")]
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == f"error: --tv-blocks must be an integer in [1, 10000000], got {tv_blocks}\n"
 
-    @pytest.mark.parametrize("tv_blocks", ["0", "-3"])
+    @pytest.mark.parametrize("tv_blocks", ["0", "-3", "10000001"])
     @pytest.mark.parametrize("command", ["analytic", "simulate", "validate"])
     def test_tv_blocks_below_one_names_the_flag(self, tmp_path, capsys, command, tv_blocks):
         # none of these files exists, so reading any of them would fail with another error
@@ -481,7 +495,7 @@ class TestCli:
             "validate": ["validate", "--config", str(tmp_path / "c.json")],
         }[command]
         assert cli_main([*argv, "--tv-blocks", tv_blocks]) == 2
-        assert capsys.readouterr().err == f"error: --tv-blocks must be an integer >= 1, got {tv_blocks}\n"
+        assert capsys.readouterr().err == f"error: --tv-blocks must be an integer in [1, 10000000], got {tv_blocks}\n"
 
     @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--tv-blocks", "40"), ("--model", "/nonexistent.json")])
     def test_analytic_t_v_rejects_measuring_flags(self, capsys, flag, value):
@@ -604,11 +618,17 @@ class TestCli:
         assert not (tmp_path / "txs.csv").exists()
 
     def test_fit_rejects_a_criterion(self, tmp_path, capsys):
-        argv = ["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json"), "--criterion", "bic"]
-        with pytest.raises(SystemExit) as exc:
-            cli_main(argv)
-        assert exc.value.code == 2
-        assert "--criterion" in capsys.readouterr().err
+        # retired flags are unrecognised, and never read as the prefix of another flag
+        retired = [
+            (["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json"), "--criterion", "bic"],
+             "--criterion"),
+            (["analytic", "--model", str(tmp_path / "m.json"), "--mode", "parallel"], "--mode"),
+        ]
+        for argv, flag in retired:
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_fit_runs_one_search_per_mixture(self, tmp_path, monkeypatch):
         from verisim import workload
