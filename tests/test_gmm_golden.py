@@ -3,8 +3,10 @@
 The recorded file holds the ``repr`` of the k-means++ seeds, of single EM runs
 with their likelihood traces, and of fitted models, on two columns of a small
 synthetic dataset: the clipped used gas (its 21000 spike drives a component to
-the variance floor) and the gas price.  A change to the EM internals that keeps
-its arithmetic leaves every entry unchanged.  Re-record only when the
+the variance floor) and the gas price.  The ``default_workload`` entry holds
+both mixtures of the reference recipe, which searches K on a subsample and
+refits the winner on all rows.  A change to the EM internals that keeps its
+arithmetic leaves every entry unchanged.  Re-record only when the
 arithmetic changes on purpose::
 
     PYTHONPATH=src python -m tests.test_gmm_golden
@@ -58,6 +60,10 @@ def _entries() -> dict:
     return out
 
 
+def _default_workload_entry(wl) -> dict:
+    return {name: repr(getattr(wl, name).to_dict()) for name in ("gas_price_model", "used_gas_model")}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -69,7 +75,7 @@ def entries():
 
 
 def test_same_keys(golden, entries):
-    assert sorted(entries) == sorted(golden)
+    assert sorted([*entries, "default_workload"]) == sorted(golden)
 
 
 @pytest.mark.parametrize("column", ["used_gas", "gas_price"])
@@ -79,6 +85,10 @@ def test_matches_golden(column, golden, entries):
             assert entries[key] == golden[key], key
 
 
+def test_default_workload_mixtures_match_golden(golden, fitted_workload):
+    assert _default_workload_entry(fitted_workload) == golden["default_workload"]
+
+
 def test_used_gas_reaches_variance_floor(golden):
     # the clip spike at 21000 must exercise the floor, or the file tests less than it claims
     floored = [key for key, text in golden.items() if key.startswith("used_gas/fit/") and repr(VARIANCE_FLOOR) in text]
@@ -86,8 +96,11 @@ def test_used_gas_reaches_variance_floor(golden):
 
 
 def record():
+    from verisim.dataio import default_workload
+
+    entries = {**_entries(), "default_workload": _default_workload_entry(default_workload())}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(_entries(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    GOLDEN_PATH.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
