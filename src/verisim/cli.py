@@ -38,21 +38,12 @@ def cmd_gen_data(args) -> int:
 def cmd_fit(args) -> int:
     from verisim.dataio import load_dataset
     from verisim.stats import regression_metrics
-    from verisim.workload import fit_cpu_time_model, fit_workload
+    from verisim.workload import CV_SUBSAMPLE, GMM_SUBSAMPLE, fit_cpu_time_model, fit_workload
 
-    # the mixtures are fitted after the split's forest: reject their flags first
-    if not 1 <= args.k_min <= args.k_max:
-        raise ValueError(f"need 1 <= --k-min <= --k-max, got {args.k_min} and {args.k_max}")
-    if require_integer("--gmm-subsample", args.gmm_subsample) < args.k_max:
-        raise ValueError(
-            f"--gmm-subsample must be at least --k-max ({args.k_max}), since the K search "
-            f"needs at least K rows, got {args.gmm_subsample}"
-        )
-    if require_integer("--cv-subsample", args.cv_subsample) < require_integer("--folds", args.folds, 2):
-        raise ValueError(
-            f"--cv-subsample must be at least --folds ({args.folds}), since each fold "
-            f"needs a row, got {args.cv_subsample}"
-        )
+    # the mixtures are fitted after the split's forest: reject their flags first;
+    # the K search and the CV each run on at most their subsample's rows
+    require_integer("--k-max", args.k_max, 1, GMM_SUBSAMPLE)
+    require_integer("--folds", args.folds, 2, CV_SUBSAMPLE)
     d_grid, s_grid = _grid("--d-grid", args.d_grid), _grid("--s-grid", args.s_grid)
     ds = load_dataset(args.data, args.block_limit)
     n = len(ds)
@@ -60,6 +51,8 @@ def cmd_fit(args) -> int:
     # the held-out rows are scored (R² needs two) and the rest are split into folds
     if n_test < 2 or n - n_test < args.folds:
         raise ValueError(f"--data has {n} rows, too few to hold out a fifth of 2 or more and keep --folds ({args.folds})")
+    if args.k_max > n:
+        raise ValueError(f"--k-max must be at most the --data row count ({n}), got {args.k_max}")
     rng = np.random.default_rng(args.seed)
     test_idx = rng.choice(n, size=n_test, replace=False)
     mask = np.zeros(n, dtype=bool)
@@ -74,7 +67,6 @@ def cmd_fit(args) -> int:
         s_grid=s_grid,
         folds=args.folds,
         seed=args.seed,
-        cv_subsample=args.cv_subsample,
     )
     train = regression_metrics(ds.cpu_time[~mask], model.predict(ds.used_gas[~mask]))
     test = regression_metrics(ds.cpu_time[mask], model.predict(ds.used_gas[mask]))
@@ -82,12 +74,10 @@ def cmd_fit(args) -> int:
         ds.used_gas,
         ds.gas_price,
         ds.cpu_time,
-        k_min=args.k_min,
         k_max=args.k_max,
         tree_count=model.tree_count,
         split_budget=model.split_budget,
         seed=args.seed,
-        gmm_subsample=args.gmm_subsample,
         block_limit=args.block_limit,
     )
     final.save(args.out)
@@ -251,15 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--data", required=True)
     f.add_argument("--out", required=True)
     f.add_argument("--seed", type=int, default=42)
-    f.add_argument("--k-min", type=int, default=1)
     f.add_argument("--k-max", type=int, default=8)
     f.add_argument("--d-grid", default="10,50,100,200,500")
     f.add_argument("--s-grid", default="1,10,50,150,300")
     f.add_argument("--folds", type=int, default=10)
-    f.add_argument("--cv-subsample", type=int, default=20_000,
-                   help="rows used in the grid-search CV (winner refits on all rows)")
-    f.add_argument("--gmm-subsample", type=int, default=20_000,
-                   help="rows used to pick the mixture component count (refit on all rows)")
     f.add_argument("--block-limit", type=int, default=8_000_000)
     f.set_defaults(func=cmd_fit)
 

@@ -140,10 +140,8 @@ def default_workload(n: int = 60_000, seed: int = 7):
         ds.used_gas,
         ds.gas_price,
         ds.cpu_time,
-        k_min=1,
         k_max=6,
         tree_count=100,
         split_budget=64,
         seed=seed,
-        gmm_subsample=20_000,
     )

@@ -22,6 +22,10 @@ MIN_TX_GAS = 21_000
 # 4 * limit / MIN_TX_GAS transactions, some 205,000 at this cap
 MAX_BLOCK_LIMIT = 2**30
 DEFAULT_BLOCK_LIMIT = 8_000_000
+# the rows the mixture K search and the forest's grid-search CV pick at most;
+# the winners are refit on all rows
+GMM_SUBSAMPLE = 20_000
+CV_SUBSAMPLE = 20_000
 
 
 def check_block_limit(block_limit) -> int:
@@ -82,22 +86,21 @@ def fit_cpu_time_model(
     s_grid,
     folds: int = 10,
     seed: int = 0,
-    cv_subsample: int | None = None,
 ) -> ForestModel:
     """The CPU-time forest at the grid cell that K-fold CV picks.
 
-    The grid-search CV picks (d, s) on at most ``cv_subsample`` rows (None
-    uses every row); the forest is then grown on all rows at that cell with
-    the forest seed of :func:`fit_workload`, so ``fit_workload`` at the
-    picked (d, s) and the same ``seed`` grows the same forest.
+    The grid-search CV picks (d, s) on at most ``CV_SUBSAMPLE`` rows; the
+    forest is then grown on all rows at that cell with the forest seed of
+    :func:`fit_workload`, so ``fit_workload`` at the picked (d, s) and the
+    same ``seed`` grows the same forest.
     """
     used_gas = np.asarray(used_gas, dtype=np.float64)
     cpu_time = np.asarray(cpu_time, dtype=np.float64)
     _, _, cv_pick_seed, forest_seed, _ = _derived_seeds(seed)
 
     cv_gas, cv_cpu = used_gas, cpu_time
-    if cv_subsample is not None and cv_subsample < used_gas.size:
-        pick = np.random.default_rng(cv_pick_seed).choice(used_gas.size, size=cv_subsample, replace=False)
+    if used_gas.size > CV_SUBSAMPLE:
+        pick = np.random.default_rng(cv_pick_seed).choice(used_gas.size, size=CV_SUBSAMPLE, replace=False)
         cv_gas, cv_cpu = used_gas[pick], cpu_time[pick]
     d, s = fit_rfr(cv_gas, cv_cpu, d_grid, s_grid, folds, seed=forest_seed)
     return fit_forest(used_gas, cpu_time, d, s, seed=forest_seed)
@@ -108,31 +111,29 @@ def fit_workload(
     gas_price,
     cpu_time,
     *,
-    k_min: int = 1,
     k_max: int = 8,
     tree_count: int,
     split_budget: int,
     seed: int = 0,
-    gmm_subsample: int | None = None,
     block_limit: int = DEFAULT_BLOCK_LIMIT,
 ) -> FittedWorkload:
     """Fit both mixtures on one transaction dataset and grow its CPU-time
     forest at (``tree_count``, ``split_budget``).
 
-    ``gmm_subsample`` caps the number of rows used for the mixture
-    component-count search (the winning K is refit on all rows); None uses
-    every row.  :func:`fit_cpu_time_model` picks the forest's cell by CV.
+    Each mixture's K is searched over [1, ``k_max``] on at most
+    ``GMM_SUBSAMPLE`` rows and the winning K is refit on all rows.
+    :func:`fit_cpu_time_model` picks the forest's cell by CV.
     """
     used_gas = np.asarray(used_gas, dtype=np.float64)
     gas_price = np.asarray(gas_price, dtype=np.float64)
     price_seed, gas_seed, _, forest_seed, gmm_pick_seed = _derived_seeds(seed)
 
     def _fit_mixture(values, fit_seed):
-        if gmm_subsample is not None and gmm_subsample < values.size:
-            pick = np.random.default_rng(gmm_pick_seed).choice(values.size, size=gmm_subsample, replace=False)
-            k = fit_gmm(values[pick], k_min, k_max, seed=fit_seed).k
+        if values.size > GMM_SUBSAMPLE:
+            pick = np.random.default_rng(gmm_pick_seed).choice(values.size, size=GMM_SUBSAMPLE, replace=False)
+            k = fit_gmm(values[pick], 1, k_max, seed=fit_seed).k
             return fit_gmm(values, k, k, seed=fit_seed)
-        return fit_gmm(values, k_min, k_max, seed=fit_seed)
+        return fit_gmm(values, 1, k_max, seed=fit_seed)
 
     price_model = _fit_mixture(gas_price, price_seed)
     gas_model = _fit_mixture(used_gas, gas_seed)

@@ -1,9 +1,11 @@
-"""Every ``verisim`` command in README.md's code blocks must parse.
+"""Every ``verisim`` command in README.md's code blocks must parse, and
+every ``--flag`` the README names, in prose too, must be a CLI option.
 
 Only the parser runs: no command is executed.  A flag that the CLI no
 longer has, or a misspelt one, fails here.
 """
 
+import argparse
 import pathlib
 import re
 import shlex
@@ -35,3 +37,15 @@ def test_readme_commands_parse(capsys):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: verisim {shlex.join(argv)}\n{capsys.readouterr().err}")
+
+
+def parser_flags() -> set:
+    """Every option string of every ``build_parser()`` subcommand."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {flag for command in commands.choices.values() for action in command._actions for flag in action.option_strings}
+
+
+def test_readme_names_only_real_flags():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    assert "--k-max" in named
+    assert sorted(named - parser_flags()) == []

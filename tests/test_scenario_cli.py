@@ -546,37 +546,34 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: block_limit")
 
-    @pytest.mark.parametrize("k_range", [["--k-min", "3", "--k-max", "2"], ["--k-min", "0"]])
+    @pytest.mark.parametrize("k_range", [["--k-max", "0"]])
     def test_fit_rejects_k_range_before_fitting(self, tmp_path, capsys, monkeypatch, k_range):
-        self._assert_fit_rejects_before_fitting(tmp_path, capsys, monkeypatch, k_range, "need 1 <= --k-min <= --k-max")
+        error = "--k-max must be an integer in [1, 20000], got 0"
+        self._assert_fit_rejects_before_fitting(tmp_path, capsys, monkeypatch, k_range, error)
 
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["--gmm-subsample", "3"], "--gmm-subsample must be at least --k-max"),
-            (["--gmm-subsample", "-1"], "--gmm-subsample"),
-            (["--cv-subsample", "0"], "--cv-subsample"),
-            (["--cv-subsample", "-1"], "--cv-subsample"),
             (["--d-grid", "5,x"], "--d-grid"),
             (["--s-grid", "abc"], "--s-grid"),
-            (["--folds", "1"], "--folds must be an integer >= 2, got 1"),
-            (["--cv-subsample", "3", "--folds", "5"], "--cv-subsample must be at least --folds (5)"),
+            (["--folds", "1"], "--folds must be an integer in [2, 20000], got 1"),
             (["--d-grid", "0,10"], "--d-grid must be a non-empty list of positive integers, got '0,10'"),
             (["--s-grid", "-3"], "--s-grid must be a non-empty list of positive integers, got '-3'"),
             (["--d-grid", ","], "--d-grid must be a non-empty list of positive integers, got ','"),
+            (["--k-max", "20001"], "--k-max must be an integer in [1, 20000], got 20001"),
+            (["--folds", "20001"], "--folds must be an integer in [2, 20000], got 20001"),
+            (["--k-max", "20", "--folds", "2"], "--k-max must be at most the --data row count (10), got 20"),
         ],
         ids=[
-            "gmm-subsample-below-k-max",
-            "gmm-subsample-negative",
-            "cv-subsample-zero",
-            "cv-subsample-negative",
             "d-grid-not-integer",
             "s-grid-not-integer",
             "folds-below-2",
-            "cv-subsample-below-folds",
             "d-grid-zero",
             "s-grid-negative",
             "d-grid-empty",
+            "k-max-above-gmm-subsample",
+            "folds-above-cv-subsample",
+            "k-max-above-rows",
         ],
     )
     def test_fit_rejects_search_flags_before_fitting(self, tmp_path, capsys, monkeypatch, argv, error):
@@ -584,14 +581,15 @@ class TestCli:
 
     @staticmethod
     def _assert_fit_rejects_before_fitting(tmp_path, capsys, monkeypatch, argv, error):
+        # 10 rows: enough for the held-out fifth and 2 folds, too few for a K search up to 20
         data = tmp_path / "txs.csv"
-        assert cli_main(["gen-data", "--n", "300", "--out", str(data)]) == 0
+        rows = ["used_gas,gas_price,cpu_time_s"] + [f"{21000 + i},2e-08,0.001" for i in range(10)]
+        data.write_text("\n".join(rows) + "\n")
 
         def no_fit(*args, **kwargs):
             raise AssertionError("the forest was fitted before the fit flags were checked")
 
-        monkeypatch.setattr("verisim.workload.fit_rfr", no_fit)
-        capsys.readouterr()
+        monkeypatch.setattr("verisim.workload.fit_cpu_time_model", no_fit)
         assert cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
 
@@ -623,6 +621,8 @@ class TestCli:
             (["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json"), "--criterion", "bic"],
              "--criterion"),
             (["analytic", "--model", str(tmp_path / "m.json"), "--mode", "parallel"], "--mode"),
+            *((["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json"), flag, value], flag)
+              for flag, value in (("--k-min", "1"), ("--gmm-subsample", "300"), ("--cv-subsample", "400"))),
         ]
         for argv, flag in retired:
             with pytest.raises(SystemExit) as exc:
@@ -633,6 +633,7 @@ class TestCli:
     def test_fit_runs_one_search_per_mixture(self, tmp_path, monkeypatch):
         from verisim import workload
 
+        monkeypatch.setattr(workload, "GMM_SUBSAMPLE", 300)
         data = tmp_path / "txs.csv"
         assert cli_main(["gen-data", "--n", "600", "--seed", "5", "--out", str(data)]) == 0
         rows = []
@@ -644,7 +645,7 @@ class TestCli:
 
         monkeypatch.setattr(workload, "fit_gmm", counted)
         argv = ["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), "--k-max", "3",
-                "--gmm-subsample", "300", "--d-grid", "5", "--s-grid", "4", "--folds", "2"]
+                "--d-grid", "5", "--s-grid", "4", "--folds", "2"]
         assert cli_main(argv) == 0
         # per mixture: the K search on the subsample, then the refit on all rows
         assert rows == [300, 600, 300, 600]

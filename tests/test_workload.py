@@ -142,9 +142,11 @@ class TestColumnStreams:
         assert rng.random() == ref.random()
 
 
-def test_cpu_time_model_is_the_workload_forest():
+def test_cpu_time_model_is_the_workload_forest(monkeypatch):
+    # a CV subsample below the row count runs the subsample-then-refit path
+    monkeypatch.setattr("verisim.workload.CV_SUBSAMPLE", 400)
     ds = generate_synthetic_dataset(800, seed=3)
-    forest = fit_cpu_time_model(ds.used_gas, ds.cpu_time, d_grid=[3, 5], s_grid=[4], folds=2, seed=9, cv_subsample=400)
+    forest = fit_cpu_time_model(ds.used_gas, ds.cpu_time, d_grid=[3, 5], s_grid=[4], folds=2, seed=9)
     whole = fit_workload(
         ds.used_gas, ds.gas_price, ds.cpu_time, k_max=2,
         tree_count=forest.tree_count, split_budget=forest.split_budget, seed=9,
