@@ -1,5 +1,5 @@
-"""Golden CLI outputs: ``verisim simulate``, ``sample``, ``analytic`` and
-``gen-data`` must write the recorded files byte for byte.
+"""Golden CLI outputs: ``verisim simulate``, ``sample``, ``analytic``,
+``gen-data`` and ``fit`` must write the recorded files byte for byte.
 
 The recorded file holds the exact text of ``results.csv``, ``summary.csv`` and
 ``configs.json`` from one three-cell ``simulate`` sweep on the toy workload,
@@ -7,10 +7,10 @@ and of the CSV from one ``sample`` call.  The cells are a sequential 8M cell
 with a 0.1 non-verifier, a parallel 32M cell (c=0.4, p=4) and an all-verifier
 8M cell, whose summary gain columns are empty.  It also holds two ``analytic``
 reward tables, one with t_v measured on the toy workload (parallel, c=0.4,
-p=4, limits 8M and 32M) and one with an explicit t_v, and one 300-row
-``gen-data`` dataset.  A refactor that keeps the outputs leaves every file
-unchanged.  Re-record only when an output changes on
-purpose::
+p=4, limits 8M and 32M) and one with an explicit t_v, one 300-row
+``gen-data`` dataset, and the ``workload.json`` that ``fit`` writes from that
+dataset.  A refactor that keeps the outputs leaves every file unchanged.
+Re-record only when an output changes on purpose::
 
     PYTHONPATH=src python -m tests.test_cli_golden
 """
@@ -55,7 +55,7 @@ GOLDEN_NAMES = (
     [f"simulate/{n}" for n in SIMULATE_FILES]
     + ["sample/sampled.csv"]
     + [f"analytic/{n}" for n in ANALYTIC_CALLS]
-    + ["gen-data/dataset.csv"]
+    + ["gen-data/dataset.csv", "fit/workload.json"]
 )
 
 
@@ -78,6 +78,11 @@ def _outputs(root: pathlib.Path) -> dict:
     dataset = root / "dataset.csv"
     assert cli_main(["gen-data", "--n", "300", "--out", str(dataset)]) == 0
     files["gen-data/dataset.csv"] = dataset.read_bytes()
+    fitted = root / "workload.json"
+    argv = ["fit", "--data", str(dataset), "--out", str(fitted), "--seed", "5",
+            "--k-max", "3", "--d-grid", "5", "--s-grid", "4,8", "--folds", "3"]
+    assert cli_main(argv) == 0
+    files["fit/workload.json"] = fitted.read_bytes()
     return {name: data.decode("utf-8") for name, data in files.items()}
 
 
