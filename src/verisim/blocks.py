@@ -26,7 +26,7 @@ since taking it may refill the buffers.
 import numpy as np
 
 from verisim import kernels
-from verisim.fields import require_integer
+from verisim.fields import require_finite, require_integer
 from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, empty_columns, sample_transaction_arrays
 
 # transactions drawn per refill, unless a block limit needs more
@@ -110,6 +110,7 @@ class TxStream:
         processors=(1,),
     ):
         self._ps = tuple(require_integer("processors", p) for p in processors)
+        require_finite("conflict_rate", conflict_rate, 0, 1)
         self._wl = workload
         self._c = conflict_rate
         self._rng = rng
@@ -216,8 +217,7 @@ def measure_verification_times(
     ``seq_out``, an array of n_blocks floats if given, receives the same
     blocks' one-processor times from the same pass.
     """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks!r}")
+    require_integer("n_blocks", n_blocks)
     stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, (p,))
     times = np.empty(n_blocks, dtype=np.float64)
     for i in range(n_blocks):

@@ -29,7 +29,7 @@ def cmd_gen_data(args) -> int:
     from verisim.dataio import generate_synthetic_dataset, write_dataset
 
     require_integer("--n", args.n, 100)  # fewer rows make no meaningful dataset
-    ds = generate_synthetic_dataset(args.n, args.seed, args.block_limit)
+    ds = generate_synthetic_dataset(args.n, args.seed)
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} transactions to {args.out}")
     return 0
@@ -45,7 +45,7 @@ def cmd_fit(args) -> int:
     require_integer("--k-max", args.k_max, 1, GMM_SUBSAMPLE)
     require_integer("--folds", args.folds, 2, CV_SUBSAMPLE)
     d_grid, s_grid = _grid("--d-grid", args.d_grid), _grid("--s-grid", args.s_grid)
-    ds = load_dataset(args.data, args.block_limit)
+    ds = load_dataset(args.data)
     n = len(ds)
     n_test = max(1, n // 5)
     # the held-out rows are scored (R² needs two) and the rest are split into folds
@@ -78,7 +78,6 @@ def cmd_fit(args) -> int:
         tree_count=model.tree_count,
         split_budget=model.split_budget,
         seed=args.seed,
-        block_limit=args.block_limit,
     )
     final.save(args.out)
 
@@ -118,7 +117,7 @@ def cmd_analytic(args) -> int:
     limits = [check_block_limit(limit) for limit in _numbers("--limits", args.limits)]
     if not limits:
         raise ValueError(f"--limits must list at least one block limit, got {args.limits!r}")
-    profile = PowerProfile(standard_miners(args.miners, args.nonverifier_alpha))  # before t_v is measured
+    profile = PowerProfile(standard_miners(nonverifier_alpha=args.nonverifier_alpha))  # before t_v is measured
     params = VerificationParams(t_v=0.0, t_b=args.t_b, c=args.conflict_rate, p=args.processors)
     if params.p == 1 and params.c:
         raise ValueError(f"--conflict-rate is not read unless --processors is above 1, got {args.conflict_rate}")
@@ -157,9 +156,8 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-def _load_scenarios(path, seed=None, runs=None):
+def _load_scenarios(path):
     import json
-    from dataclasses import replace
 
     from verisim.config import ScenarioConfig
 
@@ -172,21 +170,15 @@ def _load_scenarios(path, seed=None, runs=None):
         scenarios = raw["scenarios"]
         if not isinstance(scenarios, list) or not scenarios or not all(isinstance(d, dict) for d in scenarios):
             raise ValueError(f"scenarios: must be a non-empty list of objects, got {scenarios!r}")
-        configs = [ScenarioConfig.from_dict(d) for d in scenarios]
-    else:
-        configs = [ScenarioConfig.from_dict(raw)]
-    if seed is not None:
-        configs = [replace(c, base_seed=seed) for c in configs]
-    if runs is not None:
-        configs = [replace(c, runs=runs) for c in configs]
-    return configs
+        return [ScenarioConfig.from_dict(d) for d in scenarios]
+    return [ScenarioConfig.from_dict(raw)]
 
 
 def cmd_simulate(args) -> int:
     from verisim.scenario import run_sweep
     from verisim.workload import FittedWorkload
 
-    configs = _load_scenarios(args.config, args.seed, args.runs)
+    configs = _load_scenarios(args.config)
     workload = FittedWorkload.load(args.workload) if args.workload else None
     report = run_sweep(configs, workload, tv_blocks=args.tv_blocks)
     out = report.write(args.out)
@@ -204,7 +196,7 @@ def cmd_validate(args) -> int:
     from verisim.scenario import check_comparable, run_sweep, validate_sweep
     from verisim.workload import FittedWorkload
 
-    configs = _load_scenarios(args.config, args.seed, args.runs)
+    configs = _load_scenarios(args.config)
     # both before any simulation runs
     check_comparable(configs)
     require_finite("tolerance", args.tolerance, 0)
@@ -233,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", allow_abbrev=False, help="generate a calibrated synthetic transaction CSV")
     g.add_argument("--n", type=int, default=100_000)
     g.add_argument("--seed", type=int, default=42)
-    g.add_argument("--block-limit", type=int, default=8_000_000)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
@@ -245,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--d-grid", default="10,50,100,200,500")
     f.add_argument("--s-grid", default="1,10,50,150,300")
     f.add_argument("--folds", type=int, default=10)
-    f.add_argument("--block-limit", type=int, default=8_000_000)
     f.set_defaults(func=cmd_fit)
 
     s = sub.add_parser("sample", allow_abbrev=False, help="sample synthetic transactions from fitted models")
@@ -259,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--model", help="fitted-model JSON (source of measured t_v; not with --t-v)")
     a.add_argument("--limits", default="8000000,16000000,32000000,64000000,128000000")
     a.add_argument("--t-v", default="", help="override: comma list of t_v seconds, one per limit")
-    a.add_argument("--miners", type=int, default=10)
     a.add_argument("--nonverifier-alpha", type=float, default=0.1)
     a.add_argument("--t-b", type=float, default=12.42)
     a.add_argument("--conflict-rate", type=float, default=0.0)
@@ -272,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", allow_abbrev=False, help="run the simulation sweep from a config file")
     m.add_argument("--config", required=True)
     m.add_argument("--workload", help="fitted-model JSON overriding the config's workload path")
-    m.add_argument("--seed", type=int, help="override the config's base_seed")
-    m.add_argument("--runs", type=int, help="override the config's run count")
     m.add_argument("--tv-blocks", type=int, default=400)
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_simulate)
@@ -281,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", allow_abbrev=False, help="compare simulation against the closed form")
     v.add_argument("--config", required=True)
     v.add_argument("--workload")
-    v.add_argument("--seed", type=int, help="override the config's base_seed")
-    v.add_argument("--runs", type=int, help="override the config's run count")
     v.add_argument("--tolerance", type=float, default=0.25)
     v.add_argument("--tv-blocks", type=int, default=400)
     v.add_argument("--out")
@@ -296,7 +281,7 @@ def main(argv=None) -> int:
     try:
         # numpy's own error for a negative seed names no flag, nor does
         # n_blocks's for --tv-blocks; both are checked before any work
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             require_integer("--seed", args.seed, 0)
         if getattr(args, "tv_blocks", None) is not None:
             require_integer("--tv-blocks", args.tv_blocks, 1, MAX_BLOCKS_PER_RUN)

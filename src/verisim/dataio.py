@@ -1,7 +1,8 @@
 """Transaction dataset files and calibrated synthetic dataset generation.
 
 CSV schema: header ``used_gas,gas_price,cpu_time_s``, one row per
-transaction, UTF-8, decimal point.  Used gas lies in [1, block limit].  The synthetic generator stands in for the
+transaction, UTF-8, decimal point.  Used gas lies in [1, 8,000,000], the
+dataset's gas limit.  The synthetic generator stands in for the
 (unpublished) measured dataset; its parameters live in the profile constants
 below so recalibration is a one-file change.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from verisim.fields import require_finite, require_positive
-from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS, check_block_limit
+from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS
 
 CSV_HEADER = ["used_gas", "gas_price", "cpu_time_s"]
 
@@ -50,18 +51,17 @@ class Dataset:
         return int(self.used_gas.size)
 
 
-def _validate_row(line_no: int, used_gas: int, gas_price: float, cpu_time: float, block_limit: int):
+def _validate_row(line_no: int, used_gas: int, gas_price: float, cpu_time: float):
     if used_gas < 1:
         raise ValueError(f"line {line_no}: used_gas must be >= 1, got {used_gas}")
-    if used_gas > block_limit:
-        raise ValueError(f"line {line_no}: used_gas ({used_gas}) exceeds block limit ({block_limit})")
+    if used_gas > DEFAULT_BLOCK_LIMIT:
+        raise ValueError(f"line {line_no}: used_gas ({used_gas}) exceeds block limit ({DEFAULT_BLOCK_LIMIT})")
     require_positive(f"line {line_no}: gas_price", gas_price)
     require_finite(f"line {line_no}: cpu_time_s", cpu_time, 0)
 
 
-def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read and validate a transaction CSV; errors name the offending line."""
-    check_block_limit(block_limit)
     used_gas, gas_price, cpu_time = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -80,7 +80,7 @@ def load_dataset(path, block_limit: int = DEFAULT_BLOCK_LIMIT) -> Dataset:
                 ug, gp, ct = int(row[0]), float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: malformed value ({exc})") from None
-            _validate_row(line_no, ug, gp, ct, block_limit)
+            _validate_row(line_no, ug, gp, ct)
             used_gas.append(ug)
             gas_price.append(gp)
             cpu_time.append(ct)
@@ -102,13 +102,8 @@ def write_dataset(dataset: Dataset, path):
         writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
-def generate_synthetic_dataset(
-    n: int,
-    seed: int = 0,
-    block_limit: int = DEFAULT_BLOCK_LIMIT,
-) -> Dataset:
+def generate_synthetic_dataset(n: int, seed: int = 0) -> Dataset:
     """Generate a calibrated synthetic dataset; deterministic for a given seed."""
-    check_block_limit(block_limit)
     if n < 100:
         raise ValueError("need n >= 100 for a meaningful dataset")
     rng = np.random.default_rng(seed)
@@ -116,7 +111,7 @@ def generate_synthetic_dataset(
     weights, mus, sds = np.asarray(GAS_COMPONENTS).T
     comps = rng.choice(weights.size, size=n, p=weights / weights.sum())
     raw_gas = np.exp(rng.normal(mus[comps], sds[comps]))
-    used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, block_limit).astype(np.int64)
+    used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, DEFAULT_BLOCK_LIMIT).astype(np.int64)
 
     noise = np.exp(rng.normal(0.0, CPU_NOISE_SD, size=n))
     cpu_time = CPU_SCALE * (used_gas / CPU_REF_GAS) ** CPU_EXPONENT * noise

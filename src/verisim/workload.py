@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from verisim.fields import require_integer, require_object
+from verisim.fields import require_finite, require_integer, require_object
 from verisim.forest import ForestModel, fit_forest, fit_rfr
 from verisim.gmm import GmmModel, fit_gmm, sample_gmm_with
 
@@ -21,6 +21,8 @@ MIN_TX_GAS = 21_000
 # the largest accepted block limit; a TxStream refill holds about
 # 4 * limit / MIN_TX_GAS transactions, some 205,000 at this cap
 MAX_BLOCK_LIMIT = 2**30
+# the transaction dataset's gas limit (generated rows are clipped at it,
+# loaded rows above it are rejected) and a model's default block_limit
 DEFAULT_BLOCK_LIMIT = 8_000_000
 # the rows the mixture K search and the forest's grid-search CV pick at most;
 # the winners are refit on all rows
@@ -115,7 +117,6 @@ def fit_workload(
     tree_count: int,
     split_budget: int,
     seed: int = 0,
-    block_limit: int = DEFAULT_BLOCK_LIMIT,
 ) -> FittedWorkload:
     """Fit both mixtures on one transaction dataset and grow its CPU-time
     forest at (``tree_count``, ``split_budget``).
@@ -142,7 +143,6 @@ def fit_workload(
         gas_price_model=price_model,
         used_gas_model=gas_model,
         cpu_time_model=cpu_model,
-        block_limit=block_limit,
         seed=seed,
     )
 
@@ -178,10 +178,8 @@ def sample_transaction_arrays(
     returned; None allocates them.  Every step runs in those arrays, with
     the bits of the out-of-place ``clip(rint(draw), ...).astype(np.int64)``.
     """
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    if not 0.0 <= conflict_rate <= 1.0:
-        raise ValueError("conflict rate must lie in [0, 1]")
+    require_integer("n", n)
+    require_finite("conflict_rate", conflict_rate, 0, 1)
     limit = workload.block_limit if block_limit is None else check_block_limit(block_limit)
     if out is None:
         out = empty_columns(n)

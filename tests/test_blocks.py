@@ -155,6 +155,15 @@ class TestTxStreamPacking:
         with pytest.raises(ValueError, match="^processors must be an integer >= 1, got 0"):
             measure_verification_times(toy_wl, 8_000_000, 10, p=0)
 
+    @pytest.mark.parametrize("conflict_rate", [True, float("nan"), -0.1, 1.5])
+    def test_conflict_rate_rejected_before_allocating(self, toy_wl, monkeypatch, conflict_rate):
+        def allocate(*args, **kwargs):
+            raise AssertionError("the stream allocated before the conflict rate was checked")
+
+        monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
+        with pytest.raises(ValueError, match="^conflict_rate must"):
+            TxStream(toy_wl, conflict_rate, np.random.default_rng(0), 8_000_000)
+
     def test_one_stream_prices_every_count_as_streams_of_one(self, toy_wl):
         # 1,000 blocks at 8M cross two refills; each count's times must keep
         # the bits a stream priced at that count alone gives
@@ -268,9 +277,13 @@ class TestVerificationTime:
         for k in (1, 3, n // 3):
             assert measure_verification_times(toy_wl, limit, k, seed=9, p=p, conflict_rate=c).tolist() == times[:k]
 
-    @pytest.mark.parametrize("n_blocks", [0, -1])
-    def test_rejects_no_blocks(self, toy_wl, n_blocks):
-        with pytest.raises(ValueError, match="^n_blocks"):
+    @pytest.mark.parametrize("n_blocks", [0, -1, 2.5, True])
+    def test_rejects_no_blocks(self, toy_wl, monkeypatch, n_blocks):
+        def stream(*args, **kwargs):
+            raise AssertionError("a stream was built before n_blocks was checked")
+
+        monkeypatch.setattr("verisim.blocks.TxStream", stream)
+        with pytest.raises(ValueError, match="^n_blocks must be an integer >= 1"):
             measure_verification_times(toy_wl, 8_000_000, n_blocks)
 
 

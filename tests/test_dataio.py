@@ -26,7 +26,6 @@ class TestLoadDataset:
         write_rows(p, ["21000,2e-08,0.001", "8000001,1e-08,0.002"])
         with pytest.raises(ValueError, match=r"^line 3: used_gas \(8000001\) exceeds block limit \(8000000\)"):
             load_dataset(p)
-        assert len(load_dataset(p, block_limit=16_000_000)) == 2
 
     def test_old_gas_limit_column_rejected(self, tmp_path):
         p = tmp_path / "ds.csv"

@@ -1,8 +1,11 @@
-"""Every ``verisim`` command in README.md's code blocks must parse, and
-every ``--flag`` the README names, in prose too, must be a CLI option.
+"""Every ``verisim`` command in README.md's code blocks must parse, every
+``--flag`` the README names, in prose too, must be a CLI option, every CLI
+option must be named in the README, and the README's example scenario must
+load.
 
-Only the parser runs: no command is executed.  A flag that the CLI no
-longer has, or a misspelt one, fails here.
+Only the parser and the scenario reader run: no command is executed.  A flag
+that the CLI no longer has, a misspelt one, an option the README never
+explains, or a scenario field the reader no longer takes fails here.
 """
 
 import argparse
@@ -12,7 +15,7 @@ import shlex
 
 import pytest
 
-from verisim.cli import build_parser
+from verisim.cli import _load_scenarios, build_parser
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -49,3 +52,13 @@ def test_readme_names_only_real_flags():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
     assert "--k-max" in named
     assert sorted(named - parser_flags()) == []
+    # and the other way: every option but argparse's own help is explained
+    assert sorted(parser_flags() - named - {"-h", "--help"}) == []
+
+
+def test_readme_example_scenario_loads(tmp_path):
+    (example,) = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    path = tmp_path / "scenario.json"
+    path.write_text(example, encoding="utf-8")
+    (config,) = _load_scenarios(path)
+    assert config.miners[0].id == "skip"

@@ -369,8 +369,8 @@ class TestCli:
 
         monkeypatch.setattr(scenario, "run_sweep", sweep)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
-        assert cli_main([command, "--config", str(cfg_path), "--runs", str(10**12), "--out", str(tmp_path / "o")]) == 2
+        cfg_path.write_text(json.dumps(dict(small_config(runs=1).to_dict(), runs=10**12)))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: runs")
 
     def test_validate_failure_exit_code(self, cli_artifacts, tmp_path):
@@ -414,18 +414,10 @@ class TestCli:
         assert code == 2
         assert "line 9: cpu_time_s" in capsys.readouterr().err
 
-    def test_fit_reads_its_own_block_limit(self, tmp_path):
-        data = tmp_path / "16m.csv"
-        code = cli_main(["gen-data", "--n", "2000", "--seed", "5", "--block-limit", "16000000", "--out", str(data)])
-        assert code == 0
-        code = cli_main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), "--block-limit", "16000000",
-                         "--k-max", "2", "--d-grid", "5", "--s-grid", "2", "--folds", "2"])
-        assert code == 0
-
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["--miners", "1", "--nonverifier-alpha", "0.1", "--t-v", "0.2"], "miners"),
+            (["--nonverifier-alpha", "1", "--t-v", "0.2"], "nonverifier_alpha"),
             (["--nonverifier-alpha", "nan", "--t-v", "0.2"], "nonverifier_alpha"),
             (["--t-v", "nan"], "t_v"),
             (["--t-v", "inf"], "t_v"),
@@ -458,7 +450,7 @@ class TestCli:
             (["--nonverifier-alpha", "1.5"], "nonverifier_alpha"),
             (["--nonverifier-alpha", "0"], "nonverifier_alpha"),
             (["--nonverifier-alpha", "nan"], "nonverifier_alpha"),
-            (["--miners", "1"], "miners"),
+            (["--nonverifier-alpha", "1"], "nonverifier_alpha"),
             (["--processors", "4", "--conflict-rate", "1.5"], "c (the conflict rate)"),
             (["--processors", "0"], "p (the processor count)"),
             (["--t-b", "-1"], "t_b (the block interval)"),
@@ -524,27 +516,6 @@ class TestCli:
         cfg_path.write_text(json.dumps({"scenarios": scenarios}))
         assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "error: scenarios:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("block_limit", [100, 2**30 + 1])
-    def test_gen_data_rejects_block_limit(self, tmp_path, capsys, block_limit):
-        out = tmp_path / "txs.csv"
-        assert cli_main(["gen-data", "--n", "300", "--block-limit", str(block_limit), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: block_limit")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("block_limit", [100, 2**30 + 1])
-    def test_fit_rejects_block_limit_before_fitting(self, tmp_path, capsys, monkeypatch, block_limit):
-        data = tmp_path / "txs.csv"
-        assert cli_main(["gen-data", "--n", "300", "--out", str(data)]) == 0
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_workload ran before the block limit was checked")
-
-        monkeypatch.setattr("verisim.workload.fit_workload", no_fit)
-        capsys.readouterr()
-        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "m.json"), "--block-limit", str(block_limit)]
-        assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: block_limit")
 
     @pytest.mark.parametrize("k_range", [["--k-max", "0"]])
     def test_fit_rejects_k_range_before_fitting(self, tmp_path, capsys, monkeypatch, k_range):
@@ -617,18 +588,25 @@ class TestCli:
 
     def test_fit_rejects_a_criterion(self, tmp_path, capsys):
         # retired flags are unrecognised, and never read as the prefix of another flag
+        fit = ["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json")]
+        analytic = ["analytic", "--model", str(tmp_path / "m.json")]
+        sweep = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
         retired = [
-            (["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json"), "--criterion", "bic"],
-             "--criterion"),
-            (["analytic", "--model", str(tmp_path / "m.json"), "--mode", "parallel"], "--mode"),
-            *((["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json"), flag, value], flag)
+            ([*fit, "--criterion", "bic"], "--criterion"),
+            ([*analytic, "--mode", "parallel"], "--mode"),
+            *(([*fit, flag, value], flag)
               for flag, value in (("--k-min", "1"), ("--gmm-subsample", "300"), ("--cv-subsample", "400"))),
+            (["gen-data", "--out", str(tmp_path / "txs.csv"), "--block-limit", "16000000"], "--block-limit"),
+            ([*fit, "--block-limit", "16000000"], "--block-limit"),
+            *(([command, *sweep, flag, "3"], flag)
+              for command in ("simulate", "validate") for flag in ("--seed", "--runs")),
+            ([*analytic, "--miners", "2"], "--miners"),
         ]
         for argv, flag in retired:
             with pytest.raises(SystemExit) as exc:
                 cli_main(argv)
             assert exc.value.code == 2
-            assert flag in capsys.readouterr().err
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_fit_runs_one_search_per_mixture(self, tmp_path, monkeypatch):
         from verisim import workload
@@ -686,11 +664,12 @@ class TestCli:
 
     def test_runs_and_seed_overrides(self, cli_artifacts, tmp_path):
         _, _, model = cli_artifacts
+        # the run count and seeds come from the scenario file alone
         cfg = {
             "block_limit": 8_000_000,
             "sim_duration": 600.0,
-            "runs": 2,
-            "base_seed": 3,
+            "runs": 3,
+            "base_seed": 99,
             "workload": str(model),
             "miners": [{"id": "skip", "alpha": 0.1, "verifies": False}]
             + [{"id": f"v{i}", "alpha": 0.1} for i in range(9)],
@@ -698,8 +677,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
-        assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "40",
-                         "--runs", "3", "--seed", "99", "--out", str(out)]) == 0
+        assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "40", "--out", str(out)]) == 0
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 10
         assert rows[1].split(",")[1] == "99"

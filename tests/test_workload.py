@@ -69,12 +69,18 @@ class TestSampleTransactions:
         assert np.any(used_gas > 8_000_000)
 
     def test_invalid_args(self, toy_wl):
-        with pytest.raises(ValueError):
-            sample(toy_wl, 0, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            sample(toy_wl, 10, 1.5, seed=0)
         with pytest.raises(ValueError, match="^block_limit must"):
             sample(toy_wl, 10, 0.0, seed=0, block_limit=100)
+
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_size_must_be_an_integer(self, toy_wl, n):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            sample(toy_wl, n, 0.0, seed=0)
+
+    @pytest.mark.parametrize("conflict_rate", [True, float("nan"), -0.1, 1.5])
+    def test_conflict_rate_must_lie_in_the_unit_interval(self, toy_wl, conflict_rate):
+        with pytest.raises(ValueError, match="^conflict_rate must"):
+            sample(toy_wl, 10, conflict_rate, seed=0)
 
     def test_cpu_times_follow_model(self, toy_wl):
         cols = sample(toy_wl, 500, conflict_rate=0.0, seed=9)
