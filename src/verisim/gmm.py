@@ -133,16 +133,17 @@ def _converged(prev: float, log_l: float) -> bool:
     return prev > -np.inf and log_l - prev < EM_TOL * (1.0 + abs(log_l))
 
 
-def _em_once(x: np.ndarray, k: int, rng: np.random.Generator, trace: list | None = None):
-    """One EM run to convergence; returns (logL, weights, means, variances) or None.
+def _em_once(x: np.ndarray, weights, means, variances, trace: list | None = None):
+    """One EM run to convergence from the starting (weights, means, variances);
+    returns (logL, weights, means, variances) or None.
 
     The per-component log density is linear in (1, x, x^2), so the E-step is a
-    single (k, 3) x (3, n) matrix product.  A run that reaches EM_MAX_ITER
-    stops after its E-step: the returned logL is that of the returned
-    parameters.
+    single (k, 3) x (3, n) matrix product.  Its first E-step scores the start
+    itself.  A run that reaches EM_MAX_ITER stops after its E-step: the
+    returned logL is that of the returned parameters.
     """
     n = x.size
-    weights, means, variances = _kmeans_seed(x, k, rng)
+    k = len(weights)
     basis = np.stack([np.ones(n), x, x * x])
     z = np.empty((k, n))
     m = np.empty(n)
@@ -188,7 +189,7 @@ def _fit_k(x: np.ndarray, k: int, seed_seq: np.random.SeedSequence):
     capped = 0
     for child in seed_seq.spawn(EM_RESTARTS):
         trace = []
-        result = _em_once(x, k, np.random.default_rng(child), trace)
+        result = _em_once(x, *_kmeans_seed(x, k, np.random.default_rng(child)), trace)
         capped += len(trace) == EM_MAX_ITER and not _converged(trace[-2], trace[-1])
         if result is not None and (best is None or result[0] > best[0]):
             best = result

@@ -15,7 +15,7 @@ from verisim.analytics import PowerProfile, VerificationParams, reward_table, sl
 from verisim.blocks import TxStream, measure_verification_times
 from verisim.config import ScenarioConfig, standard_miners
 from verisim.forest import fit_forest, fit_rfr
-from verisim.gmm import _em_once, fit_gmm, sample_gmm_with
+from verisim.gmm import _em_once, _kmeans_seed, fit_gmm, sample_gmm_with
 from verisim.scenario import closed_form_gain, nonverifier_gain, run_many
 from verisim.sim import run_simulation
 from verisim.stats import regression_metrics
@@ -231,8 +231,9 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
         np.where(sample_rng.random(3000) < 0.4, sample_rng.normal(1.0, 0.4, 3000),
                  sample_rng.normal(5.0, 0.6, 3000))
     )
+    x = np.log(mix)
     trace = []
-    assert _em_once(np.log(mix), 2, np.random.default_rng(4), trace=trace) is not None
+    assert _em_once(x, *_kmeans_seed(x, 2, np.random.default_rng(4)), trace=trace) is not None
     diffs = np.diff(np.asarray(trace))
     assert np.all(diffs >= -1e-6 * (1.0 + np.abs(np.asarray(trace)[:-1])))
     checks.append("EM monotone")

@@ -13,6 +13,7 @@ from verisim.gmm import (
     DegenerateDataError,
     GmmModel,
     _em_once,
+    _kmeans_seed,
     _nearest,
     fit_gmm,
     sample_gmm_with,
@@ -78,9 +79,9 @@ class TestFitGmm:
         assert a == b
 
     def test_em_likelihood_monotone(self):
-        values = two_component_sample(1200, seed=11)
+        x = np.log(two_component_sample(1200, seed=11))
         trace = []
-        result = _em_once(np.log(values), 3, np.random.default_rng(12), trace=trace)
+        result = _em_once(x, *_kmeans_seed(x, 3, np.random.default_rng(12)), trace=trace)
         assert result is not None
         assert len(trace) >= 2
         diffs = np.diff(np.asarray(trace))
@@ -110,7 +111,7 @@ class TestFitDiagnostics:
         # the next step's parameters
         x = np.log(generate_synthetic_dataset(2000, seed=11).used_gas.astype(np.float64))
         trace = []
-        log_l, weights, means, variances = _em_once(x, k, np.random.default_rng(200 + k), trace)
+        log_l, weights, means, variances = _em_once(x, *_kmeans_seed(x, k, np.random.default_rng(200 + k)), trace)
         assert len(trace) == EM_MAX_ITER
         own = logsumexp(norm.logpdf(x[:, None], means, np.sqrt(variances)), b=weights, axis=1).sum()
         assert log_l == pytest.approx(own, rel=1e-6)

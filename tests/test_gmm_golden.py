@@ -42,7 +42,7 @@ def _arrays(values) -> str:
 
 def _em(x, k, seed):
     trace = []
-    result = _em_once(x, k, np.random.default_rng(seed), trace)
+    result = _em_once(x, *_kmeans_seed(x, k, np.random.default_rng(seed)), trace)
     return {"result": "None" if result is None else _arrays(result), "trace": repr(trace)}
 
 
