@@ -4,8 +4,11 @@ A mixture of K univariate normals is fitted to ln(values) with
 expectation-maximisation; the component count is chosen by minimising the
 Bayesian information criterion (BIC, Schwarz 1978) over a candidate range,
 searched upwards from the smallest K and stopped once BIC has risen on two
-fitted K in a row.  Sampling returns exp(normal draw), i.e. values on
-the original positive scale.
+fitted K in a row.  Each K in a search is the best of several EM runs from
+k-means++ starts; a refit (``start``) is one EM run from a given mixture, so
+a winner found on a subsample is carried to all rows without a new search.
+Sampling returns exp(normal draw), i.e. values on the original positive
+scale.
 
 EM works component-major.  The E-step's log densities come from one
 (k, 3) x (3, n) product into a reused (k, n) buffer; the max, the shift, the
@@ -183,6 +186,11 @@ def _em_once(x: np.ndarray, weights, means, variances, trace: list | None = None
     return prev, weights, means, variances
 
 
+def _capped(trace: list) -> bool:
+    """Whether the EM run that left ``trace`` stopped at EM_MAX_ITER unconverged."""
+    return len(trace) == EM_MAX_ITER and not _converged(trace[-2], trace[-1])
+
+
 def _fit_k(x: np.ndarray, k: int, seed_seq: np.random.SeedSequence):
     """Best of EM_RESTARTS runs, and how many runs stopped at EM_MAX_ITER unconverged."""
     best = None
@@ -190,30 +198,54 @@ def _fit_k(x: np.ndarray, k: int, seed_seq: np.random.SeedSequence):
     for child in seed_seq.spawn(EM_RESTARTS):
         trace = []
         result = _em_once(x, *_kmeans_seed(x, k, np.random.default_rng(child)), trace)
-        capped += len(trace) == EM_MAX_ITER and not _converged(trace[-2], trace[-1])
+        capped += _capped(trace)
         if result is not None and (best is None or result[0] > best[0]):
             best = result
     return best, capped
 
 
-def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0) -> GmmModel:
+def _as_model(fit, n: int) -> GmmModel:
+    """The model of one EM result on n rows, components in order of their means."""
+    log_l, weights, means, variances = fit
+    params = 3 * weights.size - 1
+    order = np.argsort(means)
+    return GmmModel(
+        k=weights.size,
+        weights=tuple(float(w) for w in weights[order] / weights.sum()),
+        means=tuple(float(m) for m in means[order]),
+        variances=tuple(float(v) for v in variances[order]),
+        log_likelihood=log_l,
+        aic=float(2.0 * params - 2.0 * log_l),
+        bic=float(params * np.log(n) - 2.0 * log_l),
+        n=n,
+    )
+
+
+def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0, start: GmmModel | None = None) -> GmmModel:
     """Fit mixtures with K in [k_min, k_max] to ln(values); keep the lowest BIC.
 
     A mixture has 3K-1 free parameters, so BIC = (3K-1) ln n - 2 logL; the
     model also stores AIC = 2(3K-1) - 2 logL, which selects nothing.  K is
     searched upwards from k_min, and the search stops early once BIC has
     risen on two consecutive fitted K (each above the one before it); the
-    best model seen so far is returned.  A K whose restarts all collapse is
+    best model seen so far is returned.  Each K is the best of EM_RESTARTS
+    EM runs from k-means++ starts.  A K whose restarts all collapse is
     skipped: it neither counts as a rise nor resets the count.  Every K in
     the range is given its child seed up front, so a fitted K has the same
     bits whether or not the search reaches past it.
 
+    With ``start``, a model of K = k_min = k_max components (typically the
+    winner of a search on a subsample), the fit is one EM run on all values
+    from ``start``'s parameters: no restarts, no k-means and no ``seed``.
+    Its likelihood is at least that of ``start`` on the same values.
+
     Deterministic for a given seed.  Raises on empty/non-positive input, on
-    constant data, and when every candidate collapses.  Logs (logger
-    ``verisim.gmm``) each fitted K's BIC and the K at which the search
-    stopped early at INFO, and at WARNING each K with EM restarts that
-    stopped at the EM_MAX_ITER cap unconverged, and a search (k_min < k_max)
-    that selects k_max.
+    constant data, when every candidate collapses and when the run from
+    ``start`` does.  Logs (logger ``verisim.gmm``) each fitted K's BIC, the K
+    at which the search stopped early, and a refit from ``start`` with its
+    iterations and log-likelihood at INFO; at WARNING, each K with EM
+    restarts that stopped at the EM_MAX_ITER cap unconverged, a refit from
+    ``start`` that did, and a search (k_min < k_max) that selects k_max.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -222,16 +254,30 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0) -> GmmModel:
         raise ValueError("all values must be positive and finite (fit uses ln of the data)")
     if not (1 <= k_min <= k_max <= values.size):
         raise ValueError(f"need 1 <= k_min <= k_max <= n, got [{k_min}, {k_max}] with n={values.size}")
+    if start is not None and not start.k == k_min == k_max:
+        raise ValueError(f"start must have k == k_min == k_max, got k={start.k} for [{k_min}, {k_max}]")
 
     x = np.log(values)
     if float(np.var(x)) == 0.0:
         raise DegenerateDataError("constant data: mixture variance would be zero")
 
     n = x.size
+    if start is not None:
+        trace = []
+        fit = _em_once(x, *(np.asarray(v) for v in (start.weights, start.means, start.variances)), trace)
+        if fit is None:
+            raise DegenerateDataError(f"start: the EM run from its K={start.k} parameters collapsed on these data")
+        model = _as_model(fit, n)
+        _log.info("K=%d: refit from start in %d EM iterations, log-likelihood %.10g",
+                  model.k, len(trace), model.log_likelihood)
+        if _capped(trace):
+            _log.warning("K=%d: the EM refit from start stopped at the %d-iteration cap unconverged",
+                         model.k, EM_MAX_ITER)
+        return model
+
     root = np.random.SeedSequence(seed)
     candidates = list(range(k_min, k_max + 1))
     best_model = None
-    best_bic = np.inf
     prev_bic = np.inf
     rises = 0
     for k, child in zip(candidates, root.spawn(len(candidates))):
@@ -243,26 +289,12 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0) -> GmmModel:
             )
         if fit is None:
             continue
-        log_l, weights, means, variances = fit
-        params = 3 * k - 1
-        aic = 2.0 * params - 2.0 * log_l
-        bic = params * np.log(n) - 2.0 * log_l
-        _log.info("K=%d: BIC %.10g", k, bic)
-        rises = rises + 1 if bic > prev_bic else 0
-        prev_bic = bic
-        if bic < best_bic:
-            best_bic = bic
-            order = np.argsort(means)
-            best_model = GmmModel(
-                k=k,
-                weights=tuple(float(w) for w in weights[order] / weights.sum()),
-                means=tuple(float(m) for m in means[order]),
-                variances=tuple(float(v) for v in variances[order]),
-                log_likelihood=log_l,
-                aic=float(aic),
-                bic=float(bic),
-                n=n,
-            )
+        model = _as_model(fit, n)
+        _log.info("K=%d: BIC %.10g", k, model.bic)
+        rises = rises + 1 if model.bic > prev_bic else 0
+        prev_bic = model.bic
+        if best_model is None or model.bic < best_model.bic:
+            best_model = model
         if rises == 2 and k < k_max:
             _log.info("stopped the K search at K=%d: BIC rose on two K in a row", k)
             break

@@ -25,7 +25,8 @@ MAX_BLOCK_LIMIT = 2**30
 # loaded rows above it are rejected) and a model's default block_limit
 DEFAULT_BLOCK_LIMIT = 8_000_000
 # the rows the mixture K search and the forest's grid-search CV pick at most;
-# the winners are refit on all rows
+# the winning mixture is refit on all rows by one EM run started from it, the
+# winning forest cell grown on all rows
 GMM_SUBSAMPLE = 20_000
 CV_SUBSAMPLE = 20_000
 
@@ -122,7 +123,8 @@ def fit_workload(
     forest at (``tree_count``, ``split_budget``).
 
     Each mixture's K is searched over [1, ``k_max``] on at most
-    ``GMM_SUBSAMPLE`` rows and the winning K is refit on all rows.
+    ``GMM_SUBSAMPLE`` rows; on a larger dataset the winner is then refit on
+    all rows by one EM run that starts from it.
     :func:`fit_cpu_time_model` picks the forest's cell by CV.
     """
     used_gas = np.asarray(used_gas, dtype=np.float64)
@@ -132,8 +134,8 @@ def fit_workload(
     def _fit_mixture(values, fit_seed):
         if values.size > GMM_SUBSAMPLE:
             pick = np.random.default_rng(gmm_pick_seed).choice(values.size, size=GMM_SUBSAMPLE, replace=False)
-            k = fit_gmm(values[pick], 1, k_max, seed=fit_seed).k
-            return fit_gmm(values, k, k, seed=fit_seed)
+            searched = fit_gmm(values[pick], 1, k_max, seed=fit_seed)
+            return fit_gmm(values, searched.k, searched.k, seed=fit_seed, start=searched)
         return fit_gmm(values, 1, k_max, seed=fit_seed)
 
     price_model = _fit_mixture(gas_price, price_seed)

@@ -10,6 +10,7 @@ from verisim import gmm
 from verisim.dataio import generate_synthetic_dataset
 from verisim.gmm import (
     EM_MAX_ITER,
+    VARIANCE_FLOOR,
     DegenerateDataError,
     GmmModel,
     _em_once,
@@ -120,6 +121,78 @@ class TestFitDiagnostics:
         with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
             fit_gmm(two_component_sample(2000, seed=15), 2, 2, seed=16)
         assert caplog.records == []
+
+
+def log_likelihood(model, x):
+    """A mixture's log-likelihood of the log-scale data x, computed apart from EM."""
+    return logsumexp(norm.logpdf(x[:, None], model.means, np.sqrt(model.variances)), b=model.weights, axis=1).sum()
+
+
+def traced_em(monkeypatch):
+    """Record the likelihood trace of every EM run that ``fit_gmm`` makes."""
+    traces = []
+    real = gmm._em_once
+
+    def em(x, weights, means, variances, trace=None):
+        traces.append([] if trace is None else trace)
+        return real(x, weights, means, variances, traces[-1])
+
+    monkeypatch.setattr(gmm, "_em_once", em)
+    return traces
+
+
+class TestWarmStart:
+    def test_refit_is_one_run_from_the_start(self, monkeypatch):
+        values = two_component_sample(3000, seed=21)
+        start = fit_gmm(values[:500], 1, 4, seed=22)
+        traces = traced_em(monkeypatch)
+        refit = fit_gmm(values, start.k, start.k, seed=23, start=start)
+        assert len(traces) == 1
+        # the first E-step scores the start on all rows, and EM only climbs
+        own = log_likelihood(start, np.log(values))
+        assert traces[0][0] == pytest.approx(own, rel=1e-9)
+        assert refit.log_likelihood >= traces[0][0]
+        assert refit.k == start.k and refit.n == values.size
+
+    def test_refit_ignores_the_seed(self):
+        values = two_component_sample(2000, seed=24)
+        start = fit_gmm(values[:400], 2, 2, seed=25)
+        assert fit_gmm(values, 2, 2, seed=1, start=start) == fit_gmm(values, 2, 2, seed=2, start=start)
+
+    @pytest.mark.parametrize("k_min, k_max", [(3, 3), (1, 2), (2, 3)])
+    def test_start_of_another_k_rejected(self, k_min, k_max):
+        values = two_component_sample(500, seed=26)
+        start = mixture((0.5, 0.5), (2.0, 6.0), (0.25, 0.25))
+        with pytest.raises(ValueError, match="^start must have k == k_min == k_max"):
+            fit_gmm(values, k_min, k_max, start=start)
+
+    def test_start_the_data_cannot_support_is_degenerate(self):
+        values = two_component_sample(500, seed=27)
+        # the second component lies so far from every row that it takes none of them
+        start = mixture((0.5, 0.5), (4.0, 1e3), (1.0, VARIANCE_FLOOR))
+        with pytest.raises(DegenerateDataError, match="^start"):
+            fit_gmm(values, 2, 2, start=start)
+
+    def test_refit_logs_its_iterations_and_likelihood(self, monkeypatch, caplog):
+        values = two_component_sample(2000, seed=28)
+        start = fit_gmm(values[:400], 2, 2, seed=29)
+        traces = traced_em(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="verisim.gmm"):
+            refit = fit_gmm(values, 2, 2, start=start)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, f"K=2: refit from start in {len(traces[0])} EM iterations, "
+                           f"log-likelihood {refit.log_likelihood:.10g}"),
+        ]
+
+    def test_refit_at_the_cap_warns(self, monkeypatch, caplog):
+        values = two_component_sample(2000, seed=28)
+        start = mixture((0.5, 0.5), (3.0, 4.0), (1.0, 1.0))  # far from the fit, so EM needs many steps
+        monkeypatch.setattr(gmm, "EM_MAX_ITER", 4)
+        with caplog.at_level(logging.WARNING, logger="verisim.gmm"):
+            fit_gmm(values, 2, 2, start=start)
+        assert [r.getMessage() for r in caplog.records] == [
+            "K=2: the EM refit from start stopped at the 4-iteration cap unconverged",
+        ]
 
 
 def canned_search(monkeypatch, scores, k_max=6):

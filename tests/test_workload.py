@@ -160,6 +160,25 @@ def test_cpu_time_model_is_the_workload_forest(monkeypatch):
     assert forest.to_dict() == whole.cpu_time_model.to_dict()
 
 
+def test_each_mixture_is_refit_by_one_em_run(monkeypatch):
+    from verisim import gmm
+
+    monkeypatch.setattr("verisim.workload.GMM_SUBSAMPLE", 300)
+    ds = generate_synthetic_dataset(600, seed=4)
+    rows = []
+    real = gmm._em_once
+
+    def em(x, *args):
+        rows.append(x.size)
+        return real(x, *args)
+
+    monkeypatch.setattr(gmm, "_em_once", em)
+    fit_workload(ds.used_gas, ds.gas_price, ds.cpu_time, k_max=3, tree_count=2, split_budget=4, seed=5)
+    # the searches run EM_RESTARTS runs per K on the subsample; each refit one on all rows
+    assert rows.count(600) == 2
+    assert set(rows) == {300, 600}
+
+
 class TestPersistence:
     def test_json_round_trip(self, toy_wl, tmp_path):
         path = tmp_path / "workload.json"
