@@ -2,9 +2,11 @@
 
 Each tree is grown greedily best-first: the leaf whose best split yields the
 largest variance reduction is split next, until the split budget is spent or
-no split helps.  Trees are trained on multinomial bootstrap weights over the
-x-sorted sample, so the sort happens once per dataset instead of once per
-tree.  A forest prediction is the arithmetic mean of its tree predictions.
+no split helps.  Each tree is trained on bootstrap weights over the x-sorted
+sample: how often each row is among n uniform draws of a row index, counted
+by ``bincount`` (the multinomial law, without a per-row probability array).
+The sort happens once per dataset instead of once per tree.  A forest
+prediction is the arithmetic mean of its tree predictions.
 
 A tree scans only its rows of positive bootstrap weight, about 63 % of them:
 a zero-weight row adds nothing to any sum, so the best split is the same.
@@ -302,7 +304,6 @@ def fit_forest(xs, ys, tree_count: int, split_budget: int, seed=0) -> ForestMode
 
 def _fit_forest_sorted(x_sorted, y_sorted, tree_count, split_budget, seed_seq) -> ForestModel:
     n = x_sorted.size
-    prob = np.full(n, 1.0 / n)
     # next_up[i]: the first row whose x is larger than row i's (n if none),
     # in the narrowest unsigned type that counts the rows
     starts = np.append(np.flatnonzero(x_sorted[1:] > x_sorted[:-1]) + 1, n).astype(np.min_scalar_type(n))
@@ -312,8 +313,9 @@ def _fit_forest_sorted(x_sorted, y_sorted, tree_count, split_budget, seed_seq) -
     trees = []
     for child in seed_seq.spawn(tree_count):
         # the bootstrap counts are passed unnamed, so the tree frees them once read
-        draw = np.random.default_rng(child).multinomial
-        trees.append(_grow_tree(x_sorted, y_sorted, draw(n, prob), next_up, split_budget, wy, cw, cs))
+        rng = np.random.default_rng(child)
+        trees.append(_grow_tree(x_sorted, y_sorted, np.bincount(rng.integers(0, n, n), minlength=n),
+                                next_up, split_budget, wy, cw, cs))
     return ForestModel(tree_count=tree_count, split_budget=split_budget, trees=trees)
 
 

@@ -123,8 +123,8 @@ def _oracle_grow_tree(x_sorted, y_sorted, weights, split_budget) -> RegressionTr
 
 def bootstrap_weights(n, seed_seq, tree_count) -> list:
     """Each tree's bootstrap multiplicities, drawn as ``forest._fit_forest_sorted`` draws them."""
-    prob = np.full(n, 1.0 / n)
-    return [np.random.default_rng(child).multinomial(n, prob).astype(np.float64) for child in seed_seq.spawn(tree_count)]
+    return [np.bincount(np.random.default_rng(child).integers(0, n, n), minlength=n).astype(np.float64)
+            for child in seed_seq.spawn(tree_count)]
 
 
 def forest_oracle(x_sorted, y_sorted, tree_count, split_budget, seed_seq) -> ForestModel:
