@@ -214,10 +214,17 @@ def measure_verification_times(
 ) -> np.ndarray:
     """Verification times on p processors of n freshly built blocks (the per-limit statistics source).
 
-    ``seq_out``, an array of n_blocks floats if given, receives the same
-    blocks' one-processor times from the same pass.
+    ``seq_out``, a float64 array of n_blocks entries if given, receives the
+    same blocks' one-processor times from the same pass.  Every argument is
+    checked before a block is packed.
     """
     require_integer("n_blocks", n_blocks)
+    require_integer("seed", seed, 0)
+    if seq_out is not None and not (
+        isinstance(seq_out, np.ndarray) and seq_out.dtype == np.float64 and seq_out.shape == (n_blocks,)
+    ):
+        raise ValueError(f"seq_out must be a float64 array of n_blocks={n_blocks} entries, "
+                         f"got {getattr(seq_out, 'dtype', type(seq_out).__name__)} of shape {np.shape(seq_out)}")
     stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, (p,))
     times = np.empty(n_blocks, dtype=np.float64)
     for i in range(n_blocks):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from verisim.fields import require_finite, require_positive
+from verisim.fields import require_finite, require_integer, require_positive
 from verisim.workload import DEFAULT_BLOCK_LIMIT, MIN_TX_GAS
 
 CSV_HEADER = ["used_gas", "gas_price", "cpu_time_s"]
@@ -104,8 +104,7 @@ def write_dataset(dataset: Dataset, path):
 
 def generate_synthetic_dataset(n: int, seed: int = 0) -> Dataset:
     """Generate a calibrated synthetic dataset; deterministic for a given seed."""
-    if n < 100:
-        raise ValueError("need n >= 100 for a meaningful dataset")
+    require_integer("n", n, 100)  # fewer rows make no meaningful dataset
     rng = np.random.default_rng(seed)
 
     weights, mus, sds = np.asarray(GAS_COMPONENTS).T

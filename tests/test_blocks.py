@@ -287,6 +287,26 @@ class TestVerificationTime:
             measure_verification_times(toy_wl, 8_000_000, n_blocks)
 
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_a_bad_seed(self, toy_wl, monkeypatch, seed):
+        def stream(*args, **kwargs):
+            raise AssertionError("a stream was built before the seed was checked")
+
+        monkeypatch.setattr("verisim.blocks.TxStream", stream)
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            measure_verification_times(toy_wl, 8_000_000, 10, seed=seed)
+
+    @pytest.mark.parametrize("seq_out", [np.empty(9), np.empty(11), np.empty(10, dtype=np.float32),
+                                         np.empty((10, 1)), [0.0] * 10])
+    def test_rejects_a_seq_out_that_does_not_fit(self, toy_wl, monkeypatch, seq_out):
+        def stream(*args, **kwargs):
+            raise AssertionError("a stream was built before seq_out was checked")
+
+        monkeypatch.setattr("verisim.blocks.TxStream", stream)
+        with pytest.raises(ValueError, match="^seq_out must be a float64 array of n_blocks=10 entries"):
+            measure_verification_times(toy_wl, 8_000_000, 10, seq_out=seq_out)
+
+
 class TestKernelProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=100), st.integers(1, 20))
