@@ -135,7 +135,7 @@ def fit_workload(
         if values.size > GMM_SUBSAMPLE:
             pick = np.random.default_rng(gmm_pick_seed).choice(values.size, size=GMM_SUBSAMPLE, replace=False)
             searched = fit_gmm(values[pick], 1, k_max, seed=fit_seed)
-            return fit_gmm(values, searched.k, searched.k, seed=fit_seed, start=searched)
+            return fit_gmm(values, searched.k, searched.k, start=searched)
         return fit_gmm(values, 1, k_max, seed=fit_seed)
 
     price_model = _fit_mixture(gas_price, price_seed)
