@@ -109,6 +109,10 @@ class TestSyntheticGenerator:
         assert np.array_equal(a.used_gas, b.used_gas)
         assert np.array_equal(a.cpu_time, b.cpu_time)
 
+    def test_minimum_size(self):
+        with pytest.raises(ValueError):
+            generate_synthetic_dataset(50, seed=0)
+
     @pytest.mark.parametrize("n", [50, 150.5, True])
     def test_size_must_be_an_integer_of_at_least_100(self, n):
         with pytest.raises(ValueError, match=r"^n must be an integer >= 100, got"):

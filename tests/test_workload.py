@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from verisim import gmm
 from verisim.cli import main as cli_main
 from verisim.dataio import generate_synthetic_dataset, load_dataset
 from verisim.gmm import GmmModel
@@ -161,8 +162,6 @@ def test_cpu_time_model_is_the_workload_forest(monkeypatch):
 
 
 def test_each_mixture_is_refit_by_one_em_run(monkeypatch):
-    from verisim import gmm
-
     monkeypatch.setattr("verisim.workload.GMM_SUBSAMPLE", 300)
     ds = generate_synthetic_dataset(600, seed=4)
     rows = []
