@@ -38,6 +38,7 @@ def _override_processors(miners, miner_id, processors):
 
 RUNS = {
     "seq_10_nonverifier": _config(standard_miners(10, 0.1), seed=21),
+    "parallel_c04_p16": _config(standard_miners(10, 0.1), seed=22, mode="parallel", c=0.4, p=16),
     "parallel_c04_p16_override": _config(
         _override_processors(standard_miners(10, 0.1), "v0", 4), seed=22, mode="parallel", c=0.4, p=16
     ),
@@ -48,8 +49,16 @@ RUNS = {
     "miners_100": _config(standard_miners(100, 0.1), duration=3600.0, seed=25),
     "single_miner": _config((MinerConfig(id="solo", alpha=1.0),), seed=26),
     "miners_1000": _config(standard_miners(1000, 0.1), duration=3600.0, seed=27),
-    # a second non-verifier with its own processor count, which it never uses
+    # a second non-verifier
     "parallel_two_nonverifiers": _config(
+        tuple(dataclasses.replace(m, verifies=False) if m.id == "v1" else m for m in standard_miners(10, 0.1)),
+        seed=28,
+        mode="parallel",
+        c=0.4,
+        p=16,
+    ),
+    # a second non-verifier with its own processor count, which it never uses
+    "parallel_two_nonverifiers_override": _config(
         _override_processors(
             tuple(
                 dataclasses.replace(m, verifies=False, processors=8) if m.id == "v1" else m
@@ -64,6 +73,7 @@ RUNS = {
         p=16,
     ),
     # sequential verification runs on one processor: p and the override are ignored
+    "seq_p4": _config(standard_miners(10, 0.1), seed=29, p=4),
     "seq_p4_override": _config(_override_processors(standard_miners(10, 0.1), "v0", 2), seed=29, p=4),
     # one day: ~7,000 blocks, crossing about fifteen transaction refills and
     # several thousand find-time draws

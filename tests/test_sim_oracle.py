@@ -130,6 +130,7 @@ CASES = {
     "miners_10": (_config(standard_miners(10, 0.1), duration=14400.0, seed=103), {}),
     "miners_100": (_config(standard_miners(100, 0.1), seed=104), {}),
     "miners_1000": (_config(standard_miners(1000, 0.1), duration=1800.0, seed=105), {}),
+    "parallel_c04_p16": (_config(standard_miners(10, 0.1), seed=106, mode="parallel", c=0.4, p=16), {}),
     "parallel_overrides": (
         _config(
             _override_processors(standard_miners(10, 0.1), {"v0": 4, "v1": 2, "v2": 4}),
@@ -141,6 +142,16 @@ CASES = {
         {},
     ),
     "two_nonverifiers": (
+        _config(
+            tuple(dataclasses.replace(m, verifies=False) if m.id == "v1" else m for m in standard_miners(10, 0.2)),
+            seed=107,
+            mode="parallel",
+            c=0.4,
+            p=16,
+        ),
+        {},
+    ),
+    "two_nonverifiers_override": (
         _config(
             tuple(
                 dataclasses.replace(m, verifies=False, processors=8) if m.id == "v1" else m
