@@ -11,14 +11,14 @@ and runs conflicting ones sequentially afterwards.
 each block end is one binary search over cumulative gas, and a batch's
 totals are read off the cumulative sums in a few vectorised gathers, so the
 per-block path does no array work.  A stream is made with the processor
-counts its caller prices at, and prices each batch at every count as soon
-as it is packed: one processor is the sequential time, and each p > 1 is
-one ``lpt_makespan`` call over the whole batch.  A block is a small dict of
-numbers: its totals, its first row and its times, one per count.
+count its caller prices at, and prices each batch as soon as it is packed:
+on one processor a block's time is its sequential time, and on p > 1 one
+``lpt_makespan`` call prices the whole batch.  A block is a small dict of
+numbers: its totals, its first row and its time.
 
 The stream draws into one set of buffers, allocated when it is made, and
 refills them in place.  Prices are fixed at pack time, so a block's totals
-and times stay valid for good; only its rows, read from the stream's
+and time stay valid for good; only its rows, read from the stream's
 columns through ``start``, are valid until its caller takes the next block,
 since taking it may refill the buffers.
 """
@@ -81,7 +81,7 @@ class TxStream:
 
     The stream allocates all its buffers once, in ``__init__``: one column
     set of ``max_block_txs + chunk`` rows and one buffer per cumulative sum
-    (of gas, fees and CPU time, and, when c > 0, of the conflicting
+    (of gas, fees and CPU time, and, when c > 0 and p > 1, of the conflicting
     transactions' CPU time).  A refill copies the unread tail to the front
     of the set and draws the fresh chunk straight behind it; the copy never
     overlaps, since the tail is shorter than ``max_block_txs`` and starts
@@ -94,11 +94,11 @@ class TxStream:
     ``max(1, blocks handed out since the refill)`` more, never past the next
     refill point.  The batches double, so a short stream packs at most about
     twice the blocks it hands out, and how many blocks a caller takes never
-    changes the blocks it gets.  Each new batch is priced at once at every
-    count in ``processors``, which fixes every block's ``times``: p = 1 is
-    ``seq_time`` itself, and p > 1 is one ``_parallel_time`` call per batch.
-    Each makespan keeps the bits of its block alone, so when a batch is
-    priced never changes a time.
+    changes the blocks it gets.  Each new batch is priced at once on
+    ``processors``, which fixes every block's ``time``: on one processor it
+    is ``seq_time`` itself, and on more one ``_parallel_time`` call prices
+    the batch.  Each makespan keeps the bits of its block alone, so when a
+    batch is priced never changes a time.
     """
 
     def __init__(
@@ -107,9 +107,9 @@ class TxStream:
         conflict_rate: float,
         rng: np.random.Generator,
         block_limit: int,
-        processors=(1,),
+        processors: int = 1,
     ):
-        self._ps = tuple(require_integer("processors", p) for p in processors)
+        self._p = require_integer("processors", processors)
         require_finite("conflict_rate", conflict_rate, 0, 1)
         self._wl = workload
         self._c = conflict_rate
@@ -121,7 +121,8 @@ class TxStream:
         size = self._max_block_txs + self._chunk
         self._cols = empty_columns(size)
         self._sums = [np.empty(size + 1, dtype=np.int64), np.empty(size + 1), np.empty(size + 1)]
-        self._serial_sum = np.empty(size + 1) if conflict_rate > 0 else None
+        # only a parallel price reads the conflicting transactions' total
+        self._serial_sum = np.empty(size + 1) if conflict_rate > 0 and self._p > 1 else None
         self._n = 0  # rows drawn into the columns
         self._cursor = 0
         self._handed = 0  # blocks handed out since the last refill
@@ -173,10 +174,11 @@ class TxStream:
         gas = (gas_c.take(e) - gas_c.take(s)).tolist()
         fee = (self._fee_c.take(e) - self._fee_c.take(s)).tolist()
         seq = (self._cpu_c.take(e) - self._cpu_c.take(s)).tolist()
-        serial = None if self._serial_c is None else self._serial_c.take(e) - self._serial_c.take(s)
-        prices = [seq if p == 1 else _parallel_time(self._cols, s, e, serial, p) for p in self._ps]
-        # with no count to price at, every block's times are ()
-        times = zip(*prices) if prices else [()] * len(starts)
+        if self._p == 1:
+            times = seq
+        else:
+            serial = None if self._serial_c is None else self._serial_c.take(e) - self._serial_c.take(s)
+            times = _parallel_time(self._cols, s, e, serial, self._p)
         self._packed = [
             {
                 "tx_count": b - a,
@@ -184,7 +186,7 @@ class TxStream:
                 "total_fee": f,
                 "seq_time": q,
                 "start": a,
-                "times": t,
+                "time": t,
             }
             for a, b, g, f, q, t in zip(starts, ends, gas, fee, seq, times)
         ][::-1]
@@ -193,8 +195,8 @@ class TxStream:
         """The next greedily packed block (may be empty).
 
         Keys: ``tx_count``, ``gas_used_total``, ``total_fee``, ``seq_time``,
-        the block's first row ``start`` and ``times``, its verification
-        seconds at each of the stream's ``processors`` in order.  Its rows,
+        the block's first row ``start`` and ``time``, its verification
+        seconds on the stream's ``processors``.  Its rows,
         from ``start`` on in the stream's columns, are valid until the
         caller takes the next block; everything else stays valid.
         """
@@ -225,11 +227,11 @@ def measure_verification_times(
     ):
         raise ValueError(f"seq_out must be a float64 array of n_blocks={n_blocks} entries, "
                          f"got {getattr(seq_out, 'dtype', type(seq_out).__name__)} of shape {np.shape(seq_out)}")
-    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, (p,))
+    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, p)
     times = np.empty(n_blocks, dtype=np.float64)
     for i in range(n_blocks):
         block = stream.next_block_txs()
-        times[i] = block["times"][0]
+        times[i] = block["time"]
         if seq_out is not None:
             seq_out[i] = block["seq_time"]
     return times

@@ -17,7 +17,6 @@ class MinerConfig:
     id: str
     alpha: float
     verifies: bool = True
-    processors: int | None = None  # None: use the scenario-wide processor count
     produces_invalid: bool = False
 
     def __post_init__(self):
@@ -30,8 +29,6 @@ class MinerConfig:
         require_finite(f"alpha (miner {self.id})", self.alpha)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"miner {self.id}: alpha must lie in (0, 1]")
-        if self.processors is not None:
-            require_integer(f"processors (miner {self.id})", self.processors)
         if self.produces_invalid and not self.verifies:
             raise ValueError(f"miner {self.id}: the invalid-block producer must verify")
 
@@ -91,14 +88,11 @@ class ScenarioConfig:
         elif invalid:
             raise ValueError("invalid_rate is 0 but a miner produces invalid blocks")
 
-    def processors_for(self, miner: MinerConfig | None = None) -> int:
-        """Processors a verifier re-executes blocks on, or the scenario's own count with no miner.
-
-        Sequential verification is verification on one processor.
-        """
-        if self.mode == "sequential":
-            return 1
-        return self.p if miner is None or miner.processors is None else miner.processors
+    def processors_for(self) -> int:
+        """Processors every verifier re-executes blocks on: ``p``, or 1 in
+        sequential mode, since sequential verification is verification on
+        one processor."""
+        return 1 if self.mode == "sequential" else self.p
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, base_seed=int(seed))

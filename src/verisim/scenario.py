@@ -195,11 +195,10 @@ def run_sweep(
 def check_comparable(configs) -> None:
     """Reject a configuration whose simulation the closed form cannot be compared against.
 
-    The parallel closed form knows one processor count, ``p``: a parallel cell
-    with a non-verifier in which a verifier has another is rejected.  So is a
-    cell with invalid blocks: neither the closed form nor the expected-share
-    estimator sees the non-verifier's blocks lost to them.  The check reads
-    the configurations only, so callers run it before any simulation.
+    That is a cell with invalid blocks: neither the closed form nor the
+    expected-share estimator sees the non-verifier's blocks lost to them.
+    The check reads the configurations only, so callers run it before any
+    simulation.
     """
     for config_id, config in enumerate(configs):
         if config.invalid_rate > 0:
@@ -207,13 +206,6 @@ def check_comparable(configs) -> None:
                 f"invalid_rate: config {config_id} has invalid_rate={config.invalid_rate}, "
                 "whose punishment neither the closed form nor the expected-share estimator sees"
             )
-        if not all(m.verifies for m in config.miners):
-            others = [m.id for m in config.miners if m.verifies and config.processors_for(m) != config.processors_for()]
-            if others:
-                raise ValueError(
-                    f"processors: config {config_id} gives verifiers {others} a count other than p={config.p}, "
-                    "which the closed form cannot compare against"
-                )
 
 
 def validate_sweep(report: SweepReport, tolerance: float) -> list:
@@ -222,7 +214,8 @@ def validate_sweep(report: SweepReport, tolerance: float) -> list:
     The relative deviation is ``|signed_deviation_pct| / |closed_gain_pct|``,
     which compares the expected-share gain with the closed form; the cell's
     signed deviation keeps a systematic closed-form overestimate visible.
-    Configurations that ``check_comparable`` rejects raise its error.
+    A configuration with invalid blocks, which ``check_comparable`` rejects,
+    raises its error.
     """
     check_comparable(report.configs)
     verdicts = []

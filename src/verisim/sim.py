@@ -26,16 +26,17 @@ ancestry and their fees; nothing is kept per block.
 ``stale_blocks`` counts valid-ancestry blocks off the canonical chain; by the
 argument it is always 0, and the run asserts so.
 
-The transaction stream is made with the distinct verifier processor counts
-(one in sequential mode, none when no miner verifies) and hands out each
-block with its re-execution time at every count, priced when its batch was
-packed (``verisim.blocks``).  A block whose parent has valid ancestry
-charges those times; a block on invalid ancestry is rejected unexecuted and
-charges nothing.  Miners fall into classes: one per such count, whose
-verifiers all pay the same pause for a block except its finder, and one for
-the non-verifiers, which pay nothing.
-A paying class keeps ``offset``, the pauses its members have paid so far, and
-each verifier counts the pauses it ``skipped`` as a finder.  A miner's
+Every verifier re-executes on the scenario's one processor count,
+``processors_for()``.  The transaction stream is priced at that count (at
+one processor when no miner verifies, so no schedule is computed) and hands
+out each block with its re-execution time, priced when its batch was packed
+(``verisim.blocks``).  A block whose parent has valid ancestry charges that
+time; a block on invalid ancestry is rejected unexecuted and charges
+nothing.  Miners fall into two classes: the verifiers, which all pay the
+same pause for a block except its finder, and the non-verifiers, which pay
+nothing.  The verifiers' class keeps ``offset``, the pauses its members have
+paid so far, and each verifier counts the pauses it ``skipped`` as a
+finder.  A miner's
 pending find is ``base + offset`` of its class, so adding a block's cost to
 the offset defers every member's find at once (the next-reaction method of
 Gibson and Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so
@@ -49,12 +50,12 @@ A verifier's uptime is the window less the pauses it paid, ``offset -
 skipped``, of which only the part inside the window counts.  Pauses queue:
 a verifier still busy when a block arrives starts that block's pause when
 the current one ends, so only its last busy period can run past the end.
-Each class runs that queue for a member that pays every block, and keeps the
+The run keeps that queue for a verifier that pays every block, and the
 ``(time, cost)`` of the blocks in its current busy period.  A verifier is
 idle at its own find, because every pause it paid deferred that find.  So a
-verifier whose last find came before its class's final busy period ends
-that period with the class, and one whose last find falls inside it replays
-its own queue from that find over the period's blocks.
+verifier whose last find came before the final busy period ends that period
+with the queue, and one whose last find falls inside it replays its own
+queue from that find over the period's blocks.
 
 The mining stream draws only find times: each miner's first wait, then one
 wait per block for its finder.  A wait is its miner's mean times a standard
@@ -157,30 +158,28 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
     miners = config.miners
     duration = config.sim_duration
     n = len(miners)
-    # one paying class per distinct verifier processor count, then the
-    # non-verifiers' class, which never pays (module docstring)
-    procs = [config.processors_for(m) for m in miners]
-    ps = sorted({p for p, m in zip(procs, miners) if m.verifies})
-    nv = len(ps)
-    cls = [ps.index(p) if m.verifies else nv for p, m in zip(procs, miners)]
-    stream = TxStream(workload, config.c, np.random.default_rng(tx_ss), config.block_limit, ps)
+    # the verifiers' class 0 pays, the non-verifiers' class 1 never does
+    # (module docstring)
+    cls = [0 if m.verifies else 1 for m in miners]
+    p = config.processors_for() if any(m.verifies for m in miners) else 1
+    stream = TxStream(workload, config.c, np.random.default_rng(tx_ss), config.block_limit, p)
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
     first = (np.asarray(scales) * rng_mine.standard_exponential(n)).tolist()
     # per class: pauses paid so far, and a heap of (pending find - offset, miner)
-    offset = [0.0] * (nv + 1)
-    heaps = [[] for _ in offset]
+    offset = [0.0, 0.0]
+    heaps = [[], []]
     for j, k in enumerate(cls):
         heaps[k].append((first[j], j))
     for heap in heaps:
         heapq.heapify(heap)
     classes = [(k, heap) for k, heap in enumerate(heaps) if heap]
-    # per paying class: the busy-until of a member that pays every block, the
-    # (time, cost) of the blocks in its current busy period, and the number
-    # of paid blocks before that period
-    busy_until = [0.0] * nv
-    period = [[] for _ in range(nv)]
-    period_start = [0] * nv
+    # the busy-until of a verifier that pays every block, the (time, cost) of
+    # the blocks in its current busy period, and the number of paid blocks
+    # before that period
+    busy_until = 0.0
+    period = []
+    period_start = 0
     # per verifier: the pauses it skipped as a finder, the time of its last
     # find and the number of paid blocks up to and including that find
     skipped, last_find, paid_at_find = [0.0] * n, [0.0] * n, [0] * n
@@ -224,21 +223,20 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
         # valid parents cost full verification before rejection.  A verifier
         # always extends the valid head, so it finds only blocks that cost.
         if parent.valid_ancestry:
-            costs = packed["times"]
-            for k, cost in enumerate(costs):
-                # mining is suspended while verifying: every member's
-                # pending find moves back with the offset
-                offset[k] += cost
-                if busy_until[k] > t:
-                    busy_until[k] += cost
-                    period[k].append((t, cost))
-                else:
-                    busy_until[k] = t + cost
-                    period[k] = [(t, cost)]
-                    period_start[k] = paid_blocks
+            cost = packed["time"]
+            # mining is suspended while verifying: every verifier's pending
+            # find moves back with the offset
+            offset[0] += cost
+            if busy_until > t:
+                busy_until += cost
+                period.append((t, cost))
+            else:
+                busy_until = t + cost
+                period = [(t, cost)]
+                period_start = paid_blocks
             paid_blocks += 1
             if miner.verifies:
-                skipped[i] += costs[cls[i]]
+                skipped[i] += cost
                 last_find[i] = t
                 paid_at_find[i] = paid_blocks
         k = cls[i]
@@ -246,18 +244,18 @@ def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = Non
 
     uptime = []
     for j, k in enumerate(cls):
-        if k == nv:
+        if k == 1:
             uptime.append(float(duration))
             continue
-        end = busy_until[k]
-        if paid_at_find[j] > period_start[k]:
-            # its last find fell inside the class's final busy period: it was
-            # idle then, so its own queue restarts at that find
+        end = busy_until
+        if paid_at_find[j] > period_start:
+            # its last find fell inside the final busy period: it was idle
+            # then, so its own queue restarts at that find
             end = last_find[j]
-            for s, cost in period[k][paid_at_find[j] - period_start[k]:]:
+            for s, cost in period[paid_at_find[j] - period_start:]:
                 end = max(end, s) + cost
         # only the part of the pauses inside the window counts
-        uptime.append(duration - (offset[k] - skipped[j]) + max(end - duration, 0.0))
+        uptime.append(duration - (offset[0] - skipped[j]) + max(end - duration, 0.0))
     return _finalize(config, found, canon, fees, v_head, uptime)
 
 

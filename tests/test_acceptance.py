@@ -192,8 +192,8 @@ def test_criterion_8_property_suite(fitted_workload, toy_wl):
 
     # parallel time at p=1 equals sequential time exactly
     for seed in range(3):
-        packed = TxStream(fitted_workload, 0.4, np.random.default_rng(seed), 8_000_000, (1,)).next_block_txs()
-        assert packed["times"][0] == packed["seq_time"]
+        packed = TxStream(fitted_workload, 0.4, np.random.default_rng(seed), 8_000_000, 1).next_block_txs()
+        assert packed["time"] == packed["seq_time"]
     checks.append("p=1 exact")
 
     # LPT makespan bounds on sampled blocks

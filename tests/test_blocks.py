@@ -103,19 +103,19 @@ class TestTxStreamPacking:
         # a refill overwrites the rows of the blocks before it, but not the
         # totals or the times priced for them (about 465 blocks per refill
         # at 8M; each refill's first block starts at row 0)
-        stream = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000, (1, 4))
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000, 4)
         taken = []
         while len(taken) < 2 or taken[-1][0]["start"] > 0:
             b = stream.next_block_txs()
-            taken.append((b, b["seq_time"], b["times"]))
+            taken.append((b, b["seq_time"], b["time"]))
         # take a few more blocks of the new refill, as a caller does
         for _ in range(5):
             stream.next_block_txs()
-        fresh = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000, (1, 4))
-        for b, seq, times in taken:
+        fresh = TxStream(toy_wl, 0.4, np.random.default_rng(2), 8_000_000, 4)
+        for b, seq, time in taken:
             f = fresh.next_block_txs()
             assert b["seq_time"] == seq == f["seq_time"]
-            assert b["times"] == times == f["times"]
+            assert b["time"] == time == f["time"]
 
     @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
     def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
@@ -125,7 +125,7 @@ class TestTxStreamPacking:
         toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
         tracemalloc.start()
         try:
-            stream = TxStream(toy_wl, c, np.random.default_rng(0), limit, (p,))
+            stream = TxStream(toy_wl, c, np.random.default_rng(0), limit, p)
             read = 0
             for _ in range(n):
                 b = stream.next_block_txs()
@@ -146,10 +146,10 @@ class TestTxStreamPacking:
 
     def test_processors_rejected_before_any_draw(self, toy_wl, monkeypatch):
         def sample(*args, **kwargs):
-            raise AssertionError("transactions were drawn before the processor counts were checked")
+            raise AssertionError("transactions were drawn before the processor count was checked")
 
         monkeypatch.setattr("verisim.blocks.sample_transaction_arrays", sample)
-        for processors in [(0,), (4, -1), (True,), (2.0,), (1, "4")]:
+        for processors in [0, -1, True, 2.0, "4", (4,)]:
             with pytest.raises(ValueError, match="^processors must be an integer >= 1"):
                 TxStream(toy_wl, 0.4, np.random.default_rng(0), 8_000_000, processors)
         with pytest.raises(ValueError, match="^processors must be an integer >= 1, got 0"):
@@ -163,18 +163,6 @@ class TestTxStreamPacking:
         monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
         with pytest.raises(ValueError, match="^conflict_rate must"):
             TxStream(toy_wl, conflict_rate, np.random.default_rng(0), 8_000_000)
-
-    def test_one_stream_prices_every_count_as_streams_of_one(self, toy_wl):
-        # 1,000 blocks at 8M cross two refills; each count's times must keep
-        # the bits a stream priced at that count alone gives
-        counts = (1, 4, 16)
-        stream = TxStream(toy_wl, 0.4, np.random.default_rng(6), 8_000_000, counts)
-        alone = [TxStream(toy_wl, 0.4, np.random.default_rng(6), 8_000_000, (p,)) for p in counts]
-        for _ in range(1_000):
-            b = stream.next_block_txs()
-            singles = [s.next_block_txs()["times"] for s in alone]
-            assert [t.hex() for t in b["times"]] == [t.hex() for (t,) in singles]
-            assert b["times"][0].hex() == b["seq_time"].hex()
 
 
 class TestVerificationTime:
@@ -190,10 +178,10 @@ class TestVerificationTime:
         assert block_time([1.0, 1.0, 1.0, 1.0], 4) == pytest.approx(1.0)
 
     def test_p1_parallel_equals_sequential_exactly(self, toy_wl):
-        stream = TxStream(toy_wl, 0.4, np.random.default_rng(0), 2_000_000, (1,))
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(0), 2_000_000, 1)
         for _ in range(5):
             packed = stream.next_block_txs()
-            assert packed["times"][0] == packed["seq_time"]
+            assert packed["time"] == packed["seq_time"]
 
     @pytest.mark.parametrize("limit", [8_000_000, 128_000_000])
     def test_measured_p1_parallel_equals_sequential(self, toy_wl, limit):
@@ -260,11 +248,11 @@ class TestVerificationTime:
             return makespans
 
         monkeypatch.setattr(kernels, "lpt_makespan", recorded)
-        stream = TxStream(toy_wl, c, np.random.default_rng(9), limit, (p,))
+        stream = TxStream(toy_wl, c, np.random.default_rng(9), limit, p)
         times, jobs = [], []
         for _ in range(n):
             b = stream.next_block_txs()
-            times.append(b["times"][0])
+            times.append(b["time"])
             cpu, conf = column(stream, b, "cpu_time"), column(stream, b, "conflicting")
             jobs.append((cpu[~conf].tolist(), float(cpu[conf].sum())))
         makespans = np.concatenate(batches)[:n].tolist()

@@ -4,7 +4,7 @@ For each case below (the toy workload at one block limit and conflict rate,
 seed 11) the recorded file holds the number of blocks packed, a SHA-256 digest
 of every block's entry and the first three entries in clear.  An entry is
 ``[tx_count, gas_used_total, repr(total_fee), repr(seq_time),
-repr(times[0])]`` from a stream priced at 4 processors.  The block counts
+repr(time)]`` from a stream priced at 4 processors.  The block counts
 cross at least one refill at 21000 (about 32,800 blocks per refill there),
 three at 8M (about 465) and several at 128M (about 29).  A change to how
 blocks are packed that keeps the stream, the refill points and the float
@@ -38,12 +38,12 @@ CASES = {
 
 
 def _entries(workload, limit, c, n):
-    stream = TxStream(workload, c, np.random.default_rng(SEED), limit, (4,))
+    stream = TxStream(workload, c, np.random.default_rng(SEED), limit, 4)
     entries = []
     for _ in range(n):
         b = stream.next_block_txs()
         entries.append(
-            [b["tx_count"], b["gas_used_total"], repr(b["total_fee"]), repr(b["seq_time"]), repr(b["times"][0])]
+            [b["tx_count"], b["gas_used_total"], repr(b["total_fee"]), repr(b["seq_time"]), repr(b["time"])]
         )
     return entries
 

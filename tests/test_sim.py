@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import toy_workload
+from verisim import blocks
 from verisim.analytics import PowerProfile
 from verisim.cli import _load_scenarios
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
@@ -82,9 +83,8 @@ class TestRunSimulation:
         assert res.canonical_length == res.total_blocks
 
     def test_lineup_with_no_verifier_runs(self, toy_wl):
-        # no processor count to price at: the stream still hands out every
-        # block, and nobody pauses (the recorded run, from before blocks
-        # carried their times)
+        # the stream still hands out every block, and nobody pauses (the
+        # recorded run, from before blocks carried their times)
         cfg = ScenarioConfig(
             block_limit=8_000_000,
             miners=(MinerConfig("a", 0.5, False), MinerConfig("b", 0.5, False)),
@@ -94,6 +94,25 @@ class TestRunSimulation:
         assert res.total_blocks == res.canonical_length == 50
         assert res.total_fees == 8.374045119034648
         assert [m.expected_fraction for m in res.miners] == [0.5, 0.5]
+
+    def test_lineup_with_no_verifier_runs_no_lpt(self, toy_wl, monkeypatch):
+        # nobody pays for a block, so its stream is priced at one processor:
+        # p is never read, and the run keeps the bits of its sequential twin
+        miners = tuple(MinerConfig(f"m{i}", 0.25, False) for i in range(4))
+        cfg = day_config(miners=miners, duration=3600.0, seed=12, mode="parallel", c=0.4, p=16)
+        sequential = run_simulation(day_config(miners=miners, duration=3600.0, seed=12, c=0.4), toy_wl)
+        calls = []
+        parallel_time = blocks._parallel_time
+
+        def counted(*args):
+            calls.append(args)
+            return parallel_time(*args)
+
+        monkeypatch.setattr(blocks, "_parallel_time", counted)
+        result = run_simulation(cfg, toy_wl)
+        assert calls == []
+        assert result.total_blocks > 0
+        assert repr(result) == repr(sequential)
 
     def test_fee_fractions_sum_to_one(self, toy_wl):
         res = run_simulation(day_config(seed=3), toy_wl)
@@ -201,7 +220,6 @@ MINER_EDGES = {
     "id": st.text(max_size=3),
     "alpha": st.floats(-0.5, 1.5),
     "verifies": st.booleans(),
-    "processors": st.one_of(st.none(), st.integers(-1, 32), st.floats(0.0, 32.0)),
     "produces_invalid": st.booleans(),
 }
 
@@ -229,14 +247,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(block_limit=8_000_000, miners=miners, invalid_rate=0.6)
 
-    @pytest.mark.parametrize("mode, scenario, own", [("sequential", 1, 1), ("parallel", 16, 4)])
-    def test_processors_for(self, mode, scenario, own):
-        override = MinerConfig(id="own", alpha=0.5, processors=4)
-        cfg = ScenarioConfig(
-            block_limit=8_000_000, miners=(override, MinerConfig(id="default", alpha=0.5)), mode=mode, p=16
-        )
-        assert cfg.processors_for() == cfg.processors_for(cfg.miners[1]) == scenario
-        assert cfg.processors_for(override) == own
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_processors_for(self, mode, p):
+        cfg = ScenarioConfig(block_limit=8_000_000, miners=standard_miners(10, 0.1), mode=mode, p=p)
+        # sequential verification is verification on one processor
+        assert cfg.processors_for() == (1 if mode == "sequential" else p)
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError):
@@ -312,11 +328,6 @@ class TestScenarioValidation:
             ("alpha", "1.0"),
             ("alpha", math.nan),
             ("alpha", math.inf),
-            ("processors", 2.5),
-            ("processors", 4.0),
-            ("processors", True),
-            ("processors", "4"),
-            ("processors", 0),
             ("id", 5),
         ],
     )
@@ -327,6 +338,19 @@ class TestScenarioValidation:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
         with pytest.raises(ValueError, match=f"^{name}"):
+            _load_scenarios(path)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", 0, 16, None])
+    def test_miner_processors_key_rejected(self, value, tmp_path):
+        # every verifier runs on the scenario's p: a miner's own count, even
+        # a valid or null one, is an unknown key
+        scenario = {"block_limit": 8_000_000, "p": 4, "miners": [{"id": "solo", "alpha": 1.0, "processors": value}]}
+        error = r"^miners must not have \['processors'\]"
+        with pytest.raises(ValueError, match=error):
+            ScenarioConfig.from_dict(scenario)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        with pytest.raises(ValueError, match=error):
             _load_scenarios(path)
 
     @settings(max_examples=100, deadline=None)

@@ -32,16 +32,9 @@ def _config(miners, duration=7200.0, seed=42, block_limit=8_000_000, **kw):
     )
 
 
-def _override_processors(miners, miner_id, processors):
-    return tuple(dataclasses.replace(m, processors=processors) if m.id == miner_id else m for m in miners)
-
-
 RUNS = {
     "seq_10_nonverifier": _config(standard_miners(10, 0.1), seed=21),
     "parallel_c04_p16": _config(standard_miners(10, 0.1), seed=22, mode="parallel", c=0.4, p=16),
-    "parallel_c04_p16_override": _config(
-        _override_processors(standard_miners(10, 0.1), "v0", 4), seed=22, mode="parallel", c=0.4, p=16
-    ),
     "invalid_004_128m": _config(
         standard_miners(10, 0.1, invalid_rate=0.04), duration=3600.0, seed=23, block_limit=128_000_000, invalid_rate=0.04
     ),
@@ -57,24 +50,8 @@ RUNS = {
         c=0.4,
         p=16,
     ),
-    # a second non-verifier with its own processor count, which it never uses
-    "parallel_two_nonverifiers_override": _config(
-        _override_processors(
-            tuple(
-                dataclasses.replace(m, verifies=False, processors=8) if m.id == "v1" else m
-                for m in standard_miners(10, 0.1)
-            ),
-            "v0",
-            4,
-        ),
-        seed=28,
-        mode="parallel",
-        c=0.4,
-        p=16,
-    ),
-    # sequential verification runs on one processor: p and the override are ignored
+    # sequential verification runs on one processor: p is ignored
     "seq_p4": _config(standard_miners(10, 0.1), seed=29, p=4),
-    "seq_p4_override": _config(_override_processors(standard_miners(10, 0.1), "v0", 2), seed=29, p=4),
     # one day: ~7,000 blocks, crossing about fifteen transaction refills and
     # several thousand find-time draws
     "day_10_miners": _config(standard_miners(10, 0.1), duration=86400.0, seed=30),

@@ -46,12 +46,11 @@ def reference_run(config, workload=None):
     miners = config.miners
     duration = config.sim_duration
     n = len(miners)
-    # one verification cost per distinct verifier processor count, then a 0
-    # that non-verifiers pay
-    ps = sorted({config.processors_for(m) for m in miners if m.verifies})
-    costs = np.zeros(len(ps) + 1)
-    slot = np.asarray([ps.index(config.processors_for(m)) if m.verifies else len(ps) for m in miners])
-    stream = TxStream(workload, config.c, np.random.default_rng(tx_ss), config.block_limit, ps)
+    # the verification cost that verifiers pay, then a 0 that non-verifiers pay
+    costs = np.zeros(2)
+    slot = np.asarray([0 if m.verifies else 1 for m in miners])
+    p = config.processors_for() if any(m.verifies for m in miners) else 1
+    stream = TxStream(workload, config.c, np.random.default_rng(tx_ss), config.block_limit, p)
 
     scales = [1.0 / (m.alpha / config.t_b) for m in miners]
     next_find = np.asarray([rng_mine.exponential(scale) for scale in scales])
@@ -76,7 +75,7 @@ def reference_run(config, workload=None):
         # the new block, as the head of the chain it ends
         block = Head(parent.height + 1, parent.valid_ancestry and not miner.produces_invalid)
         packed = stream.next_block_txs()
-        costs[: len(ps)] = packed["times"]
+        costs[0] = packed["time"]
         found[i] += 1
         if block.valid_ancestry:
             canon[i] += 1
@@ -116,10 +115,6 @@ def _config(miners, duration=3600.0, seed=42, block_limit=8_000_000, **kw):
     )
 
 
-def _override_processors(miners, overrides):
-    return tuple(dataclasses.replace(m, processors=overrides[m.id]) if m.id in overrides else m for m in miners)
-
-
 # verification pauses of ~18 s at 8M, longer than the 12.42 s block
 # interval: pauses queue up, and the last ones run past the end of the window
 LONG_PAUSES = dict(cpu_per_gas=2e-6)
@@ -131,32 +126,9 @@ CASES = {
     "miners_100": (_config(standard_miners(100, 0.1), seed=104), {}),
     "miners_1000": (_config(standard_miners(1000, 0.1), duration=1800.0, seed=105), {}),
     "parallel_c04_p16": (_config(standard_miners(10, 0.1), seed=106, mode="parallel", c=0.4, p=16), {}),
-    "parallel_overrides": (
-        _config(
-            _override_processors(standard_miners(10, 0.1), {"v0": 4, "v1": 2, "v2": 4}),
-            seed=106,
-            mode="parallel",
-            c=0.4,
-            p=16,
-        ),
-        {},
-    ),
     "two_nonverifiers": (
         _config(
             tuple(dataclasses.replace(m, verifies=False) if m.id == "v1" else m for m in standard_miners(10, 0.2)),
-            seed=107,
-            mode="parallel",
-            c=0.4,
-            p=16,
-        ),
-        {},
-    ),
-    "two_nonverifiers_override": (
-        _config(
-            tuple(
-                dataclasses.replace(m, verifies=False, processors=8) if m.id == "v1" else m
-                for m in _override_processors(standard_miners(10, 0.2), {"v0": 4})
-            ),
             seed=107,
             mode="parallel",
             c=0.4,
