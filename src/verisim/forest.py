@@ -292,12 +292,12 @@ def _grow_tree(x, y, counts, next_up, split_budget, wy, cw, cs) -> RegressionTre
 
 def fit_forest(xs, ys, tree_count: int, split_budget: int, seed=0) -> ForestModel:
     """Fit a forest of `tree_count` trees, each on a bootstrap resample."""
+    require_integer("tree_count", tree_count)
+    require_integer("split_budget", split_budget)
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size != y.size or x.size == 0:
         raise ValueError("xs and ys must be equally sized and non-empty")
-    if tree_count < 1 or split_budget < 1:
-        raise ValueError("tree count and split budget must be positive")
     order = np.argsort(x, kind="stable")
     return _fit_forest_sorted(x[order], y[order], tree_count, split_budget, np.random.SeedSequence(seed))
 
@@ -330,18 +330,17 @@ def fit_rfr(xs, ys, d_grid, s_grid, folds: int = 10, seed: int = 0) -> tuple:
     pre-spawned per cell so cells could be evaluated concurrently without
     changing the result.
     """
+    require_integer("folds", folds, 2)
+    d_grid = [require_integer("d_grid", d) for d in d_grid]
+    s_grid = [require_integer("s_grid", s) for s in s_grid]
+    if not d_grid or not s_grid:
+        raise ValueError("d_grid and s_grid must be non-empty")
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size != y.size:
         raise ValueError("xs and ys must be equally sized")
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
     if x.size < folds:
         raise ValueError(f"need at least as many samples ({x.size}) as folds ({folds})")
-    d_grid = [int(d) for d in d_grid]
-    s_grid = [int(s) for s in s_grid]
-    if not d_grid or not s_grid or min(d_grid) < 1 or min(s_grid) < 1:
-        raise ValueError("grids must be non-empty with positive entries")
     cells = list(product(d_grid, s_grid))
     if len(cells) == 1:
         return cells[0]

@@ -247,6 +247,8 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0, start: GmmMod
     restarts that stopped at the EM_MAX_ITER cap unconverged, a refit from
     ``start`` that did, and a search (k_min < k_max) that selects k_max.
     """
+    require_integer("k_min", k_min)
+    require_integer("k_max", k_max)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot fit a mixture to an empty sample")

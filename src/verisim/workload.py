@@ -78,6 +78,7 @@ class FittedWorkload:
 def _derived_seeds(seed: int) -> list:
     """The five model seeds derived from one fit seed: gas price mixture,
     used gas mixture, CV subsample pick, forest, mixture subsample pick."""
+    require_integer("seed", seed, 0)
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(5)]
 
 
@@ -127,6 +128,9 @@ def fit_workload(
     all rows by one EM run that starts from it.
     :func:`fit_cpu_time_model` picks the forest's cell by CV.
     """
+    # the forest is grown last: check its sizes before the mixtures are fitted
+    require_integer("tree_count", tree_count)
+    require_integer("split_budget", split_budget)
     used_gas = np.asarray(used_gas, dtype=np.float64)
     gas_price = np.asarray(gas_price, dtype=np.float64)
     price_seed, gas_seed, _, forest_seed, gmm_pick_seed = _derived_seeds(seed)

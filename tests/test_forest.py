@@ -59,6 +59,39 @@ class TestFitRfr:
         with pytest.raises(ValueError):
             fit_rfr([1.0] * 20, [1.0] * 20, d_grid=[], s_grid=[1], folds=2, seed=0)
 
+    @pytest.mark.parametrize(
+        "sizes, field",
+        [
+            (dict(d_grid=[2.5, 3]), "d_grid"),
+            (dict(d_grid=[True]), "d_grid"),
+            (dict(s_grid=[4.0]), "s_grid"),
+            (dict(folds=2.5), "folds"),
+            (dict(folds=1), "folds"),
+        ],
+    )
+    def test_bad_sizes_named_before_any_tree(self, monkeypatch, sizes, field):
+        # int() would truncate 2.5 to 2 and read True as 1
+        def grow(*args):
+            raise AssertionError("a tree was grown before the sizes were checked")
+
+        monkeypatch.setattr(forest, "_fit_forest_sorted", grow)
+        xs, ys = monotone_sample(50, seed=22)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            fit_rfr(xs, ys, **(dict(d_grid=[2, 3], s_grid=[4], folds=5, seed=0) | sizes))
+
+    @pytest.mark.parametrize(
+        "tree_count, split_budget, field",
+        [(2.5, 4, "tree_count"), (True, 4, "tree_count"), (0, 4, "tree_count"), (2, 2.5, "split_budget")],
+    )
+    def test_forest_sizes_named_before_any_tree(self, monkeypatch, tree_count, split_budget, field):
+        def grow(*args):
+            raise AssertionError("a tree was grown before the sizes were checked")
+
+        monkeypatch.setattr(forest, "_grow_tree", grow)
+        xs, ys = monotone_sample(50, seed=22)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            fit_forest(xs, ys, tree_count, split_budget)
+
     def test_one_cell_grid_grows_no_tree(self, monkeypatch):
         def grow(*args):
             raise AssertionError("a one-cell grid needs no cross-validation")

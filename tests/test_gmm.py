@@ -59,6 +59,11 @@ class TestFitGmm:
         with pytest.raises(ValueError):
             fit_gmm([1.0, 2.0, 3.0], 1, 4, seed=0)
 
+    @pytest.mark.parametrize("k_min, k_max, field", [(1, 2.5, "k_max"), (True, 2, "k_min"), (1.0, 2, "k_min")])
+    def test_bad_k_named(self, k_min, k_max, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            fit_gmm(two_component_sample(200, seed=1), k_min, k_max, seed=0)
+
     def test_information_criteria_formulas(self):
         values = two_component_sample(800, seed=5)
         m = fit_gmm(values, 2, 2, seed=6)

@@ -161,6 +161,21 @@ def test_cpu_time_model_is_the_workload_forest(monkeypatch):
     assert forest.to_dict() == whole.cpu_time_model.to_dict()
 
 
+@pytest.mark.parametrize(
+    "sizes, field",
+    [(dict(seed=-1), "seed"), (dict(seed=1.5), "seed"), (dict(tree_count=2.5), "tree_count"),
+     (dict(split_budget=2.5), "split_budget")],
+)
+def test_fit_workload_names_bad_sizes_before_fitting(monkeypatch, sizes, field):
+    def em(*args):
+        raise AssertionError("a mixture was fitted before the sizes were checked")
+
+    monkeypatch.setattr(gmm, "_em_once", em)
+    ds = generate_synthetic_dataset(300, seed=4)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        fit_workload(ds.used_gas, ds.gas_price, ds.cpu_time, **(dict(k_max=2, tree_count=2, split_budget=4) | sizes))
+
+
 def test_each_mixture_is_refit_by_one_em_run(monkeypatch):
     monkeypatch.setattr("verisim.workload.GMM_SUBSAMPLE", 300)
     ds = generate_synthetic_dataset(600, seed=4)
