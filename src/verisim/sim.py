@@ -34,10 +34,10 @@ out each block with its re-execution time, priced when its batch was packed
 time; a block on invalid ancestry is rejected unexecuted and charges
 nothing.  Miners fall into two classes: the verifiers, which all pay the
 same pause for a block except its finder, and the non-verifiers, which pay
-nothing.  The verifiers' class keeps ``offset``, the pauses its members have
-paid so far, and each verifier counts the pauses it ``skipped`` as a
-finder.  A miner's
-pending find is ``base + offset`` of its class, so adding a block's cost to
+nothing.  Each class keeps ``offset``, the pauses its members have paid so
+far (always 0 for the non-verifiers), and each verifier counts the pauses
+it ``skipped`` as a finder.  A miner's pending find is ``base + offset`` of
+its class, so adding a block's cost to
 the offset defers every member's find at once (the next-reaction method of
 Gibson and Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so
 a deferred find is still exactly exponential.  A finder's new base
