@@ -37,14 +37,14 @@ same pause for a block except its finder, and the non-verifiers, which pay
 nothing.  Each class keeps ``offset``, the pauses its members have paid so
 far (always 0 for the non-verifiers), and each verifier counts the pauses
 it ``skipped`` as a finder.  A miner's pending find is ``base + offset`` of
-its class, so adding a block's cost to
-the offset defers every member's find at once (the next-reaction method of
-Gibson and Bruck, J. Phys. Chem. A 104, 2000); the waits are memoryless, so
-a deferred find is still exactly exponential.  A finder's new base
-subtracts the current offset, so its own block does not defer it.  Each
-class holds its members in a heap of ``(base, index)``, and the next event
-is the least ``(base + offset, index)`` over the heap tops, ties going to
-the lowest miner index.  No step of a block touches every miner.
+its class, so adding a block's cost to the offset defers every member's
+find at once (the next-reaction method of Gibson and Bruck, J. Phys. Chem.
+A 104, 2000); the waits are memoryless, so a deferred find is still exactly
+exponential.  A finder's new base subtracts the current offset, so its own
+block does not defer it.  Each class holds its members in a heap of
+``(base, index)``, and the next event is the least ``(base + offset,
+index)`` over the heap tops, ties going to the lowest miner index.  No step
+of a block touches every miner.
 
 A verifier's uptime is the window less the pauses it paid, ``offset -
 skipped``, of which only the part inside the window counts.  Pauses queue:
