@@ -71,7 +71,8 @@ class TxStream:
     but amortises the draws; cumulative sums make per-block packing a single
     binary search.  Each refill spawns fresh per-column streams from ``rng``
     (see ``sample_transaction_arrays``), so ``rng`` must carry a
-    ``SeedSequence``.
+    ``SeedSequence``; a refill draws gas prices and conflict flags on the
+    sampler's worker thread, beside its used-gas draw, with the same bits.
 
     A refill happens exactly when fewer than ``max_block_txs`` rows remain
     unread, and the unread tail is kept in front of the fresh rows.  The

@@ -294,6 +294,7 @@ def fit_forest(xs, ys, tree_count: int, split_budget: int, seed=0) -> ForestMode
     """Fit a forest of `tree_count` trees, each on a bootstrap resample."""
     require_integer("tree_count", tree_count)
     require_integer("split_budget", split_budget)
+    require_integer("seed", seed, 0)
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size != y.size or x.size == 0:
@@ -333,6 +334,7 @@ def fit_rfr(xs, ys, d_grid, s_grid, folds: int = 10, seed: int = 0) -> tuple:
     require_integer("folds", folds, 2)
     d_grid = [require_integer("d_grid", d) for d in d_grid]
     s_grid = [require_integer("s_grid", s) for s in s_grid]
+    require_integer("seed", seed, 0)
     if not d_grid or not s_grid:
         raise ValueError("d_grid and s_grid must be non-empty")
     x = np.asarray(xs, dtype=np.float64)

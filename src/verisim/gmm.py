@@ -249,6 +249,7 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0, start: GmmMod
     """
     require_integer("k_min", k_min)
     require_integer("k_max", k_max)
+    require_integer("seed", seed, 0)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot fit a mixture to an empty sample")

@@ -6,13 +6,22 @@ draws gas price and used gas from the mixtures, clamps used gas to
 [21000, block_limit], predicts CPU time from used gas, and flags conflicts by
 a Bernoulli draw.  Each drawn column has its own random stream, spawned from
 the caller's generator, so one column's draws never shift another's.
+
+Because the streams are independent, two columns are drawn at once: one
+worker thread draws the gas prices and the conflict flags while the calling
+thread draws used gas and predicts CPU time.  NumPy releases the GIL in
+those fills and ufuncs, so the two overlap on two cores, and every column
+keeps the bits of a serial draw.  The worker is started on the first draw
+and dropped in a forked child, which starts its own on its first draw.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from verisim import gmm
 from verisim.fields import require_finite, require_integer, require_object
 from verisim.forest import ForestModel, fit_forest, fit_rfr
 from verisim.gmm import GmmModel, fit_gmm, sample_gmm_with
@@ -163,6 +172,42 @@ def empty_columns(n: int) -> dict:
     }
 
 
+# the one worker thread that draws each sample's gas prices and conflict flags
+_worker = None
+
+
+def _drop_worker():
+    """Forget the worker: its thread does not survive a fork, so a child that
+    submitted to it would wait for ever."""
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _submit(fn, *args):
+    global _worker
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = ThreadPoolExecutor(1, thread_name_prefix="verisim-sample")
+    return _worker.submit(fn, *args)
+
+
+def _draw_prices_and_flags(price_model, n, conflict_rate, price_rng, conflict_rng, gas_price, conflicting):
+    """The worker's columns.  The conflict uniforms are drawn into
+    ``gas_price``, which the price draw then overwrites.  The price is drawn
+    through the ``gmm`` module, not this module's ``sample_gmm_with``, so a
+    wrapper that times that name on the calling thread never runs here."""
+    if conflict_rate > 0:
+        np.less(conflict_rng.random(n, out=gas_price), conflict_rate, out=conflicting)
+    else:
+        conflicting.fill(False)
+    gmm.sample_gmm_with(price_model, n, price_rng, out=gas_price)
+
+
 def sample_transaction_arrays(
     workload: FittedWorkload,
     n: int,
@@ -179,10 +224,18 @@ def sample_transaction_arrays(
     the gas price, the used gas and the conflict flags.  At ``conflict_rate``
     0 no flag is drawn.
 
+    The module's worker thread draws ``gas_price`` and ``conflicting`` while
+    the calling thread draws ``used_gas`` and predicts ``cpu_time``; each
+    column has the bits of drawing it alone from its child.  The call waits
+    for the worker before it returns or raises, and an error in either
+    thread's draw is raised here.
+
     ``out`` maps the four column names to arrays of n, typed as
     :func:`empty_columns` makes them, that receive the draws, and is
     returned; None allocates them.  Every step runs in those arrays, with
     the bits of the out-of-place ``clip(rint(draw), ...).astype(np.int64)``.
+    Two columns serve as scratch before they are filled: the conflict
+    uniforms land in ``gas_price`` and the raw used gas in ``cpu_time``.
     """
     require_integer("n", n)
     require_finite("conflict_rate", conflict_rate, 0, 1)
@@ -190,17 +243,18 @@ def sample_transaction_arrays(
     if out is None:
         out = empty_columns(n)
     price_rng, gas_rng, conflict_rng = rng.spawn(3)
-    # cpu_time is scratch until the forest fills it: first the conflict
-    # uniforms, then the raw used gas
-    scratch = out["cpu_time"]
-    if conflict_rate > 0:
-        np.less(conflict_rng.random(n, out=scratch), conflict_rate, out=out["conflicting"])
-    else:
-        out["conflicting"].fill(False)
-    sample_gmm_with(workload.gas_price_model, n, price_rng, out=out["gas_price"])
-    raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng, out=scratch)
-    np.rint(raw_gas, out=raw_gas)
-    np.clip(raw_gas, MIN_TX_GAS, limit, out=raw_gas)
-    np.copyto(out["used_gas"], raw_gas, casting="unsafe")
-    workload.cpu_time_model.predict(out["used_gas"], out=out["cpu_time"])
+    drawn = _submit(_draw_prices_and_flags, workload.gas_price_model, n, conflict_rate,
+                    price_rng, conflict_rng, out["gas_price"], out["conflicting"])
+    try:
+        # cpu_time is scratch for the raw used gas until the forest fills it
+        raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng, out=out["cpu_time"])
+        np.rint(raw_gas, out=raw_gas)
+        np.clip(raw_gas, MIN_TX_GAS, limit, out=raw_gas)
+        np.copyto(out["used_gas"], raw_gas, casting="unsafe")
+        workload.cpu_time_model.predict(out["used_gas"], out=out["cpu_time"])
+    finally:
+        # the worker writes into out: wait for it even when this draw raised
+        worker_error = drawn.exception()
+    if worker_error is not None:
+        raise worker_error
     return out

@@ -67,6 +67,9 @@ class TestFitRfr:
             (dict(s_grid=[4.0]), "s_grid"),
             (dict(folds=2.5), "folds"),
             (dict(folds=1), "folds"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=1.5), "seed"),
+            (dict(seed=True), "seed"),
         ],
     )
     def test_bad_sizes_named_before_any_tree(self, monkeypatch, sizes, field):
@@ -91,6 +94,16 @@ class TestFitRfr:
         xs, ys = monotone_sample(50, seed=22)
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             fit_forest(xs, ys, tree_count, split_budget)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_forest_seed_named_before_any_tree(self, monkeypatch, seed):
+        def grow(*args):
+            raise AssertionError("a tree was grown before the seed was checked")
+
+        monkeypatch.setattr(forest, "_grow_tree", grow)
+        xs, ys = monotone_sample(50, seed=22)
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            fit_forest(xs, ys, 2, 4, seed=seed)
 
     def test_one_cell_grid_grows_no_tree(self, monkeypatch):
         def grow(*args):

@@ -64,6 +64,15 @@ class TestFitGmm:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             fit_gmm(two_component_sample(200, seed=1), k_min, k_max, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_named_before_any_em_run(self, monkeypatch, seed):
+        def em(*args):
+            raise AssertionError("an EM run started before the seed was checked")
+
+        monkeypatch.setattr(gmm, "_em_once", em)
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            fit_gmm(two_component_sample(200, seed=1), 1, 2, seed=seed)
+
     def test_information_criteria_formulas(self):
         values = two_component_sample(800, seed=5)
         m = fit_gmm(values, 2, 2, seed=6)

@@ -23,7 +23,7 @@ from perfbench.workloads import TINY, WORKLOADS
 # work there, not only resolve the names
 BUSY = {
     "fit_reference": ("gmm.search_s", "kernels.best_split_calls"),
-    "sweep_128m_invalid": ("workload.txs_sampled", "sim.rejected_blocks"),
+    "sweep_128m_invalid": ("workload.txs_sampled", "gmm.sample_s", "sim.rejected_blocks"),
     "sweep_8m_parallel": ("kernels.lpt_calls", "blocks.parallel_self_s"),
     "sweep_8m_100miners": ("sim.fork_choice_calls",),
 }

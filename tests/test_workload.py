@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from verisim.workload import (
     MAX_BLOCK_LIMIT,
     MIN_TX_GAS,
     FittedWorkload,
+    empty_columns,
     fit_cpu_time_model,
     fit_workload,
     sample_transaction_arrays,
@@ -120,6 +124,94 @@ class TestOutBuffers:
             assert np.array_equal(out[k], col), k
         if block_limit is not None and mixture:
             assert np.any(fresh["used_gas"] > 8_000_000)
+
+
+def serial_reference(workload, n, conflict_rate, seed, block_limit=None):
+    """Each column drawn in this thread alone, from its child of ``rng.spawn(3)``."""
+    price_rng, gas_rng, conflict_rng = np.random.default_rng(seed).spawn(3)
+    limit = workload.block_limit if block_limit is None else block_limit
+    raw_gas = gmm.sample_gmm_with(workload.used_gas_model, n, gas_rng)
+    used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, limit).astype(np.int64)
+    return {
+        "used_gas": used_gas,
+        "gas_price": gmm.sample_gmm_with(workload.gas_price_model, n, price_rng),
+        "cpu_time": workload.cpu_time_model.predict(used_gas),
+        "conflicting": conflict_rng.random(n) < conflict_rate if conflict_rate > 0 else np.zeros(n, dtype=bool),
+    }
+
+
+def assert_same_columns(got, want):
+    assert got.keys() == want.keys()
+    for k, col in want.items():
+        assert got[k].dtype == col.dtype, k
+        assert np.array_equal(got[k], col), k
+
+
+class TestWorkerThread:
+    """The worker's columns keep the bits of a serial draw, and its errors reach the caller."""
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
+    @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
+    @pytest.mark.parametrize("into_out", [False, True], ids=["fresh", "out"])
+    def test_serial_bits(self, toy_wl, mixture, conflict_rate, into_out):
+        wl = toy_wl
+        if mixture:
+            wl = dataclasses.replace(toy_wl, used_gas_model=TestOutBuffers.MIXTURE,
+                                     gas_price_model=TestOutBuffers.PRICES)
+        out = empty_columns(4000) if into_out else None
+        for seed in (3, 4):
+            got = sample_transaction_arrays(wl, 4000, conflict_rate, np.random.default_rng(seed), out=out)
+            assert_same_columns(got, serial_reference(wl, 4000, conflict_rate, seed))
+
+    def test_worker_error_raised_and_next_call_draws(self, toy_wl, monkeypatch):
+        real = gmm.sample_gmm_with
+
+        def fail_on_price(model, *args, **kwargs):
+            if model is toy_wl.gas_price_model:
+                raise FloatingPointError("price draw failed")
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(gmm, "sample_gmm_with", fail_on_price)
+        with pytest.raises(FloatingPointError, match="price draw failed"):
+            sample(toy_wl, 1000, 0.4, seed=5)
+        monkeypatch.undo()
+        assert_same_columns(sample(toy_wl, 1000, 0.4, seed=5), serial_reference(toy_wl, 1000, 0.4, 5))
+
+    def test_caller_error_waits_for_the_worker(self, toy_wl, monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("used gas draw failed")
+
+        want = serial_reference(toy_wl, 200_000, 0.4, 6)
+        # the calling thread draws used gas through this module's name
+        monkeypatch.setattr("verisim.workload.sample_gmm_with", fail)
+        out = empty_columns(200_000)
+        with pytest.raises(FloatingPointError, match="used gas draw failed"):
+            sample_transaction_arrays(toy_wl, 200_000, 0.4, np.random.default_rng(6), out=out)
+        # read at once: a worker still drawing would show here
+        got = {k: out[k].copy() for k in ("gas_price", "conflicting")}
+        for k, col in got.items():
+            assert np.array_equal(col, want[k]), k
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_the_same_bits(self, toy_wl):
+        # the parent's first draw starts the worker, whose thread the child lacks
+        before = sample(toy_wl, 5000, 0.4, seed=7)
+        pid = os.fork()
+        if pid == 0:
+            status = 2
+            try:
+                again = sample(toy_wl, 5000, 0.4, seed=7)
+                status = 0 if all(np.array_equal(again[k], before[k]) for k in before) else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's draw did not finish in 20 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestColumnStreams:
