@@ -126,12 +126,11 @@ class TestOutBuffers:
             assert np.any(fresh["used_gas"] > 8_000_000)
 
 
-def serial_reference(workload, n, conflict_rate, seed, block_limit=None):
+def serial_reference(workload, n, conflict_rate, seed):
     """Each column drawn in this thread alone, from its child of ``rng.spawn(3)``."""
     price_rng, gas_rng, conflict_rng = np.random.default_rng(seed).spawn(3)
-    limit = workload.block_limit if block_limit is None else block_limit
     raw_gas = gmm.sample_gmm_with(workload.used_gas_model, n, gas_rng)
-    used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, limit).astype(np.int64)
+    used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, workload.block_limit).astype(np.int64)
     return {
         "used_gas": used_gas,
         "gas_price": gmm.sample_gmm_with(workload.gas_price_model, n, price_rng),
