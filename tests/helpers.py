@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 
 import numpy as np
@@ -41,6 +42,19 @@ def toy_workload(cpu_per_gas: float = 2.5e-9, mean_gas: float = 50_000.0) -> Fit
     )
     forest = ForestModel(tree_count=1, split_budget=1, trees=[tree])
     return FittedWorkload(gas_price_model=price, used_gas_model=gas, cpu_time_model=forest)
+
+
+# a three-component used gas (a heavy tail above 8M) and a two-component price
+MIXTURE_GAS = GmmModel(k=3, weights=(0.6, 0.3, 0.1), means=(10.6, 11.9, 15.6), variances=(0.25, 0.25, 0.64),
+                       log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+MIXTURE_PRICES = GmmModel(k=2, weights=(0.4, 0.6), means=(-18.0, -17.0), variances=(0.1, 0.2),
+                          log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+
+
+def mixture_workload() -> FittedWorkload:
+    """The toy workload with mixture used gas and prices, so that each draw
+    picks components before its normals."""
+    return dataclasses.replace(toy_workload(), used_gas_model=MIXTURE_GAS, gas_price_model=MIXTURE_PRICES)
 
 
 def _oracle_best_split(x, y, w, lo, hi):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from tests.helpers import MIXTURE_GAS, MIXTURE_PRICES
 from verisim import gmm
 from verisim.cli import main as cli_main
 from verisim.dataio import generate_synthetic_dataset, load_dataset
@@ -96,10 +97,8 @@ class TestSampleTransactions:
 class TestOutBuffers:
     """Drawing into caller buffers gives the bits of drawing into fresh arrays."""
 
-    MIXTURE = GmmModel(k=3, weights=(0.6, 0.3, 0.1), means=(10.6, 11.9, 15.6), variances=(0.25, 0.25, 0.64),
-                       log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
-    PRICES = GmmModel(k=2, weights=(0.4, 0.6), means=(-18.0, -17.0), variances=(0.1, 0.2),
-                      log_likelihood=0.0, aic=0.0, bic=0.0, n=1)
+    MIXTURE = MIXTURE_GAS
+    PRICES = MIXTURE_PRICES
 
     @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
     @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
