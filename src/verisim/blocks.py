@@ -8,13 +8,19 @@ transactions across p processors (longest first, earliest-free processor)
 and runs conflicting ones sequentially afterwards.
 
 ``TxStream`` packs on demand, a few blocks ahead of its caller, in batches:
-each block end is one binary search over cumulative gas, and a batch's
-totals are read off the cumulative sums in a few vectorised gathers, so the
-per-block path does no array work.  A stream is made with the processor
-count its caller prices at, and prices each batch as soon as it is packed:
-on one processor a block's time is its sequential time, and on p > 1 one
-``lpt_makespan`` call prices the whole batch.  A block is a small dict of
+each block end is one ``bisect_right`` over a memoryview of the cumulative
+gas, bounded to the rows a block can hold, and a batch's totals are read
+off the cumulative sums in a few vectorised gathers, so the per-block path
+does no array work.  A stream is made with the processor count its caller
+prices at, and prices each batch as soon as it is packed: on one processor
+a block's time is its sequential time, and on p > 1 one ``lpt_makespan``
+call prices the whole batch.  A block is a small dict of
 numbers: its totals, its first row and its time.
+
+Each refill's used-gas normals are drawn one refill ahead: after a refill
+the stream starts the next fill (``workload.start_fill``), and the sampler's
+worker thread draws that fill's normals into a staging buffer while the
+caller packs.
 
 The stream draws into one set of buffers, allocated when it is made, and
 refills them in place.  Prices are fixed at pack time, so a block's totals
@@ -23,11 +29,21 @@ columns through ``start``, are valid until its caller takes the next block,
 since taking it may refill the buffers.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 
 from verisim import kernels
 from verisim.fields import require_finite, require_integer
-from verisim.workload import MIN_TX_GAS, FittedWorkload, check_block_limit, empty_columns, sample_transaction_arrays
+from verisim.workload import (
+    MIN_TX_GAS,
+    FittedWorkload,
+    check_block_limit,
+    empty_columns,
+    require_jumpable,
+    sample_transaction_arrays,
+    start_fill,
+)
 
 # transactions drawn per refill, unless a block limit needs more
 CHUNK_TXS = 1 << 16
@@ -69,10 +85,21 @@ class TxStream:
 
     Equivalent to sampling transactions freshly per block (the stream is iid),
     but amortises the draws; cumulative sums make per-block packing a single
-    binary search.  Each refill spawns fresh per-column streams from ``rng``
-    (see ``sample_transaction_arrays``), so ``rng`` must carry a
-    ``SeedSequence``; a refill draws gas prices and conflict flags on the
-    sampler's worker thread, beside its used-gas draw, with the same bits.
+    binary search.  Each fill has fresh per-column streams spawned from
+    ``rng`` (see ``sample_transaction_arrays``), in the order of the fills.
+    The first fill is drawn whole at the first refill.  Each refill then
+    starts the next fill (``workload.start_fill``): it spawns that fill's
+    streams, and the sampler's worker thread draws its used-gas standard
+    normals into ``_normals``, a float64 buffer of ``chunk`` rows, from a
+    copy of the used-gas stream jumped past the fill's component uniforms.
+    At the next refill the worker draws gas prices and conflict flags while
+    the caller waits for the staged normals, draws the component uniforms,
+    scales the normals, rounds, clips and predicts; a forked child, whose
+    worker is gone, draws the staged normals itself.  Every bit is that of
+    drawing each fill whole.  So ``rng`` must be a ``Generator`` on PCG64 or
+    PCG64DXSM with a ``SeedSequence`` (``workload.require_jumpable``), as
+    ``np.random.default_rng`` makes; anything else is rejected before the
+    stream allocates.
 
     A refill happens exactly when fewer than ``max_block_txs`` rows remain
     unread, and the unread tail is kept in front of the fresh rows.  The
@@ -81,13 +108,14 @@ class TxStream:
     and the fresh rows apart, would change them.
 
     The stream allocates all its buffers once, in ``__init__``: one column
-    set of ``max_block_txs + chunk`` rows and one buffer per cumulative sum
+    set of ``max_block_txs + chunk`` rows, one buffer per cumulative sum
     (of gas, fees and CPU time, and, when c > 0 and p > 1, of the conflicting
-    transactions' CPU time).  A refill copies the unread tail to the front
-    of the set and draws the fresh chunk straight behind it; the copy never
-    overlaps, since the tail is shorter than ``max_block_txs`` and starts
-    past ``chunk - max_block_txs >= 3 * max_block_txs``.  Each product is
-    summed in place in its cumulative sum's buffer.  So a refill allocates
+    transactions' CPU time) and the staged normals.  A refill copies the
+    unread tail to the front of the set and draws the fresh chunk straight
+    behind it; the copy never overlaps, since the tail is shorter than
+    ``max_block_txs`` and starts past ``chunk - max_block_txs >= 3 *
+    max_block_txs``.  Each product is summed in place in its cumulative
+    sum's buffer.  So a refill allocates
     no column, and a block's rows, from ``start`` on in the columns, are
     valid only until its caller takes the next block.
 
@@ -114,7 +142,7 @@ class TxStream:
         require_finite("conflict_rate", conflict_rate, 0, 1)
         self._wl = workload
         self._c = conflict_rate
-        self._rng = rng
+        self._rng = require_jumpable(rng)
         self._limit = check_block_limit(block_limit)
         # packing can never consume more transactions than this per block
         self._max_block_txs = self._limit // MIN_TX_GAS + 2
@@ -122,8 +150,13 @@ class TxStream:
         size = self._max_block_txs + self._chunk
         self._cols = empty_columns(size)
         self._sums = [np.empty(size + 1, dtype=np.int64), np.empty(size + 1), np.empty(size + 1)]
+        # the block search reads Python ints off the cumulative gas
+        self._gas_view = memoryview(self._sums[0])
         # only a parallel price reads the conflicting transactions' total
         self._serial_sum = np.empty(size + 1) if conflict_rate > 0 and self._p > 1 else None
+        # the next fill's used-gas normals, drawn by the worker one refill ahead
+        self._normals = np.empty(self._chunk)
+        self._fill = None  # the next fill, once started; the first is drawn whole
         self._n = 0  # rows drawn into the columns
         self._cursor = 0
         self._handed = 0  # blocks handed out since the last refill
@@ -136,7 +169,8 @@ class TxStream:
             col[:tail] = col[cursor : self._n]
         n = self._n = tail + self._chunk
         fresh = {k: col[tail:n] for k, col in cols.items()}
-        sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit, out=fresh)
+        sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit, out=fresh, fill=self._fill)
+        self._fill = start_fill(self._wl, self._chunk, self._rng, self._normals)
         self._cursor = 0
         self._handed = 0
         used, cpu = cols["used_gas"][:n], cols["cpu_time"][:n]
@@ -154,15 +188,17 @@ class TxStream:
     def _pack(self):
         if self._n - self._cursor < self._max_block_txs:
             self._refill()
-        gas_c = self._gas_c
-        find = gas_c.searchsorted
+        gas_view = self._gas_view
+        width = self._max_block_txs
         # the last cursor from which a block can be packed before a refill
-        last = self._n - self._max_block_txs
+        last = self._n - width
         limit = self._limit
         cursor = self._cursor
         starts, ends = [], []
         for _ in range(max(1, self._handed)):
-            end = int(find(gas_c[cursor] + limit, side="right")) - 1
+            # a block holds fewer than width transactions, so its end lies
+            # inside [cursor, cursor + width), all of it summed
+            end = bisect_right(gas_view, gas_view[cursor] + limit, cursor, cursor + width) - 1
             starts.append(cursor)
             ends.append(end)
             # skip the first overflowing transaction: packing stops there
@@ -172,6 +208,7 @@ class TxStream:
         self._cursor = cursor
         self._handed += len(starts)
         s, e = np.asarray(starts), np.asarray(ends)
+        gas_c = self._gas_c
         gas = (gas_c.take(e) - gas_c.take(s)).tolist()
         fee = (self._fee_c.take(e) - self._fee_c.take(s)).tolist()
         seq = (self._cpu_c.take(e) - self._cpu_c.take(s)).tolist()

@@ -308,7 +308,13 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0, start: GmmMod
     return best_model
 
 
-def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+def sample_gmm_with(
+    model: GmmModel,
+    n: int,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    normals: np.ndarray | None = None,
+) -> np.ndarray:
     """Draw n positive values: pick a component by weight, draw the normal, exponentiate.
 
     A one-component model draws no component: its values, and the
@@ -318,7 +324,14 @@ def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator, out: np.n
     made without those calls' per-call overhead.  The component of a uniform
     u is the number of CDF edges at or below it, counted edge by edge: the
     ``searchsorted(cdf, u, side="right")`` of ``choice``, without its binary
-    search.
+    search.  So ``rng`` gives n uniforms (none when K = 1), then n standard
+    normals.
+
+    ``normals``, if given, is a float64 array of the n standard normals that
+    ``rng`` would give after its uniforms, drawn beforehand from a copy of
+    ``rng`` jumped past them (``bit_generator.advance(n)`` on a PCG64 when
+    K > 1; no jump when K = 1).  Then only the uniforms are drawn here, and
+    the values have the same bits; ``rng`` is left n normals short.
 
     The draws land in ``out`` (a float64 array of n, fresh if None), which is
     returned.  The normal is scaled, shifted and exponentiated there in
@@ -326,20 +339,20 @@ def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator, out: np.n
     """
     if out is None:
         out = np.empty(n)
-    if model.k == 1:
-        z = rng.standard_normal(n, out=out)
-        z *= np.sqrt(model.variances[0])
-        z += model.means[0]
-        return np.exp(z, out=z)
-    cdf = np.cumsum(model.weights)
-    cdf /= cdf[-1]
-    u = rng.random(n, out=out)
-    comps = np.zeros(n, dtype=np.intp)
-    for edge in cdf[:-1]:
-        comps += u >= edge
     means = np.asarray(model.means)
     sds = np.sqrt(np.asarray(model.variances))
-    z = rng.standard_normal(n, out=out)
-    z *= sds.take(comps)
+    comps = 0  # a one-component model's every draw
+    if model.k > 1:
+        cdf = np.cumsum(model.weights)
+        cdf /= cdf[-1]
+        u = rng.random(n, out=out)
+        comps = np.zeros(n, dtype=np.intp)
+        for edge in cdf[:-1]:
+            comps += u >= edge
+    if normals is None:
+        z = rng.standard_normal(n, out=out)
+        z *= sds.take(comps)
+    else:
+        z = np.multiply(normals, sds.take(comps), out=out)
     z += means.take(comps)
     return np.exp(z, out=z)

@@ -13,6 +13,14 @@ thread draws used gas and predicts CPU time.  NumPy releases the GIL in
 those fills and ufuncs, so the two overlap on two cores, and every column
 keeps the bits of a serial draw.  The worker is started on the first draw
 and dropped in a forked child, which starts its own on its first draw.
+
+A caller that knows its next draw can start it early (``start_fill``): the
+draw's streams are spawned at once, and the worker draws its used-gas
+standard normals from a copy of the used-gas stream jumped past the
+component uniforms that come before them (PCG64 jumps ahead by any count in
+O(log n) steps).  The later call then draws only the uniforms and scales the
+staged normals, with the same bits.  A job that overlaps the caller's Python
+code is one NumPy call: each further call would wait for the GIL behind it.
 """
 
 import json
@@ -172,7 +180,8 @@ def empty_columns(n: int) -> dict:
     }
 
 
-# the one worker thread that draws each sample's gas prices and conflict flags
+# the one worker thread that draws each sample's gas prices and conflict
+# flags, and a started fill's used-gas normals
 _worker = None
 
 
@@ -196,6 +205,59 @@ def _submit(fn, *args):
     return _worker.submit(fn, *args)
 
 
+# bit generators whose ``advance(n)`` skips n 64-bit draws, which is n
+# uniforms; Philox's counts blocks of four, and MT19937 and SFC64 have none
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def require_jumpable(rng) -> np.random.Generator:
+    """``rng`` if ``start_fill`` can use it: a ``Generator`` on PCG64 or
+    PCG64DXSM that carries a ``SeedSequence``, as ``np.random.default_rng``
+    makes; anything else raises a ValueError that names ``rng``."""
+    bits = getattr(rng, "bit_generator", None)
+    if not (isinstance(rng, np.random.Generator) and isinstance(bits, _JUMPABLE)
+            and isinstance(bits.seed_seq, np.random.SeedSequence)):
+        got = type(rng).__name__ + (f"({type(bits).__name__})" if bits is not None else "")
+        raise ValueError("rng must be a numpy Generator on PCG64 or PCG64DXSM with a SeedSequence "
+                         f"to spawn, as np.random.default_rng(seed) makes, got {got}")
+    return rng
+
+
+def _normals_stream(model: GmmModel, n: int, gas_rng: np.random.Generator) -> np.random.Generator:
+    """A fresh copy of the used-gas child ``gas_rng``, which has drawn nothing
+    yet, jumped past the n component uniforms that a K > 1 draw takes first:
+    it gives that draw's n normals."""
+    bits = type(gas_rng.bit_generator)(gas_rng.bit_generator.seed_seq)
+    if model.k > 1:
+        bits.advance(n)
+    return np.random.Generator(bits)
+
+
+def start_fill(workload: FittedWorkload, n: int, rng: np.random.Generator, staging: np.ndarray) -> tuple:
+    """Start the next ``sample_transaction_arrays`` call on ``rng`` for n
+    transactions: spawn its three column streams, as that call would, and
+    have the worker draw its n used-gas normals into ``staging`` (float64,
+    n) at once, from a jumped copy of the used-gas child.  The result is
+    that call's ``fill``; ``staging`` must stay untouched until it returns.
+    The job is one NumPy call, so it holds the GIL only to start and end.
+    ``rng`` must pass ``require_jumpable``."""
+    streams = rng.spawn(3)
+    draw = _normals_stream(workload.used_gas_model, n, streams[1]).standard_normal
+    return streams, staging, _submit(draw, n, np.float64, staging), _worker
+
+
+def _staged_normals(fill: tuple, model: GmmModel, n: int) -> np.ndarray:
+    """The started fill's normals, once the worker has drawn them.  In a
+    forked child the parent's worker is gone, so they are drawn here from a
+    fresh jumped copy, with the same bits."""
+    (_, gas_rng, _), staging, drawn, worker = fill
+    if worker is _worker:
+        drawn.result()
+    else:
+        _normals_stream(model, n, gas_rng).standard_normal(n, out=staging)
+    return staging
+
+
 def _draw_prices_and_flags(price_model, n, conflict_rate, price_rng, conflict_rng, gas_price, conflicting):
     """The worker's columns.  The conflict uniforms are drawn into
     ``gas_price``, which the price draw then overwrites.  The price is drawn
@@ -215,6 +277,7 @@ def sample_transaction_arrays(
     rng: np.random.Generator,
     block_limit: int | None = None,
     out: dict | None = None,
+    fill: tuple | None = None,
 ) -> dict:
     """Draw n synthetic transactions as columns: ``used_gas``, ``gas_price``,
     ``cpu_time`` and ``conflicting``, one array each.
@@ -230,6 +293,12 @@ def sample_transaction_arrays(
     for the worker before it returns or raises, and an error in either
     thread's draw is raised here.
 
+    ``fill``, if given, is what ``start_fill(workload, n, rng, staging)``
+    returned: the call then takes its three streams from it instead of
+    spawning them, and its used-gas normals from ``staging``, once the
+    worker has drawn them, with the same bits.  An error in that staged draw
+    is raised here.
+
     ``out`` maps the four column names to arrays of n, typed as
     :func:`empty_columns` makes them, that receive the draws, and is
     returned; None allocates them.  Every step runs in those arrays, with
@@ -242,12 +311,13 @@ def sample_transaction_arrays(
     limit = workload.block_limit if block_limit is None else check_block_limit(block_limit)
     if out is None:
         out = empty_columns(n)
-    price_rng, gas_rng, conflict_rng = rng.spawn(3)
+    price_rng, gas_rng, conflict_rng = rng.spawn(3) if fill is None else fill[0]
     drawn = _submit(_draw_prices_and_flags, workload.gas_price_model, n, conflict_rate,
                     price_rng, conflict_rng, out["gas_price"], out["conflicting"])
     try:
+        normals = None if fill is None else _staged_normals(fill, workload.used_gas_model, n)
         # cpu_time is scratch for the raw used gas until the forest fills it
-        raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng, out=out["cpu_time"])
+        raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng, out=out["cpu_time"], normals=normals)
         np.rint(raw_gas, out=raw_gas)
         np.clip(raw_gas, MIN_TX_GAS, limit, out=raw_gas)
         np.copyto(out["used_gas"], raw_gas, casting="unsafe")

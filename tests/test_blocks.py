@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.helpers import mixture_workload
 from tests.test_kernels import lpt_oracle
-from verisim import kernels
+from verisim import kernels, workload
 from verisim.blocks import CHUNK_TXS, TxStream, _parallel_time, measure_verification_times
 from verisim.workload import MAX_BLOCK_LIMIT
 
@@ -34,6 +39,13 @@ def first_block(workload, block_limit, seed):
     """A fresh stream and the first block it hands out."""
     stream = TxStream(workload, 0.0, np.random.default_rng(seed), block_limit)
     return stream, stream.next_block_txs()
+
+
+class FixedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed source that gives fixed words and cannot spawn."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.arange(1, n_words + 1, dtype=dtype)
 
 
 class TestBuildBlock:
@@ -120,8 +132,10 @@ class TestTxStreamPacking:
     @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
     def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
         # the stream's buffers are allocated once and refilled in place: one
-        # column set and the cumulative sums held 3.8 MB at 8M and 3.5 MB at
-        # 128M, where a second column set would put either past 5.4 MB
+        # column set, the cumulative sums and the staged normals held 4.49 MB
+        # at 8M and 4.04 MB at 128M when this test runs alone (0.09 MB of it
+        # the worker's first import), where a second column set would put
+        # either past 5.8 MB
         toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
         tracemalloc.start()
         try:
@@ -163,6 +177,94 @@ class TestTxStreamPacking:
         monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
         with pytest.raises(ValueError, match="^conflict_rate must"):
             TxStream(toy_wl, conflict_rate, np.random.default_rng(0), 8_000_000)
+
+    @pytest.mark.parametrize("rng", [
+        np.random.Generator(np.random.PCG64(FixedSeed())),  # no SeedSequence to spawn
+        np.random.Generator(np.random.MT19937(1)),  # no advance
+        np.random.Generator(np.random.Philox(1)),  # advance counts blocks of four draws
+        np.random.RandomState(1),
+        None,
+    ], ids=["unspawnable", "mt19937", "philox", "randomstate", "none"])
+    def test_rng_rejected_before_allocating(self, toy_wl, monkeypatch, rng):
+        def allocate(*args, **kwargs):
+            raise AssertionError("the stream allocated before rng was checked")
+
+        monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator on PCG64"):
+            TxStream(toy_wl, 0.0, rng, 8_000_000)
+
+
+class Failing:
+    """A normals stream whose draw raises."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise FloatingPointError("staged draw failed")
+
+
+class TestStagedNormals:
+    """Each refill's used-gas normals are drawn one refill ahead on the
+    sampler's worker; the blocks keep their bits."""
+
+    @pytest.mark.parametrize("limit, n", [(8_000_000, 6_000), (128_000_000, 1_000)])
+    def test_staged_draw_error_reaches_the_refill_that_consumes_it(self, monkeypatch, limit, n):
+        # about 4,000 blocks per refill with the mixture at 8M and 420 at 128M
+        wl = mixture_workload()
+        want = measure_verification_times(wl, limit, n, seed=4, p=4, conflict_rate=0.4)
+        monkeypatch.setattr("verisim.workload._normals_stream", lambda *args: Failing())
+        stream = TxStream(wl, 0.4, np.random.default_rng(4), limit, 4)
+        got = []
+        with pytest.raises(FloatingPointError, match="staged draw failed"):
+            for _ in range(n):
+                got.append(stream.next_block_txs()["time"])
+        # the first fill is drawn whole, so its blocks came out before the
+        # second fill, the first staged one, raised
+        assert 0 < len(got) < n
+        assert got == want[: len(got)].tolist()
+        monkeypatch.undo()
+        assert np.array_equal(measure_verification_times(wl, limit, n, seed=4, p=4, conflict_rate=0.4), want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_continues_the_stream(self, monkeypatch):
+        wl, limit, n = mixture_workload(), 128_000_000, 1_000
+        want = measure_verification_times(wl, limit, n, seed=6, p=4, conflict_rate=0.4)
+        parent = os.getpid()
+        real = workload._normals_stream
+
+        class Held:
+            """The parent's staged draw waits until the child has forked, so
+            the child can only get its normals by drawing them itself."""
+
+            def __init__(self, *args):
+                self.draw = real(*args).standard_normal
+
+            def standard_normal(self, *args, **kwargs):
+                if os.getpid() == parent:
+                    released.wait()
+                return self.draw(*args, **kwargs)
+
+        released = threading.Event()
+        monkeypatch.setattr(workload, "_normals_stream", Held)
+        stream = TxStream(wl, 0.4, np.random.default_rng(6), limit, 4)
+        first = stream.next_block_txs()["time"]  # the first refill starts the second fill
+        pid = os.fork()
+        if pid == 0:
+            status = 2
+            try:
+                rest = [stream.next_block_txs()["time"] for _ in range(n - 1)]
+                status = 0 if [first, *rest] == want.tolist() else 1
+            finally:
+                os._exit(status)
+        released.set()
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not take its blocks in 20 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        # the parent's own stream goes on with the same bits
+        assert [first] + [stream.next_block_txs()["time"] for _ in range(n - 1)] == want.tolist()
 
 
 class TestVerificationTime:

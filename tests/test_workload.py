@@ -20,6 +20,7 @@ from verisim.workload import (
     fit_cpu_time_model,
     fit_workload,
     sample_transaction_arrays,
+    start_fill,
 )
 
 
@@ -210,6 +211,37 @@ class TestWorkerThread:
             os.waitpid(pid, 0)
             pytest.fail("the forked child's draw did not finish in 20 s")
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestStartedFill:
+    """A fill's used-gas normals, drawn ahead from a jumped copy of its
+    stream, give the bits of the plain draw."""
+
+    @pytest.mark.parametrize("model", [lognormal(5e4), MIXTURE_GAS], ids=["k1", "k3"])
+    def test_jumped_normals_give_the_plain_bits(self, model):
+        n = 5000
+        plain = gmm.sample_gmm_with(model, n, np.random.default_rng(3))
+        # a K > 1 draw takes n component uniforms, one 64-bit word each, first
+        bits = np.random.PCG64(3)
+        if model.k > 1:
+            bits.advance(n)
+        normals = np.random.Generator(bits).standard_normal(n)
+        staged = gmm.sample_gmm_with(model, n, np.random.default_rng(3), normals=normals)
+        assert np.array_equal(staged, plain)
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
+    @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
+    def test_started_fill_draws_the_serial_bits(self, toy_wl, mixture, conflict_rate):
+        wl = dataclasses.replace(toy_wl, used_gas_model=MIXTURE_GAS, gas_price_model=MIXTURE_PRICES) if mixture else toy_wl
+        rng, staging = np.random.default_rng(8), np.empty(4000)
+        fill = start_fill(wl, 4000, rng, staging)
+        got = sample_transaction_arrays(wl, 4000, conflict_rate, rng, fill=fill)
+        assert_same_columns(got, serial_reference(wl, 4000, conflict_rate, 8))
+        # the fill spawned the call's streams from rng, as the call would have
+        ref = np.random.default_rng(8)
+        sample_transaction_arrays(wl, 4000, conflict_rate, ref)
+        assert_same_columns(sample_transaction_arrays(wl, 4000, conflict_rate, rng),
+                            sample_transaction_arrays(wl, 4000, conflict_rate, ref))
 
 
 class TestColumnStreams:
