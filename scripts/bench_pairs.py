@@ -18,7 +18,8 @@ per-run values, median and quartiles, and how many pairs the change won,
 lost and tied, where winning follows the metric's ``better`` direction;
 beside them, each side's operation count per run, in seed order, since a
 metric such as ``peak_rss_mb`` can step with the number of operations that
-fit in a run.
+fit in a run, and each side's medians of the unadjusted values (``raw``)
+that ``run.py`` prints on its info line, before the host-canary scaling.
 ``claim`` applies the benchmark's rule for a claimed gain: the change wins
 at least nine pairs in ten, and the two medians differ by more than the
 parent's interquartile range.  Each run keeps the fingerprint and the host
@@ -52,6 +53,7 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -
         "attempted": result["attempted"],
         "failed": result["failed"],
         "operations": info["operations"],
+        "raw": info["raw"],
         "failures": info["failures"],
         "host_canary_ms": info["host_canary_ms"],
         "fingerprint": info["fingerprint"],
@@ -92,7 +94,10 @@ def summarise(label: str, seeds: range, bench: dict, runs: dict) -> dict:
         metrics = {m["name"]: compare(pairs, m["name"], m["better"]) for m in bench["end_to_end"]
                    if all(m["name"] in p[side]["metrics"] for p in pairs for side in SIDES)}
         operations = {side: [p[side]["operations"] for p in pairs] for side in SIDES}
-        workloads[name] = {"metrics": metrics, "operations": operations, "pairs": pairs}
+        raw = {side: {key: statistics.median(p[side]["raw"][key] for p in pairs)
+                      for key in pairs[0][side]["raw"] if all(key in p[side]["raw"] for p in pairs)}
+               for side in SIDES}
+        workloads[name] = {"metrics": metrics, "operations": operations, "raw_medians": raw, "pairs": pairs}
     return {
         "label": label,
         "command": bench["command"] + ["--workload", "W", "--seed", "S", "--seconds", str(bench["run_seconds"]), "--trace", "0"],

@@ -239,7 +239,7 @@ class TestStagedNormals:
 
             def standard_normal(self, *args, **kwargs):
                 if os.getpid() == parent:
-                    released.wait()
+                    released.wait(30)
                 return self.draw(*args, **kwargs)
 
         released = threading.Event()
