@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from tests.helpers import MIXTURE_GAS, MIXTURE_PRICES
+from tests.helpers import MIXTURE_GAS, mixture_workload
 from verisim import gmm
 from verisim.cli import main as cli_main
 from verisim.dataio import generate_synthetic_dataset, load_dataset
@@ -98,16 +98,11 @@ class TestSampleTransactions:
 class TestOutBuffers:
     """Drawing into caller buffers gives the bits of drawing into fresh arrays."""
 
-    MIXTURE = MIXTURE_GAS
-    PRICES = MIXTURE_PRICES
-
     @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
     @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
     @pytest.mark.parametrize("block_limit", [None, 64_000_000])
     def test_same_bits(self, toy_wl, mixture, conflict_rate, block_limit):
-        wl = toy_wl
-        if mixture:
-            wl = dataclasses.replace(toy_wl, used_gas_model=self.MIXTURE, gas_price_model=self.PRICES)
+        wl = mixture_workload() if mixture else toy_wl
         n = 5000
         # views into larger arrays, pre-filled so that an unwritten row shows
         out = {
@@ -153,10 +148,7 @@ class TestWorkerThread:
     @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
     @pytest.mark.parametrize("into_out", [False, True], ids=["fresh", "out"])
     def test_serial_bits(self, toy_wl, mixture, conflict_rate, into_out):
-        wl = toy_wl
-        if mixture:
-            wl = dataclasses.replace(toy_wl, used_gas_model=TestOutBuffers.MIXTURE,
-                                     gas_price_model=TestOutBuffers.PRICES)
+        wl = mixture_workload() if mixture else toy_wl
         out = empty_columns(4000) if into_out else None
         for seed in (3, 4):
             got = sample_transaction_arrays(wl, 4000, conflict_rate, np.random.default_rng(seed), out=out)
@@ -232,7 +224,7 @@ class TestStartedFill:
     @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
     @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
     def test_started_fill_draws_the_serial_bits(self, toy_wl, mixture, conflict_rate):
-        wl = dataclasses.replace(toy_wl, used_gas_model=MIXTURE_GAS, gas_price_model=MIXTURE_PRICES) if mixture else toy_wl
+        wl = mixture_workload() if mixture else toy_wl
         rng, staging = np.random.default_rng(8), np.empty(4000)
         fill = start_fill(wl, 4000, rng, staging)
         got = sample_transaction_arrays(wl, 4000, conflict_rate, rng, fill=fill)
