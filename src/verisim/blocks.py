@@ -138,6 +138,8 @@ class TxStream:
         block_limit: int,
         processors: int = 1,
     ):
+        if not isinstance(workload, FittedWorkload):
+            raise ValueError(f"workload must be a FittedWorkload, got {type(workload).__name__}")
         self._p = require_integer("processors", processors)
         require_finite("conflict_rate", conflict_rate, 0, 1)
         self._wl = workload

@@ -174,12 +174,27 @@ def _load_scenarios(path):
     return [ScenarioConfig.from_dict(raw)]
 
 
-def cmd_simulate(args) -> int:
-    from verisim.scenario import run_sweep
+def _sweep_inputs(args, comparable: bool = False) -> tuple:
+    """A sweep's scenarios and its one model, loaded once, and ``--out`` made, before any cell
+    runs; ``comparable`` rejects the cells the closed form cannot be compared against."""
+    import pathlib
+
+    from verisim.scenario import check_comparable
     from verisim.workload import FittedWorkload
 
     configs = _load_scenarios(args.config)
-    workload = FittedWorkload.load(args.workload) if args.workload else None
+    if comparable:
+        check_comparable(configs)
+    workload = FittedWorkload.load(args.workload)
+    if args.out:
+        pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
+    return configs, workload
+
+
+def cmd_simulate(args) -> int:
+    from verisim.scenario import run_sweep
+
+    configs, workload = _sweep_inputs(args)
     report = run_sweep(configs, workload, tv_blocks=args.tv_blocks)
     out = report.write(args.out)
     for cell in report.cells:
@@ -193,14 +208,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from verisim.scenario import check_comparable, run_sweep, validate_sweep
-    from verisim.workload import FittedWorkload
+    from verisim.scenario import run_sweep, validate_sweep
 
-    configs = _load_scenarios(args.config)
-    # both before any simulation runs
-    check_comparable(configs)
     require_finite("tolerance", args.tolerance, 0)
-    workload = FittedWorkload.load(args.workload) if args.workload else None
+    configs, workload = _sweep_inputs(args, comparable=True)
     report = run_sweep(configs, workload, tv_blocks=args.tv_blocks)
     failed = 0
     for cell, relative, passed in validate_sweep(report, args.tolerance):
@@ -260,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("simulate", allow_abbrev=False, help="run the simulation sweep from a config file")
     m.add_argument("--config", required=True)
-    m.add_argument("--workload", help="fitted-model JSON overriding the config's workload path")
+    m.add_argument("--workload", required=True, help="fitted-model JSON that every cell runs on")
     m.add_argument("--tv-blocks", type=int, default=400)
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_simulate)
 
     v = sub.add_parser("validate", allow_abbrev=False, help="compare simulation against the closed form")
     v.add_argument("--config", required=True)
-    v.add_argument("--workload")
+    v.add_argument("--workload", required=True, help="fitted-model JSON that every cell runs on")
     v.add_argument("--tolerance", type=float, default=0.25)
     v.add_argument("--tv-blocks", type=int, default=400)
     v.add_argument("--out")

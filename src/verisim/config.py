@@ -57,7 +57,6 @@ class ScenarioConfig:
     sim_duration: float = 3600.0
     runs: int = 20
     base_seed: int = 42
-    workload: str | None = None
 
     def __post_init__(self):
         check_block_limit(self.block_limit)
@@ -76,8 +75,6 @@ class ScenarioConfig:
             )
         require_integer("runs", self.runs, 1, MAX_RUNS)
         require_integer("base_seed", self.base_seed, 0)
-        if self.workload is not None and not isinstance(self.workload, str):
-            raise ValueError(f"workload must be a file path or null, got {self.workload!r}")
         check_lineup(self.miners)
         invalid = [m for m in self.miners if m.produces_invalid]
         if self.invalid_rate > 0:

@@ -20,7 +20,7 @@ from verisim.analytics import VerificationParams, reward_table
 from verisim.blocks import measure_verification_times, summary_stats
 from verisim.config import MAX_BLOCKS_PER_RUN, MAX_RUNS, ScenarioConfig
 from verisim.fields import require_integer
-from verisim.sim import SimResult, resolve_workload, run_simulation
+from verisim.sim import SimResult, run_simulation
 from verisim.workload import FittedWorkload
 
 # the coverage of the summary's confidence intervals
@@ -141,7 +141,7 @@ def ci_halfwidth(values: np.ndarray) -> float:
 
 def run_sweep(
     configs,
-    workload: FittedWorkload | None = None,
+    workload: FittedWorkload,
     tv_blocks: int = 400,
     tv_seed: int = 1,
 ) -> SweepReport:
@@ -150,17 +150,16 @@ def run_sweep(
     all_results = []
     cells = []
     for config_id, config in enumerate(configs):
-        wl = resolve_workload(config, workload)
         p = config.processors_for()
         # the closed form takes the same blocks' time on one processor
         seq = np.empty(tv_blocks, dtype=np.float64)
         tv_stats = summary_stats(
             measure_verification_times(
-                wl, config.block_limit, tv_blocks, seed=tv_seed, p=p, conflict_rate=config.c, seq_out=seq
+                workload, config.block_limit, tv_blocks, seed=tv_seed, p=p, conflict_rate=config.c, seq_out=seq
             )
         )
         seq_tv = float(seq.mean())
-        results = run_many(config, wl)
+        results = run_many(config, workload)
         all_results.append(results)
 
         closed = closed_form_gain(config, seq_tv)
@@ -253,8 +252,8 @@ def write_summary_csv(path, cells):
 
 
 def write_configs_json(path, configs):
-    """Full configuration fingerprints keyed by config_id: any results row is
-    reproducible in isolation from its config_id and seed."""
+    """Full configuration fingerprints keyed by config_id: on the model that
+    ``--workload`` named, any results row is reproducible from its config_id and seed."""
     payload = {str(i): cfg.to_dict() for i, cfg in enumerate(configs)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)

@@ -138,19 +138,8 @@ class SimResult:
     total_fees: float
 
 
-def resolve_workload(config: ScenarioConfig, workload: FittedWorkload | None = None) -> FittedWorkload:
-    """``workload`` if given, else the fitted-model file that ``config.workload`` names."""
-    if workload is not None:
-        return workload
-    if config.workload is None:
-        raise ValueError("workload: pass a fitted model or set the scenario's workload to a fitted-model file")
-    return FittedWorkload.load(config.workload)
-
-
-def run_simulation(config: ScenarioConfig, workload: FittedWorkload | None = None) -> SimResult:
-    """One deterministic simulation run at config.base_seed."""
-    workload = resolve_workload(config, workload)
-
+def run_simulation(config: ScenarioConfig, workload: FittedWorkload) -> SimResult:
+    """One deterministic simulation run at config.base_seed on the fitted model ``workload``."""
     root = np.random.SeedSequence(config.base_seed)
     mine_ss, tx_ss = root.spawn(2)
     rng_mine = np.random.default_rng(mine_ss)

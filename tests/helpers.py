@@ -57,6 +57,17 @@ def mixture_workload() -> FittedWorkload:
     return dataclasses.replace(toy_workload(), used_gas_model=MIXTURE_GAS, gas_price_model=MIXTURE_PRICES)
 
 
+def forbid_draws(monkeypatch) -> None:
+    """Make every generator ``np.random.default_rng`` returns fail on first
+    use, so a call that reaches one raises AssertionError, not its own error."""
+
+    class Undrawable:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} was used: a draw began before the inputs were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: Undrawable())
+
+
 def _oracle_best_split(x, y, w, lo, hi):
     """Best variance-reduction split of the segment [lo, hi) of x-sorted data,
     scanned over every row: ``(pos, gain)`` with [lo, pos) left, or (-1, 0.0)."""

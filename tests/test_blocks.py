@@ -132,11 +132,12 @@ class TestTxStreamPacking:
     @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
     def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
         # the stream's buffers are allocated once and refilled in place: one
-        # column set, the cumulative sums and the staged normals held 4.49 MB
-        # at 8M and 4.04 MB at 128M when this test runs alone (0.09 MB of it
-        # the worker's first import), where a second column set would put
-        # either past 5.8 MB
+        # column set, the cumulative sums and the staged normals held 4.31 MB
+        # at 8M and 4.04 MB at 128M when this test runs alone, where a second
+        # column set would put either past 5.8 MB
         toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
+        # and start the sampler's worker, whose first start imports concurrent.futures
+        workload.sample_transaction_arrays(toy_wl, 1, 0.0, np.random.default_rng(0))
         tracemalloc.start()
         try:
             stream = TxStream(toy_wl, c, np.random.default_rng(0), limit, p)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tests.helpers import forbid_draws
 from verisim import scenario
 from verisim.blocks import measure_verification_times
 from verisim.cli import _load_scenarios, main as cli_main
@@ -292,16 +293,16 @@ class TestCli:
             "sim_duration": 900.0,
             "runs": 3,
             "base_seed": 3,
-            "workload": str(model),
             "miners": [{"id": "skip", "alpha": 0.1, "verifies": False}]
             + [{"id": f"v{i}", "alpha": 0.1} for i in range(9)],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "runs"
-        assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "50", "--out", str(out)]) == 0
+        sweep = ["--config", str(cfg_path), "--workload", str(model), "--tv-blocks", "50"]
+        assert cli_main(["simulate", *sweep, "--out", str(out)]) == 0
         assert (out / "results.csv").exists()
-        code = cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50", "--tolerance", "5.0"])
+        code = cli_main(["validate", *sweep, "--tolerance", "5.0"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
@@ -315,18 +316,18 @@ class TestCli:
             "sim_duration": 900.0,
             "runs": 3,
             "base_seed": 3,
-            "workload": str(model),
             "miners": [{"id": "skip", "alpha": 0.1, "verifies": False}]
             + [{"id": f"v{i}", "alpha": 0.1} for i in range(9)],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        sweep = ["validate", "--config", str(cfg_path), "--workload", str(model), "--tv-blocks", "50"]
         # the default tolerance, 25 %, catches a parallel discount applied twice
-        assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50"]) == 0
+        assert cli_main(sweep) == 0
         assert "PASS config 0 (limit 32000000)" in capsys.readouterr().out
         cfg["miners"][1]["processors"] = 8
         cfg_path.write_text(json.dumps(cfg))
-        assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50", "--tolerance", "5.0"]) == 2
+        assert cli_main([*sweep, "--tolerance", "5.0"]) == 2
         assert "error: miners must not have ['processors']" in capsys.readouterr().err
 
     def test_validate_rejects_invalid_rate_before_simulating(self, cli_artifacts, tmp_path, capsys, monkeypatch):
@@ -337,8 +338,8 @@ class TestCli:
         _, _, model = cli_artifacts
         miners = standard_miners(10, nonverifier_alpha=0.1, invalid_rate=0.04)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config(miners=miners, invalid_rate=0.04, workload=str(model)).to_dict()))
-        assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50"]) == 2
+        cfg_path.write_text(json.dumps(small_config(miners=miners, invalid_rate=0.04).to_dict()))
+        assert cli_main(["validate", "--config", str(cfg_path), "--workload", str(model), "--tv-blocks", "50"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid_rate:")
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
@@ -349,7 +350,8 @@ class TestCli:
         monkeypatch.setattr(scenario, "run_sweep", sweep)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
-        assert cli_main(["validate", "--config", str(cfg_path), f"--tolerance={tolerance}"]) == 2
+        argv = ["validate", "--config", str(cfg_path), "--workload", str(tmp_path / "m.json"), f"--tolerance={tolerance}"]
+        assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: tolerance")
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
@@ -360,7 +362,8 @@ class TestCli:
         monkeypatch.setattr(scenario, "run_sweep", sweep)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(small_config(runs=1).to_dict(), runs=10**12)))
-        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        argv = [command, "--config", str(cfg_path), "--workload", str(tmp_path / "m.json"), "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: runs")
 
     def test_validate_failure_exit_code(self, cli_artifacts, tmp_path):
@@ -370,13 +373,13 @@ class TestCli:
             "sim_duration": 600.0,
             "runs": 2,
             "base_seed": 3,
-            "workload": str(model),
             "miners": [{"id": "skip", "alpha": 0.1, "verifies": False}]
             + [{"id": f"v{i}", "alpha": 0.1} for i in range(9)],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert cli_main(["validate", "--config", str(cfg_path), "--tv-blocks", "50", "--tolerance", "0.0"]) == 1
+        argv = ["validate", "--config", str(cfg_path), "--workload", str(model), "--tv-blocks", "50", "--tolerance", "0.0"]
+        assert cli_main(argv) == 1
 
     def test_fit_too_few_rows_for_folds(self, tmp_path, capsys, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -461,9 +464,10 @@ class TestCli:
         model = tmp_path / "toy.json"
         toy_wl.save(model)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config(mode=mode, c=0.4, p=4, runs=1, workload=str(model)).to_dict()))
+        cfg_path.write_text(json.dumps(small_config(mode=mode, c=0.4, p=4, runs=1).to_dict()))
         for tv_blocks in ("0", "10000001"):
-            argv = ["simulate", "--config", str(cfg_path), "--tv-blocks", tv_blocks, "--out", str(tmp_path / "o")]
+            argv = ["simulate", "--config", str(cfg_path), "--workload", str(model), "--tv-blocks", tv_blocks,
+                    "--out", str(tmp_path / "o")]
             assert cli_main(argv) == 2
             assert capsys.readouterr().err == f"error: --tv-blocks must be an integer in [1, 10000000], got {tv_blocks}\n"
 
@@ -476,6 +480,8 @@ class TestCli:
             "simulate": ["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")],
             "validate": ["validate", "--config", str(tmp_path / "c.json")],
         }[command]
+        if command != "analytic":
+            argv += ["--workload", str(tmp_path / "m.json")]
         assert cli_main([*argv, "--tv-blocks", tv_blocks]) == 2
         assert capsys.readouterr().err == f"error: --tv-blocks must be an integer in [1, 10000000], got {tv_blocks}\n"
 
@@ -504,7 +510,8 @@ class TestCli:
     def test_scenarios_not_a_list_of_objects(self, tmp_path, capsys, scenarios):
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps({"scenarios": scenarios}))
-        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        argv = ["simulate", "--config", str(cfg_path), "--workload", str(tmp_path / "m.json"), "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 2
         assert "error: scenarios:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k_range", [["--k-max", "0"]])
@@ -580,7 +587,8 @@ class TestCli:
         # retired flags are unrecognised, and never read as the prefix of another flag
         fit = ["fit", "--data", str(tmp_path / "txs.csv"), "--out", str(tmp_path / "m.json")]
         analytic = ["analytic", "--model", str(tmp_path / "m.json")]
-        sweep = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+        sweep = ["--config", str(tmp_path / "cfg.json"), "--workload", str(tmp_path / "m.json"),
+                 "--out", str(tmp_path / "o")]
         retired = [
             ([*fit, "--criterion", "bic"], "--criterion"),
             ([*analytic, "--mode", "parallel"], "--mode"),
@@ -620,14 +628,78 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_no_workload_anywhere(self, tmp_path, capsys, command):
+        # a scenario names no model: a sweep runs on --workload alone
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
-        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: workload:")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --workload" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-    def test_sweep_without_a_workload(self):
-        with pytest.raises(ValueError, match="^workload"):
-            run_sweep([small_config(runs=1)])
+    def test_sweep_without_a_workload(self, monkeypatch):
+        # a sweep takes the fitted model itself, checked before the first t_v draw
+        forbid_draws(monkeypatch)
+        for workload in (None, "model.json"):
+            with pytest.raises(ValueError, match=f"^workload must be a FittedWorkload, got {type(workload).__name__}$"):
+                run_sweep([small_config(runs=1)], workload)
+
+    @pytest.mark.parametrize("value", ["path", None, 5])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["single", "scenarios"])
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_scenario_workload_key_rejected_before_simulating(
+        self, toy_wl, tmp_path, capsys, monkeypatch, command, wrapped, value
+    ):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the scenario's workload key was rejected")
+
+        monkeypatch.setattr(scenario, "run_sweep", sweep)
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        cell = dict(small_config(runs=1).to_dict(), workload=str(model) if value == "path" else value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenarios": [cell]} if wrapped else cell))
+        argv = [command, "--config", str(cfg_path), "--workload", str(model), "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: configuration must not have ['workload']")
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_loads_its_model_once(self, toy_wl, tmp_path, monkeypatch):
+        from verisim.workload import FittedWorkload
+
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        loads = []
+        load = FittedWorkload.load.__func__
+
+        def counted(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(FittedWorkload, "load", classmethod(counted))
+        cells = [dict(small_config(runs=1, sim_duration=300.0).to_dict(), block_limit=limit)
+                 for limit in (8_000_000, 16_000_000, 32_000_000)]
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"scenarios": cells}))
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(cfg_path), "--workload", str(model), "--tv-blocks", "5", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert loads == [str(model)]
+        assert len(json.loads((out / "configs.json").read_text())) == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_out_under_a_file_rejected_before_simulating(self, toy_wl, tmp_path, capsys, monkeypatch, command):
+        def simulate(*args):
+            raise AssertionError("a cell was simulated before --out was made")
+
+        monkeypatch.setattr(scenario, "run_simulation", simulate)
+        model = tmp_path / "toy.json"
+        toy_wl.save(model)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(runs=1).to_dict()))
+        argv = [command, "--config", str(cfg_path), "--workload", str(model), "--out", str(model / "o")]
+        assert cli_main(argv) == 2
+        assert "Not a directory" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert cli_main(["fit", "--data", "/nonexistent.csv", "--out", "/tmp/x.json"]) == 2
@@ -640,7 +712,6 @@ class TestCli:
             "sim_duration": 600.0,
             "runs": 2,
             "base_seed": 3,
-            "workload": str(model),
             "miners": [{"id": "skip", "alpha": 0.1, "verifies": False}]
             + [{"id": f"v{i}", "alpha": 0.1} for i in range(9)],
         }
@@ -648,7 +719,8 @@ class TestCli:
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps({"scenarios": [base, two]}))
         out = tmp_path / "sweep_out"
-        assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "40", "--out", str(out)]) == 0
+        argv = ["simulate", "--config", str(cfg_path), "--workload", str(model), "--tv-blocks", "40", "--out", str(out)]
+        assert cli_main(argv) == 0
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 2 * 10
 
@@ -660,14 +732,14 @@ class TestCli:
             "sim_duration": 600.0,
             "runs": 3,
             "base_seed": 99,
-            "workload": str(model),
             "miners": [{"id": "skip", "alpha": 0.1, "verifies": False}]
             + [{"id": f"v{i}", "alpha": 0.1} for i in range(9)],
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
-        assert cli_main(["simulate", "--config", str(cfg_path), "--tv-blocks", "40", "--out", str(out)]) == 0
+        argv = ["simulate", "--config", str(cfg_path), "--workload", str(model), "--tv-blocks", "40", "--out", str(out)]
+        assert cli_main(argv) == 0
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 10
         assert rows[1].split(",")[1] == "99"

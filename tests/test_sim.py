@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import toy_workload
+from tests.helpers import forbid_draws, toy_workload
 from verisim import blocks
 from verisim.analytics import PowerProfile
 from verisim.cli import _load_scenarios
@@ -187,9 +187,12 @@ class TestRunSimulation:
             if m.verifies:
                 assert m.expected_fraction < m.alpha
 
-    def test_missing_workload_errors(self):
-        with pytest.raises(ValueError):
-            run_simulation(day_config(seed=11))
+    def test_missing_workload_errors(self, monkeypatch):
+        # a run takes the fitted model itself, checked before its first draw
+        forbid_draws(monkeypatch)
+        for workload in (None, "model.json", {}):
+            with pytest.raises(ValueError, match=f"^workload must be a FittedWorkload, got {type(workload).__name__}$"):
+                run_simulation(day_config(seed=11), workload)
 
 
 # values of the wrong type, and the non-finite floats, for any field
@@ -213,7 +216,6 @@ SCENARIO_EDGES = {
     "sim_duration": st.one_of(st.floats(-1.0, 600.0), st.integers(-1, 600)),
     "runs": st.one_of(st.integers(-1, 50), st.floats(0.0, 50.0)),
     "base_seed": st.one_of(st.integers(-5, 2**64), st.floats(-1.0, 10.0)),
-    "workload": st.text(max_size=5),
     "miners": st.lists(st.dictionaries(st.sampled_from(["id", "alpha"]), st.just(1.0)), max_size=2),
 }
 MINER_EDGES = {
@@ -297,7 +299,7 @@ class TestScenarioValidation:
         + [("p", 2.5), ("runs", 2.5), ("p", 16.0), ("runs", True)]
         + [("block_limit", 8e6), ("block_limit", math.nan), ("block_limit", True), ("block_limit", 20_999)]
         + [("base_seed", 1.5), ("base_seed", "x"), ("base_seed", -1), ("base_seed", False)]
-        + [("c", "0.4"), ("invalid_rate", None), ("workload", 5), ("miners", {"id": "solo"})]
+        + [("c", "0.4"), ("invalid_rate", None), ("miners", {"id": "solo"})]
         + [("miners", [{"id": "solo"}])]
         + [("block_limit", MAX_BLOCK_LIMIT + 1), ("runs", 10**12)],
     )

@@ -16,7 +16,7 @@ import pytest
 from tests.helpers import toy_workload
 from verisim.blocks import TxStream
 from verisim.config import MinerConfig, ScenarioConfig, standard_miners
-from verisim.sim import FIND_DRAWS, GENESIS, Head, _finalize, fork_choice, resolve_workload, run_simulation
+from verisim.sim import FIND_DRAWS, GENESIS, Head, _finalize, fork_choice, run_simulation
 
 # the fields that must keep their bits, per miner and per run
 MINER_EXACT = (
@@ -35,10 +35,8 @@ RUN_EXACT = ("seed", "total_blocks", "canonical_length", "stale_blocks", "reject
 EXPECTED_REL = 1e-12
 
 
-def reference_run(config, workload=None):
+def reference_run(config, workload):
     """The vector event loop: its result, and each miner's final busy-until."""
-    workload = resolve_workload(config, workload)
-
     root = np.random.SeedSequence(config.base_seed)
     mine_ss, tx_ss = root.spawn(2)
     rng_mine = np.random.default_rng(mine_ss)
