@@ -299,7 +299,7 @@ class TestScenarioValidation:
         + [("p", 2.5), ("runs", 2.5), ("p", 16.0), ("runs", True)]
         + [("block_limit", 8e6), ("block_limit", math.nan), ("block_limit", True), ("block_limit", 20_999)]
         + [("base_seed", 1.5), ("base_seed", "x"), ("base_seed", -1), ("base_seed", False)]
-        + [("c", "0.4"), ("invalid_rate", None), ("miners", {"id": "solo"})]
+        + [("c", "0.4"), ("invalid_rate", None), ("mode", 5), ("miners", {"id": "solo"})]
         + [("miners", [{"id": "solo"}])]
         + [("block_limit", MAX_BLOCK_LIMIT + 1), ("runs", 10**12)],
     )
