@@ -2,9 +2,11 @@
 
 For each case below (a workload at one block limit and conflict rate, seed
 11) the recorded file holds the number of blocks packed, a SHA-256 digest of
-every block's entry and the first three entries in clear.  An entry is
-``[tx_count, gas_used_total, repr(total_fee), repr(seq_time),
-repr(time)]`` from a stream priced at 4 processors.  With the toy workload,
+every block's entry, the first three entries in clear and a second digest
+over the integer fields alone.  An entry is ``[tx_count, gas_used_total,
+repr(total_fee), repr(seq_time), repr(time)]`` from a stream priced at 4
+processors; the second digest covers each block's ``[tx_count,
+gas_used_total, start]``.  With the toy workload,
 whose mixtures have one component each, the block counts cross at least one
 refill at 21000 (about 32,800 blocks per refill there), three at 8M (about
 465) and several at 128M (about 29).  The ``mix_`` cases use a
@@ -18,6 +20,7 @@ changes on purpose::
     PYTHONPATH=src python -m tests.test_pack_golden
 """
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -44,20 +47,21 @@ CASES = {
 }
 
 
-def _entries(workload, limit, c, n):
-    stream = TxStream(workload, c, np.random.default_rng(SEED), limit, 4)
-    entries = []
-    for _ in range(n):
-        b = stream.next_block_txs()
-        entries.append(
-            [b["tx_count"], b["gas_used_total"], repr(b["total_fee"]), repr(b["seq_time"]), repr(b["time"])]
-        )
-    return entries
+def _digest(entries) -> str:
+    return hashlib.sha256(json.dumps(entries).encode("utf-8")).hexdigest()
 
 
-def _summary(entries) -> dict:
-    digest = hashlib.sha256(json.dumps(entries).encode("utf-8")).hexdigest()
-    return {"blocks": len(entries), "sha256": digest, "head": entries[:HEAD]}
+@functools.cache
+def _summary(name) -> dict:
+    make, limit, c, n = CASES[name]
+    stream = TxStream(make(), c, np.random.default_rng(SEED), limit, 4)
+    blocks = [stream.next_block_txs() for _ in range(n)]
+    entries = [
+        [b["tx_count"], b["gas_used_total"], repr(b["total_fee"]), repr(b["seq_time"]), repr(b["time"])]
+        for b in blocks
+    ]
+    integers = [[b["tx_count"], b["gas_used_total"], b["start"]] for b in blocks]
+    return {"blocks": len(entries), "sha256": _digest(entries), "head": entries[:HEAD], "int_sha256": _digest(integers)}
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +71,16 @@ def golden():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name, golden):
-    make, *case = CASES[name]
-    assert _summary(_entries(make(), *case)) == golden[name]
+    assert _summary(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_integer_fields_match_golden(name, golden):
+    assert _summary(name)["int_sha256"] == golden[name]["int_sha256"]
 
 
 def record():
-    payload = {name: _summary(_entries(make(), *case)) for name, (make, *case) in CASES.items()}
+    payload = {name: _summary(name) for name in CASES}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 

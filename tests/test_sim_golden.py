@@ -1,7 +1,9 @@
 """Golden simulation results: the simulator must reproduce them bit for bit.
 
 The recorded file holds, for each named run below, the ``repr`` of every
-``SimResult`` field.  A change to the simulator's internals that keeps its
+``SimResult`` field.  A second file records every integer and bool field of
+each run in clear: its block counts and each miner's id, flags and block
+counts.  A change to the simulator's internals that keeps its
 semantics and its random draw order finds the same blocks in the same order,
 so every count, fee and fee or reward fraction keeps its bits.  Only
 ``expected_fraction`` may move, in its last digits, when the change reorders
@@ -24,6 +26,7 @@ from verisim.config import MinerConfig, ScenarioConfig, standard_miners
 from verisim.sim import SimResult, run_simulation
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "sim_golden.json"
+INTEGERS_PATH = GOLDEN_PATH.with_name("sim_golden_integers.json")
 
 
 def _config(miners, duration=7200.0, seed=42, block_limit=8_000_000, **kw):
@@ -62,9 +65,22 @@ def _fields(result: SimResult) -> dict:
     return {f.name: repr(getattr(result, f.name)) for f in dataclasses.fields(result)}
 
 
+def _integers(result: SimResult) -> dict:
+    """Every integer and bool field of a run: its counts, and each miner's
+    id, flags and block counts."""
+    miners = [[m.id, m.verifies, m.produces_invalid, m.found_blocks, m.canonical_blocks] for m in result.miners]
+    counts = ("seed", "total_blocks", "canonical_length", "stale_blocks", "rejected_blocks")
+    return {name: getattr(result, name) for name in counts} | {"miners": miners}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def golden_integers():
+    return json.loads(INTEGERS_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +95,11 @@ def test_matches_golden(name, golden, results):
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
+def test_integer_fields_match_golden(name, golden_integers, results):
+    assert _integers(results[name]) == golden_integers[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_no_stale_blocks(name, results):
     # every block of valid ancestry extends the one valid head, so none goes stale
     assert results[name].stale_blocks == 0
@@ -86,9 +107,11 @@ def test_no_stale_blocks(name, results):
 
 def record():
     wl = toy_workload()
-    payload = {name: _fields(run_simulation(cfg, wl)) for name, cfg in RUNS.items()}
+    results = {name: run_simulation(cfg, wl) for name, cfg in RUNS.items()}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for path, record_run in ((GOLDEN_PATH, _fields), (INTEGERS_PATH, _integers)):
+        payload = {name: record_run(result) for name, result in results.items()}
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
