@@ -311,12 +311,14 @@ K1 = mixture((1.0,), (10.8,), (0.9,))
 # the fitted used-gas shape: two near-point components at the clip bounds
 K6 = mixture((0.068, 0.21, 0.33, 0.25, 0.138, 0.004), (9.95, 10.6, 11.3, 12.1, 13.2, 15.9),
              (1e-8, 0.2, 0.35, 0.5, 0.8, 1e-8))
+# the most components a byte counts, and more than a byte can count
+K255, K257 = (mixture((1 / k,) * k, tuple(np.linspace(9.0, 16.0, k)), (0.1,) * k) for k in (255, 257))
 
 
 class TestSampleStream:
     """The simulator's golden results rest on this exact stream contract."""
 
-    @pytest.mark.parametrize("model", [K1, K6], ids=["k1", "k6"])
+    @pytest.mark.parametrize("model", [K1, K6, K255, K257], ids=["k1", "k6", "k255", "k257"])
     @pytest.mark.parametrize("n", [1, 7, 65_536])
     def test_matches_choice_then_normal(self, model, n):
         """K > 1 draws ``choice`` then ``normal``; K = 1 picks no component,
