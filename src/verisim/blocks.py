@@ -9,9 +9,10 @@ and runs conflicting ones sequentially afterwards.
 
 ``TxStream`` packs on demand, a few blocks ahead of its caller, in batches:
 each block end is one ``bisect_right`` over a memoryview of the cumulative
-gas, bounded to the rows a block can hold, and a batch's totals are read
-off the cumulative sums in a few vectorised gathers, so the per-block path
-does no array work.  A stream is made with the processor count its caller
+gas, the stream's one prefix sum, bounded to the rows a block can hold.  A
+batch's gas totals are read off that sum, and its other totals are sums of
+each block's own rows, one ``np.add.reduceat`` per column over the batch,
+so the per-block path does no array work.  A stream is made with the processor count its caller
 prices at, and prices each batch as soon as it is packed: on one processor
 a block's time is its sequential time, and on p > 1 one ``lpt_makespan``
 call prices the whole batch.  A block is a small dict of
@@ -29,6 +30,7 @@ columns through ``start``, are valid until its caller takes the next block,
 since taking it may refill the buffers.
 """
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -71,21 +73,12 @@ def _parallel_time(cols: dict, starts: np.ndarray, ends: np.ndarray, serial, p: 
     return makespans.tolist()
 
 
-def _cumsum0(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Cumulative sums with a leading 0 into ``out`` (one longer than
-    ``values``): rows [a, b) total ``c[b] - c[a]``.  ``values`` may be
-    ``out[1:]`` itself, summed in place."""
-    out[0] = 0
-    np.cumsum(values, out=out[1:])
-    return out
-
-
 class TxStream:
     """Chunked transaction sampler feeding greedy block packing.
 
     Equivalent to sampling transactions freshly per block (the stream is iid),
-    but amortises the draws; cumulative sums make per-block packing a single
-    binary search.  Each fill has fresh per-column streams spawned from
+    but amortises the draws; the cumulative gas makes per-block packing a
+    single binary search.  Each fill has fresh per-column streams spawned from
     ``rng`` (see ``sample_transaction_arrays``), in the order of the fills.
     The first fill is drawn whole at the first refill.  Each refill then
     starts the next fill (``workload.start_fill``): it spawns that fill's
@@ -102,32 +95,31 @@ class TxStream:
     stream allocates.
 
     A refill happens exactly when fewer than ``max_block_txs`` rows remain
-    unread, and the unread tail is kept in front of the fresh rows.  The
-    refill point fixes where each cumulative sum starts, so it fixes the bits
-    of every ``total_fee`` and ``seq_time``: moving it, or summing the tail
-    and the fresh rows apart, would change them.
+    unread, and the unread tail is kept in front of the fresh rows.  Only
+    the integer used-gas prefix sum spans a refill, and it is exact; a
+    block's ``total_fee``, ``seq_time`` and conflicting total are sums of its
+    own rows, so their bits depend on those rows alone, not on the refill
+    point or the batch.
 
     The stream allocates all its buffers once, in ``__init__``: one column
-    set of ``max_block_txs + chunk`` rows, one buffer per cumulative sum
-    (of gas, fees and CPU time, and, when c > 0 and p > 1, of the conflicting
-    transactions' CPU time) and the staged normals.  A refill copies the
-    unread tail to the front of the set and draws the fresh chunk straight
-    behind it; the copy never overlaps, since the tail is shorter than
-    ``max_block_txs`` and starts past ``chunk - max_block_txs >= 3 *
-    max_block_txs``.  Each product is summed in place in its cumulative
-    sum's buffer.  So a refill allocates
-    no column, and a block's rows, from ``start`` on in the columns, are
-    valid only until its caller takes the next block.
+    set of ``max_block_txs + chunk`` rows, the used-gas prefix sum and the
+    staged normals.  A refill copies the unread tail to the front of the set
+    and draws the fresh chunk straight behind it; the copy never overlaps,
+    since the tail is shorter than ``max_block_txs`` and starts past ``chunk
+    - max_block_txs >= 3 * max_block_txs``.  So a refill allocates no column,
+    and a block's rows, from ``start`` on in the columns, are valid only
+    until its caller takes the next block.
 
     Blocks are packed on demand: when none is waiting, the stream packs
-    ``max(1, blocks handed out since the refill)`` more, never past the next
-    refill point.  The batches double, so a short stream packs at most about
-    twice the blocks it hands out, and how many blocks a caller takes never
-    changes the blocks it gets.  Each new batch is priced at once on
+    ``max(1, blocks packed since the refill)`` more, never past the next
+    refill point nor past ``block_budget`` blocks in all, if given (one at a
+    time after it).  The batches double, so a short stream packs at most
+    about twice the blocks it hands out, and how many blocks a caller takes
+    never changes the blocks it gets.  Each new batch is priced at once on
     ``processors``, which fixes every block's ``time``: on one processor it
     is ``seq_time`` itself, and on more one ``_parallel_time`` call prices
-    the batch.  Each makespan keeps the bits of its block alone, so when a
-    batch is priced never changes a time.
+    the batch.  Each makespan keeps the bits of its block alone, so the
+    batch a block is priced in never changes a time.
     """
 
     def __init__(
@@ -137,10 +129,13 @@ class TxStream:
         rng: np.random.Generator,
         block_limit: int,
         processors: int = 1,
+        block_budget: int | None = None,
     ):
         if not isinstance(workload, FittedWorkload):
             raise ValueError(f"workload must be a FittedWorkload, got {type(workload).__name__}")
         self._p = require_integer("processors", processors)
+        # blocks left to pack before the batches shrink to one
+        self._budget = math.inf if block_budget is None else require_integer("block_budget", block_budget)
         require_finite("conflict_rate", conflict_rate, 0, 1)
         self._wl = workload
         self._c = conflict_rate
@@ -151,17 +146,16 @@ class TxStream:
         self._chunk = max(CHUNK_TXS, 4 * self._max_block_txs)
         size = self._max_block_txs + self._chunk
         self._cols = empty_columns(size)
-        self._sums = [np.empty(size + 1, dtype=np.int64), np.empty(size + 1), np.empty(size + 1)]
-        # the block search reads Python ints off the cumulative gas
-        self._gas_view = memoryview(self._sums[0])
-        # only a parallel price reads the conflicting transactions' total
-        self._serial_sum = np.empty(size + 1) if conflict_rate > 0 and self._p > 1 else None
+        # rows [a, b) hold used gas gas_c[b] - gas_c[a]
+        self._gas_c = np.zeros(size + 1, dtype=np.int64)
+        # the block search reads Python ints off it
+        self._gas_view = memoryview(self._gas_c)
         # the next fill's used-gas normals, drawn by the worker one refill ahead
         self._normals = np.empty(self._chunk)
         self._fill = None  # the next fill, once started; the first is drawn whole
         self._n = 0  # rows drawn into the columns
         self._cursor = 0
-        self._handed = 0  # blocks handed out since the last refill
+        self._handed = 0  # blocks packed since the last refill
         self._packed = []  # packed blocks not yet handed out, last one first
 
     def _refill(self):
@@ -175,17 +169,7 @@ class TxStream:
         self._fill = start_fill(self._wl, self._chunk, self._rng, self._normals)
         self._cursor = 0
         self._handed = 0
-        used, cpu = cols["used_gas"][:n], cols["cpu_time"][:n]
-        gas_c, fee_c, cpu_c = (s[: n + 1] for s in self._sums)
-        self._gas_c = _cumsum0(used, gas_c)
-        fee = np.multiply(used, cols["gas_price"][:n], out=fee_c[1:])
-        self._fee_c = _cumsum0(fee, fee_c)
-        self._cpu_c = _cumsum0(cpu, cpu_c)
-        self._serial_c = None
-        if self._serial_sum is not None:
-            serial_c = self._serial_sum[: n + 1]
-            serial = np.multiply(cpu, cols["conflicting"][:n], out=serial_c[1:])
-            self._serial_c = _cumsum0(serial, serial_c)
+        np.cumsum(cols["used_gas"][:n], out=self._gas_c[1 : n + 1])
 
     def _pack(self):
         if self._n - self._cursor < self._max_block_txs:
@@ -197,7 +181,7 @@ class TxStream:
         limit = self._limit
         cursor = self._cursor
         starts, ends = [], []
-        for _ in range(max(1, self._handed)):
+        for _ in range(max(1, min(self._handed, self._budget))):
             # a block holds fewer than width transactions, so its end lies
             # inside [cursor, cursor + width), all of it summed
             end = bisect_right(gas_view, gas_view[cursor] + limit, cursor, cursor + width) - 1
@@ -209,16 +193,23 @@ class TxStream:
                 break
         self._cursor = cursor
         self._handed += len(starts)
+        self._budget -= len(starts)
         s, e = np.asarray(starts), np.asarray(ends)
-        gas_c = self._gas_c
-        gas = (gas_c.take(e) - gas_c.take(s)).tolist()
-        fee = (self._fee_c.take(e) - self._fee_c.take(s)).tolist()
-        seq = (self._cpu_c.take(e) - self._cpu_c.take(s)).tolist()
+        gas = (self._gas_c.take(e) - self._gas_c.take(s)).tolist()
+        # every block holds a row, since used gas is clipped to the limit, so
+        # the bounds rise: block i sums at place 2i, and the overflowing row
+        # after it at 2i + 1
+        lo, hi = starts[0], ends[-1]
+        bounds = np.stack((s, e), axis=1).ravel()[:-1] - lo
+        cols = self._cols
+        cpu = cols["cpu_time"][lo:hi]
+        fee = np.add.reduceat(cols["used_gas"][lo:hi] * cols["gas_price"][lo:hi], bounds)[::2].tolist()
+        seq = np.add.reduceat(cpu, bounds)[::2].tolist()
         if self._p == 1:
             times = seq
         else:
-            serial = None if self._serial_c is None else self._serial_c.take(e) - self._serial_c.take(s)
-            times = _parallel_time(self._cols, s, e, serial, self._p)
+            serial = np.add.reduceat(cpu * cols["conflicting"][lo:hi], bounds)[::2] if self._c > 0 else None
+            times = _parallel_time(cols, s, e, serial, self._p)
         self._packed = [
             {
                 "tx_count": b - a,
@@ -232,7 +223,7 @@ class TxStream:
         ][::-1]
 
     def next_block_txs(self) -> dict:
-        """The next greedily packed block (may be empty).
+        """The next greedily packed block.
 
         Keys: ``tx_count``, ``gas_used_total``, ``total_fee``, ``seq_time``,
         the block's first row ``start`` and ``time``, its verification
@@ -267,7 +258,7 @@ def measure_verification_times(
     ):
         raise ValueError(f"seq_out must be a float64 array of n_blocks={n_blocks} entries, "
                          f"got {getattr(seq_out, 'dtype', type(seq_out).__name__)} of shape {np.shape(seq_out)}")
-    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, p)
+    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, p, n_blocks)
     times = np.empty(n_blocks, dtype=np.float64)
     for i in range(n_blocks):
         block = stream.next_block_txs()

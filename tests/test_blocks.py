@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import threading
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import mixture_workload
+from tests.helpers import mixture_workload, toy_workload
 from tests.test_kernels import lpt_oracle
-from verisim import kernels, workload
+from verisim import blocks, kernels, workload
 from verisim.blocks import CHUNK_TXS, TxStream, _parallel_time, measure_verification_times
 from verisim.workload import MAX_BLOCK_LIMIT
 
@@ -132,9 +133,9 @@ class TestTxStreamPacking:
     @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
     def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
         # the stream's buffers are allocated once and refilled in place: one
-        # column set, the cumulative sums and the staged normals held 4.31 MB
-        # at 8M and 4.04 MB at 128M when this test runs alone, where a second
-        # column set would put either past 5.8 MB
+        # column set, the cumulative gas and the staged normals held 2.73 MB
+        # at 8M and 2.90 MB at 128M when this test runs alone; a second
+        # column set would add 1.65 and 1.79 MB, which puts 128M past the bound
         toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
         # and start the sampler's worker, whose first start imports concurrent.futures
         workload.sample_transaction_arrays(toy_wl, 1, 0.0, np.random.default_rng(0))
@@ -193,6 +194,55 @@ class TestTxStreamPacking:
         monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
         with pytest.raises(ValueError, match="^rng must be a numpy Generator on PCG64"):
             TxStream(toy_wl, 0.0, rng, 8_000_000)
+
+
+    @pytest.mark.parametrize("budget", [0, -1, True, 2.0])
+    def test_block_budget_rejected_before_allocating(self, toy_wl, monkeypatch, budget):
+        def allocate(*args, **kwargs):
+            raise AssertionError("the stream allocated before the block budget was checked")
+
+        monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
+        with pytest.raises(ValueError, match="^block_budget must be an integer >= 1"):
+            TxStream(toy_wl, 0.0, np.random.default_rng(0), 8_000_000, 1, budget)
+
+
+class TestOwnRowSums:
+    # about 465 blocks per refill at 8M and 29 at 128M on the toy workload,
+    # 4,000 and 420 on the mixture one
+    @pytest.mark.parametrize("make, limit, n", [
+        (toy_workload, 8_000_000, 1_000),
+        (toy_workload, 128_000_000, 70),
+        (mixture_workload, 8_000_000, 9_000),
+        (mixture_workload, 128_000_000, 900),
+    ], ids=["toy-8m", "toy-128m", "mix-8m", "mix-128m"])
+    @pytest.mark.parametrize("p, c", [(1, 0.0), (4, 0.4)])
+    def test_block_totals_are_sums_of_its_own_rows(self, monkeypatch, make, limit, n, p, c):
+        # a block's fee, CPU and conflicting totals are those of its rows
+        # alone, summed as one reduceat sums them, whatever the refill point
+        # or the batch; and so within a few ulps of the exact sum
+        serials = []
+        priced = blocks._parallel_time
+
+        def recorded(cols, starts, ends, serial, p):
+            serials.extend(serial.tolist())
+            return priced(cols, starts, ends, serial, p)
+
+        monkeypatch.setattr(blocks, "_parallel_time", recorded)
+        stream = TxStream(make(), c, np.random.default_rng(3), limit, p)
+        refills = 0
+        for i in range(n):
+            b = stream.next_block_txs()
+            refills += b["start"] == 0  # each refill's first block starts at row 0
+            cpu, conf = column(stream, b, "cpu_time").copy(), column(stream, b, "conflicting").copy()
+            fee = column(stream, b, "used_gas").copy() * column(stream, b, "gas_price").copy()
+            assert b["seq_time"] == np.add.reduceat(cpu, [0])[0]
+            assert b["total_fee"] == np.add.reduceat(fee, [0])[0]
+            assert b["seq_time"] == pytest.approx(math.fsum(cpu), rel=1e-14, abs=0.0)
+            assert b["total_fee"] == pytest.approx(math.fsum(fee), rel=1e-14, abs=0.0)
+            if c > 0:
+                assert serials[i] == np.add.reduceat(cpu * conf, [0])[0]
+                assert serials[i] == pytest.approx(math.fsum(cpu[conf]), rel=1e-14, abs=0.0)
+        assert refills >= 3  # the first fill and two refills
 
 
 class Failing:
@@ -300,6 +350,28 @@ class TestVerificationTime:
         par = measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, p=16, conflict_rate=0.4, seq_out=seq)
         assert np.array_equal(par, measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, p=16, conflict_rate=0.4))
         assert np.array_equal(seq, measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, conflict_rate=0.4))
+
+    @pytest.mark.parametrize("limit", [8_000_000, 128_000_000])
+    def test_measure_prices_only_its_blocks(self, toy_wl, monkeypatch, limit):
+        # a caller that knows its block count packs and prices no block past
+        # it, and each time keeps the bits of an uncapped stream's
+        priced = []
+        parallel_time = blocks._parallel_time
+
+        def counted(cols, starts, ends, serial, p):
+            priced.append(starts.size)
+            return parallel_time(cols, starts, ends, serial, p)
+
+        monkeypatch.setattr(blocks, "_parallel_time", counted)
+        seq = np.empty(400)
+        times = measure_verification_times(toy_wl, limit, 400, seed=5, p=16, conflict_rate=0.4, seq_out=seq)
+        assert sum(priced) == 400
+        stream = TxStream(toy_wl, 0.4, np.random.default_rng(5), limit, 16)
+        uncapped = [stream.next_block_txs() for _ in range(400)]
+        assert times.tolist() == [b["time"] for b in uncapped]
+        assert seq.tolist() == [b["seq_time"] for b in uncapped]
+        if limit == 8_000_000:
+            assert sum(priced) > 800  # the uncapped batches run to the refill, 460 blocks
 
     def test_conflicting_run_sequentially(self):
         # two conflicting seconds-long jobs serialize; the others split over p=2

@@ -12,10 +12,15 @@ refill at 21000 (about 32,800 blocks per refill there), three at 8M (about
 465) and several at 128M (about 29).  The ``mix_`` cases use a
 three-component used gas and a two-component price, so that every fill draws
 its component uniforms before its normals; they cross three refills at 8M
-(about 4,000 blocks per refill) and at 128M (about 420).  A change to how
-blocks are packed that keeps the stream, the refill points and the float
-expressions leaves every entry unchanged.  Re-record only when packing
-changes on purpose::
+(about 4,000 blocks per refill) and at 128M (about 420).
+
+A block's ``total_fee`` and ``seq_time`` are sums of its own rows, and its
+``time`` is priced from those rows alone, so a change that keeps the draws
+and the block ends leaves every entry unchanged, whatever its refill points
+or batches.  The integer digest holds the draws and block ends alone: a
+change that moves only how a block's rows are summed must pass it
+unrecorded, and re-records only the float digest and head, reporting each
+float's drift.  Re-record only when packing changes on purpose::
 
     PYTHONPATH=src python -m tests.test_pack_golden
 """

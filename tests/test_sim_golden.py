@@ -10,7 +10,10 @@ so every count, fee and fee or reward fraction keeps its bits.  Only
 the float additions behind the uptimes.  Such a change must still pass
 ``tests/test_sim_oracle.py``, which compares the simulator with the per-miner
 vector loop: every other field bit for bit, ``expected_fraction`` to 1e-12
-relative.  Re-record then, or when the semantics change on purpose::
+relative.  Re-record then, or when the semantics change on purpose.  A
+change that moves only the last digits of block totals, such as how a
+block's own rows are summed, must leave the integer record unchanged: it
+re-records the float reprs alone, with each float's drift reported::
 
     PYTHONPATH=src python -m tests.test_sim_golden
 """
