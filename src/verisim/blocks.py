@@ -12,11 +12,11 @@ each block end is one ``bisect_right`` over a memoryview of the cumulative
 gas, the stream's one prefix sum, bounded to the rows a block can hold.  A
 batch's gas totals are read off that sum, and its other totals are sums of
 each block's own rows, one ``np.add.reduceat`` per column over the batch,
-so the per-block path does no array work.  A stream is made with the processor count its caller
-prices at, and prices each batch as soon as it is packed: on one processor
-a block's time is its sequential time, and on p > 1 one ``lpt_makespan``
-call prices the whole batch.  A block is a small dict of
-numbers: its totals, its first row and its time.
+so the per-block path does no array work.  A stream is made with the
+processor count its caller prices at, and prices each batch as soon as it
+is packed: on one processor a block's time is its sequential time, and on
+p > 1 one ``lpt_makespan`` call prices the whole batch.  A block is a small
+dict of numbers: its totals, its first row and its time.
 
 Each refill's used-gas normals are drawn one refill ahead: after a refill
 the stream starts the next fill (``workload.start_fill``), and the sampler's
