@@ -195,7 +195,6 @@ class TestTxStreamPacking:
         with pytest.raises(ValueError, match="^rng must be a numpy Generator on PCG64"):
             TxStream(toy_wl, 0.0, rng, 8_000_000)
 
-
     @pytest.mark.parametrize("budget", [0, -1, True, 2.0])
     def test_block_budget_rejected_before_allocating(self, toy_wl, monkeypatch, budget):
         def allocate(*args, **kwargs):
@@ -221,11 +220,11 @@ class TestOwnRowSums:
         # alone, summed as one reduceat sums them, whatever the refill point
         # or the batch; and so within a few ulps of the exact sum
         serials = []
-        priced = blocks._parallel_time
+        parallel_time = blocks._parallel_time
 
         def recorded(cols, starts, ends, serial, p):
             serials.extend(serial.tolist())
-            return priced(cols, starts, ends, serial, p)
+            return parallel_time(cols, starts, ends, serial, p)
 
         monkeypatch.setattr(blocks, "_parallel_time", recorded)
         stream = TxStream(make(), c, np.random.default_rng(3), limit, p)
