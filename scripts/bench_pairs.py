@@ -23,7 +23,12 @@ that ``run.py`` prints on its info line, before the host-canary scaling.
 ``claim`` applies the benchmark's rule for a claimed gain: the change wins
 at least nine pairs in ten, and the two medians differ by more than the
 parent's interquartile range.  Each run keeps the fingerprint and the host
-canary that ``run.py`` prints, its operation count and its failures.
+canary that ``run.py`` prints, its operation count and its failures, and
+``two_thread_speedup``, probed just before it: a fixed NumPy job's time on
+one thread over its time split across two.  A free second core lets it
+approach 2 and a busy one holds it near 1 (0.88-0.96 in every run of
+``BENCH_pr37.json``, on a 2-core host), which the one-thread canary cannot
+see.
 """
 
 import argparse
@@ -32,13 +37,48 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import threading
+import time
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
+def two_thread_speedup() -> float:
+    """The median time of drawing 65,536 standard normals and taking their
+    ``exp`` on this thread, over the median time of the same job split in
+    halves between this thread and a second one, over 31 tries each."""
+    halves = [(np.random.default_rng(i), np.empty(1 << 15)) for i in range(2)]
+
+    def job(rng, out):
+        rng.standard_normal(out=out)
+        np.exp(out, out=out)
+
+    def timed(split):
+        start = time.perf_counter()
+        if split:
+            other = threading.Thread(target=job, args=halves[1])
+            other.start()
+            job(*halves[0])
+            other.join()
+        else:
+            for half in halves:
+                job(*half)
+        return time.perf_counter() - start
+
+    one, two = [], []
+    for _ in range(31):
+        one.append(timed(False))
+        two.append(timed(True))
+    return statistics.median(one) / statistics.median(two)
+
+
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``run.py`` process in ``checkout``: its info line and its result line."""
+    """One ``run.py`` process in ``checkout``: its info line and its result
+    line, and the two-thread speedup probed just before it."""
+    speedup = two_thread_speedup()
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=60 * seconds + 600)
@@ -56,6 +96,7 @@ def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -
         "raw": info["raw"],
         "failures": info["failures"],
         "host_canary_ms": info["host_canary_ms"],
+        "two_thread_speedup": speedup,
         "fingerprint": info["fingerprint"],
     }
 

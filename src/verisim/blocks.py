@@ -7,16 +7,16 @@ transactions' CPU times; parallel verification schedules non-conflicting
 transactions across p processors (longest first, earliest-free processor)
 and runs conflicting ones sequentially afterwards.
 
-``TxStream`` packs on demand, a few blocks ahead of its caller, in batches:
-each block end is one ``bisect_right`` over a memoryview of the cumulative
-gas, the stream's one prefix sum, bounded to the rows a block can hold.  A
-batch's gas totals are read off that sum, and its other totals are sums of
-each block's own rows, one ``np.add.reduceat`` per column over the batch,
-so the per-block path does no array work.  A stream is made with the
-processor count its caller prices at, and prices each batch as soon as it
-is packed: on one processor a block's time is its sequential time, and on
-p > 1 one ``lpt_makespan`` call prices the whole batch.  A block is a small
-dict of numbers: its totals, its first row and its time.
+``TxStream`` packs a refill's blocks together, when its caller takes the
+first of them: each block end is one ``bisect_right`` over a memoryview of
+the cumulative gas, the stream's one prefix sum, bounded to the rows a block
+can hold.  The blocks' gas totals are read off that sum, and their other
+totals are sums of each block's own rows, one ``np.add.reduceat`` per column
+over the refill, so the per-block path does no array work.  A stream is made
+with the processor count its caller prices at, and prices the blocks as soon
+as they are packed: on one processor a block's time is its sequential time,
+and on p > 1 one ``lpt_makespan`` call prices the whole refill.  A block is
+a small dict of numbers: its totals, its first row and its time.
 
 Each refill's used-gas normals are drawn one refill ahead: after a refill
 the stream starts the next fill (``workload.start_fill``), and the sampler's
@@ -30,7 +30,6 @@ columns through ``start``, are valid until its caller takes the next block,
 since taking it may refill the buffers.
 """
 
-import math
 from bisect import bisect_right
 
 import numpy as np
@@ -52,8 +51,8 @@ CHUNK_TXS = 1 << 16
 
 
 def _parallel_time(cols: dict, starts: np.ndarray, ends: np.ndarray, serial, p: int) -> list:
-    """Parallel verification times on p processors of the blocks packed in
-    one batch, in order: block i is rows ``[starts[i], ends[i])`` of ``cols``.
+    """Parallel verification times on p processors of the blocks packed
+    together, in order: block i is rows ``[starts[i], ends[i])`` of ``cols``.
 
     The non-conflicting CPU times go into a zero-padded matrix, one row per
     block, that one ``lpt_makespan`` call schedules; each block's
@@ -99,7 +98,7 @@ class TxStream:
     the integer used-gas prefix sum spans a refill, and it is exact; a
     block's ``total_fee``, ``seq_time`` and conflicting total are sums of its
     own rows, so their bits depend on those rows alone, not on the refill
-    point or the batch.
+    point.
 
     The stream allocates all its buffers once, in ``__init__``: one column
     set of ``max_block_txs + chunk`` rows, the used-gas prefix sum and the
@@ -110,16 +109,12 @@ class TxStream:
     and a block's rows, from ``start`` on in the columns, are valid only
     until its caller takes the next block.
 
-    Blocks are packed on demand: when none is waiting, the stream packs
-    ``max(1, blocks packed since the refill)`` more, never past the next
-    refill point nor past ``block_budget`` blocks in all, if given (one at a
-    time after it).  The batches double, so a short stream packs at most
-    about twice the blocks it hands out, and how many blocks a caller takes
-    never changes the blocks it gets.  Each new batch is priced at once on
+    When no block is waiting, the stream refills and packs every block that
+    starts at least ``max_block_txs`` rows before the end of the drawn rows,
+    so that it fits in them, and prices these blocks at once on
     ``processors``, which fixes every block's ``time``: on one processor it
     is ``seq_time`` itself, and on more one ``_parallel_time`` call prices
-    the batch.  Each makespan keeps the bits of its block alone, so the
-    batch a block is priced in never changes a time.
+    the refill's blocks.  Each makespan keeps the bits of its block alone.
     """
 
     def __init__(
@@ -129,13 +124,10 @@ class TxStream:
         rng: np.random.Generator,
         block_limit: int,
         processors: int = 1,
-        block_budget: int | None = None,
     ):
         if not isinstance(workload, FittedWorkload):
             raise ValueError(f"workload must be a FittedWorkload, got {type(workload).__name__}")
         self._p = require_integer("processors", processors)
-        # blocks left to pack before the batches shrink to one
-        self._budget = math.inf if block_budget is None else require_integer("block_budget", block_budget)
         require_finite("conflict_rate", conflict_rate, 0, 1)
         self._wl = workload
         self._c = conflict_rate
@@ -155,7 +147,6 @@ class TxStream:
         self._fill = None  # the next fill, once started; the first is drawn whole
         self._n = 0  # rows drawn into the columns
         self._cursor = 0
-        self._handed = 0  # blocks packed since the last refill
         self._packed = []  # packed blocks not yet handed out, last one first
 
     def _refill(self):
@@ -168,12 +159,11 @@ class TxStream:
         sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit, out=fresh, fill=self._fill)
         self._fill = start_fill(self._wl, self._chunk, self._rng, self._normals)
         self._cursor = 0
-        self._handed = 0
         np.cumsum(cols["used_gas"][:n], out=self._gas_c[1 : n + 1])
 
     def _pack(self):
-        if self._n - self._cursor < self._max_block_txs:
-            self._refill()
+        # the last pack left fewer than max_block_txs rows unread
+        self._refill()
         gas_view = self._gas_view
         width = self._max_block_txs
         # the last cursor from which a block can be packed before a refill
@@ -181,7 +171,7 @@ class TxStream:
         limit = self._limit
         cursor = self._cursor
         starts, ends = [], []
-        for _ in range(max(1, min(self._handed, self._budget))):
+        while cursor <= last:
             # a block holds fewer than width transactions, so its end lies
             # inside [cursor, cursor + width), all of it summed
             end = bisect_right(gas_view, gas_view[cursor] + limit, cursor, cursor + width) - 1
@@ -189,11 +179,7 @@ class TxStream:
             ends.append(end)
             # skip the first overflowing transaction: packing stops there
             cursor = end + 1
-            if cursor > last:
-                break
         self._cursor = cursor
-        self._handed += len(starts)
-        self._budget -= len(starts)
         s, e = np.asarray(starts), np.asarray(ends)
         gas = (self._gas_c.take(e) - self._gas_c.take(s)).tolist()
         # every block holds a row, since used gas is clipped to the limit, so
@@ -258,7 +244,7 @@ def measure_verification_times(
     ):
         raise ValueError(f"seq_out must be a float64 array of n_blocks={n_blocks} entries, "
                          f"got {getattr(seq_out, 'dtype', type(seq_out).__name__)} of shape {np.shape(seq_out)}")
-    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, p, n_blocks)
+    stream = TxStream(workload, conflict_rate, np.random.default_rng(seed), block_limit, p)
     times = np.empty(n_blocks, dtype=np.float64)
     for i in range(n_blocks):
         block = stream.next_block_txs()

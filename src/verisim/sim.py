@@ -29,7 +29,7 @@ argument it is always 0, and the run asserts so.
 Every verifier re-executes on the scenario's one processor count,
 ``processors_for()``.  The transaction stream is priced at that count (at
 one processor when no miner verifies, so no schedule is computed) and hands
-out each block with its re-execution time, priced when its batch was packed
+out each block with its re-execution time, priced when its refill was packed
 (``verisim.blocks``).  A block whose parent has valid ancestry charges that
 time; a block on invalid ancestry is rejected unexecuted and charges
 nothing.  Miners fall into two classes: the verifiers, which all pay the

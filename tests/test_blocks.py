@@ -19,7 +19,7 @@ from verisim.workload import MAX_BLOCK_LIMIT
 
 def block_time(cpu_times, p, conflicting=None):
     """Verification seconds on p processors of a block of the given CPU
-    times and conflict flags, priced as ``TxStream`` prices a batch that
+    times and conflict flags, priced as ``TxStream`` prices a refill that
     holds this block alone: p = 1 is the sum, p > 1 one ``_parallel_time``."""
     cpu = np.asarray(cpu_times, dtype=np.float64)
     if p == 1:
@@ -105,7 +105,7 @@ class TestTxStreamPacking:
         "limit, p, n, ks", [(8_000_000, 4, 1_000, (1, 2, 3, 200, 470, 999)), (21_000, 1, 33_500, (1, 5, 33_000))]
     )
     def test_taking_fewer_blocks_never_changes_them(self, toy_wl, limit, p, n, ks):
-        # packing runs ahead of the caller in batches; a stream cut short
+        # packing runs a refill ahead of the caller; a stream cut short
         # must still hand out the same blocks, across a refill (about 465
         # blocks per refill at 8M and 32,800 at 21000)
         whole = measure_verification_times(toy_wl, limit, n, seed=5, p=p, conflict_rate=0.4)
@@ -133,9 +133,10 @@ class TestTxStreamPacking:
     @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
     def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
         # the stream's buffers are allocated once and refilled in place: one
-        # column set, the cumulative gas and the staged normals held 2.73 MB
-        # at 8M and 2.90 MB at 128M when this test runs alone; a second
-        # column set would add 1.65 and 1.79 MB, which puts 128M past the bound
+        # column set, the cumulative gas, the staged normals and a refill's
+        # block dicts held 2.87 MB at 8M and 2.90 MB at 128M when this test
+        # runs alone; a second column set would add 1.65 and 1.79 MB, which
+        # puts both past the bound
         toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
         # and start the sampler's worker, whose first start imports concurrent.futures
         workload.sample_transaction_arrays(toy_wl, 1, 0.0, np.random.default_rng(0))
@@ -150,7 +151,7 @@ class TestTxStreamPacking:
         finally:
             tracemalloc.stop()
         assert read > 3 * CHUNK_TXS  # so the first fill was followed by three refills
-        assert held < 4.5e6
+        assert held < 3.5e6
 
     def test_limit_above_max_rejected(self, toy_wl):
         # a larger limit would size refills past MAX_BLOCK_LIMIT / 21000 * 4 transactions
@@ -195,14 +196,38 @@ class TestTxStreamPacking:
         with pytest.raises(ValueError, match="^rng must be a numpy Generator on PCG64"):
             TxStream(toy_wl, 0.0, rng, 8_000_000)
 
-    @pytest.mark.parametrize("budget", [0, -1, True, 2.0])
-    def test_block_budget_rejected_before_allocating(self, toy_wl, monkeypatch, budget):
-        def allocate(*args, **kwargs):
-            raise AssertionError("the stream allocated before the block budget was checked")
+    @pytest.mark.parametrize("make", [toy_workload, mixture_workload], ids=["toy", "mix"])
+    @pytest.mark.parametrize("limit, p", [(8_000_000, 16), (128_000_000, 4)])
+    def test_each_refill_is_priced_in_one_call(self, monkeypatch, make, limit, p):
+        # a refill's blocks are packed and priced together: one pricing call
+        # follows each draw, and it holds every block that starts at least
+        # max_block_txs rows before the end of the drawn rows
+        events = []
+        sample, parallel_time = blocks.sample_transaction_arrays, blocks._parallel_time
 
-        monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
-        with pytest.raises(ValueError, match="^block_budget must be an integer >= 1"):
-            TxStream(toy_wl, 0.0, np.random.default_rng(0), 8_000_000, 1, budget)
+        def drawn(*args, **kwargs):
+            events.append("refill")
+            return sample(*args, **kwargs)
+
+        def priced(cols, starts, ends, serial, p):
+            last = stream._n - stream._max_block_txs
+            assert ends[-1] + 1 > last >= starts[-1]  # no further block fits
+            events.append(starts.tolist())
+            return parallel_time(cols, starts, ends, serial, p)
+
+        monkeypatch.setattr(blocks, "sample_transaction_arrays", drawn)
+        monkeypatch.setattr(blocks, "_parallel_time", priced)
+        stream = TxStream(make(), 0.4, np.random.default_rng(8), limit, p)
+        taken = []  # the starts of each refill's blocks, as handed out
+        while events.count("refill") < 5:
+            b = stream.next_block_txs()
+            if b["start"] == 0:  # each refill's first block starts at row 0
+                taken.append([])
+            taken[-1].append(b["start"])
+        assert events[::2] == ["refill"] * 5
+        # the first four refills were taken whole, the fifth's first block alone
+        assert events[1:8:2] == taken[:4]
+        assert events[9][0] == taken[4][0] and len(taken) == 5
 
 
 class TestOwnRowSums:
@@ -217,8 +242,8 @@ class TestOwnRowSums:
     @pytest.mark.parametrize("p, c", [(1, 0.0), (4, 0.4)])
     def test_block_totals_are_sums_of_its_own_rows(self, monkeypatch, make, limit, n, p, c):
         # a block's fee, CPU and conflicting totals are those of its rows
-        # alone, summed as one reduceat sums them, whatever the refill point
-        # or the batch; and so within a few ulps of the exact sum
+        # alone, summed as one reduceat sums them, whatever the refill point;
+        # and so within a few ulps of the exact sum
         serials = []
         parallel_time = blocks._parallel_time
 
@@ -351,26 +376,14 @@ class TestVerificationTime:
         assert np.array_equal(seq, measure_verification_times(toy_wl, 8_000_000, 1_000, seed=5, conflict_rate=0.4))
 
     @pytest.mark.parametrize("limit", [8_000_000, 128_000_000])
-    def test_measure_prices_only_its_blocks(self, toy_wl, monkeypatch, limit):
-        # a caller that knows its block count packs and prices no block past
-        # it, and each time keeps the bits of an uncapped stream's
-        priced = []
-        parallel_time = blocks._parallel_time
-
-        def counted(cols, starts, ends, serial, p):
-            priced.append(starts.size)
-            return parallel_time(cols, starts, ends, serial, p)
-
-        monkeypatch.setattr(blocks, "_parallel_time", counted)
+    def test_measure_keeps_a_plain_streams_bits(self, toy_wl, limit):
+        # the measured times are those of a stream's first blocks, bit for bit
         seq = np.empty(400)
         times = measure_verification_times(toy_wl, limit, 400, seed=5, p=16, conflict_rate=0.4, seq_out=seq)
-        assert sum(priced) == 400
         stream = TxStream(toy_wl, 0.4, np.random.default_rng(5), limit, 16)
-        uncapped = [stream.next_block_txs() for _ in range(400)]
-        assert times.tolist() == [b["time"] for b in uncapped]
-        assert seq.tolist() == [b["seq_time"] for b in uncapped]
-        if limit == 8_000_000:
-            assert sum(priced) > 800  # the uncapped batches run to the refill, 460 blocks
+        plain = [stream.next_block_txs() for _ in range(400)]
+        assert times.tolist() == [b["time"] for b in plain]
+        assert seq.tolist() == [b["seq_time"] for b in plain]
 
     def test_conflicting_run_sequentially(self):
         # two conflicting seconds-long jobs serialize; the others split over p=2
@@ -410,9 +423,9 @@ class TestVerificationTime:
     @pytest.mark.parametrize("c", [0.0, 0.4])
     @pytest.mark.parametrize("limit, n", [(8_000_000, 500), (128_000_000, 40)])
     def test_batch_pricing_matches_the_oracle(self, toy_wl, monkeypatch, limit, n, c, p):
-        # each block is priced with its whole batch (both cases cross a refill:
-        # about 465 blocks per refill at 8M and 29 at 128M); the makespans are
-        # taken from the kernel's batch results, in stream order
+        # each block is priced with its whole refill (both cases cross a
+        # refill: about 465 blocks per refill at 8M and 29 at 128M); the
+        # makespans are taken from the kernel's batch results, in stream order
         batches = []
         lpt = kernels.lpt_makespan
 
