@@ -18,11 +18,6 @@ as they are packed: on one processor a block's time is its sequential time,
 and on p > 1 one ``lpt_makespan`` call prices the whole refill.  A block is
 a small dict of numbers: its totals, its first row and its time.
 
-Each refill's used-gas normals are drawn one refill ahead: after a refill
-the stream starts the next fill (``workload.start_fill``), and the sampler's
-worker thread draws that fill's normals into a staging buffer while the
-caller packs.
-
 The stream draws into one set of buffers, allocated when it is made, and
 refills them in place.  Prices are fixed at pack time, so a block's totals
 and time stay valid for good; only its rows, read from the stream's
@@ -41,9 +36,7 @@ from verisim.workload import (
     FittedWorkload,
     check_block_limit,
     empty_columns,
-    require_jumpable,
     sample_transaction_arrays,
-    start_fill,
 )
 
 # transactions drawn per refill, unless a block limit needs more
@@ -79,17 +72,7 @@ class TxStream:
     but amortises the draws; the cumulative gas makes per-block packing a
     single binary search.  Each fill has fresh per-column streams spawned from
     ``rng`` (see ``sample_transaction_arrays``), in the order of the fills.
-    The first fill is drawn whole at the first refill.  Each refill then
-    starts the next fill (``workload.start_fill``): it spawns that fill's
-    streams, and the sampler's worker thread draws its used-gas standard
-    normals into ``_normals``, a float64 buffer of ``chunk`` rows, from a
-    copy of the used-gas stream jumped past the fill's component uniforms.
-    At the next refill the worker draws gas prices and conflict flags while
-    the caller waits for the staged normals, draws the component uniforms,
-    scales the normals, rounds, clips and predicts; a forked child, whose
-    worker is gone, draws the staged normals itself.  Every bit is that of
-    drawing each fill whole.  So ``rng`` must be a ``Generator`` on PCG64 or
-    PCG64DXSM with a ``SeedSequence`` (``workload.require_jumpable``), as
+    So ``rng`` must be a ``Generator`` with a ``SeedSequence``, as
     ``np.random.default_rng`` makes; anything else is rejected before the
     stream allocates.
 
@@ -101,11 +84,11 @@ class TxStream:
     point.
 
     The stream allocates all its buffers once, in ``__init__``: one column
-    set of ``max_block_txs + chunk`` rows, the used-gas prefix sum and the
-    staged normals.  A refill copies the unread tail to the front of the set
-    and draws the fresh chunk straight behind it; the copy never overlaps,
-    since the tail is shorter than ``max_block_txs`` and starts past ``chunk
-    - max_block_txs >= 3 * max_block_txs``.  So a refill allocates no column,
+    set of ``max_block_txs + chunk`` rows and the used-gas prefix sum.  A
+    refill copies the unread tail to the front of the set and draws the
+    fresh chunk straight behind it; the copy never overlaps, since the tail
+    is shorter than ``max_block_txs`` and starts past ``chunk -
+    max_block_txs >= 3 * max_block_txs``.  So a refill allocates no column,
     and a block's rows, from ``start`` on in the columns, are valid only
     until its caller takes the next block.
 
@@ -131,7 +114,11 @@ class TxStream:
         require_finite("conflict_rate", conflict_rate, 0, 1)
         self._wl = workload
         self._c = conflict_rate
-        self._rng = require_jumpable(rng)
+        if not (isinstance(rng, np.random.Generator)
+                and isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)):
+            raise ValueError("rng must be a numpy Generator with a SeedSequence to spawn, "
+                             f"as np.random.default_rng(seed) makes, got {type(rng).__name__}")
+        self._rng = rng
         self._limit = check_block_limit(block_limit)
         # packing can never consume more transactions than this per block
         self._max_block_txs = self._limit // MIN_TX_GAS + 2
@@ -142,9 +129,6 @@ class TxStream:
         self._gas_c = np.zeros(size + 1, dtype=np.int64)
         # the block search reads Python ints off it
         self._gas_view = memoryview(self._gas_c)
-        # the next fill's used-gas normals, drawn by the worker one refill ahead
-        self._normals = np.empty(self._chunk)
-        self._fill = None  # the next fill, once started; the first is drawn whole
         self._n = 0  # rows drawn into the columns
         self._cursor = 0
         self._packed = []  # packed blocks not yet handed out, last one first
@@ -156,8 +140,7 @@ class TxStream:
             col[:tail] = col[cursor : self._n]
         n = self._n = tail + self._chunk
         fresh = {k: col[tail:n] for k, col in cols.items()}
-        sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit, out=fresh, fill=self._fill)
-        self._fill = start_fill(self._wl, self._chunk, self._rng, self._normals)
+        sample_transaction_arrays(self._wl, self._chunk, self._c, self._rng, self._limit, out=fresh)
         self._cursor = 0
         np.cumsum(cols["used_gas"][:n], out=self._gas_c[1 : n + 1])
 

@@ -7,8 +7,16 @@ searched upwards from the smallest K and stopped once BIC has risen on two
 fitted K in a row.  Each K in a search is the best of several EM runs from
 k-means++ starts; a refit (``start``) is one EM run from a given mixture, so
 a winner found on a subsample is carried to all rows without a new search.
-Sampling returns exp(normal draw), i.e. values on the original positive
-scale.
+
+Sampling draws from a table.  Each mixture's law, on the original positive
+scale, is cut into ``CELLS`` equal-probability cells, and a draw picks a
+cell by one uniform integer (inverse-transform sampling by table; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. III).  A cell holds the
+law's mean over its quantile interval, so the cells' mean is the mixture's
+mean.  The table is built on first use, without scipy: the mixture's CDF and
+partial expectation are evaluated at knots spread over each component, and
+the partial expectation is read at the cell edges by cubic Hermite
+interpolation in probability, where its slope is the value itself.
 
 EM works component-major.  The E-step's log densities come from one
 (k, 3) x (3, n) product into a reused (k, n) buffer; the max, the shift, the
@@ -20,7 +28,7 @@ ties to the lowest index as ``argmin`` does.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +38,13 @@ VARIANCE_FLOOR = 1e-8
 EM_TOL = 1e-6
 EM_MAX_ITER = 200
 EM_RESTARTS = 5
+# equal-probability cells of a sampling table: a draw's cell is one uint16
+CELLS = 1 << 16
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# the table's knots, in standard deviations about each component's mean:
+# beyond 9 a component holds less than 1e-18 of its mass, far below a cell
+_KNOT_Z = np.linspace(-9.0, 9.0, 512)
 
 _log = logging.getLogger(__name__)
 
@@ -52,6 +65,7 @@ class GmmModel:
     aic: float
     bic: float
     n: int
+    _cells: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_integer("k", self.k)
@@ -84,6 +98,16 @@ class GmmModel:
     def from_dict(cls, d: dict) -> "GmmModel":
         """Load a mixture from an object that has passed ``require_object``."""
         return cls(**{**d, **{name: tuple(require_list(name, d[name])) for name in ("weights", "means", "variances")}})
+
+    def cells(self) -> np.ndarray:
+        """The law's sampling table, built on the first call: a read-only
+        float64 array of ``CELLS`` values on the original scale, cell i the
+        mean of exp(Y) over the quantiles in [i / CELLS, (i + 1) / CELLS)."""
+        if self._cells is None:
+            cells = _cell_means(self)
+            cells.flags.writeable = False
+            object.__setattr__(self, "_cells", cells)
+        return self._cells
 
 
 def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -308,52 +332,63 @@ def fit_gmm(values, k_min: int = 1, k_max: int = 8, seed: int = 0, start: GmmMod
     return best_model
 
 
-def sample_gmm_with(
-    model: GmmModel,
-    n: int,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
-    normals: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw n positive values: pick a component by weight, draw the normal, exponentiate.
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, to about 1e-16 absolute, without scipy: Hart's
+    rational approximation and its tail continued fraction (West, "Better
+    approximations to cumulative normal functions", Wilmott, 2005)."""
+    a = np.abs(x)
+    num = (((((0.0352624965998911 * a + 0.700383064443688) * a + 6.37396220353165) * a
+             + 33.912866078383) * a + 112.079291497871) * a + 221.213596169931) * a + 220.206867912376
+    den = ((((((0.0883883476483184 * a + 1.75566716318264) * a + 16.064177579207) * a + 86.7807322029461) * a
+              + 296.564248779674) * a + 637.333633378831) * a + 793.826512519948) * a + 440.413735824752
+    tail = a + 0.65
+    for k in (4.0, 3.0, 2.0, 1.0):
+        tail = a + k / tail
+    below = np.exp(-0.5 * a * a) * np.where(a < 7.07106781186547, num / den, 1.0 / (2.506628274631 * tail))
+    return np.where(x > 0, 1.0 - below, below)
 
-    A one-component model draws no component: its values, and the
-    generator's state after them, are those of
-    ``np.exp(rng.normal(mean, sd, n))``.  For K > 1 they are those of
-    ``rng.choice(k, size=n, p=weights)`` then ``rng.normal(means[c], sds[c])``,
-    made without those calls' per-call overhead.  The component of a uniform
-    u is the number of CDF edges at or below it, counted edge by edge: the
-    ``searchsorted(cdf, u, side="right")`` of ``choice``, without its binary
-    search.  So ``rng`` gives n uniforms (none when K = 1), then n standard
-    normals.
 
-    ``normals``, if given, is a float64 array of the n standard normals that
-    ``rng`` would give after its uniforms, drawn beforehand from a copy of
-    ``rng`` jumped past them (``bit_generator.advance(n)`` on a PCG64 when
-    K > 1; no jump when K = 1).  Then only the uniforms are drawn here, and
-    the values have the same bits; ``rng`` is left n normals short.
+def _cell_means(model: GmmModel) -> np.ndarray:
+    """The mean of exp(Y) over each of ``CELLS`` equal-probability cells.
+
+    The partial expectation ``P(y) = E[exp(Y); Y <= y]`` is known at knots
+    through the normal CDF: each component adds ``w exp(m + s^2/2)
+    Phi((y - m)/s - s)``.  As a function of the CDF value u it rises with
+    slope exp(y), so a cubic Hermite interpolant between knots reads it at
+    the cell edges u = i / CELLS, and a cell's mean is CELLS times its rise.
+    The edges 0 and 1 take 0 and the mixture's mean exactly, so the cells'
+    mean is the mixture's.
+    """
+    w = np.asarray(model.weights) / sum(model.weights)
+    m, v = np.asarray(model.means), np.asarray(model.variances)
+    s = np.sqrt(v)[:, None]
+    y = np.unique(m[:, None] + s * _KNOT_Z)
+    z = (y - m[:, None]) / s
+    # accumulate: rounding must not make either curve fall
+    cdf = np.maximum.accumulate(w @ _normal_cdf(z))
+    scale = w * np.exp(m + 0.5 * v)
+    partial = np.maximum.accumulate(scale @ _normal_cdf(z - s))
+    # each knot interval's width in u, its rise, and its end slopes times its width
+    h, rise = np.diff(cdf), np.diff(partial)
+    slope = np.exp(y)
+    s0, s1 = h * slope[:-1], h * slope[1:]
+    c2, c3 = 3.0 * rise - 2.0 * s0 - s1, s0 + s1 - 2.0 * rise
+    # every inner edge lies between the first knot (cdf below 1e-18) and the
+    # last (cdf 1), and in an interval of positive width
+    u = np.arange(1.0, CELLS) / CELLS
+    j = np.searchsorted(cdf, u, side="right") - 1
+    with np.errstate(divide="ignore"):
+        t = (u - cdf[j]) * (1.0 / h)[j]
+    inner = partial[j] + t * (s0[j] + t * (c2[j] + t * c3[j]))
+    return CELLS * np.diff(np.concatenate(([0.0], inner, [scale.sum()])))
+
+
+def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """Draw n positive values from the mixture's table (``GmmModel.cells``):
+    ``rng.integers(0, CELLS, n, dtype=np.uint16)`` picks each value's cell.
 
     The draws land in ``out`` (a float64 array of n, fresh if None), which is
-    returned.  The normal is scaled, shifted and exponentiated there in
-    place: ``z *= sd; z += mean`` gives the bits of ``mean + sd * z``.
+    returned.
     """
-    if out is None:
-        out = np.empty(n)
-    means = np.asarray(model.means)
-    sds = np.sqrt(np.asarray(model.variances))
-    comps = 0  # a one-component model's every draw
-    if model.k > 1:
-        cdf = np.cumsum(model.weights)
-        cdf /= cdf[-1]
-        u = rng.random(n, out=out)
-        # a byte holds every count below 256, and adds three times faster
-        comps = np.zeros(n, dtype=np.uint8 if model.k < 256 else np.intp)
-        for edge in cdf[:-1]:
-            comps += u >= edge
-    if normals is None:
-        z = rng.standard_normal(n, out=out)
-        z *= sds.take(comps)
-    else:
-        z = np.multiply(normals, sds.take(comps), out=out)
-    z += means.take(comps)
-    return np.exp(z, out=z)
+    # the picks lie in [0, CELLS); "clip" lets take write straight into out
+    return model.cells().take(rng.integers(0, CELLS, n, dtype=np.uint16), out=out, mode="clip")

@@ -2,37 +2,25 @@
 
 A workload bundles three fitted models: log-scale mixtures for gas price and
 used gas, and a regression forest mapping used gas to CPU seconds.  Sampling
-draws gas price and used gas from the mixtures, clamps used gas to
-[21000, block_limit], predicts CPU time from used gas, and flags conflicts by
-a Bernoulli draw.  Each drawn column has its own random stream, spawned from
-the caller's generator, so one column's draws never shift another's.
-
-Because the streams are independent, two columns are drawn at once: one
-worker thread draws the gas prices and the conflict flags while the calling
-thread draws used gas and predicts CPU time.  NumPy releases the GIL in
-those fills and ufuncs, so the two overlap on two cores, and every column
-keeps the bits of a serial draw.  The worker is started on the first draw
-and dropped in a forked child, which starts its own on its first draw.
-
-A caller that knows its next draw can start it early (``start_fill``): the
-draw's streams are spawned at once, and the worker draws its used-gas
-standard normals from a copy of the used-gas stream jumped past the
-component uniforms that come before them (PCG64 jumps ahead by any count in
-O(log n) steps).  The later call then draws only the uniforms and scales the
-staged normals, with the same bits.  A job that overlaps the caller's Python
-code is one NumPy call: each further call would wait for the GIL behind it.
+draws every column by one gather on the calling thread.  Each mixture's law
+is a table of equal-probability cells (``GmmModel.cells``), and a workload
+keeps, per block limit, the used-gas cells rounded and clipped to
+[21000, block_limit] and the forest's CPU time for each (``limit_cells``).
+A transaction's used gas and CPU time come from one picked cell, its gas
+price from a cell of the price table, and its conflict flag from a Bernoulli
+draw.  Each drawn column has its own random stream, spawned from the
+caller's generator, so one column's draws never shift another's.  Every
+table is built on first use, never by a fit or a load.
 """
 
 import json
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from verisim import gmm
 from verisim.fields import require_finite, require_integer, require_object
 from verisim.forest import ForestModel, fit_forest, fit_rfr
-from verisim.gmm import GmmModel, fit_gmm, sample_gmm_with
+from verisim.gmm import CELLS, GmmModel, fit_gmm, sample_gmm_with
 
 MIN_TX_GAS = 21_000
 # the largest accepted block limit; a TxStream refill holds about
@@ -60,10 +48,24 @@ class FittedWorkload:
     cpu_time_model: ForestModel
     block_limit: int = DEFAULT_BLOCK_LIMIT
     seed: int = 0
+    _limit_cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_block_limit(self.block_limit)
         require_integer("seed", self.seed, 0)
+
+    def limit_cells(self, block_limit: int) -> tuple:
+        """``(used_gas, cpu_time)`` of the used-gas law's cells at one block
+        limit, built on the first call for that limit and kept: each cell's
+        value rounded and clipped to [MIN_TX_GAS, block_limit] as int64, and
+        the forest's CPU time for it (one ``predict`` over the cells)."""
+        cells = self._limit_cells.get(block_limit)
+        if cells is None:
+            gas = np.clip(np.rint(self.used_gas_model.cells()), MIN_TX_GAS, block_limit).astype(np.int64)
+            cpu = self.cpu_time_model.predict(gas)
+            gas.flags.writeable = cpu.flags.writeable = False
+            cells = self._limit_cells[block_limit] = (gas, cpu)
+        return cells
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -180,96 +182,6 @@ def empty_columns(n: int) -> dict:
     }
 
 
-# the one worker thread that draws each sample's gas prices and conflict
-# flags, and a started fill's used-gas normals
-_worker = None
-
-
-def _drop_worker():
-    """Forget the worker: its thread does not survive a fork, so a child that
-    submitted to it would wait for ever."""
-    global _worker
-    _worker = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _submit(fn, *args):
-    global _worker
-    if _worker is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _worker = ThreadPoolExecutor(1, thread_name_prefix="verisim-sample")
-    return _worker.submit(fn, *args)
-
-
-# bit generators whose ``advance(n)`` skips n 64-bit draws, which is n
-# uniforms; Philox's counts blocks of four, and MT19937 and SFC64 have none
-_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
-
-
-def require_jumpable(rng) -> np.random.Generator:
-    """``rng`` if ``start_fill`` can use it: a ``Generator`` on PCG64 or
-    PCG64DXSM that carries a ``SeedSequence``, as ``np.random.default_rng``
-    makes; anything else raises a ValueError that names ``rng``."""
-    bits = getattr(rng, "bit_generator", None)
-    if not (isinstance(rng, np.random.Generator) and isinstance(bits, _JUMPABLE)
-            and isinstance(bits.seed_seq, np.random.SeedSequence)):
-        got = type(rng).__name__ + (f"({type(bits).__name__})" if bits is not None else "")
-        raise ValueError("rng must be a numpy Generator on PCG64 or PCG64DXSM with a SeedSequence "
-                         f"to spawn, as np.random.default_rng(seed) makes, got {got}")
-    return rng
-
-
-def _normals_stream(model: GmmModel, n: int, gas_rng: np.random.Generator) -> np.random.Generator:
-    """A fresh copy of the used-gas child ``gas_rng``, which has drawn nothing
-    yet, jumped past the n component uniforms that a K > 1 draw takes first:
-    it gives that draw's n normals."""
-    bits = type(gas_rng.bit_generator)(gas_rng.bit_generator.seed_seq)
-    if model.k > 1:
-        bits.advance(n)
-    return np.random.Generator(bits)
-
-
-def start_fill(workload: FittedWorkload, n: int, rng: np.random.Generator, staging: np.ndarray) -> tuple:
-    """Start the next ``sample_transaction_arrays`` call on ``rng`` for n
-    transactions: spawn its three column streams, as that call would, and
-    have the worker draw its n used-gas normals into ``staging`` (float64,
-    n) at once, from a jumped copy of the used-gas child.  The result is
-    that call's ``fill``; ``staging`` must stay untouched until it returns.
-    The job is one NumPy call, so it holds the GIL only to start and end.
-    ``rng`` must pass ``require_jumpable``."""
-    streams = rng.spawn(3)
-    draw = _normals_stream(workload.used_gas_model, n, streams[1]).standard_normal
-    return streams, staging, _submit(draw, n, np.float64, staging), _worker
-
-
-def _staged_normals(fill: tuple, model: GmmModel, n: int) -> np.ndarray:
-    """The started fill's normals, once the worker has drawn them.  In a
-    forked child the parent's worker is gone, so they are drawn here from a
-    fresh jumped copy, with the same bits."""
-    (_, gas_rng, _), staging, drawn, worker = fill
-    if worker is _worker:
-        drawn.result()
-    else:
-        _normals_stream(model, n, gas_rng).standard_normal(n, out=staging)
-    return staging
-
-
-def _draw_prices_and_flags(price_model, n, conflict_rate, price_rng, conflict_rng, gas_price, conflicting):
-    """The worker's columns.  The conflict uniforms are drawn into
-    ``gas_price``, which the price draw then overwrites.  The price is drawn
-    through the ``gmm`` module, not this module's ``sample_gmm_with``, so a
-    wrapper that times that name on the calling thread never runs here."""
-    if conflict_rate > 0:
-        np.less(conflict_rng.random(n, out=gas_price), conflict_rate, out=conflicting)
-    else:
-        conflicting.fill(False)
-    gmm.sample_gmm_with(price_model, n, price_rng, out=gas_price)
-
-
 def sample_transaction_arrays(
     workload: FittedWorkload,
     n: int,
@@ -277,54 +189,39 @@ def sample_transaction_arrays(
     rng: np.random.Generator,
     block_limit: int | None = None,
     out: dict | None = None,
-    fill: tuple | None = None,
 ) -> dict:
     """Draw n synthetic transactions as columns: ``used_gas``, ``gas_price``,
     ``cpu_time`` and ``conflicting``, one array each.
 
     ``rng`` must carry a ``SeedSequence``, as ``np.random.default_rng`` does.
     It is only spawned, never drawn from: its three children, in order, feed
-    the gas price, the used gas and the conflict flags.  At ``conflict_rate``
-    0 no flag is drawn.
-
-    The module's worker thread draws ``gas_price`` and ``conflicting`` while
-    the calling thread draws ``used_gas`` and predicts ``cpu_time``; each
-    column has the bits of drawing it alone from its child.  The call waits
-    for the worker before it returns or raises, and an error in either
-    thread's draw is raised here.
-
-    ``fill``, if given, is what ``start_fill(workload, n, rng, staging)``
-    returned: the call then takes its three streams from it instead of
-    spawning them, and its used-gas normals from ``staging``, once the
-    worker has drawn them, with the same bits.  An error in that staged draw
-    is raised here.
+    the gas price, the used gas and the conflict flags.  The price child
+    picks cells of the price table (``sample_gmm_with``); the used-gas child
+    picks cells of ``workload.limit_cells(limit)`` by
+    ``integers(0, CELLS, n, dtype=np.uint16)``, each giving a transaction's
+    used gas and CPU time; the conflict child draws n uniforms, each below
+    ``conflict_rate`` flagging its transaction.  At ``conflict_rate`` 0 no
+    flag is drawn.
 
     ``out`` maps the four column names to arrays of n, typed as
     :func:`empty_columns` makes them, that receive the draws, and is
-    returned; None allocates them.  Every step runs in those arrays, with
-    the bits of the out-of-place ``clip(rint(draw), ...).astype(np.int64)``.
-    Two columns serve as scratch before they are filled: the conflict
-    uniforms land in ``gas_price`` and the raw used gas in ``cpu_time``.
+    returned; None allocates them.  The conflict uniforms land in
+    ``gas_price`` before the prices overwrite them.
     """
     require_integer("n", n)
     require_finite("conflict_rate", conflict_rate, 0, 1)
     limit = workload.block_limit if block_limit is None else check_block_limit(block_limit)
     if out is None:
         out = empty_columns(n)
-    price_rng, gas_rng, conflict_rng = rng.spawn(3) if fill is None else fill[0]
-    drawn = _submit(_draw_prices_and_flags, workload.gas_price_model, n, conflict_rate,
-                    price_rng, conflict_rng, out["gas_price"], out["conflicting"])
-    try:
-        normals = None if fill is None else _staged_normals(fill, workload.used_gas_model, n)
-        # cpu_time is scratch for the raw used gas until the forest fills it
-        raw_gas = sample_gmm_with(workload.used_gas_model, n, gas_rng, out=out["cpu_time"], normals=normals)
-        np.rint(raw_gas, out=raw_gas)
-        np.clip(raw_gas, MIN_TX_GAS, limit, out=raw_gas)
-        np.copyto(out["used_gas"], raw_gas, casting="unsafe")
-        workload.cpu_time_model.predict(out["used_gas"], out=out["cpu_time"])
-    finally:
-        # the worker writes into out: wait for it even when this draw raised
-        worker_error = drawn.exception()
-    if worker_error is not None:
-        raise worker_error
+    price_rng, gas_rng, conflict_rng = rng.spawn(3)
+    if conflict_rate > 0:
+        np.less(conflict_rng.random(n, out=out["gas_price"]), conflict_rate, out=out["conflicting"])
+    else:
+        out["conflicting"].fill(False)
+    sample_gmm_with(workload.gas_price_model, n, price_rng, out=out["gas_price"])
+    gas, cpu = workload.limit_cells(limit)
+    picks = gas_rng.integers(0, CELLS, n, dtype=np.uint16)
+    # the picks lie in [0, CELLS); "clip" lets take write straight into out
+    gas.take(picks, out=out["used_gas"], mode="clip")
+    cpu.take(picks, out=out["cpu_time"], mode="clip")
     return out

@@ -1,8 +1,4 @@
 import math
-import os
-import signal
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -133,13 +129,13 @@ class TestTxStreamPacking:
     @pytest.mark.parametrize("limit, c, p, n", [(8_000_000, 0.4, 16, 1_500), (128_000_000, 0.0, 1, 100)])
     def test_refills_reuse_one_buffer_set(self, toy_wl, limit, c, p, n):
         # the stream's buffers are allocated once and refilled in place: one
-        # column set, the cumulative gas, the staged normals and a refill's
-        # block dicts held 2.87 MB at 8M and 2.90 MB at 128M when this test
-        # runs alone; a second column set would add 1.65 and 1.79 MB, which
-        # puts both past the bound
+        # column set, the cumulative gas and a refill's block dicts held
+        # 2.34 MB at 8M and 2.37 MB at 128M when this test runs alone; a
+        # second column set would add 1.65 and 1.79 MB, which puts both past
+        # the bound
         toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
-        # and start the sampler's worker, whose first start imports concurrent.futures
-        workload.sample_transaction_arrays(toy_wl, 1, 0.0, np.random.default_rng(0))
+        # and the laws' and this limit's sampling tables, which the workload keeps
+        workload.sample_transaction_arrays(toy_wl, 1, 0.0, np.random.default_rng(0), limit)
         tracemalloc.start()
         try:
             stream = TxStream(toy_wl, c, np.random.default_rng(0), limit, p)
@@ -183,18 +179,25 @@ class TestTxStreamPacking:
 
     @pytest.mark.parametrize("rng", [
         np.random.Generator(np.random.PCG64(FixedSeed())),  # no SeedSequence to spawn
-        np.random.Generator(np.random.MT19937(1)),  # no advance
-        np.random.Generator(np.random.Philox(1)),  # advance counts blocks of four draws
         np.random.RandomState(1),
         None,
-    ], ids=["unspawnable", "mt19937", "philox", "randomstate", "none"])
+    ], ids=["unspawnable", "randomstate", "none"])
     def test_rng_rejected_before_allocating(self, toy_wl, monkeypatch, rng):
         def allocate(*args, **kwargs):
             raise AssertionError("the stream allocated before rng was checked")
 
         monkeypatch.setattr("verisim.blocks.empty_columns", allocate)
-        with pytest.raises(ValueError, match="^rng must be a numpy Generator on PCG64"):
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator with a SeedSequence"):
             TxStream(toy_wl, 0.0, rng, 8_000_000)
+
+    @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937, np.random.Philox],
+                             ids=["sfc64", "mt19937", "philox"])
+    def test_any_spawnable_generator_packs(self, toy_wl, bits):
+        # a fill only spawns from rng, so any bit generator with a SeedSequence serves
+        stream = TxStream(toy_wl, 0.4, np.random.Generator(bits(np.random.SeedSequence(3))), 8_000_000, 4)
+        taken = [stream.next_block_txs() for _ in range(1_000)]  # across a refill
+        assert all(0 < b["gas_used_total"] <= 8_000_000 for b in taken)
+        assert sum(b["start"] == 0 for b in taken) == 3
 
     @pytest.mark.parametrize("make", [toy_workload, mixture_workload], ids=["toy", "mix"])
     @pytest.mark.parametrize("limit, p", [(8_000_000, 16), (128_000_000, 4)])
@@ -267,79 +270,6 @@ class TestOwnRowSums:
                 assert serials[i] == np.add.reduceat(cpu * conf, [0])[0]
                 assert serials[i] == pytest.approx(math.fsum(cpu[conf]), rel=1e-14, abs=0.0)
         assert refills >= 3  # the first fill and two refills
-
-
-class Failing:
-    """A normals stream whose draw raises."""
-
-    def standard_normal(self, *args, **kwargs):
-        raise FloatingPointError("staged draw failed")
-
-
-class TestStagedNormals:
-    """Each refill's used-gas normals are drawn one refill ahead on the
-    sampler's worker; the blocks keep their bits."""
-
-    @pytest.mark.parametrize("limit, n", [(8_000_000, 6_000), (128_000_000, 1_000)])
-    def test_staged_draw_error_reaches_the_refill_that_consumes_it(self, monkeypatch, limit, n):
-        # about 4,000 blocks per refill with the mixture at 8M and 420 at 128M
-        wl = mixture_workload()
-        want = measure_verification_times(wl, limit, n, seed=4, p=4, conflict_rate=0.4)
-        monkeypatch.setattr("verisim.workload._normals_stream", lambda *args: Failing())
-        stream = TxStream(wl, 0.4, np.random.default_rng(4), limit, 4)
-        got = []
-        with pytest.raises(FloatingPointError, match="staged draw failed"):
-            for _ in range(n):
-                got.append(stream.next_block_txs()["time"])
-        # the first fill is drawn whole, so its blocks came out before the
-        # second fill, the first staged one, raised
-        assert 0 < len(got) < n
-        assert got == want[: len(got)].tolist()
-        monkeypatch.undo()
-        assert np.array_equal(measure_verification_times(wl, limit, n, seed=4, p=4, conflict_rate=0.4), want)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_continues_the_stream(self, monkeypatch):
-        wl, limit, n = mixture_workload(), 128_000_000, 1_000
-        want = measure_verification_times(wl, limit, n, seed=6, p=4, conflict_rate=0.4)
-        parent = os.getpid()
-        real = workload._normals_stream
-
-        class Held:
-            """The parent's staged draw waits until the child has forked, so
-            the child can only get its normals by drawing them itself."""
-
-            def __init__(self, *args):
-                self.draw = real(*args).standard_normal
-
-            def standard_normal(self, *args, **kwargs):
-                if os.getpid() == parent:
-                    released.wait(30)
-                return self.draw(*args, **kwargs)
-
-        released = threading.Event()
-        monkeypatch.setattr(workload, "_normals_stream", Held)
-        stream = TxStream(wl, 0.4, np.random.default_rng(6), limit, 4)
-        first = stream.next_block_txs()["time"]  # the first refill starts the second fill
-        pid = os.fork()
-        if pid == 0:
-            status = 2
-            try:
-                rest = [stream.next_block_txs()["time"] for _ in range(n - 1)]
-                status = 0 if [first, *rest] == want.tolist() else 1
-            finally:
-                os._exit(status)
-        released.set()
-        deadline = time.monotonic() + 20
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not take its blocks in 20 s")
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-        # the parent's own stream goes on with the same bits
-        assert [first] + [stream.next_block_txs()["time"] for _ in range(n - 1)] == want.tolist()
 
 
 class TestVerificationTime:

@@ -3,12 +3,13 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 from scipy.stats import norm
 
 from verisim import gmm
 from verisim.dataio import generate_synthetic_dataset
 from verisim.gmm import (
+    CELLS,
     EM_MAX_ITER,
     VARIANCE_FLOOR,
     DegenerateDataError,
@@ -16,6 +17,7 @@ from verisim.gmm import (
     _em_once,
     _kmeans_seed,
     _nearest,
+    _normal_cdf,
     fit_gmm,
     sample_gmm_with,
 )
@@ -320,19 +322,66 @@ class TestSampleStream:
 
     @pytest.mark.parametrize("model", [K1, K6, K255, K257], ids=["k1", "k6", "k255", "k257"])
     @pytest.mark.parametrize("n", [1, 7, 65_536])
-    def test_matches_choice_then_normal(self, model, n):
-        """K > 1 draws ``choice`` then ``normal``; K = 1 picks no component,
-        so it draws ``normal`` alone."""
+    def test_gathers_one_uniform_pick_per_value(self, model, n):
+        """Each value is the table cell that one ``integers(0, CELLS)`` pick names."""
         rng, ref = np.random.default_rng(123), np.random.default_rng(123)
         out = sample_gmm_with(model, n, rng)
-        means, sds = np.asarray(model.means), np.sqrt(np.asarray(model.variances))
-        if model.k == 1:
-            expected = np.exp(ref.normal(means[0], sds[0], n))
-        else:
-            comps = ref.choice(model.k, size=n, p=np.asarray(model.weights))
-            expected = np.exp(ref.normal(means[comps], sds[comps]))
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out, model.cells()[ref.integers(0, CELLS, n, dtype=np.uint16)])
         assert rng.random() == ref.random()
+
+
+def mixture_mean(model):
+    return sum(w * np.exp(m + 0.5 * v) for w, m, v in zip(model.weights, model.means, model.variances))
+
+
+def exact_cells(model, picks):
+    """The exact mean of exp(Y) over the cells ``picks``, from scipy's normal
+    CDF: each cell edge found by bisection, then the partial expectation's
+    rise across the cell."""
+    w, m = np.asarray(model.weights), np.asarray(model.means)
+    s = np.sqrt(np.asarray(model.variances))
+
+    def partial(y):
+        return (w * np.exp(m + 0.5 * s * s) * ndtr((y[:, None] - m) / s - s)).sum(axis=1)
+
+    u = np.concatenate([picks, picks + 1]) / CELLS
+    lo, hi = np.full(u.size, (m - 40 * s).min()), np.full(u.size, (m + 40 * s).max())
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        below = (w * ndtr((mid[:, None] - m) / s)).sum(axis=1) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    edges = partial(0.5 * (lo + hi))
+    edges[u == 1.0] = mixture_mean(model)
+    return CELLS * (edges[picks.size:] - edges[: picks.size])
+
+
+class TestCellTable:
+    """A law's table: equal-probability cells, each the law's mean over its quantiles."""
+
+    @pytest.mark.parametrize("model", [K1, K6, K255, K257, mixture((1.0,), (0.0,), (1e-12,))],
+                             ids=["k1", "k6", "k255", "k257", "point"])
+    def test_mean_is_the_mixture_mean(self, model):
+        cells = model.cells()
+        assert cells.shape == (CELLS,) and cells.dtype == np.float64
+        assert cells.mean() == pytest.approx(mixture_mean(model), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("model", [K1, K6], ids=["k1", "k6"])
+    def test_cells_are_the_exact_cell_means(self, model):
+        # every 61st cell and the 20 at each end, where the knots are widest
+        picks = np.unique(np.concatenate([np.arange(0, CELLS, 61), np.arange(20), np.arange(CELLS - 20, CELLS)]))
+        assert np.allclose(model.cells()[picks], exact_cells(model, picks), rtol=1e-5, atol=0.0)
+        assert np.all(np.diff(model.cells()) >= 0)
+
+    def test_built_once_and_read_only(self):
+        model = mixture((0.3, 0.7), (1.0, 4.0), (0.5, 0.2))
+        cells = model.cells()
+        assert model.cells() is cells
+        with pytest.raises(ValueError):
+            cells[0] = 1.0
+
+    def test_normal_cdf_matches_scipy(self):
+        x = np.linspace(-40.0, 40.0, 400_001)
+        assert np.max(np.abs(_normal_cdf(x) - ndtr(x))) <= 1e-15
 
 
 class TestModelValidation:

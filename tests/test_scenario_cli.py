@@ -163,6 +163,24 @@ class TestSweep:
         assert run.stdout.splitlines() == ["[]"]
 
 
+    def test_sweep_starts_no_thread(self):
+        # every column is drawn on the calling thread: a fresh interpreter
+        # runs a parallel sweep with its one thread
+        code = textwrap.dedent("""
+            import threading
+            import verisim
+            from tests.helpers import toy_workload
+            before = threading.active_count()
+            config = verisim.ScenarioConfig(8_000_000, verisim.standard_miners(10, 0.1), mode="parallel",
+                                            c=0.4, p=4, sim_duration=120.0, runs=2)
+            verisim.run_sweep([config], toy_workload(), tv_blocks=5)
+            print(before, threading.active_count())
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(pathlib.Path(SRC).parent)])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.split() == ["1", "1"]
+
+
 class TestConfigIO:
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

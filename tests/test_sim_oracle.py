@@ -159,9 +159,7 @@ def pairs():
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_reference(name, pairs):
-    result, expected, _ = pairs[name]
+def assert_matches(result, expected):
     assert expected.total_blocks > 0
     for field in RUN_EXACT:
         assert repr(getattr(result, field)) == repr(getattr(expected, field)), field
@@ -172,15 +170,29 @@ def test_matches_reference(name, pairs):
         assert got.expected_fraction == pytest.approx(want.expected_fraction, rel=EXPECTED_REL, abs=0.0), got.id
 
 
-def test_long_pauses_cross_the_window_both_ways(pairs):
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_reference(name, pairs):
+    result, expected, _ = pairs[name]
+    assert_matches(result, expected)
+
+
+def test_long_pauses_cross_the_window_both_ways():
     # Verifiers whose last find came before their class's final busy period
     # end it together, at the largest busy-until; one whose last find fell
     # inside that period skipped its own block and ends earlier.  Both must
-    # occur, with the pauses running past the end of the window.
-    cfg = CASES["long_pauses"][0]
-    _, _, busy_until = pairs["long_pauses"]
-    verifier_busy = [b for m, b in zip(cfg.miners, busy_until) if m.verifies]
-    last = max(verifier_busy)
-    assert last > cfg.sim_duration
-    assert sum(b == last for b in verifier_busy) >= 2
-    assert any(cfg.sim_duration < b < last for b in verifier_busy)
+    # occur, with the pauses running past the end of the window, in a run
+    # that matches the reference.  Whether a run shows both rests on its
+    # draws (about one seed in four), so the first of 32 seeds from the
+    # case's own that shows both is checked.
+    cfg, wl_kw = CASES["long_pauses"]
+    wl = toy_workload(**wl_kw)
+    for seed in range(cfg.base_seed, cfg.base_seed + 32):
+        run = cfg.with_seed(seed)
+        expected, busy_until = reference_run(run, wl)
+        verifier_busy = [b for m, b in zip(run.miners, busy_until) if m.verifies]
+        last = max(verifier_busy)
+        ended_together = sum(b == last for b in verifier_busy) >= 2
+        if last > run.sim_duration and ended_together and any(run.sim_duration < b < last for b in verifier_busy):
+            assert_matches(run_simulation(run, wl), expected)
+            return
+    pytest.fail(f"no seed in [{cfg.base_seed}, {cfg.base_seed + 32}) had pauses cross the window both ways")

@@ -1,17 +1,16 @@
 import dataclasses
 import json
-import os
-import signal
-import time
+import weakref
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from tests.helpers import MIXTURE_GAS, mixture_workload
+from tests.helpers import mixture_workload, toy_workload
 from verisim import gmm
 from verisim.cli import main as cli_main
 from verisim.dataio import generate_synthetic_dataset, load_dataset
-from verisim.gmm import GmmModel
+from verisim.gmm import CELLS, GmmModel
 from verisim.workload import (
     MAX_BLOCK_LIMIT,
     MIN_TX_GAS,
@@ -20,7 +19,6 @@ from verisim.workload import (
     fit_cpu_time_model,
     fit_workload,
     sample_transaction_arrays,
-    start_fill,
 )
 
 
@@ -122,13 +120,15 @@ class TestOutBuffers:
 
 
 def serial_reference(workload, n, conflict_rate, seed):
-    """Each column drawn in this thread alone, from its child of ``rng.spawn(3)``."""
+    """Each column drawn alone from its child of ``rng.spawn(3)``: the price
+    and used-gas children pick cells of their laws' tables, and the used gas
+    is then rounded, clipped and priced by the forest."""
     price_rng, gas_rng, conflict_rng = np.random.default_rng(seed).spawn(3)
-    raw_gas = gmm.sample_gmm_with(workload.used_gas_model, n, gas_rng)
+    raw_gas = workload.used_gas_model.cells()[gas_rng.integers(0, CELLS, n, dtype=np.uint16)]
     used_gas = np.clip(np.rint(raw_gas), MIN_TX_GAS, workload.block_limit).astype(np.int64)
     return {
         "used_gas": used_gas,
-        "gas_price": gmm.sample_gmm_with(workload.gas_price_model, n, price_rng),
+        "gas_price": workload.gas_price_model.cells()[price_rng.integers(0, CELLS, n, dtype=np.uint16)],
         "cpu_time": workload.cpu_time_model.predict(used_gas),
         "conflicting": conflict_rng.random(n) < conflict_rate if conflict_rate > 0 else np.zeros(n, dtype=bool),
     }
@@ -141,8 +141,8 @@ def assert_same_columns(got, want):
         assert np.array_equal(got[k], col), k
 
 
-class TestWorkerThread:
-    """The worker's columns keep the bits of a serial draw, and its errors reach the caller."""
+class TestColumnStreams:
+    """Each column draws from its own stream, spawned from the caller's generator."""
 
     @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
     @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
@@ -153,91 +153,6 @@ class TestWorkerThread:
         for seed in (3, 4):
             got = sample_transaction_arrays(wl, 4000, conflict_rate, np.random.default_rng(seed), out=out)
             assert_same_columns(got, serial_reference(wl, 4000, conflict_rate, seed))
-
-    def test_worker_error_raised_and_next_call_draws(self, toy_wl, monkeypatch):
-        real = gmm.sample_gmm_with
-
-        def fail_on_price(model, *args, **kwargs):
-            if model is toy_wl.gas_price_model:
-                raise FloatingPointError("price draw failed")
-            return real(model, *args, **kwargs)
-
-        monkeypatch.setattr(gmm, "sample_gmm_with", fail_on_price)
-        with pytest.raises(FloatingPointError, match="price draw failed"):
-            sample(toy_wl, 1000, 0.4, seed=5)
-        monkeypatch.undo()
-        assert_same_columns(sample(toy_wl, 1000, 0.4, seed=5), serial_reference(toy_wl, 1000, 0.4, 5))
-
-    def test_caller_error_waits_for_the_worker(self, toy_wl, monkeypatch):
-        def fail(*args, **kwargs):
-            raise FloatingPointError("used gas draw failed")
-
-        want = serial_reference(toy_wl, 200_000, 0.4, 6)
-        # the calling thread draws used gas through this module's name
-        monkeypatch.setattr("verisim.workload.sample_gmm_with", fail)
-        out = empty_columns(200_000)
-        with pytest.raises(FloatingPointError, match="used gas draw failed"):
-            sample_transaction_arrays(toy_wl, 200_000, 0.4, np.random.default_rng(6), out=out)
-        # read at once: a worker still drawing would show here
-        got = {k: out[k].copy() for k in ("gas_price", "conflicting")}
-        for k, col in got.items():
-            assert np.array_equal(col, want[k]), k
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_draws_the_same_bits(self, toy_wl):
-        # the parent's first draw starts the worker, whose thread the child lacks
-        before = sample(toy_wl, 5000, 0.4, seed=7)
-        pid = os.fork()
-        if pid == 0:
-            status = 2
-            try:
-                again = sample(toy_wl, 5000, 0.4, seed=7)
-                status = 0 if all(np.array_equal(again[k], before[k]) for k in before) else 1
-            finally:
-                os._exit(status)
-        deadline = time.monotonic() + 20
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's draw did not finish in 20 s")
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-
-
-class TestStartedFill:
-    """A fill's used-gas normals, drawn ahead from a jumped copy of its
-    stream, give the bits of the plain draw."""
-
-    @pytest.mark.parametrize("model", [lognormal(5e4), MIXTURE_GAS], ids=["k1", "k3"])
-    def test_jumped_normals_give_the_plain_bits(self, model):
-        n = 5000
-        plain = gmm.sample_gmm_with(model, n, np.random.default_rng(3))
-        # a K > 1 draw takes n component uniforms, one 64-bit word each, first
-        bits = np.random.PCG64(3)
-        if model.k > 1:
-            bits.advance(n)
-        normals = np.random.Generator(bits).standard_normal(n)
-        staged = gmm.sample_gmm_with(model, n, np.random.default_rng(3), normals=normals)
-        assert np.array_equal(staged, plain)
-
-    @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
-    @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
-    def test_started_fill_draws_the_serial_bits(self, toy_wl, mixture, conflict_rate):
-        wl = mixture_workload() if mixture else toy_wl
-        rng, staging = np.random.default_rng(8), np.empty(4000)
-        fill = start_fill(wl, 4000, rng, staging)
-        got = sample_transaction_arrays(wl, 4000, conflict_rate, rng, fill=fill)
-        assert_same_columns(got, serial_reference(wl, 4000, conflict_rate, 8))
-        # the fill spawned the call's streams from rng, as the call would have
-        ref = np.random.default_rng(8)
-        sample_transaction_arrays(wl, 4000, conflict_rate, ref)
-        assert_same_columns(sample_transaction_arrays(wl, 4000, conflict_rate, rng),
-                            sample_transaction_arrays(wl, 4000, conflict_rate, ref))
-
-
-class TestColumnStreams:
-    """Each column draws from its own stream, spawned from the caller's generator."""
 
     def test_columns(self, toy_wl):
         assert set(sample(toy_wl, 10, 0.3, seed=1)) == {"used_gas", "gas_price", "cpu_time", "conflicting"}
@@ -261,6 +176,66 @@ class TestColumnStreams:
         rng, ref = np.random.default_rng(12), np.random.default_rng(12)
         sample_transaction_arrays(toy_wl, 100, 0.4, rng)
         assert rng.random() == ref.random()
+
+
+def exact_limit_means(workload, limit):
+    """Mean used gas and CPU time per transaction of the continuous used-gas
+    law clipped to [MIN_TX_GAS, limit], from scipy's normal CDF: the clip
+    bounds' atoms, the partial expectation between them, and the mass
+    between each two of the forest's step bounds."""
+    model, forest = workload.used_gas_model, workload.cpu_time_model
+    w, m = np.asarray(model.weights), np.asarray(model.means)
+    s = np.sqrt(np.asarray(model.variances))
+
+    def cdf(x, shift=0.0):
+        return (w * np.exp(shift * (m + 0.5 * s * s)) * ndtr((np.log(x)[:, None] - m) / s - shift * s)).sum(axis=1)
+
+    ends = np.asarray([MIN_TX_GAS, limit], dtype=np.float64)
+    (lo, hi), (partial_lo, partial_hi) = cdf(ends), cdf(ends, shift=1.0)
+    gas = MIN_TX_GAS * lo + (partial_hi - partial_lo) + limit * (1.0 - hi)
+    forest.predict(0.0)  # merges the trees into one step function
+    bounds = forest._bounds
+    # value j applies for bounds[j - 1] < g <= bounds[j]
+    at_or_below = np.where(bounds < MIN_TX_GAS, 0.0, np.where(bounds >= limit, 1.0, cdf(np.clip(bounds, *ends))))
+    cpu = np.diff(np.concatenate(([0.0], at_or_below, [1.0]))) @ forest._values
+    return gas, cpu
+
+
+class TestLimitCells:
+    """A workload's per-limit table: the used-gas cells rounded and clipped
+    to the limit, each with the forest's CPU time."""
+
+    @pytest.mark.parametrize("limit", [8_000_000, 32_000_000, 128_000_000])
+    def test_keeps_the_continuous_laws_means(self, fitted_workload, limit):
+        gas, cpu = fitted_workload.limit_cells(limit)
+        want_gas, want_cpu = exact_limit_means(fitted_workload, limit)
+        assert gas.mean() == pytest.approx(want_gas, rel=1e-3, abs=0.0)
+        assert cpu.mean() == pytest.approx(want_cpu, rel=1e-3, abs=0.0)
+
+    def test_cells_are_the_laws_rounded_clipped_and_priced(self):
+        wl = mixture_workload()
+        gas, cpu = wl.limit_cells(64_000_000)
+        assert wl.limit_cells(64_000_000)[0] is gas
+        want = np.clip(np.rint(wl.used_gas_model.cells()), MIN_TX_GAS, 64_000_000).astype(np.int64)
+        assert np.array_equal(gas, want)
+        assert np.array_equal(cpu, wl.cpu_time_model.predict(want))
+        assert gas.max() > 8_000_000
+
+    def test_no_table_is_built_by_a_load(self, toy_wl, tmp_path):
+        toy_wl.save(tmp_path / "workload.json")
+        loaded = FittedWorkload.load(tmp_path / "workload.json")
+        assert loaded._limit_cells == {}
+        assert loaded.used_gas_model._cells is None and loaded.gas_price_model._cells is None
+
+    def test_tables_die_with_their_models(self):
+        refs = []
+        for i in range(20):
+            wl = toy_workload(mean_gas=40_000.0 + 1_000.0 * i)
+            sample_transaction_arrays(wl, 10, 0.4, np.random.default_rng(i), 64_000_000)
+            assert wl.used_gas_model._cells is not None and 64_000_000 in wl._limit_cells
+            refs += [weakref.ref(m) for m in (wl, wl.used_gas_model, wl.gas_price_model, wl.cpu_time_model)]
+            del wl
+        assert [r for r in refs if r() is not None] == []
 
 
 def test_cpu_time_model_is_the_workload_forest(monkeypatch):
