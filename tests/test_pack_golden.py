@@ -10,9 +10,10 @@ gas_used_total, start]``.  With the toy workload,
 whose mixtures have one component each, the block counts cross at least one
 refill at 21000 (about 32,800 blocks per refill there), three at 8M (about
 465) and several at 128M (about 29).  The ``mix_`` cases use a
-three-component used gas and a two-component price, so that every fill draws
-its component uniforms before its normals; they cross three refills at 8M
-(about 4,000 blocks per refill) and at 128M (about 420).
+three-component used gas and a two-component price, so that every fill
+gathers from tables of several components, one with a tail past 8M; they
+cross three refills at 8M (about 4,000 blocks per refill) and at 128M
+(about 420).
 
 A block's ``total_fee`` and ``seq_time`` are sums of its own rows, and its
 ``time`` is priced from those rows alone, so a change that keeps the draws

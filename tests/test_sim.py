@@ -85,7 +85,8 @@ class TestRunSimulation:
     def test_lineup_with_no_verifier_runs(self, toy_wl):
         # the stream still hands out every block, and nobody pauses (the
         # recorded run, its fee total re-recorded when each block's fees
-        # became the sum of its own rows)
+        # became the sum of its own rows, and again when the sampler began
+        # drawing from quantile tables)
         cfg = ScenarioConfig(
             block_limit=8_000_000,
             miners=(MinerConfig("a", 0.5, False), MinerConfig("b", 0.5, False)),
@@ -93,7 +94,7 @@ class TestRunSimulation:
         )
         res = run_simulation(cfg, toy_wl)
         assert res.total_blocks == res.canonical_length == 50
-        assert res.total_fees == 8.374045119034642
+        assert res.total_fees == 8.323949197505842
         assert [m.expected_fraction for m in res.miners] == [0.5, 0.5]
 
     def test_lineup_with_no_verifier_runs_no_lpt(self, toy_wl, monkeypatch):
