@@ -2,10 +2,14 @@
 """Run the benchmark in alternating parent/change pairs and write BENCH_<label>.json.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --label NAME [--seeds 10]
+        [--first-seed 1] [--workload W ...]
 
 ``--parent`` and ``--change`` are two checkouts of this repository.  For
-seeds 1..N (N >= 10, the fewest pairs a claimed gain is judged on) and
-every workload that the change's ``BENCHMARK.json`` lists, the script runs
+seeds S..S+N-1 (S is ``--first-seed``, 1 by default; N is ``--seeds``, at
+least 10, the fewest pairs a claimed gain is judged on) and every workload
+that the change's ``BENCHMARK.json`` lists, or each one named by a
+``--workload`` (repeatable, so a claim can be re-checked on fresh seeds for
+one workload), the script runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once in each checkout, with T the benchmark's ``run_seconds``: the parent
 first on odd seeds, the change first on even ones, so that a drift in host
@@ -154,17 +158,27 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=pathlib.Path, help="checkout of the change")
     parser.add_argument("--label", required=True, help="the output file is BENCH_<label>.json")
     parser.add_argument("--seeds", type=int, default=10, help="pairs per workload (default 10, at least 10)")
+    parser.add_argument("--first-seed", type=int, default=1, help="the first pair's seed (default 1, at least 1)")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="run only this workload (repeatable; default: every one BENCHMARK.json lists)")
     args = parser.parse_args(argv)
     if args.seeds < 10:
         parser.error("--seeds must be >= 10")
+    if args.first_seed < 1:
+        parser.error("--first-seed must be >= 1")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
-    seeds = range(1, args.seeds + 1)
+    unknown = sorted(set(args.workload or ()) - set(names))
+    if unknown:
+        parser.error(f"--workload {', '.join(unknown)}: not in BENCHMARK.json, which lists {', '.join(names)}")
+    if args.workload:
+        names = [name for name in names if name in args.workload]
+    seeds = range(args.first_seed, args.first_seed + args.seeds)
     out = ROOT / f"BENCH_{args.label}.json"
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {name: [] for name in names}
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         order = SIDES if seed % 2 else SIDES[::-1]
         for name in names:
             pair = {"first": order[0]}
@@ -175,8 +189,8 @@ def main(argv=None) -> int:
                              for m in pair["parent"]["metrics"])
             line += f"  operations={pair['parent']['operations']}->{pair['change']['operations']}"
             print(f"seed {seed} {name}: {line}", file=sys.stderr, flush=True)
-        if seed > 1:  # quartiles need two pairs
-            out.write_text(json.dumps(summarise(args.label, seeds[:seed], bench, runs), indent=1) + "\n")
+        if i:  # quartiles need two pairs
+            out.write_text(json.dumps(summarise(args.label, seeds[: i + 1], bench, runs), indent=1) + "\n")
     print(f"wrote {out}")
     return 0
 

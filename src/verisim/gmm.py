@@ -8,15 +8,10 @@ fitted K in a row.  Each K in a search is the best of several EM runs from
 k-means++ starts; a refit (``start``) is one EM run from a given mixture, so
 a winner found on a subsample is carried to all rows without a new search.
 
-Sampling draws from a table.  Each mixture's law, on the original positive
-scale, is cut into ``CELLS`` equal-probability cells, and a draw picks a
-cell by one uniform integer (inverse-transform sampling by table; Devroye,
-*Non-Uniform Random Variate Generation*, 1986, ch. III).  A cell holds the
-law's mean over its quantile interval, so the cells' mean is the mixture's
-mean.  The table is built on first use, without scipy: the mixture's CDF and
-partial expectation are evaluated at knots spread over each component, and
-the partial expectation is read at the cell edges by cubic Hermite
-interpolation in probability, where its slope is the value itself.
+Sampling gathers from a table of ``CELLS`` equal-probability cells of the
+law on the original scale, each the law's mean over its quantiles, so a draw
+is one uniform integer (inverse-transform sampling by table; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. III).
 
 EM works component-major.  The E-step's log densities come from one
 (k, 3) x (3, n) product into a reused (k, n) buffer; the max, the shift, the
@@ -104,9 +99,8 @@ class GmmModel:
         float64 array of ``CELLS`` values on the original scale, cell i the
         mean of exp(Y) over the quantiles in [i / CELLS, (i + 1) / CELLS)."""
         if self._cells is None:
-            cells = _cell_means(self)
-            cells.flags.writeable = False
-            object.__setattr__(self, "_cells", cells)
+            object.__setattr__(self, "_cells", _cell_means(self))
+            self._cells.flags.writeable = False
         return self._cells
 
 
@@ -352,12 +346,12 @@ def _cell_means(model: GmmModel) -> np.ndarray:
     """The mean of exp(Y) over each of ``CELLS`` equal-probability cells.
 
     The partial expectation ``P(y) = E[exp(Y); Y <= y]`` is known at knots
-    through the normal CDF: each component adds ``w exp(m + s^2/2)
-    Phi((y - m)/s - s)``.  As a function of the CDF value u it rises with
-    slope exp(y), so a cubic Hermite interpolant between knots reads it at
-    the cell edges u = i / CELLS, and a cell's mean is CELLS times its rise.
-    The edges 0 and 1 take 0 and the mixture's mean exactly, so the cells'
-    mean is the mixture's.
+    spread over each component, without scipy: each component adds
+    ``w exp(m + s^2/2) Phi((y - m)/s - s)``.  As a function of the CDF
+    value u it rises with slope exp(y), so a cubic Hermite interpolant
+    between knots reads it at the cell edges u = i / CELLS, and a cell's
+    mean is CELLS times its rise.  The edges 0 and 1 take 0 and the
+    mixture's mean exactly, so the cells' mean is the mixture's.
     """
     w = np.asarray(model.weights) / sum(model.weights)
     m, v = np.asarray(model.means), np.asarray(model.variances)
@@ -384,11 +378,8 @@ def _cell_means(model: GmmModel) -> np.ndarray:
 
 
 def sample_gmm_with(model: GmmModel, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    """Draw n positive values from the mixture's table (``GmmModel.cells``):
-    ``rng.integers(0, CELLS, n, dtype=np.uint16)`` picks each value's cell.
-
-    The draws land in ``out`` (a float64 array of n, fresh if None), which is
-    returned.
-    """
+    """Draw n positive values from the mixture's table (``GmmModel.cells``),
+    each cell picked by ``rng.integers(0, CELLS, n, dtype=np.uint16)``, into
+    ``out`` (a float64 array of n, fresh if None), which is returned."""
     # the picks lie in [0, CELLS); "clip" lets take write straight into out
     return model.cells().take(rng.integers(0, CELLS, n, dtype=np.uint16), out=out, mode="clip")

@@ -2,15 +2,12 @@
 
 A workload bundles three fitted models: log-scale mixtures for gas price and
 used gas, and a regression forest mapping used gas to CPU seconds.  Sampling
-draws every column by one gather on the calling thread.  Each mixture's law
-is a table of equal-probability cells (``GmmModel.cells``), and a workload
-keeps, per block limit, the used-gas cells rounded and clipped to
-[21000, block_limit] and the forest's CPU time for each (``limit_cells``).
-A transaction's used gas and CPU time come from one picked cell, its gas
-price from a cell of the price table, and its conflict flag from a Bernoulli
-draw.  Each drawn column has its own random stream, spawned from the
-caller's generator, so one column's draws never shift another's.  Every
-table is built on first use, never by a fit or a load.
+gathers every column on the calling thread, from tables built on first use,
+never by a fit or a load: each mixture's equal-probability cells
+(``GmmModel.cells``) and, per block limit, the used-gas cells rounded and
+clipped to [21000, block_limit] with the forest's CPU time for each
+(``limit_cells``).  Each column has its own random stream, spawned from the
+caller's generator, so one column's draws never shift another's.
 """
 
 import json
@@ -194,19 +191,14 @@ def sample_transaction_arrays(
     ``cpu_time`` and ``conflicting``, one array each.
 
     ``rng`` must carry a ``SeedSequence``, as ``np.random.default_rng`` does.
-    It is only spawned, never drawn from: its three children, in order, feed
-    the gas price, the used gas and the conflict flags.  The price child
-    picks cells of the price table (``sample_gmm_with``); the used-gas child
-    picks cells of ``workload.limit_cells(limit)`` by
-    ``integers(0, CELLS, n, dtype=np.uint16)``, each giving a transaction's
-    used gas and CPU time; the conflict child draws n uniforms, each below
-    ``conflict_rate`` flagging its transaction.  At ``conflict_rate`` 0 no
-    flag is drawn.
+    It is only spawned, never drawn from: its three children, in order, pick
+    the price cells (``sample_gmm_with``), pick the cells of
+    ``workload.limit_cells`` that give each transaction's used gas and CPU
+    time, and draw the conflict uniforms, none at ``conflict_rate`` 0.
 
     ``out`` maps the four column names to arrays of n, typed as
     :func:`empty_columns` makes them, that receive the draws, and is
-    returned; None allocates them.  The conflict uniforms land in
-    ``gas_price`` before the prices overwrite them.
+    returned; None allocates them.
     """
     require_integer("n", n)
     require_finite("conflict_rate", conflict_rate, 0, 1)
@@ -215,6 +207,7 @@ def sample_transaction_arrays(
         out = empty_columns(n)
     price_rng, gas_rng, conflict_rng = rng.spawn(3)
     if conflict_rate > 0:
+        # gas_price is scratch for the uniforms until the prices fill it
         np.less(conflict_rng.random(n, out=out["gas_price"]), conflict_rate, out=out["conflicting"])
     else:
         out["conflicting"].fill(False)
