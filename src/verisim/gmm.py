@@ -363,8 +363,7 @@ def _cell_means(model: GmmModel) -> np.ndarray:
     scale = w * np.exp(m + 0.5 * v)
     partial = np.maximum.accumulate(scale @ _normal_cdf(z - s))
     # each knot interval's width in u, its rise, and its end slopes times its width
-    h, rise = np.diff(cdf), np.diff(partial)
-    slope = np.exp(y)
+    h, rise, slope = np.diff(cdf), np.diff(partial), np.exp(y)
     s0, s1 = h * slope[:-1], h * slope[1:]
     c2, c3 = 3.0 * rise - 2.0 * s0 - s1, s0 + s1 - 2.0 * rise
     # every inner edge lies between the first knot (cdf below 1e-18) and the

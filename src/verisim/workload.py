@@ -55,11 +55,13 @@ class FittedWorkload:
         """``(used_gas, cpu_time)`` of the used-gas law's cells at one block
         limit, built on the first call for that limit and kept: each cell's
         value rounded and clipped to [MIN_TX_GAS, block_limit] as int64, and
-        the forest's CPU time for it (one ``predict`` over the cells)."""
+        the forest's CPU time for it, from one ``predict`` over the cells as
+        floats, so the forest builds no integer lookup table."""
         cells = self._limit_cells.get(block_limit)
         if cells is None:
-            gas = np.clip(np.rint(self.used_gas_model.cells()), MIN_TX_GAS, block_limit).astype(np.int64)
+            gas = np.clip(np.rint(self.used_gas_model.cells()), MIN_TX_GAS, block_limit)
             cpu = self.cpu_time_model.predict(gas)
+            gas = gas.astype(np.int64)
             gas.flags.writeable = cpu.flags.writeable = False
             cells = self._limit_cells[block_limit] = (gas, cpu)
         return cells

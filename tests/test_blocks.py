@@ -133,8 +133,8 @@ class TestTxStreamPacking:
         # 2.34 MB at 8M and 2.37 MB at 128M when this test runs alone; a
         # second column set would add 1.65 and 1.79 MB, which puts both past
         # the bound
-        toy_wl.cpu_time_model.predict(np.arange(10))  # build the forest's lookup table first
-        # and the laws' and this limit's sampling tables, which the workload keeps
+        # build the laws' and this limit's sampling tables first, which the
+        # workload keeps, and the forest's merged step function
         workload.sample_transaction_arrays(toy_wl, 1, 0.0, np.random.default_rng(0), limit)
         tracemalloc.start()
         try:
