@@ -37,8 +37,7 @@ EM_RESTARTS = 5
 CELLS = 1 << 16
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# the table's knots, in standard deviations about each component's mean:
-# beyond 9 a component holds less than 1e-18 of its mass, far below a cell
+# the table's knots in sds about each component's mean; beyond 9 lies < 1e-18
 _KNOT_Z = np.linspace(-9.0, 9.0, 512)
 
 _log = logging.getLogger(__name__)
@@ -366,12 +365,13 @@ def _cell_means(model: GmmModel) -> np.ndarray:
     h, rise, slope = np.diff(cdf), np.diff(partial), np.exp(y)
     s0, s1 = h * slope[:-1], h * slope[1:]
     c2, c3 = 3.0 * rise - 2.0 * s0 - s1, s0 + s1 - 2.0 * rise
-    # every inner edge lies between the first knot (cdf below 1e-18) and the
-    # last (cdf 1), and in an interval of positive width
+    # each inner edge's knot interval: the knots at or below edge (i + 1) /
+    # CELLS, counted from the first edge each knot reaches; the first knot's
+    # cdf is below 1e-18 and the last's is 1, so every interval has width
+    first = np.clip(np.ceil(cdf * CELLS) - 1, 0, CELLS - 1).astype(np.intp)
+    j = np.cumsum(np.bincount(first, minlength=CELLS)[:-1]) - 1
     u = np.arange(1.0, CELLS) / CELLS
-    j = np.searchsorted(cdf, u, side="right") - 1
-    with np.errstate(divide="ignore"):
-        t = (u - cdf[j]) * (1.0 / h)[j]
+    t = (u - cdf[j]) * (1.0 / h[j])
     inner = partial[j] + t * (s0[j] + t * (c2[j] + t * c3[j]))
     return CELLS * np.diff(np.concatenate(([0.0], inner, [scale.sum()])))
 
