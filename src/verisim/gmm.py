@@ -37,8 +37,8 @@ EM_RESTARTS = 5
 CELLS = 1 << 16
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# the table's knots in sds about each component's mean; beyond 9 lies < 1e-18
-_KNOT_Z = np.linspace(-9.0, 9.0, 512)
+# a table's knots, at most: 512 per component, over 9 sds either side of its mean
+KNOTS = 4096
 
 _log = logging.getLogger(__name__)
 
@@ -355,7 +355,7 @@ def _cell_means(model: GmmModel) -> np.ndarray:
     w = np.asarray(model.weights) / sum(model.weights)
     m, v = np.asarray(model.means), np.asarray(model.variances)
     s = np.sqrt(v)[:, None]
-    y = np.unique(m[:, None] + s * _KNOT_Z)
+    y = np.unique(m[:, None] + s * np.linspace(-9.0, 9.0, max(2, min(512, KNOTS // model.k))))
     z = (y - m[:, None]) / s
     # accumulate: rounding must not make either curve fall
     cdf = np.maximum.accumulate(w @ _normal_cdf(z))
