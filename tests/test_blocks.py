@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -178,10 +181,13 @@ class TestTxStreamPacking:
             TxStream(toy_wl, conflict_rate, np.random.default_rng(0), 8_000_000)
 
     @pytest.mark.parametrize("rng", [
-        np.random.Generator(np.random.PCG64(FixedSeed())),  # no SeedSequence to spawn
+        # no SeedSequence to spawn, whichever the bit generator
+        np.random.Generator(np.random.PCG64(FixedSeed())),
+        np.random.Generator(np.random.MT19937(FixedSeed())),
+        np.random.Generator(np.random.Philox(FixedSeed())),
         np.random.RandomState(1),
         None,
-    ], ids=["unspawnable", "randomstate", "none"])
+    ], ids=["unspawnable", "mt19937", "philox", "randomstate", "none"])
     def test_rng_rejected_before_allocating(self, toy_wl, monkeypatch, rng):
         def allocate(*args, **kwargs):
             raise AssertionError("the stream allocated before rng was checked")
@@ -270,6 +276,61 @@ class TestOwnRowSums:
                 assert serials[i] == np.add.reduceat(cpu * conf, [0])[0]
                 assert serials[i] == pytest.approx(math.fsum(cpu[conf]), rel=1e-14, abs=0.0)
         assert refills >= 3  # the first fill and two refills
+
+
+class TestStagedNormals:
+    """No draw is staged ahead of a refill any more: each refill draws all
+    its columns when the stream reaches it, and the blocks keep their bits."""
+
+    @pytest.mark.parametrize("limit, n", [(8_000_000, 6_000), (128_000_000, 1_000)])
+    def test_staged_draw_error_reaches_the_refill_that_consumes_it(self, monkeypatch, limit, n):
+        # about 4,000 blocks per refill with the mixture at 8M and 420 at 128M
+        wl = mixture_workload()
+        want = measure_verification_times(wl, limit, n, seed=4, p=4, conflict_rate=0.4)
+        real, calls = workload.sample_gmm_with, []
+
+        def fail_after_the_first_fill(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise FloatingPointError("refill draw failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(workload, "sample_gmm_with", fail_after_the_first_fill)
+        stream = TxStream(wl, 0.4, np.random.default_rng(4), limit, 4)
+        got = []
+        with pytest.raises(FloatingPointError, match="refill draw failed"):
+            for _ in range(n):
+                got.append(stream.next_block_txs()["time"])
+        # the first fill's blocks all came out before the second fill raised
+        assert 0 < len(got) < n
+        assert got == want[: len(got)].tolist()
+        monkeypatch.undo()
+        assert np.array_equal(measure_verification_times(wl, limit, n, seed=4, p=4, conflict_rate=0.4), want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_continues_the_stream(self):
+        wl, limit, n = mixture_workload(), 128_000_000, 1_000
+        want = measure_verification_times(wl, limit, n, seed=6, p=4, conflict_rate=0.4)
+        stream = TxStream(wl, 0.4, np.random.default_rng(6), limit, 4)
+        first = stream.next_block_txs()["time"]
+        pid = os.fork()
+        if pid == 0:
+            status = 2
+            try:
+                rest = [stream.next_block_txs()["time"] for _ in range(n - 1)]
+                status = 0 if [first, *rest] == want.tolist() else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not take its blocks in 20 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        # the parent's own stream goes on with the same bits
+        assert [first] + [stream.next_block_txs()["time"] for _ in range(n - 1)] == want.tolist()
 
 
 class TestVerificationTime:

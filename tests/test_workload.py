@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import signal
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -141,8 +145,10 @@ def assert_same_columns(got, want):
         assert np.array_equal(got[k], col), k
 
 
-class TestColumnStreams:
-    """Each column draws from its own stream, spawned from the caller's generator."""
+class TestWorkerThread:
+    """The sampler keeps no worker thread: every column is drawn on the
+    calling thread with the bits of a serial draw, and every error reaches
+    the caller."""
 
     @pytest.mark.parametrize("mixture", [False, True], ids=["k1", "k3"])
     @pytest.mark.parametrize("conflict_rate", [0.0, 0.4])
@@ -150,9 +156,51 @@ class TestColumnStreams:
     def test_serial_bits(self, toy_wl, mixture, conflict_rate, into_out):
         wl = mixture_workload() if mixture else toy_wl
         out = empty_columns(4000) if into_out else None
+        threads = threading.active_count()
         for seed in (3, 4):
             got = sample_transaction_arrays(wl, 4000, conflict_rate, np.random.default_rng(seed), out=out)
             assert_same_columns(got, serial_reference(wl, 4000, conflict_rate, seed))
+        assert threading.active_count() == threads
+
+    def test_worker_error_raised_and_next_call_draws(self, toy_wl, monkeypatch):
+        # the price draw, once the worker's share, raises straight to the caller
+        real = gmm.sample_gmm_with
+
+        def fail_on_price(model, *args, **kwargs):
+            if model is toy_wl.gas_price_model:
+                raise FloatingPointError("price draw failed")
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr("verisim.workload.sample_gmm_with", fail_on_price)
+        with pytest.raises(FloatingPointError, match="price draw failed"):
+            sample(toy_wl, 1000, 0.4, seed=5)
+        monkeypatch.undo()
+        assert_same_columns(sample(toy_wl, 1000, 0.4, seed=5), serial_reference(toy_wl, 1000, 0.4, 5))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_the_same_bits(self, toy_wl):
+        # the parent's first draw builds the sampling tables, which the child inherits
+        before = sample(toy_wl, 5000, 0.4, seed=7)
+        pid = os.fork()
+        if pid == 0:
+            status = 2
+            try:
+                again = sample(toy_wl, 5000, 0.4, seed=7)
+                status = 0 if all(np.array_equal(again[k], before[k]) for k in before) else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's draw did not finish in 20 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestColumnStreams:
+    """Each column draws from its own stream, spawned from the caller's generator."""
 
     def test_columns(self, toy_wl):
         assert set(sample(toy_wl, 10, 0.3, seed=1)) == {"used_gas", "gas_price", "cpu_time", "conflicting"}
